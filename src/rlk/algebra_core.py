@@ -185,26 +185,32 @@ class BasisJacobsonPMap:
         self.values = tuple(tuple(v) for v in values)
 
     def apply(self, alg: "Algebra", x: Element) -> Element:
-        from .identities import jacobson_si
-
-        support = [i for i, c in enumerate(x) if c]
-        acc = alg.zero()
-        rest = tuple(x)
-        for i in support:
-            a = rest[i]
-            term = alg.scale(pow(a, alg.p, alg.p), self.values[i])
-            head = tuple(a if j == i else 0 for j in range(alg.dim))
-            rest = alg.sub(rest, head)
-            acc = alg.add(acc, term)
-            if any(rest):
-                for s in jacobson_si(alg, self.bracket, head, rest):
-                    acc = alg.add(acc, s)
-        return acc
+        X = np.array(x, dtype=np.int64).reshape(1, alg.dim)
+        return tuple(int(c) for c in self.apply_batch(alg, X)[0])
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.apply(alg, tuple(int(c) for c in row)) for row in X], dtype=np.int64
-        )
+        """One basis coordinate i at a time across all rows: add a**p e_i^[p]
+        for the coefficient a of e_i (a**p == a in F_p), then the Jacobson
+        terms s_k(a e_i, rest) on the rows whose rest past i is nonzero."""
+        from .identities import jacobson_terms_batch
+
+        p = alg.p
+        rest = np.array(X, dtype=np.int64) % p
+        acc = np.zeros_like(rest)
+        values = np.array(self.values, dtype=np.int64).reshape(alg.dim, alg.dim)
+        for i in range(alg.dim):
+            a = rest[:, i].copy()
+            rest[:, i] = 0
+            acc += a[:, None] * values[i]
+            rows = np.flatnonzero((a != 0) & rest.any(axis=1))
+            if rows.size:
+                head = np.zeros((rows.size, alg.dim), dtype=np.int64)
+                head[:, i] = a[rows]
+                acc[rows] += sum(jacobson_terms_batch(
+                    p, head, rest[rows],
+                    lambda U, V: alg.multiply_batch(self.bracket, U, V)))
+            acc %= p
+        return acc
 
     def validate(self, alg: "Algebra") -> None:
         if len(self.values) != alg.dim:
@@ -425,13 +431,16 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
     if n < 0:
         raise UsageError("negative matrix power")
     N, d, _ = stack.shape
-    out = np.broadcast_to(np.eye(d, dtype=np.int64), (N, d, d)).copy()
-    base = stack % p
+    # square and multiply from the lowest set bit: n = 2 costs one matmul
+    out, base = None, stack % p
     while n:
         if n & 1:
-            out = np.matmul(out, base) % p
-        base = np.matmul(base, base) % p
+            out = base if out is None else np.matmul(out, base) % p
         n >>= 1
+        if n:
+            base = np.matmul(base, base) % p
+    if out is None:
+        return np.broadcast_to(np.eye(d, dtype=np.int64), (N, d, d)).copy()
     return out
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .algebra_core import BasisJacobsonPMap, lie_basis_violation
+from .algebra_core import enumeration_cap, lie_basis_violation
 from .algfile import format_algebra, parse_algebra_file
 from .dialgebra import (
     Dialgebra,
@@ -156,7 +156,13 @@ def _resolve_pmap(alg, explicit):
 
 def _effective_cap(alg, args):
     if args.mode == "exhaustive":
-        return alg.p ** alg.dim if alg.dim else 1
+        cap = enumeration_cap(args.cap)
+        if alg.element_count() > cap:
+            raise UsageError(
+                f"--mode exhaustive needs all {alg.p}**{alg.dim} elements, "
+                f"past the enumeration cap {cap} (raise --cap or RLK_CAP)"
+            )
+        return cap
     if args.mode == "sample":
         return 1
     return args.cap
@@ -322,14 +328,9 @@ def cmd_derive(args) -> int:
             g = parse_algebra_file(args.files[0])
             R = parse_algebra_file(args.files[1])
             T = tensor_prelie(g, R)
-            zeros = [T.product.zero()] * T.product.dim
-            derived = type(T.product)(
-                T.product.p, T.product.dim,
-                {"prelie": T.product.structure("prelie"),
-                 "lie": T.product.structure("lie")},
-                {"lie_p": BasisJacobsonPMap("lie", zeros)},
-                label=T.product.label,
-            )
+            A = T.product
+            derived = type(A)(A.p, A.dim, {op: A.structure(op) for op in A.op_names},
+                              {"lie_p": A.pmap("lie_p")}, label=A.label)
             checks = (
                 check_prelie(T.product).to_dict(),
                 check_tensor_restricted(

@@ -20,13 +20,11 @@ import numpy as np
 from .algebra_core import (
     Algebra,
     Element,
-    enumeration_cap,
     lie_basis_violation,
     stack_mat_pow,
 )
 from .errors import UsageError
-from .linalg import mat_pow
-from .scalars import LambdaPoly, inv_mod, lambda_poly_bracket
+from .scalars import inv_mod
 
 WITNESS_LIMIT = 16
 _CHUNK_ENTRIES = 1 << 21
@@ -327,32 +325,49 @@ def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
 # -- Jacobson polarization ----------------------------------------------------
 
 
-def _jacobson_terms(p: int, x, y, bracket, add, zero):
-    """s_1..s_{p-1} for the given bracket: i*s_i is the coefficient of
-    lambda**(i-1) in the (p-1)-fold right bracketing of x by (lambda x + y)."""
-    P = LambdaPoly([x])
-    Q = LambdaPoly([y, x])
-    for _ in range(p - 1):
-        P = lambda_poly_bracket(P, Q, bracket, add, zero)
-    out = []
-    for i in range(1, p):
-        coeff = P.coeff(i - 1, zero)
-        out.append(tuple((inv_mod(i, p) * c) % p for c in coeff))
+def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, bracket) -> list:
+    """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, each
+    as an (N, dim) array: i*s_i is the coefficient of lambda**(i-1) in the
+    (p-1)-fold right bracketing of x by (lambda x + y).
+
+    `bracket(U, V)` brackets two (M, dim) arrays row by row.  Each round
+    brackets every (P_i, y) and (P_i, x) coefficient pair in one call; rows
+    are cut into chunks so that one call sees at most _CHUNK_ENTRIES // dim**2
+    stacked rows."""
+    N, d = X.shape
+    out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
+    block = max(1, _CHUNK_ENTRIES // max(1, 2 * p * d * d))
+    for lo in range(0, N, block):
+        x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
+        n = x.shape[0]
+        P = x[None]  # P[k] is the coefficient of lambda**k
+        for _ in range(p - 1):
+            k = P.shape[0]
+            B = bracket(
+                np.concatenate([P, P]).reshape(-1, d),
+                np.concatenate([np.broadcast_to(y, P.shape),
+                                np.broadcast_to(x, P.shape)]).reshape(-1, d),
+            ).reshape(2, k, n, d)
+            nxt = np.zeros((k + 1, n, d), dtype=np.int64)
+            nxt[:k] += B[0]
+            nxt[1:] += B[1]
+            P = nxt % p
+        for i in range(1, p):
+            out[i - 1][lo:lo + n] = (inv_mod(i, p) * P[i - 1]) % p
     return out
+
+
+def _tup(row) -> tuple:
+    return tuple(int(v) for v in row)
 
 
 def jacobson_si(alg: Algebra, bracket: str, x: Element, y: Element) -> list:
     """Polarization coefficients s_1..s_{p-1} of the named bracket."""
-    x = alg.element(x)
-    y = alg.element(y)
-    return _jacobson_terms(
-        alg.p,
-        x,
-        y,
-        lambda u, v: alg.multiply(bracket, u, v),
-        alg.add,
-        alg.zero(),
+    X, Y = (np.array([alg.element(v)], dtype=np.int64) for v in (x, y))
+    terms = jacobson_terms_batch(
+        alg.p, X, Y, lambda U, V: alg.multiply_batch(bracket, U, V)
     )
+    return [_tup(s[0]) for s in terms]
 
 
 # -- restrictedness sweeps -----------------------------------------------------
@@ -368,24 +383,26 @@ def _grid(alg: Algebra, cap, seed, samples):
     return X, Coverage("sampled", samples, seed)
 
 
-def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples, notes=()):
-    """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
-    X, coverage = _grid(alg, cap, seed, samples)
+def _operator_failures(alg, op, X, PX, tag=()):
+    """(count, witnesses) of the rows x with r_x ** p != r_{f(x)}, f(x) the
+    same row of PX; each witness's inputs are `tag` followed by x."""
     p, d = alg.p, alg.dim
-    PX = alg.apply_pmap_batch(pmap, X)
     witnesses, failures = [], 0
     block = max(1, _CHUNK_ENTRIES // max(1, d * d))
     for lo in range(0, X.shape[0], block):
-        hi = min(X.shape[0], lo + block)
-        R = alg.right_mult_stack(op, X[lo:hi])
-        Rp = stack_mat_pow(R, p, p)
-        Rf = alg.right_mult_stack(op, PX[lo:hi])
-        bad = np.argwhere(((Rp - Rf) % p).any(axis=(1, 2)))
-        failures += bad.shape[0]
-        for row in bad[:WITNESS_LIMIT]:
-            n = int(row[0])
-            x = tuple(int(v) for v in X[lo + n])
-            witnesses.append(Witness((x,), Rp[n], Rf[n]))
+        Rp = stack_mat_pow(alg.right_mult_stack(op, X[lo:lo + block]), p, p)
+        Rf = alg.right_mult_stack(op, PX[lo:lo + block])
+        bad = np.flatnonzero(((Rp - Rf) % p).any(axis=(1, 2)))
+        failures += bad.size
+        for n in bad[:WITNESS_LIMIT]:
+            witnesses.append(Witness(tag + (_tup(X[lo + n]),), Rp[n], Rf[n]))
+    return failures, witnesses
+
+
+def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples, notes=()):
+    """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
+    X, coverage = _grid(alg, cap, seed, samples)
+    failures, witnesses = _operator_failures(alg, op, X, alg.apply_pmap_batch(pmap, X))
     return _report(identity, witnesses, failures, coverage, notes)
 
 
@@ -430,78 +447,52 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     bad = lie_basis_violation(alg, bracket)
     if bad is not None:
         raise UsageError(f"bracket {bracket!r} is not Lie: {bad[0]} fails at {bad[1:]}")
-    p, d = alg.p, alg.dim
+    p = alg.p
     X, coverage = _grid(alg, cap, seed, samples)
     N = X.shape[0]
     PX = alg.apply_pmap_batch(pmap, X)
     witnesses, failures = [], 0
 
-    # axiom 1: semilinearity in scalars
-    for a in range(p):
-        if a == 1:
-            continue
-        Xa = (a * X) % p
+    # axiom 1: semilinearity in scalars; 0^[p] is shared by every row of the grid
+    got0 = alg.apply_pmap(pmap, alg.zero())
+    if any(got0):
+        failures += N
+        witnesses.append(Witness(("axiom1", 0, alg.zero()), got0, alg.zero()))
+    for a in range(2, p):
         expect = (pow(a, p, p) * PX) % p
-        if a == 0:
-            got0 = alg.apply_pmap(pmap, alg.zero())
-            if any(got0):  # shared by every row of the grid
-                failures += N
-                witnesses.append(Witness(("axiom1", 0, alg.zero()), got0, alg.zero()))
-            continue
-        got = alg.apply_pmap_batch(pmap, Xa)
-        bad_rows = np.argwhere(((got - expect) % p).any(axis=1))
-        failures += bad_rows.shape[0]
-        for row in bad_rows[:WITNESS_LIMIT]:
-            n = int(row[0])
+        got = alg.apply_pmap_batch(pmap, (a * X) % p)
+        bad_rows = np.flatnonzero(((got - expect) % p).any(axis=1))
+        failures += bad_rows.size
+        for n in bad_rows[:WITNESS_LIMIT]:
             witnesses.append(
-                Witness(
-                    ("axiom1", a, tuple(int(v) for v in X[n])),
-                    tuple(int(v) for v in got[n]),
-                    tuple(int(v) for v in expect[n]),
-                )
+                Witness(("axiom1", a, _tup(X[n])), _tup(got[n]), _tup(expect[n]))
             )
 
     # axiom 2: operator condition
-    block = max(1, _CHUNK_ENTRIES // max(1, d * d))
-    for lo in range(0, N, block):
-        hi = min(N, lo + block)
-        R = alg.right_mult_stack(bracket, X[lo:hi])
-        Rp = stack_mat_pow(R, p, p)
-        Rf = alg.right_mult_stack(bracket, PX[lo:hi])
-        bad_rows = np.argwhere(((Rp - Rf) % p).any(axis=(1, 2)))
-        failures += bad_rows.shape[0]
-        for row in bad_rows[:WITNESS_LIMIT]:
-            n = int(row[0])
-            witnesses.append(
-                Witness(("axiom2", tuple(int(v) for v in X[lo + n])), Rp[n], Rf[n])
-            )
+    count, found = _operator_failures(alg, bracket, X, PX, ("axiom2",))
+    failures += count
+    witnesses += found
 
     # axiom 3: Jacobson sum over pairs
     if N * N <= pair_budget:
         pair_cov = Coverage("exhaustive", N * N)
-        pairs = ((i, j) for i in range(N) for j in range(N))
-        npairs = N * N
+        I, J = np.repeat(np.arange(N), N), np.tile(np.arange(N), N)
     else:
         rng = random.Random(seed + 1)
         npairs = min(pair_budget, max(samples, 1))
-        pairs = (
-            (rng.randrange(N), rng.randrange(N)) for _ in range(npairs)
-        )
+        I, J = np.array([(rng.randrange(N), rng.randrange(N)) for _ in range(npairs)]).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
-    fx = {i: tuple(int(v) for v in PX[i]) for i in range(N)}
-    ax3_fail = 0
-    for i, j in pairs:
-        x = tuple(int(v) for v in X[i])
-        y = tuple(int(v) for v in X[j])
-        s = alg.apply_pmap(pmap, alg.add(x, y))
-        rhs = alg.add(fx[i], fx[j])
-        for term in jacobson_si(alg, bracket, x, y):
-            rhs = alg.add(rhs, term)
-        if s != rhs:
-            ax3_fail += 1
-            if len(witnesses) < 3 * WITNESS_LIMIT:
-                witnesses.append(Witness(("axiom3", x, y), s, rhs))
-    failures += ax3_fail
+    S = alg.apply_pmap_batch(pmap, X[I] + X[J])
+    terms = jacobson_terms_batch(
+        p, X[I], X[J], lambda U, V: alg.multiply_batch(bracket, U, V)
+    )
+    rhs = (PX[I] + PX[J] + sum(terms)) % p
+    bad_rows = np.flatnonzero((S != rhs).any(axis=1))
+    failures += bad_rows.size
+    for n in bad_rows[:max(0, 3 * WITNESS_LIMIT - len(witnesses))]:
+        witnesses.append(
+            Witness(("axiom3", _tup(X[I[n]]), _tup(X[J[n]])), _tup(S[n]), _tup(rhs[n]))
+        )
     notes = (
         f"elements {coverage.kind}({coverage.count})",
         f"axiom3 pairs {pair_cov.kind}({pair_cov.count})",
@@ -518,17 +509,22 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
 # -- derived-bracket Jacobson proposition --------------------------------------
 
 
-def _dleib_ops(D: Algebra, left: str = "left", right: str = "right"):
-    def bracket(a, b):
-        return D.sub(D.multiply(left, a, b), D.multiply(right, b, a))
+def _dleib_jacobson_sides(D: Algebra, Z, X, Y, left: str, right: str):
+    """Both sides of [z,(x+y)^[p]] = [z,x^[p]] + [z,y^[p]] + [z, sum_i s_i(x,y)]
+    for (N, dim) rows z, x, y, with the derived bracket a -| b - b |- a and the
+    p-fold right-product power as p-map."""
+    p, N = D.p, X.shape[0]
 
-    def pfold(x):
-        v = x
-        for _ in range(D.p - 1):
-            v = D.multiply(right, v, x)
-        return v
+    def bracket(U, V):
+        return (D.multiply_batch(left, U, V) - D.multiply_batch(right, V, U)) % p
 
-    return bracket, pfold
+    base = np.concatenate([X + Y, X, Y]) % p
+    power = base
+    for _ in range(p - 1):
+        power = D.multiply_batch(right, power, base)
+    s_sum = sum(jacobson_terms_batch(p, X, Y, bracket)) % p
+    B = bracket(np.tile(Z, (4, 1)), np.concatenate([power, s_sum])).reshape(4, N, D.dim)
+    return B[0], (B[1] + B[2] + B[3]) % p
 
 
 def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element, y: Element,
@@ -537,41 +533,30 @@ def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element, y: Element,
     derived bracket structure of a diassociative algebra, where the p-map is
     the p-fold right-product power."""
     z, x, y = D.element(z), D.element(x), D.element(y)
-    bracket, pfold = _dleib_ops(D, left, right)
-    lhs = bracket(z, pfold(D.add(x, y)))
-    s_sum = D.zero()
-    for term in _jacobson_terms(D.p, x, y, bracket, D.add, D.zero()):
-        s_sum = D.add(s_sum, term)
-    rhs = D.add(D.add(bracket(z, pfold(x)), bracket(z, pfold(y))), bracket(z, s_sum))
-    witnesses = []
-    failures = 0
-    if lhs != rhs:
-        failures = 1
-        witnesses.append(Witness((z, x, y), lhs, rhs))
-    return _report("dleib_jacobson_bracket", witnesses, failures, Coverage("exhaustive", 1))
+    rows = (np.array([v], dtype=np.int64) for v in (z, x, y))
+    lhs, rhs = _dleib_jacobson_sides(D, *rows, left, right)
+    lhs, rhs = _tup(lhs[0]), _tup(rhs[0])
+    witnesses = [] if lhs == rhs else [Witness((z, x, y), lhs, rhs)]
+    return _report("dleib_jacobson_bracket", witnesses, len(witnesses),
+                   Coverage("exhaustive", 1))
 
 
 def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0,
                          left: str = "left", right: str = "right") -> CheckReport:
-    """check_dleib_jacobson_bracket on seeded random triples."""
+    """check_dleib_jacobson_bracket on seeded random triples, drawn z, x, y
+    one coefficient at a time and evaluated a chunk of triples at once."""
     rng = random.Random(seed)
-    bracket, pfold = _dleib_ops(D, left, right)
+    d = D.dim
+    block = max(1, _CHUNK_ENTRIES // max(1, 4 * d * d))
     witnesses, failures = [], 0
-    for _ in range(samples):
-        z, x, y = (
-            tuple(rng.randrange(D.p) for _ in range(D.dim)) for _ in range(3)
-        )
-        lhs = bracket(z, pfold(D.add(x, y)))
-        s_sum = D.zero()
-        for term in _jacobson_terms(D.p, x, y, bracket, D.add, D.zero()):
-            s_sum = D.add(s_sum, term)
-        rhs = D.add(
-            D.add(bracket(z, pfold(x)), bracket(z, pfold(y))), bracket(z, s_sum)
-        )
-        if lhs != rhs:
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(Witness((z, x, y), lhs, rhs))
+    for lo in range(0, samples, block):
+        T = D.sample_array(3 * min(block, samples - lo), rng).reshape(-1, 3, d)
+        lhs, rhs = _dleib_jacobson_sides(D, T[:, 0], T[:, 1], T[:, 2], left, right)
+        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        failures += bad.size
+        for n in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:
+            inputs = tuple(_tup(v) for v in T[n])
+            witnesses.append(Witness(inputs, _tup(lhs[n]), _tup(rhs[n])))
     return _report(
         "dleib_jacobson_bracket", witnesses, failures, Coverage("sampled", samples, seed)
     )

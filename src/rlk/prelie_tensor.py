@@ -21,17 +21,19 @@ p-th power of the right-multiplication operator of any element — pure or not
 — is the zero matrix, which `check_tensor_restricted` verifies.
 
 A p-th-power map must be defined on the whole space, not only on pure
-tensors.  The assembled product algebra carries two:
+tensors.  The assembled product algebra carries three:
 
 - "tensor_p": the formula evaluator — pure tensors (detected by rank-one
   factorization) take the asserted-zero formula value; everything else takes
   the recorded extension value 0, consistent with R_u^p = 0 = R_0.
 - "zero": the literal zero map.
+- "lie_p": zero on every basis element, extended through the scalar and
+  additivity rules of the antisymmetrized bracket.
 
 For the antisymmetrized bracket the literal zero map is *not* restricted —
 the additivity correction sum reduces to the bracket itself in characteristic
-2 — so `check_corollary` instead extends the zero basis values through the
-scalar and additivity rules and records that choice in its notes.
+2 — so `check_corollary` checks "lie_p" instead and records that choice in
+its notes.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class TensorAlgebraHandle:
     """Assembled g⊗R with its factors.
 
     `product` is an Algebra of dimension dim(g)·dim(R) with ops "prelie" and
-    "lie" and p-maps "tensor_p" and "zero"; basis index (i, j) ↦ i·dim(R)+j
-    (row-major pairing e_i ⊗ f_j)."""
+    "lie" and p-maps "tensor_p", "zero" and "lie_p"; basis index (i, j) ↦
+    i·dim(R)+j (row-major pairing e_i ⊗ f_j)."""
 
     gfactor: Algebra
     rfactor: Algebra
@@ -215,18 +217,20 @@ def tensor_prelie(g: Algebra, R, bracket: str = "bracket",
     cr = R.structure(half)
     prelie = np.einsum("ikm,jln->ijklmn", cg, cr).reshape(pdim, pdim, pdim) % p
     lie = (prelie - prelie.transpose(1, 0, 2)) % p
-    pmaps = {
-        "tensor_p": TensorFormulaPMap(g, R, bracket, half),
-        "zero": ZeroPMap(),
-    }
     product = Algebra(
-        p, pdim, {"prelie": prelie, "lie": lie}, pmaps,
+        p, pdim, {"prelie": prelie, "lie": lie},
         label=label or f"tensor({g.label},{R.label})",
     )
     rep = check_prelie(product, "prelie")
     if not rep.ok():
         w = rep.witnesses[0].inputs if rep.witnesses else ()
         raise DomainError(f"assembled product is not pre-Lie (witness {w})")
+    # attached once pre-Lie is known, which makes "lie" a Lie bracket
+    product = product.extended(pmaps={
+        "tensor_p": TensorFormulaPMap(g, R, bracket, half),
+        "zero": ZeroPMap(),
+        "lie_p": BasisJacobsonPMap("lie", [product.zero()] * pdim),
+    })
     return TensorAlgebraHandle(g, R, product, bracket, half)
 
 
@@ -389,10 +393,8 @@ def check_corollary(T: TensorAlgebraHandle, seed: int = 0,
         if len(witnesses) < WITNESS_LIMIT:
             witnesses.append(Witness(("lie_axioms",) + viol, (), ()))
 
-    if "lie_p" not in A.pmaps:
-        pm = BasisJacobsonPMap("lie", [A.zero()] * d)
-        pm.validate(A)
-        A.pmaps["lie_p"] = pm
+    if "lie_p" not in A.pmaps:  # a handle not built by tensor_prelie
+        A = A.extended(pmaps={"lie_p": BasisJacobsonPMap("lie", [A.zero()] * d)})
     rep = check_restricted_lie(A, "lie", "lie_p", cap=cap, seed=seed,
                                samples=samples)
     failures += rep.failure_count

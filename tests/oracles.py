@@ -52,6 +52,29 @@ def naive_mat_pow(mat, n, p):
     return out
 
 
+
+def naive_jacobson_terms(bracket, x, y, p):
+    """s_1..s_{p-1} of a bilinear `bracket` on plain tuples: expand the
+    (p-1)-fold right bracketing of x by lambda*x + y one bracketing at a
+    time, keeping a dict degree -> vector, then divide the coefficient of
+    lambda**(i-1) by i (inverse by brute search)."""
+    zero = tuple(0 for _ in x)
+
+    def add(u, v):
+        return tuple((a + b) % p for a, b in zip(u, v))
+
+    poly = {0: tuple(x)}
+    for _ in range(p - 1):
+        nxt = {}
+        for deg, v in poly.items():
+            nxt[deg] = add(nxt.get(deg, zero), bracket(v, y))
+            nxt[deg + 1] = add(nxt.get(deg + 1, zero), bracket(v, x))
+        poly = nxt
+    return [
+        tuple((brute_inv(i, p) * c) % p for c in poly.get(i - 1, zero))
+        for i in range(1, p)
+    ]
+
 def gauss_rank(rows, p):
     """Row-echelon rank over F_p on plain lists."""
     m = [list(r) for r in rows]

@@ -263,3 +263,15 @@ def test_extended_does_not_mutate_original() -> None:
 def test_element_reduction() -> None:
     alg = l2(3)
     assert alg.element((-1, 7)) == (2, 1)
+
+
+def test_stack_mat_pow_matches_naive_for_small_exponents() -> None:
+    rng = random.Random(43)
+    for p in (2, 3, 5, 7):
+        stack = np.array(
+            [[[rng.randrange(p) for _ in range(3)] for _ in range(3)] for _ in range(4)]
+        )
+        for n in range(9):
+            out = stack_mat_pow(stack, n, p)
+            for k in range(4):
+                assert out[k].tolist() == naive_mat_pow(stack[k].tolist(), n, p), (p, n)

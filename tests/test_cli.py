@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -419,3 +420,18 @@ def test_module_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0
     assert run.stdout.strip() == "rlk 0.1.0"
+
+
+def test_exhaustive_mode_past_the_cap_exit2_at_once(tmp_path, capsys, monkeypatch):
+    # 5**16 elements: enumerating them would need terabytes
+    monkeypatch.delenv("RLK_CAP", raising=False)
+    path = write(tmp_path, "ab.alg", abelian(5, 16, with_pmap=True))
+    t0 = time.perf_counter()
+    code = main(["check", path, "restricted-leibniz", "--mode", "exhaustive"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "enumeration cap 65536" in err
+    assert main(["check", path, "restricted-leibniz", "--mode", "exhaustive",
+                 "--cap", "1000"]) == 2
+    assert "enumeration cap 1000" in capsys.readouterr().err

@@ -1,0 +1,195 @@
+"""The batched Jacobson polarization kernel and the checks built on it,
+against plain-Python recomputations and values pinned from the scalar
+implementation they replaced."""
+
+import hashlib
+import json
+import random
+
+import numpy as np
+import pytest
+
+from rlk.algebra_core import Algebra, BasisJacobsonPMap, TablePMap
+from rlk.dialgebra import dleib, matrix_dialgebra
+from rlk.identities import (
+    WITNESS_LIMIT,
+    check_dleib_jacobson_bracket,
+    check_restricted_lie,
+    jacobson_terms_batch,
+    sweep_dleib_jacobson,
+)
+
+from helpers import (
+    all_elements,
+    commutator_tensor,
+    l2_dialgebra,
+    matrix_assoc,
+    random_structure,
+    upper_triangular2,
+)
+from oracles import gauss_echelon_rows, naive_jacobson_terms, naive_multiply
+
+
+def _random_basis(c, p, rng):
+    """Structure constants of the same product in a random basis."""
+    d = c.shape[0]
+    while True:
+        S = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        aug = [row + [int(i == j) for j in range(d)] for i, row in enumerate(S)]
+        ech = gauss_echelon_rows(aug, p)
+        if len(ech) == d and all(ech[i][i] == 1 for i in range(d)):
+            break
+    S = np.array(S, dtype=np.int64)
+    Sinv = np.array([row[d:] for row in ech], dtype=np.int64)
+    return np.einsum("ai,bj,abm,km->ijk", S, S, c, Sinv) % p
+
+
+def _brackets(p, rng):
+    """(kind, tensor): Lie brackets (commutators of gl_2 and ut_2), non-Lie
+    Leibniz brackets (derived brackets of the L2 dialgebra and of its gl_2),
+    and one bracket with random constants, all in random bases."""
+    lie = [commutator_tensor(matrix_assoc(p, 2)), commutator_tensor(upper_triangular2(p))]
+    leib = [dleib(l2_dialgebra(p)).structure("bracket"),
+            dleib(matrix_dialgebra(l2_dialgebra(p), 2)).structure("bracket")]
+    out = [("lie", _random_basis(c, p, rng)) for c in lie]
+    out += [("leibniz", _random_basis(c, p, rng)) for c in leib]
+    out.append(("random", random_structure(p, 3, rng)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 37])
+def test_jacobson_terms_batch_rows_match_oracle(p, n):
+    rng = random.Random(1000 * p + n)
+    for kind, c in _brackets(p, rng):
+        d = c.shape[0]
+        alg = Algebra(p, d, {"b": c})
+        X = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(n)], dtype=np.int64)
+        Y = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(n)], dtype=np.int64)
+        got = jacobson_terms_batch(p, X, Y, lambda U, V: alg.multiply_batch("b", U, V))
+        assert len(got) == p - 1
+        assert all(s.shape == (n, d) for s in got)
+        C = c.tolist()
+        for r in range(n):
+            x, y = tuple(X[r].tolist()), tuple(Y[r].tolist())
+            want = naive_jacobson_terms(lambda u, v: naive_multiply(C, u, v, p), x, y, p)
+            assert [tuple(s[r].tolist()) for s in got] == want, (kind, x, y)
+
+
+def _power(C, x, p):
+    v = x
+    for _ in range(p - 1):
+        v = naive_multiply(C, v, x, p)
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_basis_jacobson_batch_single_and_power_agree_on_gl2(p):
+    A = matrix_assoc(p, 2)
+    C = A.structure("assoc").tolist()
+    values = [_power(C, A.basis(i), p) for i in range(A.dim)]
+    alg = Algebra(p, A.dim, {"bracket": commutator_tensor(A)},
+                  {"jac": BasisJacobsonPMap("bracket", values)})
+    pm = alg.pmap("jac")
+    elements = all_elements(p, A.dim)
+    batch = pm.apply_batch(alg, np.array(elements, dtype=np.int64))
+    for x, row in zip(elements, batch):
+        assert tuple(row.tolist()) == pm.apply(alg, x) == _power(C, x, p), x
+
+
+def _naive_dleib_sweep(cl, cr, p, samples, seed):
+    """Failure count and first WITNESS_LIMIT witnesses of the derived-bracket
+    Jacobson identity, drawing z, x, y one coefficient at a time."""
+    L, R = cl.tolist(), cr.tolist()
+    d = len(L)
+
+    def bracket(a, b):
+        u, v = naive_multiply(L, a, b, p), naive_multiply(R, b, a, p)
+        return tuple((s - t) % p for s, t in zip(u, v))
+
+    def add(*vs):
+        return tuple(sum(col) % p for col in zip(*vs))
+
+    def power(x):
+        return _power(R, x, p)
+
+    rng = random.Random(seed)
+    failures, witnesses = 0, []
+    for _ in range(samples):
+        z, x, y = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(3))
+        lhs = bracket(z, power(add(x, y)))
+        s = add((0,) * d, *naive_jacobson_terms(bracket, x, y, p))
+        rhs = add(bracket(z, power(x)), bracket(z, power(y)), bracket(z, s))
+        if lhs != rhs:
+            failures += 1
+            if len(witnesses) < WITNESS_LIMIT:
+                witnesses.append(((z, x, y), lhs, rhs))
+    witnesses.sort(key=lambda w: tuple(repr(part) for part in w[0]))
+    return failures, witnesses
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sweep_dleib_jacobson_matches_scalar_recomputation(p):
+    rng = random.Random(p)
+    cl, cr = random_structure(p, 3, rng), random_structure(p, 3, rng)
+    D = Algebra(p, 3, {"left": cl, "right": cr})
+    rep = sweep_dleib_jacobson(D, samples=120, seed=9)
+    failures, witnesses = _naive_dleib_sweep(cl, cr, p, 120, 9)
+    assert failures > WITNESS_LIMIT
+    assert rep.failure_count == failures
+    assert [(w.inputs, w.lhs, w.rhs) for w in rep.witnesses] == witnesses
+    for inputs, lhs, rhs in witnesses[:3]:
+        single = check_dleib_jacobson_bracket(D, *inputs)
+        assert single.failure_count == 1
+        assert (single.witnesses[0].lhs, single.witnesses[0].rhs) == (lhs, rhs)
+
+
+def _perturbed_power_table(A, x0, delta):
+    """x -> x**p on every element, except that each nonzero multiple a*x0
+    maps to (a*x0)**p + a*delta.  With delta central this keeps axioms 1 and 2
+    and breaks only additivity."""
+    p, C = A.p, A.structure("assoc").tolist()
+    table = {x: _power(C, x, p) for x in all_elements(p, A.dim)}
+    for a in range(1, p):
+        k = tuple(a * v % p for v in x0)
+        table[k] = tuple((u + a * v) % p for u, v in zip(table[k], delta))
+    return A.extended(ops={"bracket": commutator_tensor(A)},
+                      pmaps={"tb": TablePMap(table)})
+
+
+def _digest(rep):
+    return hashlib.sha256(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_restricted_lie_broken_table_pmap_matches_seed_exhaustive_pairs():
+    alg = _perturbed_power_table(upper_triangular2(3), (0, 1, 1), (1, 0, 1))
+    rep = check_restricted_lie(alg, "bracket", "tb", seed=4)
+    assert rep.failure_count == 144
+    assert rep.notes == ("elements exhaustive(27)", "axiom3 pairs exhaustive(729)")
+    assert rep.witnesses[0].to_dict() == {
+        "inputs": ["axiom3", [0, 0, 1], [0, 1, 0]], "lhs": [1, 1, 2], "rhs": [0, 1, 1],
+    }
+    assert len(rep.witnesses) == WITNESS_LIMIT
+    assert _digest(rep) == "3c38855a55d28ada53c544bd570dbae9dc2d8c169e2209dd2e3baa1077d33ad9"
+    # the count is the number of pairs breaking additivity, recomputed by hand
+    p, f = 3, alg.pmap("tb").mapping
+    C = alg.structure("bracket").tolist()
+    bad = 0
+    for x in all_elements(p, 3):
+        for y in all_elements(p, 3):
+            terms = naive_jacobson_terms(lambda u, v: naive_multiply(C, u, v, p), x, y, p)
+            rhs = tuple(sum(col) % p for col in zip(f[x], f[y], *terms))
+            bad += f[tuple((a + b) % p for a, b in zip(x, y))] != rhs
+    assert bad == 144
+
+
+def test_restricted_lie_broken_table_pmap_matches_seed_sampled_pairs():
+    alg = _perturbed_power_table(matrix_assoc(3, 2), (0, 1, 2, 0), (1, 0, 0, 1))
+    rep = check_restricted_lie(alg, "bracket", "tb", seed=4)
+    assert rep.failure_count == 12
+    assert rep.notes == ("elements exhaustive(81)", "axiom3 pairs sampled(200)")
+    assert rep.witnesses[0].to_dict() == {
+        "inputs": ["axiom3", [0, 0, 0, 2], [0, 1, 2, 1]],
+        "lhs": [1, 2, 1, 1], "rhs": [0, 2, 1, 0],
+    }
+    assert _digest(rep) == "e8754f8e92484c52b63bef8b992d4ef5b42fe6d237dbd1bcedbcc31de7f36d85"

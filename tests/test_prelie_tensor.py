@@ -277,3 +277,18 @@ def test_suite_size_and_bounds():
     s = tensor_suite()
     assert len(s) >= 20
     assert all(g.dim * R.dim <= 64 for g, R in s)
+
+
+def test_corollary_leaves_product_pmaps_unchanged():
+    T = l2_tensor(2)
+    before = dict(T.product.pmaps)
+    assert check_corollary(T, samples=10).status == "pass"
+    assert T.product.pmaps == before
+    # a handle whose product lacks "lie_p": checked on a local extension
+    prod = Algebra(2, T.product.dim,
+                   {"prelie": T.product.structure("prelie"),
+                    "lie": T.product.structure("lie")})
+    forged = TensorAlgebraHandle(T.gfactor, T.rfactor, prod)
+    rep = check_corollary(forged, samples=10)
+    assert rep.to_dict() == check_corollary(T, samples=10).to_dict()
+    assert prod.pmaps == {}
