@@ -52,7 +52,6 @@ def naive_mat_pow(mat, n, p):
     return out
 
 
-
 def naive_jacobson_terms(bracket, x, y, p):
     """s_1..s_{p-1} of a bilinear `bracket` on plain tuples: expand the
     (p-1)-fold right bracketing of x by lambda*x + y one bracketing at a
@@ -74,6 +73,7 @@ def naive_jacobson_terms(bracket, x, y, p):
         tuple((brute_inv(i, p) * c) % p for c in poly.get(i - 1, zero))
         for i in range(1, p)
     ]
+
 
 def gauss_rank(rows, p):
     """Row-echelon rank over F_p on plain lists."""
