@@ -217,12 +217,12 @@ def _emit(doc: ReportDocument, args, stream=None) -> int:
     return doc.exit_code
 
 
-def _timed(args, build):
+def _timed(args, build, doc_of=lambda result: result):
     t0 = time.perf_counter()
-    doc = build()
+    result = build()
     if args.timing:
-        doc.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return doc
+        doc_of(result).wall_ms = (time.perf_counter() - t0) * 1000.0
+    return result
 
 
 def cmd_check(args) -> int:
@@ -354,7 +354,7 @@ def cmd_derive(args) -> int:
         )
         return derived, doc
 
-    (derived, doc) = _timed_pair(args, build)
+    derived, doc = _timed(args, build, doc_of=lambda result: result[1])
     text = format_algebra(derived)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -362,14 +362,6 @@ def cmd_derive(args) -> int:
         return _emit(doc, args)
     sys.stdout.write(text)
     return _emit(doc, args, stream=sys.stderr)
-
-
-def _timed_pair(args, build):
-    t0 = time.perf_counter()
-    derived, doc = build()
-    if args.timing:
-        doc.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return derived, doc
 
 
 def cmd_envelope(args) -> int:
@@ -465,11 +457,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DomainError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
+        return 3
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

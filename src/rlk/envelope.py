@@ -222,6 +222,39 @@ def _relation_terms(g: Algebra, pmap: str, bracket: str, printed_signs: bool,
     return out, note
 
 
+def _word_action(M: LeibnizModule):
+    """Word -> operator on M: letter i acts by left_action[i], letter n+i by
+    right_action[i], composed in reading order (the empty word is 1)."""
+    p = M.over.p
+    mats = np.concatenate([M.left_action, M.right_action]) % p
+    eye = np.eye(M.mdim, dtype=np.int64)
+
+    def act(word):
+        acc = eye
+        for letter in word:
+            acc = (mats[letter] @ acc) % p
+        return acc
+
+    return act
+
+
+def _relation_failures(act, terms, key_prefix, p):
+    """Evaluate each relation as the sum of coeff * act(word) and collect
+    the nonzero ones as (failure count, witnesses keyed key_prefix + (tag,)
+    + key)."""
+    witnesses, failures = [], 0
+    for tag, key, words in terms:
+        op = np.zeros_like(act(()))
+        for word, coeff in words:
+            op = (op + coeff * act(word)) % p
+        if op.any():
+            failures += 1
+            if len(witnesses) < WITNESS_LIMIT:
+                witnesses.append(Witness(key_prefix + (tag,) + key, op,
+                                         np.zeros_like(op)))
+    return failures, witnesses
+
+
 def ulp_relations_check(g: Algebra, M: LeibnizModule,
                         pmap: str = "frobenius", bracket: str = "bracket",
                         printed_signs: bool = False, cap=None, seed: int = 0,
@@ -233,24 +266,9 @@ def ulp_relations_check(g: Algebra, M: LeibnizModule,
     characteristic."""
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    p = g.p
-    mats = np.concatenate([M.left_action, M.right_action]) % p
     terms, note = _relation_terms(g, pmap, bracket, printed_signs, cap, seed,
                                   samples)
-    witnesses, failures = [], 0
-    eye = np.eye(M.mdim, dtype=np.int64)
-    for tag, key, words in terms:
-        op = np.zeros((M.mdim, M.mdim), dtype=np.int64)
-        for word, coeff in words:
-            acc = eye
-            for letter in word:
-                acc = (mats[letter] @ acc) % p
-            op = (op + coeff * acc) % p
-        if op.any():
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(Witness((tag,) + key, op,
-                                         np.zeros_like(op)))
+    failures, witnesses = _relation_failures(_word_action(M), terms, (), g.p)
     notes = ("printed signs" if printed_signs else "derived signs", note)
     return _report("ulp_relations", witnesses, failures,
                    Coverage("exhaustive", len(terms)), notes)
@@ -309,33 +327,14 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
             f"module is not restricted (witness {base.witnesses[:1]})"
         )
     p, n = g.p, g.dim
-    mats = np.concatenate([M.left_action, M.right_action]) % p
-    eye = np.eye(M.mdim, dtype=np.int64)
-
-    def act(word):
-        acc = eye
-        for letter in word:
-            acc = (mats[letter] @ acc) % p
-        return acc
-
+    act = _word_action(M)
     terms, note = _relation_terms(g, pmap, bracket, False, cap, seed, samples)
-    witnesses, failures, count = [], 0, 0
-    for tag, key, words in terms:
-        count += 1
-        op = np.zeros((M.mdim, M.mdim), dtype=np.int64)
-        for word, coeff in words:
-            op = (op + coeff * act(word)) % p
-        if op.any():
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(Witness(("relation", tag) + key, op,
-                                         np.zeros_like(op)))
+    failures, witnesses = _relation_failures(act, terms, ("relation",), p)
     for i in range(n):
         for tag, original, letter in (
             ("left", M.left_action[i], (i,)),
             ("right", M.right_action[i], (n + i,)),
         ):
-            count += 1
             back = act(letter)
             if not np.array_equal(back, original % p):
                 failures += 1
@@ -343,4 +342,4 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
                     witnesses.append(Witness(("readback", tag, i), back,
                                              original % p))
     return _report("module_roundtrip", witnesses, failures,
-                   Coverage("exhaustive", count), (note,))
+                   Coverage("exhaustive", len(terms) + 2 * n), (note,))

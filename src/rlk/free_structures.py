@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,6 +81,20 @@ def _mono_degree(kind: str, mono) -> int:
     return len(mono)
 
 
+def basis_size(kind: str, ngen: int, degree_cap: int, unital: bool = False) -> int:
+    """Monomial count in closed form (sum of n * ngen**n for dias, of ngen**n
+    for words, from n = 0 when unital); UsageError at the first degree whose
+    running total passes BASIS_SIZE_BOUND, so no huge count is ever formed."""
+    size = 0
+    for n in range(0 if unital else 1, (degree_cap if ngen else 0) + 1):
+        size += (n if kind == "dias" else 1) * ngen ** n
+        if size > BASIS_SIZE_BOUND:
+            raise UsageError(
+                f"{size} monomials up to degree {n} exceed bound {BASIS_SIZE_BOUND}"
+            )
+    return size
+
+
 class GradedBasisAlgebra:
     """Sparse algebra on all monomials of degree <= degree_cap."""
 
@@ -102,11 +116,8 @@ class GradedBasisAlgebra:
         self.unital = unital
         self.label = label
         self.overflow = False
+        basis_size(kind, ngen, degree_cap, unital)
         self.basis = list(self._enumerate_basis())
-        if len(self.basis) > BASIS_SIZE_BOUND:
-            raise UsageError(
-                f"{len(self.basis)} monomials exceed bound {BASIS_SIZE_BOUND}"
-            )
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.degrees = tuple(_mono_degree(kind, m) for m in self.basis)
         self._product_cache = {}
@@ -114,7 +125,8 @@ class GradedBasisAlgebra:
     # -- basis ------------------------------------------------------------
 
     def _enumerate_basis(self):
-        g, d = self.ngen, self.degree_cap
+        g = self.ngen
+        d = self.degree_cap if g else 0
         if self.kind == "dias":
             for n in range(1, d + 1):
                 for k in range(n):
@@ -136,10 +148,7 @@ class GradedBasisAlgebra:
         return _KIND_OPS[self.kind]
 
     def dims_by_degree(self) -> dict:
-        out = {}
-        for deg in self.degrees:
-            out[deg] = out.get(deg, 0) + 1
-        return out
+        return dict(Counter(self.degrees))
 
     def generator_index(self, i: int) -> int:
         if not 0 <= i < self.ngen:
@@ -326,72 +335,58 @@ def _inrange_triples(F: GradedBasisAlgebra):
                 yield from itertools.product(by_deg[a], by_deg[b], by_deg[c])
 
 
-def check_dias_free(F: GradedBasisAlgebra) -> CheckReport:
-    """The five diassociative axioms on every basis triple whose total degree
-    fits the cap (larger triples only constrain truncated-away components)."""
-    if F.kind != "dias":
-        raise UsageError(f"expected dias monomials, got {F.kind}")
-    mul = F.product
-    axioms = [
-        ("assoc_left", lambda x, y, z: mul("left", mul("left", x, y), z),
-         lambda x, y, z: mul("left", x, mul("left", y, z))),
-        ("assoc_right", lambda x, y, z: mul("right", mul("right", x, y), z),
-         lambda x, y, z: mul("right", x, mul("right", y, z))),
-        ("left_bar", lambda x, y, z: mul("left", x, mul("left", y, z)),
-         lambda x, y, z: mul("left", x, mul("right", y, z))),
-        ("middle", lambda x, y, z: mul("left", mul("right", x, y), z),
-         lambda x, y, z: mul("right", x, mul("left", y, z))),
-        ("right_bar", lambda x, y, z: mul("right", mul("left", x, y), z),
-         lambda x, y, z: mul("right", mul("right", x, y), z)),
-    ]
+def _inrange_sweep(F: GradedBasisAlgebra, kind: str, axioms) -> CheckReport:
+    """Every (key, lhs, rhs) axiom on every basis triple whose total degree
+    fits the cap (larger triples only constrain truncated-away components);
+    a failing triple (i, j, k) is keyed key + (i, j, k)."""
+    if F.kind != kind:
+        raise UsageError(f"expected {kind} monomials, got {F.kind}")
     witnesses, failures, count = [], 0, 0
     with OverflowProbe(F) as probe:
         for i, j, k in _inrange_triples(F):
             x, y, z = F.basis_elt(i), F.basis_elt(j), F.basis_elt(k)
             count += 1
-            for name, lf, rf in axioms:
+            for key, lf, rf in axioms:
                 lhs, rhs = lf(x, y, z), rf(x, y, z)
                 if lhs != rhs:
                     failures += 1
                     if len(witnesses) < WITNESS_LIMIT:
-                        witnesses.append(
-                            Witness((name, i, j, k), sorted(lhs.items()),
-                                    sorted(rhs.items()))
-                        )
+                        witnesses.append(Witness(key + (i, j, k), sorted(lhs.items()),
+                                                 sorted(rhs.items())))
     notes = ("in-range basis triples only",)
     if probe.triggered:
         notes += ("overflow during sweep",)
-    return _report("dias", witnesses, failures,
-                   Coverage("exhaustive", 5 * count), notes,
+    return _report(kind, witnesses, failures,
+                   Coverage("exhaustive", len(axioms) * count), notes,
                    inconclusive=probe.triggered)
+
+
+def check_dias_free(F: GradedBasisAlgebra) -> CheckReport:
+    """The five diassociative axioms on in-range basis triples."""
+    mul = F.product
+    return _inrange_sweep(F, "dias", [
+        (("assoc_left",), lambda x, y, z: mul("left", mul("left", x, y), z),
+         lambda x, y, z: mul("left", x, mul("left", y, z))),
+        (("assoc_right",), lambda x, y, z: mul("right", mul("right", x, y), z),
+         lambda x, y, z: mul("right", x, mul("right", y, z))),
+        (("left_bar",), lambda x, y, z: mul("left", x, mul("left", y, z)),
+         lambda x, y, z: mul("left", x, mul("right", y, z))),
+        (("middle",), lambda x, y, z: mul("left", mul("right", x, y), z),
+         lambda x, y, z: mul("right", x, mul("left", y, z))),
+        (("right_bar",), lambda x, y, z: mul("right", mul("left", x, y), z),
+         lambda x, y, z: mul("right", mul("right", x, y), z)),
+    ])
 
 
 def check_zinbiel_free(F: GradedBasisAlgebra) -> CheckReport:
     """(a<b)<c = a<(b<c) + a<(c<b) on in-range basis triples."""
-    if F.kind != "zinbiel":
-        raise UsageError(f"expected zinbiel monomials, got {F.kind}")
-    witnesses, failures, count = [], 0, 0
-    with OverflowProbe(F) as probe:
-        for i, j, k in _inrange_triples(F):
-            x, y, z = F.basis_elt(i), F.basis_elt(j), F.basis_elt(k)
-            count += 1
-            lhs = F.product("zinbiel", F.product("zinbiel", x, y), z)
-            rhs = F.add(
-                F.product("zinbiel", x, F.product("zinbiel", y, z)),
-                F.product("zinbiel", x, F.product("zinbiel", z, y)),
-            )
-            if lhs != rhs:
-                failures += 1
-                if len(witnesses) < WITNESS_LIMIT:
-                    witnesses.append(
-                        Witness((i, j, k), sorted(lhs.items()), sorted(rhs.items()))
-                    )
-    notes = ("in-range basis triples only",)
-    if probe.triggered:
-        notes += ("overflow during sweep",)
-    return _report("zinbiel", witnesses, failures,
-                   Coverage("exhaustive", count), notes,
-                   inconclusive=probe.triggered)
+    def mul(a, b):
+        return F.product("zinbiel", a, b)
+
+    return _inrange_sweep(F, "zinbiel", [
+        ((), lambda x, y, z: mul(mul(x, y), z),
+         lambda x, y, z: F.add(mul(x, mul(y, z)), mul(x, mul(z, y)))),
+    ])
 
 
 def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
@@ -446,11 +441,7 @@ class QuotientPresentation:
         return tuple(self.ambient.basis[i] for i in self.normal_indices)
 
     def degree_table(self) -> dict:
-        out = {}
-        for i in self.normal_indices:
-            deg = self.ambient.degrees[i]
-            out[deg] = out.get(deg, 0) + 1
-        return out
+        return dict(Counter(self.ambient.degrees[i] for i in self.normal_indices))
 
     def project(self, x) -> np.ndarray:
         """Canonical representative (ambient coordinates on the normal basis)."""
@@ -483,26 +474,22 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
     dense_rels = []
     for r in relations:
         v = r if isinstance(r, dict) else F.from_dense(r)
-        dense = F.dense(v)
-        dense_rels.append(tuple(int(c) for c in dense))
-        if rr.add(dense):
+        dense_rels.append(tuple(F.dense(v).tolist()))
+        if rr.add(v):
             frontier.append(rr.rows[-1])
     gens = [F.generator(i) for i in range(F.ngen)]
     while frontier:
-        row = frontier.popleft()
-        x = F.from_dense(row)
+        x = frontier.popleft()
         for op in F.op_names:
             for g in gens:
                 for prod in (F.product(op, g, x), F.product(op, x, g)):
-                    if not prod:
-                        continue
-                    if rr.add(F.dense(prod)):
+                    if prod and rr.add(prod):
                         frontier.append(rr.rows[-1])
-    pivots = rr.pivot_columns()
-    normal = tuple(i for i in range(dim) if i not in set(pivots))
+    normal = tuple(i for i in range(dim) if i not in rr.pivot_of_col)
     projection = np.eye(dim, dtype=np.int64)
-    for row, pc in zip(rr.rref(), pivots):
-        projection[:, pc] = (-np.asarray(row, dtype=np.int64)) % p
+    for pc, row in rr.reduced_rows().items():
+        for k, c in row.items():
+            projection[k, pc] = -c % p
         projection[pc, pc] = 0
     return QuotientPresentation(
         F, tuple(dense_rels), normal, projection, rr.rank, tuple(notes)
@@ -535,6 +522,26 @@ def _pmap_instances(g: Algebra, cap, seed, samples):
     return out, f"p-relations sampled on {len(out)} elements (seed {seed})"
 
 
+def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, bracket, cap, seed, samples):
+    """(key, embedded value, its image under the derived operations) for the
+    bracket on basis pairs and the p-map on the instantiated elements, and
+    the note saying which elements those are."""
+    pairs = []
+    for i in range(g.dim):
+        gi = F.generator(i)
+        for j in range(g.dim):
+            gj = F.generator(j)
+            pairs.append((("bracket", i, j),
+                          _hat(F, g.multiply(bracket, g.basis(i), g.basis(j))),
+                          F.sub(F.product("left", gi, gj), F.product("right", gj, gi))))
+    instances, note = _pmap_instances(g, cap, seed, samples)
+    for x in instances:
+        xh = _hat(F, x)
+        pairs.append((("pmap", tuple(x)), _hat(F, g.apply_pmap(pmap, x)),
+                      F.power("right", xh, g.p) if xh else F.zero()))
+    return pairs, note
+
+
 def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3,
          bracket: str = "bracket", cap=None, seed: int = 0,
          samples: int = 64) -> QuotientPresentation:
@@ -550,24 +557,8 @@ def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3,
             f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
         )
     F = free_dias(g.dim, d, g.p)
-    rels = []
-    for i in range(g.dim):
-        gi = F.generator(i)
-        for j in range(g.dim):
-            gj = F.generator(j)
-            target = _hat(F, g.multiply(bracket, g.basis(i), g.basis(j)))
-            derived = F.sub(F.product("left", gi, gj), F.product("right", gj, gi))
-            rel = F.sub(target, derived)
-            if rel:
-                rels.append(rel)
-    instances, note = _pmap_instances(g, cap, seed, samples)
-    for x in instances:
-        xh = _hat(F, x)
-        target = _hat(F, g.apply_pmap(pmap, x))
-        power = F.power("right", xh, g.p) if xh else F.zero()
-        rel = F.sub(target, power)
-        if rel:
-            rels.append(rel)
+    pairs, note = _ud_pairs(F, g, pmap, bracket, cap, seed, samples)
+    rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
     return truncated_ideal_quotient(F, rels, notes=(note,))
 
 
@@ -577,44 +568,21 @@ def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3,
     """The degree-one embedding respects brackets on basis pairs and p-maps
     on the instantiated elements, inside the quotient."""
     pres = ud_p(g, pmap, d, bracket, cap, seed, samples)
-    F = pres.ambient
+    with OverflowProbe(pres.ambient) as probe:
+        pairs, note = _ud_pairs(pres.ambient, g, pmap, bracket, cap, seed, samples)
     witnesses, failures = [], 0
-    count = 0
-    with OverflowProbe(F) as probe:
-        for i in range(g.dim):
-            gi = F.generator(i)
-            for j in range(g.dim):
-                gj = F.generator(j)
-                count += 1
-                lhs = pres.project(_hat(F, g.multiply(bracket, g.basis(i), g.basis(j))))
-                rhs = pres.project(
-                    F.sub(F.product("left", gi, gj), F.product("right", gj, gi))
-                )
-                if not np.array_equal(lhs, rhs):
-                    failures += 1
-                    if len(witnesses) < WITNESS_LIMIT:
-                        witnesses.append(
-                            Witness(("bracket", i, j), tuple(int(v) for v in lhs),
-                                    tuple(int(v) for v in rhs))
-                        )
-        instances, note = _pmap_instances(g, cap, seed, samples)
-        for x in instances:
-            xh = _hat(F, x)
-            count += 1
-            lhs = pres.project(_hat(F, g.apply_pmap(pmap, x)))
-            rhs = pres.project(F.power("right", xh, g.p) if xh else F.zero())
-            if not np.array_equal(lhs, rhs):
-                failures += 1
-                if len(witnesses) < WITNESS_LIMIT:
-                    witnesses.append(
-                        Witness(("pmap", tuple(x)), tuple(int(v) for v in lhs),
-                                tuple(int(v) for v in rhs))
-                    )
+    for key, lhs, rhs in pairs:
+        lhs, rhs = pres.project(lhs), pres.project(rhs)
+        if not np.array_equal(lhs, rhs):
+            failures += 1
+            if len(witnesses) < WITNESS_LIMIT:
+                witnesses.append(Witness(key, tuple(int(v) for v in lhs),
+                                         tuple(int(v) for v in rhs)))
     notes = (note,) + pres.notes
     if probe.triggered:
         notes += (f"truncation above degree {d} touched the sweep",)
     return _report("ud_unit", witnesses, failures,
-                   Coverage("exhaustive", count), notes,
+                   Coverage("exhaustive", len(pairs)), notes,
                    inconclusive=probe.triggered)
 
 

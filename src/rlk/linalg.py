@@ -6,6 +6,8 @@ the int64 overflow threshold for the moduli this kernel accepts.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .errors import UsageError
@@ -36,60 +38,90 @@ def mat_pow(m, n: int, p: int):
     return out
 
 
-class RowReducer:
-    """Incremental Gaussian elimination over F_p with pivot tracking.
+def _eliminate(v: dict, lead_rows: dict, p: int) -> dict:
+    """Clear, in place, every column of the sparse row v that leads a row of
+    lead_rows (lead column -> row with lead coefficient 1 and every other
+    column past the lead), walking the columns in increasing order."""
+    todo = [c for c in v if c in lead_rows]
+    heapq.heapify(todo)
+    while todo:
+        col = heapq.heappop(todo)
+        c = v.pop(col, 0)
+        if not c:
+            continue
+        for k, a in lead_rows[col].items():
+            if k == col:
+                continue
+            old = v.get(k, 0)
+            x = (old - c * a) % p
+            if x:
+                v[k] = x
+                if not old and k in lead_rows:
+                    heapq.heappush(todo, k)
+            elif old:
+                del v[k]
+    return v
 
-    Rows are kept normalized (leading coefficient 1) and are eliminated
-    against all earlier pivots on insertion.  rref() back-substitutes so
-    every pivot column is zero outside its own row.
+
+class RowReducer:
+    """Incremental Gaussian elimination over F_p on sparse rows.
+
+    Rows are {column: coefficient} dicts whose lead (lowest column) is
+    normalized to 1, eliminated against all earlier pivots on insertion;
+    pivot_of_col maps each lead column to its row.  rref() back-substitutes
+    so every pivot column is zero outside its own row.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.rows: list[np.ndarray] = []
-        self.pivot_of_col: dict[int, int] = {}
+        self.rows: list[dict] = []
+        self.pivot_of_col: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> np.ndarray:
-        """Return vec eliminated against the current pivot rows (a copy)."""
-        v = mat_mod(vec, self.p).copy()
-        if v.shape != (self.width,):
-            raise UsageError(f"row of width {v.shape} in reducer of width {self.width}")
-        for col, ri in self.pivot_of_col.items():
-            c = v[col]
-            if c:
-                v = (v - c * self.rows[ri]) % self.p
-        return v
+    def reduce(self, vec) -> dict:
+        """vec (a {column: coeff} dict or a dense row) eliminated against the
+        current pivot rows, as a new sparse row."""
+        if not isinstance(vec, dict):
+            dense = mat_mod(vec, self.p)
+            if dense.shape != (self.width,):
+                raise UsageError(
+                    f"row of width {dense.shape} in reducer of width {self.width}"
+                )
+            vec = dict(enumerate(dense.tolist()))
+        elif any(not 0 <= c < self.width for c in vec):
+            raise UsageError(f"row columns outside reducer width {self.width}")
+        v = {c: int(a) % self.p for c, a in vec.items() if int(a) % self.p}
+        return _eliminate(v, self.pivot_of_col, self.p)
 
     def add(self, vec) -> bool:
         """Insert a row; returns True when the rank grew."""
         v = self.reduce(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+        if not v:
             return False
-        lead = int(nz[0])
-        v = (v * pow(int(v[lead]), -1, self.p)) % self.p
-        self.pivot_of_col[lead] = len(self.rows)
-        self.rows.append(v)
+        lead = min(v)
+        inv = pow(v[lead], -1, self.p)
+        self.pivot_of_col[lead] = {c: (a * inv) % self.p for c, a in v.items()}
+        self.rows.append(self.pivot_of_col[lead])
         return True
 
+    def reduced_rows(self) -> dict:
+        """Fully reduced sparse rows by pivot column, in increasing order."""
+        done: dict[int, dict] = {}
+        for lead in sorted(self.pivot_of_col, reverse=True):
+            rest = {c: a for c, a in self.pivot_of_col[lead].items() if c != lead}
+            done[lead] = {lead: 1, **_eliminate(rest, done, self.p)}
+        return {c: done[c] for c in reversed(done)}
+
     def rref(self) -> np.ndarray:
-        """Fully reduced rows, sorted by pivot column."""
-        order = sorted(self.pivot_of_col)
-        rows = [self.rows[self.pivot_of_col[c]].copy() for c in order]
-        for i in range(len(rows) - 1, -1, -1):
-            lead = order[i]
-            for j in range(i):
-                c = rows[j][lead]
-                if c:
-                    rows[j] = (rows[j] - c * rows[i]) % self.p
-        if not rows:
-            return np.zeros((0, self.width), dtype=np.int64)
-        return np.stack(rows)
+        """Fully reduced rows, sorted by pivot column, as a dense array."""
+        out = np.zeros((self.rank, self.width), dtype=np.int64)
+        for i, row in enumerate(self.reduced_rows().values()):
+            out[i, list(row)] = list(row.values())
+        return out
 
     def pivot_columns(self) -> list[int]:
         return sorted(self.pivot_of_col)

@@ -8,10 +8,12 @@ import time
 import numpy as np
 import pytest
 
+import rlk.cli
 from rlk.algebra_core import Algebra, RightPowerPMap, ZeroPMap
 from rlk.algfile import format_algebra, parse_algebra
 from rlk.cli import main
 from rlk.dialgebra import dialgebra_from_operator, dleib as dleib_build
+from rlk.errors import DomainError
 from rlk.free_structures import free_zinbiel, ud_p
 
 from helpers import (abelian, diagonal_assoc, l2, l2_dialgebra,
@@ -347,6 +349,30 @@ def test_envelope_size_bound_exit2(tmp_path, capsys):
     path = write(tmp_path, "l2.alg", l2(2))
     assert main(["envelope", path, "ul", "--degree", "12"]) == 2
     assert "exceed" in capsys.readouterr().err
+
+
+def test_envelope_huge_degree_refused_at_once(tmp_path, capsys):
+    # 4**100000 words would not even fit in a printable integer
+    path = write(tmp_path, "l2.alg", l2(2))
+    for which in ("ul", "ud"):
+        t0 = time.perf_counter()
+        code = main(["envelope", path, which, "--degree", "100000"])
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "exceed" in err and "20000" in err
+
+
+def test_domain_error_exits_3_not_as_a_usage_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise DomainError("assembled product is not pre-Lie")
+
+    monkeypatch.setattr(rlk.cli, "cmd_envelope", broken)
+    path = write(tmp_path, "l2.alg", l2(2))
+    assert main(["envelope", path, "ul"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal invariant violated: assembled product is not pre-Lie\n"
 
 
 # ---------------------------------------------------------- determinism

@@ -1,15 +1,20 @@
 """Truncated free algebras, quotients, and enveloping constructions."""
 
+import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
+from rlk import free_structures
+from rlk.envelope import ulp_truncated
 from rlk.errors import UsageError
 from rlk.free_structures import (
     GradedBasisAlgebra,
     OverflowProbe,
+    basis_size,
     check_dias_free,
     check_ud_unit,
     check_zinbiel_factorial,
@@ -23,7 +28,8 @@ from rlk.free_structures import (
 )
 
 from helpers import abelian, l2
-from oracles import ideal_rank_fixed_point, naive_multiply, naive_shuffle
+from oracles import (ideal_rank_fixed_point, naive_multiply, naive_shuffle,
+                     naive_word_tables)
 
 
 # -- naive three-slot monomial arithmetic for the oracle side ----------------
@@ -520,3 +526,177 @@ def test_dense_conversion_agrees_with_sparse_products():
 def test_dense_conversion_refuses_large_bases():
     with pytest.raises(UsageError, match="dense bound"):
         free_dias(2, 6, 5).to_algebra()
+
+
+# -- the sparse quotient kernel ----------------------------------------------------
+
+
+def _quotient_cases():
+    def dias():
+        F = free_dias(2, 3, 3)
+        g0, g1 = F.generator(0), F.generator(1)
+        return truncated_ideal_quotient(
+            F, [F.sub(F.product("left", g0, g1), F.product("right", g1, g0))])
+
+    def assoc():
+        F = word_ambient(2, 4, 2)
+        g0, g1 = F.generator(0), F.generator(1)
+        return truncated_ideal_quotient(
+            F, [F.add(F.product("concat", g1, g1), g0), F.product("concat", g0, g1)])
+
+    def zinbiel():
+        F = free_zinbiel(2, 4, 3)
+        g0, g1 = F.generator(0), F.generator(1)
+        return truncated_ideal_quotient(
+            F, [F.sub(F.product("zinbiel", g0, g1), F.product("zinbiel", g1, g0)),
+                F.add(F.product("zinbiel", g0, g0), g1)])
+
+    cases = {"dias": dias, "assoc": assoc, "zinbiel": zinbiel,
+             "das": lambda: das_quotient(free_dias(1, 4, 3))[0]}
+    for p, d in ((2, 3), (2, 5), (3, 4)):
+        cases[f"ud_l2_{p}_{d}"] = lambda p=p, d=d: ud_p(l2(p), d=d)
+        cases[f"ul_l2_{p}_{d}"] = lambda p=p, d=d: ulp_truncated(l2(p), d=d)
+    for p, dim, d in ((2, 2, 3), (3, 1, 4)):
+        g = abelian(p, dim, with_pmap=True)
+        cases[f"ud_ab_{p}_{dim}_{d}"] = lambda g=g, d=d: ud_p(g, pmap="zero", d=d)
+        cases[f"ul_ab_{p}_{dim}_{d}"] = lambda g=g, d=d: ulp_truncated(g, pmap="zero", d=d)
+    return cases
+
+
+# ambient dim, normal indices, ideal rank, sha256 of projection.tobytes() and
+# of repr(relations), as computed by the dense reducer this kernel replaced
+QUOTIENT_PINS = {
+    "dias": (34, (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 14, 16, 17, 18, 20, 21, 22, 24,
+     25, 26, 27, 30, 31, 32, 33), 9,
+        "5658855024b074920ed969ffce1a86a99ddb5079258cb376c51599e1b4f53f22",
+        "f3ecaf64406b3dc45adf6c2833cb39682c1fbd00766c1ddc52f64b1e2590f6be"),
+    "assoc": (31, (0, 2, 6), 28,
+        "1278ad98f6faf3be471af629ae49475778e8799c22fc7e7f9098aefefb2e504b",
+        "dc2fd0637fc407c0d50deaef569a0957f46f86f075cfba1ce785afb7ede075b1"),
+    "zinbiel": (30, (0, 2), 28,
+        "3620fbe882f76df975acee50625d2b51a59f13e744dd017925ba4e66fb108ebc",
+        "37d063917b24ea5309a6f22ffaa6c9bd33b3da8515de096c796a72634b4d4805"),
+    "das": (10, (0, 2, 5, 9), 6,
+        "085a53b7ee31da937eb7fdd29da44dcfefd1bff32db7111911fbf4d9509e7767",
+        "93c05e29479d9514b05484538b6395f3531394dec80d624fe20692e890fc4522"),
+    "ud_l2_2_3": (34, (), 34,
+        "8b06cbc1767cee805e9745185c3516747995f76bebe8f64a2949c536e46eac80",
+        "84e0fd1c1c1771bd800cdd2a96480957d1b7d2be26d58b9012e648bea111883c"),
+    "ul_l2_2_3": (85, (0, 2), 83,
+        "af48fdbb3987f10c0b3c7a1bdea3de14027b4577c5edd20421d61dac305a1d7b",
+        "81cd403fcf8b18663fb7d1de97cecd90740413d7bfbf98f4a9cb60f82daae086"),
+    "ud_l2_2_5": (258, (), 258,
+        "efa8c451990027b24861eef36328a9b967a8323de5a7a6663ecf3507c2a40612",
+        "960f30a7562cebdab54dead2a88eaed930081207110379a2a8818dde8ceb181d"),
+    "ul_l2_2_5": (1365, (0, 2), 1363,
+        "4930dde51c05bb4fe020b33b1652fa97f8c453efb04a2e25833681836f40f8f0",
+        "a01a52a7cae711620ffe94dc849832373ebcb18c33d854d07cb572d134aad61a"),
+    "ud_l2_3_4": (98, (), 98,
+        "86301fb6703395768b44b61adf51efb9dfd0771b27d5357276f43b0b32649914",
+        "994a2c1b87bc077bc60b2401fae6aaba8538e86101cc2c74284754a77facdfb1"),
+    "ul_l2_3_4": (341, (0, 2), 339,
+        "17e1b4f342ca19d04a7df02fe9781d85d14cbea71d6877c6f8cf8c63e3b5df79",
+        "46488d2c0dc4a21d01f0742c95a553081bae738170ca284b16037139f24f52ad"),
+    "ud_ab_2_2_3": (34, (0, 1, 8), 31,
+        "f848b5dfc89035d5f5226eddf2cb05c906643d7f9b035826250af8f1fc4b9215",
+        "c026f0a21640846bfa81f5df69ace6a1308bbc4125720188b8fb810f0cdd8535"),
+    "ul_ab_2_2_3": (85, (0, 1, 2, 3, 4, 13, 14, 17, 18, 19, 77, 78), 73,
+        "da8f2a6f75fa7435027a0da7ec74dddc11b6967f505a0e759dac2b3811bf3932",
+        "7832e065679327d9418b16d17fc4d4928115ba18e627cf8235a1fa0aacb2196e"),
+    "ud_ab_3_1_4": (10, (0, 2), 8,
+        "717a6c65c6d12c3df9a8d82d3af1ca84e927b629c822189a8e7671738b82fdb9",
+        "76514d2a6cbd2c57e59dc39e839887e7f74c971f1113b13aa7e71835ec296621"),
+    "ul_ab_3_1_4": (31, (0, 1, 2, 5, 6, 13), 25,
+        "da7044b7df6671608f19bd65c1a4e80f460f1656da01c2ab2cf16baf2fad2375",
+        "7022c481ed512f85a98ceea14c29ee4a7c19c92e56e1d1a24f192c8c66b26dff"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_PINS))
+def test_sparse_quotient_matches_the_dense_reducer(name):
+    pres = _quotient_cases()[name]()
+    dim, normal, rank, proj_sha, rels_sha = QUOTIENT_PINS[name]
+    assert pres.ambient.dim == dim
+    assert pres.normal_indices == normal
+    assert pres.ideal_rank == rank
+    assert pres.projection.dtype == np.int64
+    assert pres.projection.shape == (dim, dim)
+    assert hashlib.sha256(pres.projection.tobytes()).hexdigest() == proj_sha
+    assert hashlib.sha256(repr(pres.relations).encode()).hexdigest() == rels_sha
+
+
+def _random_homogeneous(rng, F, degree, count):
+    monos = [i for i, deg in enumerate(F.degrees) if deg == degree]
+    return [{i: rng.randrange(1, F.p) for i in rng.sample(monos, 2)}
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_homogeneous_ideal_rank_matches_fixed_point_oracle(p):
+    rng = random.Random(40 + p)
+    monos, idx, dias_tabs = naive_dias_tables(1, 4)
+    F = free_dias(1, 4, p)
+    words, widx, word_tabs = naive_word_tables(2, 3)
+    W = word_ambient(2, 3, p)
+    Z = free_zinbiel(2, 3, p)
+    zin_tabs = [Z.to_algebra().structure("zinbiel").tolist()]
+    for ambient, tables, to_oracle in (
+        (F, dias_tabs, lambda i: idx[F.basis[i]]),
+        (W, word_tabs, lambda i: widx[W.basis[i]]),
+        (Z, zin_tabs, lambda i: i),
+    ):
+        for _ in range(3):
+            rels = _random_homogeneous(rng, ambient, 2, rng.randrange(1, 3))
+            rows = []
+            for rel in rels:
+                row = [0] * ambient.dim
+                for i, c in rel.items():
+                    row[to_oracle(i)] = c
+                rows.append(row)
+            pres = truncated_ideal_quotient(ambient, rels)
+            assert pres.ideal_rank == ideal_rank_fixed_point(tables, rows, p)
+
+
+# -- basis sizes before enumeration ----------------------------------------------
+
+
+def _counted(kind, ngen, cap, unital):
+    start = 0 if unital else 1
+    count = 0
+    for n in range(start, cap + 1):
+        for _ in itertools.product(range(ngen), repeat=n):
+            count += n if kind == "dias" else 1
+    return count
+
+
+@pytest.mark.parametrize("kind", ["dias", "assoc", "zinbiel"])
+def test_closed_form_basis_size_matches_enumeration(kind):
+    for ngen in range(4):
+        for cap in range(1, 6):
+            for unital in ((False, True) if kind == "assoc" else (False,)):
+                F = GradedBasisAlgebra(kind, ngen, cap, 2, unital=unital)
+                size = basis_size(kind, ngen, cap, unital)
+                assert size == len(F.basis) == _counted(kind, ngen, cap, unital)
+
+
+def test_basis_size_stops_at_the_first_degree_past_the_bound(monkeypatch):
+    assert basis_size("assoc", 1, 20000) == 20000
+    with monkeypatch.context() as m:
+        m.setattr(free_structures, "BASIS_SIZE_BOUND", 100)
+        with pytest.raises(UsageError, match="126 monomials up to degree 6 exceed bound 100"):
+            basis_size("assoc", 2, 10**9)
+    with pytest.raises(UsageError, match="exceed bound 20000"):
+        basis_size("dias", 3, 10**9)
+    assert basis_size("assoc", 0, 10**9, unital=True) == 1
+    assert basis_size("dias", 0, 10**9) == 0
+
+
+def test_oversized_basis_refused_before_any_monomial(monkeypatch):
+    def enumerate_basis(self):
+        raise AssertionError("enumerated an oversized basis")
+
+    monkeypatch.setattr(GradedBasisAlgebra, "_enumerate_basis", enumerate_basis)
+    for build in (lambda: word_ambient(4, 10, 2), lambda: free_dias(3, 7, 2),
+                  lambda: free_zinbiel(2, 100000, 3)):
+        with pytest.raises(UsageError, match="exceed bound 20000"):
+            build()

@@ -8,7 +8,7 @@ import pytest
 from rlk.errors import UsageError
 from rlk.linalg import RowReducer, mat_pow, rank_mod
 
-from oracles import gauss_nonpivot_columns, gauss_rank, naive_mat_pow
+from oracles import gauss_echelon_rows, gauss_nonpivot_columns, gauss_rank, naive_mat_pow
 
 
 def test_rank_matches_oracle_random() -> None:
@@ -84,3 +84,42 @@ def test_reducer_rejects_wrong_width() -> None:
     red = RowReducer(3, 4)
     with pytest.raises(UsageError):
         red.add([1, 2])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dict_and_dense_rows_match_gauss_oracles(p) -> None:
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        width = rng.randrange(1, 9)
+        rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(width)]
+                for _ in range(rng.randrange(1, 8))]
+        dense, sparse = RowReducer(p, width), RowReducer(p, width)
+        for row in rows:
+            assert dense.add(row) == sparse.add({c: a for c, a in enumerate(row) if a})
+        for red in (dense, sparse):
+            assert red.rank == gauss_rank(rows, p)
+            assert [c for c in range(width) if c not in red.pivot_columns()] == \
+                gauss_nonpivot_columns(rows, p)
+            assert red.rref().tolist() == gauss_echelon_rows(rows, p)
+            assert red.rref().shape == (red.rank, width)
+
+
+def test_reducer_keeps_normalized_sparse_rows() -> None:
+    red = RowReducer(3, 5)
+    row = {1: -1, 3: np.int64(4)}
+    assert red.add(row)
+    assert row == {1: -1, 3: 4}
+    assert red.rows == [{1: 1, 3: 2}]
+    assert red.pivot_of_col == {1: red.rows[0]}
+    assert red.reduce({1: 1, 3: 2}) == {}
+    assert red.reduce(np.array([0, 2, 0, 1, 1])) == {4: 1}
+    assert not red.add({1: 2, 3: 1})
+    assert red.reduced_rows() == {1: {1: 1, 3: 2}}
+
+
+def test_reducer_rejects_dict_columns_outside_the_width() -> None:
+    red = RowReducer(2, 3)
+    for bad in ({3: 1}, {-1: 1}):
+        with pytest.raises(UsageError):
+            red.add(bad)
+    assert red.rank == 0
