@@ -4,7 +4,7 @@ pre-Lie structures over prime fields."""
 __version__ = "0.1.0"
 
 from .errors import DomainError, UsageError
-from .scalars import FpScalar, LambdaPoly, fp_arith, is_prime, lambda_poly_bracket
+from .scalars import LambdaPoly, is_prime, lambda_poly_bracket
 from .algebra_core import (
     Algebra,
     BasisJacobsonPMap,

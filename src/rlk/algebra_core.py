@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .linalg import mat_pow
 from .scalars import validate_prime
 
 DEFAULT_CAP = 1 << 16
+# Largest carrier dimension given a dense (dim, dim, dim) structure tensor
+# from outside: algebra files and free algebras made dense.
+DENSE_DIM_BOUND = 160
 
 Element = tuple
 
@@ -238,7 +242,8 @@ class BasisJacobsonPMap:
 
 
 class Algebra:
-    """Immutable structure-constant algebra over F_p."""
+    """Immutable structure-constant algebra over F_p; `pmaps` is a read-only
+    mapping of names to p-maps."""
 
     def __init__(self, p: int, dim: int, ops: dict, pmaps=None, label: str = ""):
         validate_prime(p)
@@ -260,7 +265,7 @@ class Algebra:
             t = t % p
             t.flags.writeable = False
             self._ops[name] = t
-        self.pmaps = dict(pmaps or {})
+        self.pmaps = MappingProxyType(dict(pmaps or {}))
         for name, pm in self.pmaps.items():
             if not name:
                 raise UsageError("empty pmap name")

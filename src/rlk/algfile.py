@@ -12,7 +12,8 @@ Layout (UTF-8, ``#`` starts a comment line, blank lines ignored)::
     1 0 -> 0 0
     1 1 -> 0 1
 
-- header ``p=<prime> dim=<n>`` (the optional ``label`` line precedes it);
+- header ``p=<prime> dim=<n>`` (the optional ``label`` line precedes it),
+  with n at most DENSE_DIM_BOUND;
 - each ``op <name>:`` block lists sparse structure-constant entries
   ``i j k v`` meaning e_i * e_j has coefficient v on e_k; indices must be in
   range, values are reduced mod p, duplicate (i, j, k) entries are rejected;
@@ -33,6 +34,7 @@ import re
 import numpy as np
 
 from .algebra_core import (
+    DENSE_DIM_BOUND,
     Algebra,
     BasisJacobsonPMap,
     MatrixPowerPMap,
@@ -184,6 +186,8 @@ def parse_algebra(text: str) -> Algebra:
     if not m:
         _fail(lines, f"expected header 'p=<prime> dim=<n>', got {row!r}")
     p, dim = int(m.group(1)), int(m.group(2))
+    if dim > DENSE_DIM_BOUND:
+        _fail(lines, f"dim {dim} exceeds the dense bound {DENSE_DIM_BOUND}")
     ops, pmaps = {}, {}
     while True:
         row = lines.take()

@@ -18,14 +18,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .algebra_core import enumeration_cap, lie_basis_violation
+from .algebra_core import enumeration_cap
 from .algfile import format_algebra, parse_algebra_file
 from .dialgebra import (
     Dialgebra,
+    _dleib_reports,
     as_dialgebra,
     check_commutative_diagram,
     dialgebra_from_operator,
-    dleib,
     matrix_dialgebra,
     sweep_lemdias,
 )
@@ -33,9 +33,6 @@ from .envelope import ulp_truncated
 from .errors import DomainError, UsageError
 from .free_structures import ud_p
 from .identities import (
-    CheckReport,
-    Coverage,
-    Witness,
     check_dias,
     check_leibniz,
     check_prelie,
@@ -45,9 +42,9 @@ from .identities import (
     check_zinbiel,
 )
 from .prelie_tensor import (
+    _antisymmetrized,
     check_corollary,
     check_tensor_restricted,
-    prelie_to_lie,
     tensor_prelie,
 )
 
@@ -277,21 +274,10 @@ def _endo_matrix(alg) -> np.ndarray:
 
 
 def _dialgebra_report(D: Dialgebra, args) -> tuple:
-    return (
-        check_dias(D, mode=_basis_mode(args), seed=args.seed,
-                   samples=args.samples).to_dict(),
-        sweep_lemdias(D).to_dict(),
-    )
-
-
-def _lie_axiom_report(alg, op: str) -> CheckReport:
-    viol = lie_basis_violation(alg, op)
-    witnesses = [] if viol is None else [Witness(viol, (), ())]
-    return CheckReport(
-        "lie_axioms", "pass" if viol is None else "fail", witnesses,
-        Coverage("exhaustive", alg.dim ** 3), 0 if viol is None else 1,
-        ("alternating + antisymmetry + Jacobi on basis triples",),
-    )
+    """The basis sweep is the one D ran when it was built."""
+    dias = D.dias_report if _basis_mode(args) == "basis" else check_dias(
+        D, mode="sampled", seed=args.seed, samples=args.samples)
+    return dias.to_dict(), sweep_lemdias(D).to_dict()
 
 
 def cmd_derive(args) -> int:
@@ -304,14 +290,9 @@ def cmd_derive(args) -> int:
     def build():
         if args.construction == "dleib":
             D = _as_dialgebra_input(parse_algebra_file(args.files[0]))
-            derived = dleib(D, cap=args.cap, seed=args.seed,
-                            samples=args.samples)
-            checks = (
-                check_leibniz(derived).to_dict(),
-                check_restricted_leibniz(
-                    derived, cap=_effective_cap(derived, args),
-                    seed=args.seed, samples=args.samples).to_dict(),
-            )
+            derived, reports = _dleib_reports(D, "left", "right", _effective_cap(D, args),
+                                              args.seed, args.samples)
+            checks = tuple(r.to_dict() for r in reports)
         elif args.construction == "gln":
             D0 = _as_dialgebra_input(parse_algebra_file(args.files[0]))
             derived = matrix_dialgebra(D0, args.n)
@@ -332,7 +313,7 @@ def cmd_derive(args) -> int:
             derived = type(A)(A.p, A.dim, {op: A.structure(op) for op in A.op_names},
                               {"lie_p": A.pmap("lie_p")}, label=A.label)
             checks = (
-                check_prelie(T.product).to_dict(),
+                T.prelie_report.to_dict(),
                 check_tensor_restricted(
                     T, seed=args.seed, samples=args.samples).to_dict(),
                 check_corollary(T, seed=args.seed, samples=args.samples,
@@ -340,11 +321,8 @@ def cmd_derive(args) -> int:
             )
         else:  # antisymmetrize
             alg = parse_algebra_file(args.files[0])
-            derived = prelie_to_lie(alg, op=args.op, out="lie")
-            checks = (
-                check_prelie(derived, args.op).to_dict(),
-                _lie_axiom_report(derived, "lie").to_dict(),
-            )
+            derived, reports = _antisymmetrized(alg, args.op, "lie")
+            checks = tuple(r.to_dict() for r in reports)
         doc = ReportDocument(
             version=__version__,
             command=f"derive {args.construction}",

@@ -24,17 +24,18 @@ from .identities import (
     WITNESS_LIMIT,
     Witness,
     _grid,
+    _operator_condition_sweep,
     _report,
     check_dias,
     check_leibniz,
-    check_restricted_leibniz,
 )
 
 MATRIX_DIM_BOUND = 96
 
 
 class Dialgebra(Algebra):
-    """Algebra whose "left"/"right" ops are verified diassociative."""
+    """Algebra whose "left"/"right" ops are verified diassociative; the
+    passing check_dias report is kept as `dias_report`."""
 
     def __init__(self, p, dim, ops, pmaps=None, label="",
                  left="left", right="right"):
@@ -48,6 +49,7 @@ class Dialgebra(Algebra):
                 f"not a dialgebra: axiom {w.inputs[0]} fails at basis triple "
                 f"{w.inputs[1:]} ({w.lhs} != {w.rhs})"
             )
+        self.dias_report = rep
 
 
 def as_dialgebra(alg: Algebra, op: str = "assoc", label=None) -> Dialgebra:
@@ -73,9 +75,14 @@ def dleib(D: Algebra, left: str = "left", right: str = "right",
     """Derived bracket x -| y - y |- x with the p-fold |- power map.
 
     The result carries ops "bracket", "left", "right" on the same carrier
-    and the p-map "frobenius"; both check_leibniz and
-    check_restricted_leibniz are run before returning.
+    and the p-map "frobenius"; the Leibniz identity and the operator
+    condition r_x**p = r_{x^[p]} are each checked once before returning.
     """
+    return _dleib_reports(D, left, right, cap, seed, samples)[0]
+
+
+def _dleib_reports(D: Algebra, left: str, right: str, cap, seed: int, samples: int):
+    """dleib's algebra and its passing (leibniz, restricted_leibniz) reports."""
     cl = D.structure(left)
     cr = D.structure(right)
     bracket = (cl - cr.transpose(1, 0, 2)) % D.p
@@ -86,20 +93,21 @@ def dleib(D: Algebra, left: str = "left", right: str = "right",
         {"frobenius": RightPowerPMap("right")},
         label=f"dleib({D.label})" if D.label else "dleib",
     )
-    rep = check_leibniz(out)
-    if not rep.ok():
-        w = rep.witnesses[0]
+    leib = check_leibniz(out)
+    if not leib.ok():
+        w = leib.witnesses[0]
         raise UsageError(
             f"derived bracket is not Leibniz at basis triple {w.inputs}: "
             f"{w.lhs} != {w.rhs}"
         )
-    rep = check_restricted_leibniz(out, cap=cap, seed=seed, samples=samples)
+    rep = _operator_condition_sweep(out, "bracket", "frobenius", "restricted_leibniz",
+                                    cap, seed, samples)
     if not rep.ok():
         w = rep.witnesses[0]
         raise UsageError(
             f"p-fold right power is not a restricted p-map; witness x = {w.inputs[0]}"
         )
-    return out
+    return out, (leib, rep)
 
 
 # -- iterated-power compatibility ------------------------------------------------

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra_core import Algebra
+from .algebra_core import DENSE_DIM_BOUND, Algebra
 from .errors import UsageError
 from .identities import (
     CheckReport,
@@ -47,7 +47,6 @@ from .identities import (
 from .linalg import RowReducer
 from .scalars import validate_prime
 
-DENSE_DIM_BOUND = 160
 BASIS_SIZE_BOUND = 20000
 
 _KIND_OPS = {

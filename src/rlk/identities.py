@@ -107,219 +107,132 @@ def _report(identity, witnesses, failure_count, coverage, notes=(), inconclusive
 
 # -- trilinear sweeps --------------------------------------------------------
 
+# Each axiom is (name, lhs, rhs), each side a list of signed bracketings
+# (sign, form, ops) whose first sign is +.  The form is "(xy)z" or "x(yz)",
+# or either with y and z exchanged; x stays first in every identity rlk
+# checks.  ops names the first and the second product as they are written,
+# by the roles of the checker's op names: "o" for the one product, "l" for
+# -| and "r" for |-.
+_AXIOMS = {
+    "leibniz": [("leibniz", [(1, "x(yz)", "oo")],
+                 [(1, "(xy)z", "oo"), (-1, "(xz)y", "oo")])],
+    "dias": [
+        ("assoc_left", [(1, "(xy)z", "ll")], [(1, "x(yz)", "ll")]),
+        ("assoc_right", [(1, "(xy)z", "rr")], [(1, "x(yz)", "rr")]),
+        ("left_bar", [(1, "x(yz)", "ll")], [(1, "x(yz)", "lr")]),
+        ("middle", [(1, "(xy)z", "rl")], [(1, "x(yz)", "rl")]),
+        ("right_bar", [(1, "(xy)z", "lr")], [(1, "(xy)z", "rr")]),
+    ],
+    "zinbiel": [("zinbiel", [(1, "(xy)z", "oo")],
+                 [(1, "x(yz)", "oo"), (1, "x(zy)", "oo")])],
+    "prelie": [("prelie", [(1, "(xy)z", "oo"), (-1, "x(yz)", "oo")],
+                [(1, "(xz)y", "oo"), (-1, "x(zy)", "oo")])],
+}
+_UNSWAPPED = {"(xy)z": "(xy)z", "x(yz)": "x(yz)", "(xz)y": "(xy)z", "x(zy)": "x(yz)"}
 
-def _sampled_triples(alg, identity, residual, sides, samples, seed, notes=()):
-    rng = random.Random(seed)
-    witnesses = []
-    failures = 0
-    for _ in range(samples):
-        x = tuple(rng.randrange(alg.p) for _ in range(alg.dim))
-        y = tuple(rng.randrange(alg.p) for _ in range(alg.dim))
-        z = tuple(rng.randrange(alg.p) for _ in range(alg.dim))
-        if any(residual(x, y, z)):
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                lhs, rhs = sides(x, y, z)
-                witnesses.append(Witness((x, y, z), lhs, rhs))
-    return _report(
-        identity, witnesses, failures, Coverage("sampled", samples, seed), notes
-    )
+
+def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
+    """Every axiom of `identity`, with `ops` mapping roles to op names.
+
+    Mode "basis" sweeps all basis triples, one einsum per bracketing and chunk
+    of first indices, and keeps the first WITNESS_LIMIT failures of each chunk
+    and axiom.  Mode "sampled" draws x, y, z one coefficient at a time, runs a
+    chunk of triples at once through multiply_batch, and keeps the first
+    WITNESS_LIMIT failures in sample order, axioms in table order.  Every
+    bracketing is reduced mod p before the signed sums, which keeps the
+    arithmetic exact wherever _check_modulus_bound admits the algebra."""
+    C = {role: alg.structure(name) for role, name in ops.items()}
+    p, d = alg.p, alg.dim
+    axioms = _AXIOMS[identity]
+
+    def tag(name):
+        return (name,) if len(axioms) > 1 else ()
+
+    def side(terms, bracketing):
+        total = bracketing(*terms[0][1:])
+        for sign, form, pair in terms[1:]:
+            t = bracketing(form, pair)
+            total = total + t if sign > 0 else total - t
+        return total % p if len(terms) > 1 else total
+
+    witnesses, failures = [], 0
+    if mode == "basis":
+        block = max(1, _CHUNK_ENTRIES // max(1, d ** 3))
+        for lo in range(0, d, block):
+            for name, lhs_terms, rhs_terms in axioms:
+                cache = {}
+
+                def bracketing(form, pair):
+                    a, b = pair
+                    base = _UNSWAPPED[form]
+                    if (base, a, b) not in cache:
+                        if base == "(xy)z":
+                            t = np.einsum("ijm,mkl->ijkl", C[a][lo:lo + block], C[b])
+                        else:
+                            t = np.einsum("jkm,iml->ijkl", C[b], C[a][lo:lo + block])
+                        cache[base, a, b] = t % p
+                    t = cache[base, a, b]
+                    return t if base == form else t.transpose(0, 2, 1, 3)
+
+                lhs, rhs = side(lhs_terms, bracketing), side(rhs_terms, bracketing)
+                bad = (lhs != rhs).any(axis=3)
+                count = int(np.count_nonzero(bad))
+                failures += count
+                for i, j, k in np.argwhere(bad)[:WITNESS_LIMIT] if count else ():
+                    witnesses.append(Witness(tag(name) + (int(i) + lo, int(j), int(k)),
+                                             _tup(lhs[i, j, k]), _tup(rhs[i, j, k])))
+        coverage = Coverage("exhaustive", len(axioms) * d ** 3)
+    elif mode == "sampled":
+        rng = random.Random(seed)
+        block = max(1, _CHUNK_ENTRIES // max(1, d * d))
+        for lo in range(0, samples, block):
+            n = min(block, samples - lo)
+            T = alg.sample_array(3 * n, rng).reshape(n, 3, d)
+
+            def bracketing(form, pair):
+                a, b = pair
+                x, u, v = (T[:, "xyz".index(c)] for c in form if c in "xyz")
+                if form[0] == "(":
+                    return alg.multiply_batch(ops[b], alg.multiply_batch(ops[a], x, u), v)
+                return alg.multiply_batch(ops[a], x, alg.multiply_batch(ops[b], u, v))
+
+            sides = [(side(lhs_terms, bracketing), side(rhs_terms, bracketing))
+                     for _, lhs_terms, rhs_terms in axioms]
+            bad = np.argwhere(np.stack([(lhs != rhs).any(axis=1) for lhs, rhs in sides], axis=1))
+            failures += bad.shape[0]
+            for s, k in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:
+                lhs, rhs = sides[k]
+                witnesses.append(Witness(tag(axioms[k][0]) + tuple(_tup(v) for v in T[s]),
+                                         _tup(lhs[s]), _tup(rhs[s])))
+        coverage = Coverage("sampled", len(axioms) * samples, seed)
+    else:
+        raise UsageError(f"unknown mode {mode!r}")
+    return _report(identity, witnesses, failures, coverage)
 
 
 def check_leibniz(alg: Algebra, bracket: str = "bracket", mode: str = "basis",
                   seed: int = 0, samples: int = 200) -> CheckReport:
     """[x,[y,z]] = [[x,y],z] - [[x,z],y]."""
-    c = alg.structure(bracket)
-    p = alg.p
-
-    def sides(x, y, z):
-        if isinstance(x, int):
-            x, y, z = alg.basis(x), alg.basis(y), alg.basis(z)
-        lhs = alg.multiply(bracket, x, alg.multiply(bracket, y, z))
-        rhs = alg.sub(
-            alg.multiply(bracket, alg.multiply(bracket, x, y), z),
-            alg.multiply(bracket, alg.multiply(bracket, x, z), y),
-        )
-        return lhs, rhs
-
-    if mode == "basis":
-        d = alg.dim
-        block = max(1, _CHUNK_ENTRIES // max(1, d ** 3))
-        witnesses, failures = [], 0
-        for lo in range(0, d, block):
-            hi = min(d, lo + block)
-            a_bc = np.einsum("jkm,iml->ijkl", c, c[lo:hi]) % p
-            ab_c = np.einsum("ijm,mkl->ijkl", c[lo:hi], c) % p
-            resid = (a_bc - ab_c + ab_c.transpose(0, 2, 1, 3)) % p
-            bad = np.argwhere(resid.any(axis=3))
-            failures += bad.shape[0]
-            for row in bad[:WITNESS_LIMIT]:
-                i, j, k = int(row[0]) + lo, int(row[1]), int(row[2])
-                lhs, rhs = sides(i, j, k)
-                witnesses.append(Witness((i, j, k), lhs, rhs))
-        return _report("leibniz", witnesses, failures, Coverage("exhaustive", d ** 3))
-    if mode == "sampled":
-        def residual(x, y, z):
-            lhs, rhs = sides(x, y, z)
-            return alg.sub(lhs, rhs)
-        return _sampled_triples(alg, "leibniz", residual, sides, samples, seed)
-    raise UsageError(f"unknown mode {mode!r}")
+    return _trilinear_sweep(alg, "leibniz", {"o": bracket}, mode, seed, samples)
 
 
 def check_dias(alg: Algebra, left: str = "left", right: str = "right",
                mode: str = "basis", seed: int = 0, samples: int = 200) -> CheckReport:
     """Both products associative plus the three mixed axioms."""
-    cl = alg.structure(left)
-    cr = alg.structure(right)
-    p, d = alg.p, alg.dim
-
-    def mul(op, x, y):
-        return alg.multiply(op, x, y)
-
-    axioms = [
-        # name, lhs(x,y,z), rhs(x,y,z)
-        ("assoc_left",
-         lambda x, y, z: mul(left, mul(left, x, y), z),
-         lambda x, y, z: mul(left, x, mul(left, y, z))),
-        ("assoc_right",
-         lambda x, y, z: mul(right, mul(right, x, y), z),
-         lambda x, y, z: mul(right, x, mul(right, y, z))),
-        ("left_bar",
-         lambda x, y, z: mul(left, x, mul(left, y, z)),
-         lambda x, y, z: mul(left, x, mul(right, y, z))),
-        ("middle",
-         lambda x, y, z: mul(left, mul(right, x, y), z),
-         lambda x, y, z: mul(right, x, mul(left, y, z))),
-        ("right_bar",
-         lambda x, y, z: mul(right, mul(left, x, y), z),
-         lambda x, y, z: mul(right, mul(right, x, y), z)),
-    ]
-
-    if mode == "basis":
-        block = max(1, _CHUNK_ENTRIES // max(1, d ** 3))
-        witnesses, failures = [], 0
-        for lo in range(0, d, block):
-            hi = min(d, lo + block)
-            tables = {
-                "assoc_left": (np.einsum("ijm,mkl->ijkl", cl[lo:hi], cl)
-                               - np.einsum("jkm,iml->ijkl", cl, cl[lo:hi])),
-                "assoc_right": (np.einsum("ijm,mkl->ijkl", cr[lo:hi], cr)
-                                - np.einsum("jkm,iml->ijkl", cr, cr[lo:hi])),
-                "left_bar": (np.einsum("jkm,iml->ijkl", cl, cl[lo:hi])
-                             - np.einsum("jkm,iml->ijkl", cr, cl[lo:hi])),
-                "middle": (np.einsum("ijm,mkl->ijkl", cr[lo:hi], cl)
-                           - np.einsum("jkm,iml->ijkl", cl, cr[lo:hi])),
-                "right_bar": (np.einsum("ijm,mkl->ijkl", cl[lo:hi], cr)
-                              - np.einsum("ijm,mkl->ijkl", cr[lo:hi], cr)),
-            }
-            for name, lhs_fn, rhs_fn in axioms:
-                resid = tables[name] % p
-                bad = np.argwhere(resid.any(axis=3))
-                failures += bad.shape[0]
-                for row in bad[:WITNESS_LIMIT]:
-                    i, j, k = int(row[0]) + lo, int(row[1]), int(row[2])
-                    bx, by, bz = alg.basis(i), alg.basis(j), alg.basis(k)
-                    witnesses.append(
-                        Witness((name, i, j, k), lhs_fn(bx, by, bz), rhs_fn(bx, by, bz))
-                    )
-        return _report("dias", witnesses, failures, Coverage("exhaustive", 5 * d ** 3))
-    if mode == "sampled":
-        rng = random.Random(seed)
-        witnesses, failures = [], 0
-        for _ in range(samples):
-            x, y, z = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(3))
-            for name, lhs_fn, rhs_fn in axioms:
-                lhs, rhs = lhs_fn(x, y, z), rhs_fn(x, y, z)
-                if lhs != rhs:
-                    failures += 1
-                    if len(witnesses) < WITNESS_LIMIT:
-                        witnesses.append(Witness((name, x, y, z), lhs, rhs))
-        return _report("dias", witnesses, failures,
-                       Coverage("sampled", 5 * samples, seed))
-    raise UsageError(f"unknown mode {mode!r}")
+    return _trilinear_sweep(alg, "dias", {"l": left, "r": right}, mode, seed, samples)
 
 
 def check_zinbiel(alg: Algebra, op: str = "zinbiel", mode: str = "basis",
                   seed: int = 0, samples: int = 200) -> CheckReport:
     """(a<b)<c = a<(b<c) + a<(c<b)."""
-    c = alg.structure(op)
-    p, d = alg.p, alg.dim
-
-    def sides(x, y, z):
-        if isinstance(x, int):
-            x, y, z = alg.basis(x), alg.basis(y), alg.basis(z)
-        lhs = alg.multiply(op, alg.multiply(op, x, y), z)
-        rhs = alg.add(
-            alg.multiply(op, x, alg.multiply(op, y, z)),
-            alg.multiply(op, x, alg.multiply(op, z, y)),
-        )
-        return lhs, rhs
-
-    if mode == "basis":
-        block = max(1, _CHUNK_ENTRIES // max(1, d ** 3))
-        witnesses, failures = [], 0
-        for lo in range(0, d, block):
-            hi = min(d, lo + block)
-            ab_c = np.einsum("ijm,mkl->ijkl", c[lo:hi], c) % p
-            a_bc = np.einsum("jkm,iml->ijkl", c, c[lo:hi]) % p
-            resid = (ab_c - a_bc - a_bc.transpose(0, 2, 1, 3)) % p
-            bad = np.argwhere(resid.any(axis=3))
-            failures += bad.shape[0]
-            for row in bad[:WITNESS_LIMIT]:
-                i, j, k = int(row[0]) + lo, int(row[1]), int(row[2])
-                lhs, rhs = sides(i, j, k)
-                witnesses.append(Witness((i, j, k), lhs, rhs))
-        return _report("zinbiel", witnesses, failures, Coverage("exhaustive", d ** 3))
-    if mode == "sampled":
-        def residual(x, y, z):
-            lhs, rhs = sides(x, y, z)
-            return alg.sub(lhs, rhs)
-        return _sampled_triples(alg, "zinbiel", residual, sides, samples, seed)
-    raise UsageError(f"unknown mode {mode!r}")
+    return _trilinear_sweep(alg, "zinbiel", {"o": op}, mode, seed, samples)
 
 
 def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
                  seed: int = 0, samples: int = 200) -> CheckReport:
     """Right-symmetric associator: (x,y,z) - (x,z,y) vanishes, where
     (x,y,z) = {x{y}}-associator {x,y},z} - {x,{y,z}}."""
-    c = alg.structure(op)
-    p, d = alg.p, alg.dim
-
-    def sides(x, y, z):
-        if isinstance(x, int):
-            x, y, z = alg.basis(x), alg.basis(y), alg.basis(z)
-        lhs = alg.sub(
-            alg.multiply(op, alg.multiply(op, x, y), z),
-            alg.multiply(op, x, alg.multiply(op, y, z)),
-        )
-        rhs = alg.sub(
-            alg.multiply(op, alg.multiply(op, x, z), y),
-            alg.multiply(op, x, alg.multiply(op, z, y)),
-        )
-        return lhs, rhs
-
-    if mode == "basis":
-        block = max(1, _CHUNK_ENTRIES // max(1, d ** 3))
-        witnesses, failures = [], 0
-        for lo in range(0, d, block):
-            hi = min(d, lo + block)
-            ab_c = np.einsum("ijm,mkl->ijkl", c[lo:hi], c) % p
-            a_bc = np.einsum("jkm,iml->ijkl", c, c[lo:hi]) % p
-            assoc = (ab_c - a_bc) % p
-            resid = (assoc - assoc.transpose(0, 2, 1, 3)) % p
-            bad = np.argwhere(resid.any(axis=3))
-            failures += bad.shape[0]
-            for row in bad[:WITNESS_LIMIT]:
-                i, j, k = int(row[0]) + lo, int(row[1]), int(row[2])
-                lhs, rhs = sides(i, j, k)
-                witnesses.append(Witness((i, j, k), lhs, rhs))
-        return _report("prelie", witnesses, failures, Coverage("exhaustive", d ** 3))
-    if mode == "sampled":
-        def residual(x, y, z):
-            lhs, rhs = sides(x, y, z)
-            return alg.sub(lhs, rhs)
-        return _sampled_triples(alg, "prelie", residual, sides, samples, seed)
-    raise UsageError(f"unknown mode {mode!r}")
+    return _trilinear_sweep(alg, "prelie", {"o": op}, mode, seed, samples)
 
 
 # -- Jacobson polarization ----------------------------------------------------

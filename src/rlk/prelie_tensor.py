@@ -38,7 +38,7 @@ its notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,13 +158,15 @@ class TensorAlgebraHandle:
 
     `product` is an Algebra of dimension dim(g)·dim(R) with ops "prelie" and
     "lie" and p-maps "tensor_p", "zero" and "lie_p"; basis index (i, j) ↦
-    i·dim(R)+j (row-major pairing e_i ⊗ f_j)."""
+    i·dim(R)+j (row-major pairing e_i ⊗ f_j).  `prelie_report` is the
+    passing check_prelie report of a product built by tensor_prelie."""
 
     gfactor: Algebra
     rfactor: Algebra
     product: Algebra
     gbracket: str = "bracket"
     rhalf: str = "zinbiel"
+    prelie_report: CheckReport | None = field(default=None, init=False, compare=False)
 
     def pair_index(self, i: int, j: int) -> int:
         return i * self.rfactor.dim + j
@@ -231,7 +233,9 @@ def tensor_prelie(g: Algebra, R, bracket: str = "bracket",
         "zero": ZeroPMap(),
         "lie_p": BasisJacobsonPMap("lie", [product.zero()] * pdim),
     })
-    return TensorAlgebraHandle(g, R, product, bracket, half)
+    T = TensorAlgebraHandle(g, R, product, bracket, half)
+    T.prelie_report = rep
+    return T
 
 
 def tensor_pmap(T: TensorAlgebraHandle, y, b=None):
@@ -346,6 +350,11 @@ def prelie_to_lie(A, op: str = "prelie", out: str = "lie") -> Algebra:
     Accepts a tensor handle or any Algebra whose named op passes the
     right-symmetric associator check; the returned algebra carries both ops,
     and the antisymmetrized bracket is verified alternating + Jacobi."""
+    return _antisymmetrized(A, op, out)[0]
+
+
+def _antisymmetrized(A, op: str, out: str):
+    """prelie_to_lie's algebra and its passing (prelie, lie_axioms) reports."""
     alg = A.product if isinstance(A, TensorAlgebraHandle) else A
     rep = check_prelie(alg, op)
     if not rep.ok():
@@ -357,7 +366,9 @@ def prelie_to_lie(A, op: str = "prelie", out: str = "lie") -> Algebra:
     viol = lie_basis_violation(result, out)
     if viol is not None:
         raise DomainError(f"antisymmetrization failed the Lie checks: {viol}")
-    return result
+    lie_rep = CheckReport("lie_axioms", "pass", [], Coverage("exhaustive", result.dim ** 3),
+                          0, ("alternating + antisymmetry + Jacobi on basis triples",))
+    return result, (rep, lie_rep)
 
 
 def check_corollary(T: TensorAlgebraHandle, seed: int = 0,

@@ -9,7 +9,6 @@ scalars), multiplied by convolution through a caller-supplied bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, UsageError
@@ -36,75 +35,6 @@ def validate_prime(p: int) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise UsageError(f"modulus must be prime, got {p!r}")
     return p
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in F_p.  The value is reduced on construction."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        validate_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _same_field(self, other: "FpScalar") -> None:
-        if not isinstance(other, FpScalar):
-            raise UsageError(f"expected FpScalar, got {type(other).__name__}")
-        if other.p != self.p:
-            raise UsageError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar((self.value * other.value) % self.p, self.p)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value % self.p, self.p)
-
-    def __pow__(self, n: int) -> "FpScalar":
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise UsageError("exponent must be an int")
-        if n < 0 and self.value == 0:
-            raise DomainError("inverse of zero")
-        return FpScalar(pow(self.value, n, self.p), self.p)
-
-    def inv(self) -> "FpScalar":
-        if self.value == 0:
-            raise DomainError("inverse of zero")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def fp_arith(a: FpScalar, b, op: str) -> FpScalar:
-    """Field arithmetic dispatcher.
-
-    op in {"add","sub","mul","inv","pow"}; "inv" ignores b, "pow" takes an
-    integer exponent for b.
-    """
-    if not isinstance(a, FpScalar):
-        raise UsageError(f"expected FpScalar, got {type(a).__name__}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        return a ** b
-    raise UsageError(f"unknown scalar op {op!r}")
 
 
 def inv_mod(a: int, p: int) -> int:

@@ -256,6 +256,8 @@ def test_extended_does_not_mutate_original() -> None:
     ext = base.extended(pmaps={"z": ZeroPMap()}, label="ext")
     assert "z" not in base.pmaps
     assert "z" in ext.pmaps
+    with pytest.raises(TypeError):
+        base.pmaps["z"] = ZeroPMap()
     assert base.label != ext.label
     assert np.array_equal(base.structure("bracket"), ext.structure("bracket"))
 

@@ -1,6 +1,8 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -375,6 +377,61 @@ def test_domain_error_exits_3_not_as_a_usage_error(tmp_path, capsys, monkeypatch
     assert err == "internal invariant violated: assembled product is not pre-Lie\n"
 
 
+# ---------------------------------------------------------- verify once
+
+_COUNTED = ("check_leibniz", "check_dias", "check_prelie", "_operator_failures",
+            "lie_basis_violation")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of each verification kernel, wrapped in every rlk module that
+    binds it."""
+    counts = dict.fromkeys(_COUNTED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(rlk.identities, name) for name in _COUNTED}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "rlk" or modname.startswith("rlk."):
+            for attr, value in list(vars(mod).items()):
+                for name, fn in originals.items():
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counting(name, fn))
+    return counts
+
+
+def test_derive_verifies_each_construction_once(tmp_path, capsys, calls):
+    ut2 = write(tmp_path, "ut2.alg", upper_triangular2(3))
+    g = write(tmp_path, "g.alg", l2(2))
+    zin = write(tmp_path, "z.alg", free_zinbiel(1, 3, 2).to_algebra())
+    prod = write(tmp_path, "tp.alg", _tensor_product_algebra(3))
+
+    def counted(*argv):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([*argv, "--out", str(tmp_path / "out.alg")]) == 0
+        capsys.readouterr()
+        return dict(calls)
+
+    got = counted("derive", "dleib", ut2)
+    assert (got["check_leibniz"], got["check_dias"], got["_operator_failures"]) == (1, 1, 1)
+    assert counted("derive", "gln", ut2, "--n", "2")["check_dias"] == 2
+    assert counted("derive", "tensor-prelie", g, zin, "--samples", "40")["check_prelie"] == 1
+    got = counted("derive", "antisymmetrize", prod)
+    assert (got["check_prelie"], got["lie_basis_violation"]) == (1, 1)
+
+
+def test_derive_dleib_exhaustive_past_the_cap_sweeps_nothing(tmp_path, capsys, calls):
+    ut2 = write(tmp_path, "ut2.alg", upper_triangular2(3))  # 27 elements
+    assert main(["derive", "dleib", ut2, "--mode", "exhaustive", "--cap", "5"]) == 2
+    assert "enumeration cap 5" in capsys.readouterr().err
+    assert calls["_operator_failures"] == 0
+
+
 # ---------------------------------------------------------- determinism
 
 
@@ -446,6 +503,23 @@ def test_module_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0
     assert run.stdout.strip() == "rlk 0.1.0"
+
+
+def test_oversized_file_header_exit2_under_a_memory_limit(tmp_path):
+    # a dense 3000**3 tensor is 201 GiB: refused at the header, not allocated
+    path = tmp_path / "huge.alg"
+    path.write_text("p=2 dim=3000\nop bracket:\n0 0 0 1\n", encoding="utf-8")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "rlk", "check", str(path), "leibniz"],
+        capture_output=True, text=True, preexec_fn=limit,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == "error: line 1: dim 3000 exceeds the dense bound 160\n"
 
 
 def test_exhaustive_mode_past_the_cap_exit2_at_once(tmp_path, capsys, monkeypatch):

@@ -36,8 +36,7 @@ def swapped_adjoint(g):
 
 
 def with_zero_pmap(g):
-    g.pmaps["zero"] = ZeroPMap()
-    return g
+    return g.extended(pmaps={"zero": ZeroPMap()})
 
 
 # -- module carrier ------------------------------------------------------------

@@ -380,8 +380,7 @@ def test_envelope_at_degree_one_has_no_relations_in_range():
 
 
 def test_envelope_rejects_non_restricted_input():
-    bad = l2(2)
-    bad.pmaps["zero"] = abelian(2, 1, with_pmap=True).pmaps["zero"]
+    bad = l2(2).extended(pmaps={"zero": abelian(2, 1, with_pmap=True).pmaps["zero"]})
     with pytest.raises(UsageError, match="not restricted"):
         ud_p(bad, pmap="zero", d=3)
 

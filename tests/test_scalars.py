@@ -5,14 +5,7 @@ import random
 import pytest
 
 from rlk.errors import DomainError, UsageError
-from rlk.scalars import (
-    FpScalar,
-    LambdaPoly,
-    fp_arith,
-    inv_mod,
-    is_prime,
-    lambda_poly_bracket,
-)
+from rlk.scalars import LambdaPoly, inv_mod, is_prime, lambda_poly_bracket, validate_prime
 
 from oracles import brute_inv, brute_is_prime
 
@@ -28,65 +21,22 @@ def test_is_prime_large_values() -> None:
 
 
 def test_inv_examples() -> None:
-    assert fp_arith(FpScalar(2, 5), None, "inv").value == 3
-    assert inv_mod(2, 5) == brute_inv(2, 5)
-
-
-def test_pow_example() -> None:
-    assert fp_arith(FpScalar(2, 3), 3, "pow").value == 2
-
-
-def test_arith_against_int_oracle() -> None:
-    rng = random.Random(7)
+    assert inv_mod(2, 5) == 3
     for p in (2, 3, 5, 101):
-        for _ in range(200):
-            a, b = rng.randrange(p), rng.randrange(p)
-            x, y = FpScalar(a, p), FpScalar(b, p)
-            assert (x + y).value == (a + b) % p
-            assert (x - y).value == (a - b) % p
-            assert (x * y).value == (a * b) % p
-            if a:
-                assert (x.inv() * x).value == 1
-                assert x.inv().value == brute_inv(a, p)
-
-
-def test_field_axioms_sampled() -> None:
-    rng = random.Random(11)
-    for p in (2, 3, 5, 101):
-        for _ in range(100):
-            a, b, c = (FpScalar(rng.randrange(p), p) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert a + b == b + a
-            assert a * b == b * a
-
-
-def test_frobenius_additivity_exhaustive() -> None:
-    for p in (2, 3, 5, 7):
-        for a in range(p):
-            for b in range(p):
-                lhs = FpScalar(a, p) + FpScalar(b, p)
-                assert (lhs ** p).value == (pow(a, p, p) + pow(b, p, p)) % p
-
-
-def test_value_reduced_on_construction() -> None:
-    assert FpScalar(7, 5).value == 2
-    assert FpScalar(-1, 5).value == 4
+        for a in range(1, 2 * p):
+            if a % p:
+                assert inv_mod(a, p) == brute_inv(a % p, p)
 
 
 def test_domain_and_usage_errors() -> None:
     with pytest.raises(DomainError):
-        FpScalar(0, 5).inv()
+        inv_mod(0, 5)
     with pytest.raises(DomainError):
-        fp_arith(FpScalar(0, 5), None, "inv")
+        inv_mod(10, 5)
     with pytest.raises(UsageError):
-        FpScalar(1, 6)
+        validate_prime(6)
     with pytest.raises(UsageError):
-        FpScalar(1, 5) + FpScalar(1, 7)
-    with pytest.raises(UsageError):
-        fp_arith(FpScalar(1, 5), FpScalar(1, 5), "frob")
-    with pytest.raises(DomainError):
-        FpScalar(0, 3) ** (-1)
+        validate_prime(True)
 
 
 # -- lambda polynomials -------------------------------------------------------
