@@ -13,7 +13,6 @@ from .algebra_core import (
     TablePMap,
     ZeroPMap,
     enumeration_cap,
-    operator_power,
 )
 from .identities import (
     CheckReport,

@@ -21,7 +21,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import UsageError
-from .linalg import mat_pow
 from .scalars import validate_prime
 
 DEFAULT_CAP = 1 << 16
@@ -424,11 +423,6 @@ class Algebra:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"Algebra(p={self.p}, dim={self.dim}, ops={list(self.op_names)}{tag})"
-
-
-def operator_power(matrix, n: int, p: int) -> np.ndarray:
-    """n-th power of an operator matrix over F_p (square and multiply)."""
-    return mat_pow(matrix, n, p)
 
 
 def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:

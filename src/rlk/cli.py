@@ -2,7 +2,8 @@
 algebras, and present truncated envelope quotients.
 
 Exit codes: 0 all checks pass, 1 any check not passing, 2 usage error
-(bad file, bad flags, violated construction precondition).
+(bad file, bad flags, violated construction precondition), 3 internal
+invariant violated (DomainError).
 
 Reports are deterministic for a fixed seed: the canonical text/JSON output
 contains no timestamps (pass --timing to append wall-clock milliseconds,

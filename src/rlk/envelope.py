@@ -7,6 +7,13 @@ slot the module element can occupy inside a nested bracket — and a restricted
 module additionally satisfies: acting by x^[p] on the right equals the p-fold
 right action by x.
 
+Both checks run on stacks of matrices.  The identities are evaluated on
+every basis pair at once, with [e_i, e_j] read from the structure tensor;
+the p-power condition is the operator sweep that restricted algebras use
+(`identities._operator_failures`), fed with the module's `right_stack`.
+Module matrix products sum mdim terms, so the module dimension is bounded
+by the modulus as an algebra's dimension is.
+
 The same conditions can be phrased as operator identities in the free unital
 word algebra on 2·dim(g) letters (letter i acts as [e_i, -], letter dim+i as
 [-, e_i], words compose as m·(uv) = (m·u)·v):
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Algebra, operator_power
+from .algebra_core import Algebra, _check_modulus_bound
 from .errors import UsageError
 from .free_structures import (
     QuotientPresentation,
@@ -40,12 +47,15 @@ from .free_structures import (
     word_ambient,
 )
 from .identities import (
+    _CHUNK_ENTRIES,
     WITNESS_LIMIT,
     Coverage,
     CheckReport,
     Witness,
     _grid,
+    _operator_failures,
     _report,
+    _tup,
     check_leibniz,
     check_restricted_leibniz,
 )
@@ -68,6 +78,7 @@ class LeibnizModule:
         p, n = self.over.p, self.over.dim
         if self.mdim < 0:
             raise UsageError(f"module dimension must be >= 0, got {self.mdim}")
+        _check_modulus_bound(p, self.mdim)
         shape = (n, self.mdim, self.mdim)
         for name in ("left_action", "right_action"):
             mats = np.asarray(getattr(self, name), dtype=np.int64) % p
@@ -77,15 +88,11 @@ class LeibnizModule:
                 )
             setattr(self, name, mats)
 
-    def left_of(self, x) -> np.ndarray:
-        """Matrix of m -> [x, m] for x given in coordinates."""
-        v = np.asarray(tuple(x), dtype=np.int64) % self.over.p
-        return np.einsum("i,ijk->jk", v, self.left_action) % self.over.p
-
-    def right_of(self, x) -> np.ndarray:
-        """Matrix of m -> [m, x] for x given in coordinates."""
-        v = np.asarray(tuple(x), dtype=np.int64) % self.over.p
-        return np.einsum("i,ijk->jk", v, self.right_action) % self.over.p
+    def right_stack(self, X: np.ndarray) -> np.ndarray:
+        """(N, mdim, mdim) stack of the matrices of m -> [m, x], one per row x
+        of the (N, dim) coefficient array X."""
+        p = self.over.p
+        return np.tensordot(X % p, self.right_action, axes=(1, 0)) % p
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -124,59 +131,51 @@ def check_module_axioms(g: Algebra, M: LeibnizModule,
         raise UsageError(
             f"underlying bracket fails its identity (witness {base.witnesses[:1]})"
         )
-    p, n = g.p, g.dim
-    witnesses, failures, count = [], 0, 0
-    for i in range(n):
-        Li, Ri = M.left_action[i], M.right_action[i]
-        for j in range(n):
-            Lj, Rj = M.left_action[j], M.right_action[j]
-            br = g.multiply(bracket, g.basis(i), g.basis(j))
-            Lbr, Rbr = M.left_of(br), M.right_of(br)
-            sides = {
-                "m_first": (Rbr, (Rj @ Ri - Ri @ Rj) % p),
-                "m_middle": ((Li @ Rj) % p, (Rj @ Li - Lbr) % p),
-                "m_last": ((Li @ Lj) % p, (Lbr - Rj @ Li) % p),
-            }
-            for name in MODULE_AXIOMS:
-                lhs, rhs = sides[name]
-                count += M.mdim
-                bad = np.nonzero(((lhs - rhs) % p).any(axis=0))[0]
-                failures += bad.shape[0]
-                for m in bad[:WITNESS_LIMIT]:
-                    if len(witnesses) < WITNESS_LIMIT:
-                        witnesses.append(
-                            Witness(
-                                (name, i, j, int(m)),
-                                tuple(int(v) for v in lhs[:, m] % p),
-                                tuple(int(v) for v in rhs[:, m] % p),
-                            )
-                        )
+    p, n, L, R = g.p, g.dim, M.left_action, M.right_action
+    brackets = g.structure(bracket).reshape(n * n, n)
+    witnesses, failures = [], 0
+    # about 16 (pairs, mdim, mdim) arrays are alive at once in a chunk
+    block = max(1, _CHUNK_ENTRIES // max(1, 16 * M.mdim ** 2))
+    for lo in range(0, n * n, block):
+        I, J = np.divmod(np.arange(lo, min(lo + block, n * n)), n)
+        br = brackets[lo:lo + block]
+        Lbr = np.tensordot(br, L, axes=(1, 0)) % p
+        Rbr = np.tensordot(br, R, axes=(1, 0)) % p
+        Li, Ri, Lj, Rj = L[I], R[I], L[J], R[J]
+        RjLi = Rj @ Li
+        sides = [  # in MODULE_AXIOMS order
+            (Rbr, (Rj @ Ri - Ri @ Rj) % p),
+            ((Li @ Rj) % p, (RjLi - Lbr) % p),
+            ((Li @ Lj) % p, (Lbr - RjLi) % p),
+        ]
+        bad = np.argwhere(np.stack(
+            [((lhs - rhs) % p).any(axis=1) for lhs, rhs in sides], axis=1))
+        failures += bad.shape[0]
+        for b, a, m in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:
+            lhs, rhs = sides[a]
+            witnesses.append(Witness((MODULE_AXIOMS[a], int(I[b]), int(J[b]), int(m)),
+                                     _tup(lhs[b, :, m]), _tup(rhs[b, :, m])))
     return _report("module_axioms", witnesses, failures,
-                   Coverage("exhaustive", count))
+                   Coverage("exhaustive", n * n * len(MODULE_AXIOMS) * M.mdim))
 
 
 def check_restricted_module(g: Algebra, M: LeibnizModule,
                             pmap: str = "frobenius", bracket: str = "bracket",
                             cap=None, seed: int = 0,
                             samples: int = 400) -> CheckReport:
-    """right_of(x^[p]) equals right_of(x)^p as matrices, swept over elements
-    of g (the p-map is not linear, so basis pairs do not suffice)."""
+    """r_{x^[p]} equals r_x^p as matrices, swept over elements of g (the
+    p-map is not linear, so basis pairs do not suffice).  Each witness is
+    (x,) with lhs r_{x^[p]} and rhs r_x^p; the first 16 failures in element
+    order are kept."""
     base = check_module_axioms(g, M, bracket)
     if not base.ok():
         raise UsageError(
             f"module identities fail (witness {base.witnesses[:1]})"
         )
     X, coverage = _grid(g, cap, seed, samples)
-    p = g.p
-    witnesses, failures = [], 0
-    for row in X:
-        x = tuple(int(v) for v in row)
-        lhs = M.right_of(g.apply_pmap(pmap, x))
-        rhs = operator_power(M.right_of(x), p, p)
-        if not np.array_equal(lhs, rhs):
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(Witness((x,), lhs, rhs))
+    failures, found = _operator_failures(M.right_stack, M.mdim, g.p, X,
+                                         g.apply_pmap_batch(pmap, X))
+    witnesses = [Witness(w.inputs, w.rhs, w.lhs) for w in found[:WITNESS_LIMIT]]
     return _report("restricted_module", witnesses, failures, coverage)
 
 
@@ -191,10 +190,11 @@ def _relation_terms(g: Algebra, pmap: str, bracket: str, printed_signs: bool,
     enumerated or sampled elements of g."""
     p, n = g.p, g.dim
     sign = -1 if printed_signs else 1
+    brackets = g.structure(bracket).tolist()
     out = []
     for i in range(n):
         for j in range(n):
-            br = g.multiply(bracket, g.basis(i), g.basis(j))
+            br = brackets[i][j]
             rbr = [((n + k,), c % p) for k, c in enumerate(br) if c % p]
             lbr = [((k,), c % p) for k, c in enumerate(br) if c % p]
             out.append(("r_bracket", (i, j),
@@ -203,11 +203,10 @@ def _relation_terms(g: Algebra, pmap: str, bracket: str, printed_signs: bool,
                         lbr + [((i, n + j), -1), ((n + j, i), sign)]))
             out.append(("l_kills_symmetrized", (i, j),
                         [((n + j, i), 1), ((j, i), 1)]))
-    instances, note = _pmap_instances(g, cap, seed, samples)
-    for x in instances:
+    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
+    for x, fx in zip(instances, values):
         x = tuple(int(v) for v in x)
-        terms = [((n + k,), c % p) for k, c in enumerate(g.apply_pmap(pmap, x))
-                 if c % p]
+        terms = [((n + k,), c % p) for k, c in enumerate(fx) if c % p]
         support = [(k, v % p) for k, v in enumerate(x) if v % p]
         power = {(): 1}
         for _ in range(p):

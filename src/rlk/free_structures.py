@@ -37,10 +37,12 @@ import numpy as np
 from .algebra_core import DENSE_DIM_BOUND, Algebra
 from .errors import UsageError
 from .identities import (
+    _AXIOMS,
     CheckReport,
     Coverage,
     WITNESS_LIMIT,
     Witness,
+    _bracketing,
     _report,
     check_restricted_leibniz,
 )
@@ -334,22 +336,37 @@ def _inrange_triples(F: GradedBasisAlgebra):
                 yield from itertools.product(by_deg[a], by_deg[b], by_deg[c])
 
 
-def _inrange_sweep(F: GradedBasisAlgebra, kind: str, axioms) -> CheckReport:
-    """Every (key, lhs, rhs) axiom on every basis triple whose total degree
-    fits the cap (larger triples only constrain truncated-away components);
-    a failing triple (i, j, k) is keyed key + (i, j, k)."""
+def _inrange_sweep(F: GradedBasisAlgebra, kind: str, ops: dict) -> CheckReport:
+    """Every axiom of identities._AXIOMS[kind], with `ops` mapping roles to
+    product names, on every basis triple whose total degree fits the cap
+    (larger triples only constrain truncated-away components); a failing
+    triple (i, j, k) is keyed (axiom name, i, j, k), or (i, j, k) when the
+    identity has one axiom."""
     if F.kind != kind:
         raise UsageError(f"expected {kind} monomials, got {F.kind}")
+    axioms = _AXIOMS[kind]
+
+    def mul(role, u, v):
+        return F.product(ops[role], u, v)
+
+    def side(terms, xyz):
+        total = {}
+        for sign, form, pair in terms:
+            t = _bracketing(mul, form, pair, xyz)
+            total = F.add(total, t) if sign > 0 else F.sub(total, t)
+        return total
+
     witnesses, failures, count = [], 0, 0
     with OverflowProbe(F) as probe:
         for i, j, k in _inrange_triples(F):
-            x, y, z = F.basis_elt(i), F.basis_elt(j), F.basis_elt(k)
+            xyz = (F.basis_elt(i), F.basis_elt(j), F.basis_elt(k))
             count += 1
-            for key, lf, rf in axioms:
-                lhs, rhs = lf(x, y, z), rf(x, y, z)
+            for name, lhs_terms, rhs_terms in axioms:
+                lhs, rhs = side(lhs_terms, xyz), side(rhs_terms, xyz)
                 if lhs != rhs:
                     failures += 1
                     if len(witnesses) < WITNESS_LIMIT:
+                        key = (name,) if len(axioms) > 1 else ()
                         witnesses.append(Witness(key + (i, j, k), sorted(lhs.items()),
                                                  sorted(rhs.items())))
     notes = ("in-range basis triples only",)
@@ -362,30 +379,12 @@ def _inrange_sweep(F: GradedBasisAlgebra, kind: str, axioms) -> CheckReport:
 
 def check_dias_free(F: GradedBasisAlgebra) -> CheckReport:
     """The five diassociative axioms on in-range basis triples."""
-    mul = F.product
-    return _inrange_sweep(F, "dias", [
-        (("assoc_left",), lambda x, y, z: mul("left", mul("left", x, y), z),
-         lambda x, y, z: mul("left", x, mul("left", y, z))),
-        (("assoc_right",), lambda x, y, z: mul("right", mul("right", x, y), z),
-         lambda x, y, z: mul("right", x, mul("right", y, z))),
-        (("left_bar",), lambda x, y, z: mul("left", x, mul("left", y, z)),
-         lambda x, y, z: mul("left", x, mul("right", y, z))),
-        (("middle",), lambda x, y, z: mul("left", mul("right", x, y), z),
-         lambda x, y, z: mul("right", x, mul("left", y, z))),
-        (("right_bar",), lambda x, y, z: mul("right", mul("left", x, y), z),
-         lambda x, y, z: mul("right", mul("right", x, y), z)),
-    ])
+    return _inrange_sweep(F, "dias", {"l": "left", "r": "right"})
 
 
 def check_zinbiel_free(F: GradedBasisAlgebra) -> CheckReport:
     """(a<b)<c = a<(b<c) + a<(c<b) on in-range basis triples."""
-    def mul(a, b):
-        return F.product("zinbiel", a, b)
-
-    return _inrange_sweep(F, "zinbiel", [
-        ((), lambda x, y, z: mul(mul(x, y), z),
-         lambda x, y, z: F.add(mul(x, mul(y, z)), mul(x, mul(z, y)))),
-    ])
+    return _inrange_sweep(F, "zinbiel", {"o": "zinbiel"})
 
 
 def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
@@ -502,41 +501,43 @@ def _hat(F: GradedBasisAlgebra, x) -> dict:
     return {F.generator_index(i): c % F.p for i, c in enumerate(x) if c % F.p}
 
 
-def _pmap_instances(g: Algebra, cap, seed, samples):
+def _pmap_instances(g: Algebra, pmap: str, cap, seed, samples):
     """Element set for p-power relations: everything if enumerable, else
-    basis vectors plus a seeded sample (p-maps are not linear)."""
+    basis vectors plus a seeded sample (p-maps are not linear); returned with
+    the p-map values of those elements, from one batch call, and a note."""
     if g.can_enumerate(cap):
-        return (
-            list(g.enumerate_elements(cap)),
-            f"p-relations on all {g.element_count()} elements",
-        )
-    rng = random.Random(seed)
-    seen = {tuple(g.basis(i)) for i in range(g.dim)}
-    out = list(sorted(seen))
-    for _ in range(samples):
-        x = tuple(rng.randrange(g.p) for _ in range(g.dim))
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out, f"p-relations sampled on {len(out)} elements (seed {seed})"
+        out = list(g.enumerate_elements(cap))
+        note = f"p-relations on all {g.element_count()} elements"
+    else:
+        rng = random.Random(seed)
+        seen = {tuple(g.basis(i)) for i in range(g.dim)}
+        out = list(sorted(seen))
+        for _ in range(samples):
+            x = tuple(rng.randrange(g.p) for _ in range(g.dim))
+            if x not in seen:
+                seen.add(x)
+                out.append(x)
+        note = f"p-relations sampled on {len(out)} elements (seed {seed})"
+    X = np.array(out, dtype=np.int64).reshape(len(out), g.dim)
+    return out, g.apply_pmap_batch(pmap, X).tolist(), note
 
 
 def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, bracket, cap, seed, samples):
     """(key, embedded value, its image under the derived operations) for the
     bracket on basis pairs and the p-map on the instantiated elements, and
     the note saying which elements those are."""
+    brackets = g.structure(bracket).tolist()
     pairs = []
     for i in range(g.dim):
         gi = F.generator(i)
         for j in range(g.dim):
             gj = F.generator(j)
-            pairs.append((("bracket", i, j),
-                          _hat(F, g.multiply(bracket, g.basis(i), g.basis(j))),
+            pairs.append((("bracket", i, j), _hat(F, brackets[i][j]),
                           F.sub(F.product("left", gi, gj), F.product("right", gj, gi))))
-    instances, note = _pmap_instances(g, cap, seed, samples)
-    for x in instances:
+    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
+    for x, fx in zip(instances, values):
         xh = _hat(F, x)
-        pairs.append((("pmap", tuple(x)), _hat(F, g.apply_pmap(pmap, x)),
+        pairs.append((("pmap", tuple(x)), _hat(F, fx),
                       F.power("right", xh, g.p) if xh else F.zero()))
     return pairs, note
 

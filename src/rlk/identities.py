@@ -131,6 +131,16 @@ _AXIOMS = {
 _UNSWAPPED = {"(xy)z": "(xy)z", "x(yz)": "x(yz)", "(xz)y": "(xy)z", "x(zy)": "x(yz)"}
 
 
+def _bracketing(mul, form, pair, xyz):
+    """One bracketing of an _AXIOMS side, where mul(role, u, v) multiplies
+    by the product of that role and xyz holds the values of x, y and z."""
+    a, b = pair
+    x, u, v = (xyz["xyz".index(c)] for c in form if c in "xyz")
+    if form[0] == "(":
+        return mul(b, mul(a, x, u), v)
+    return mul(a, x, mul(b, u, v))
+
+
 def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
     """Every axiom of `identity`, with `ops` mapping roles to op names.
 
@@ -185,16 +195,16 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
     elif mode == "sampled":
         rng = random.Random(seed)
         block = max(1, _CHUNK_ENTRIES // max(1, d * d))
+
+        def mul(role, U, V):
+            return alg.multiply_batch(ops[role], U, V)
+
         for lo in range(0, samples, block):
             n = min(block, samples - lo)
             T = alg.sample_array(3 * n, rng).reshape(n, 3, d)
 
             def bracketing(form, pair):
-                a, b = pair
-                x, u, v = (T[:, "xyz".index(c)] for c in form if c in "xyz")
-                if form[0] == "(":
-                    return alg.multiply_batch(ops[b], alg.multiply_batch(ops[a], x, u), v)
-                return alg.multiply_batch(ops[a], x, alg.multiply_batch(ops[b], u, v))
+                return _bracketing(mul, form, pair, T.swapaxes(0, 1))
 
             sides = [(side(lhs_terms, bracketing), side(rhs_terms, bracketing))
                      for _, lhs_terms, rhs_terms in axioms]
@@ -296,15 +306,16 @@ def _grid(alg: Algebra, cap, seed, samples):
     return X, Coverage("sampled", samples, seed)
 
 
-def _operator_failures(alg, op, X, PX, tag=()):
+def _operator_failures(right_stack, m, p, X, PX, tag=()):
     """(count, witnesses) of the rows x with r_x ** p != r_{f(x)}, f(x) the
-    same row of PX; each witness's inputs are `tag` followed by x."""
-    p, d = alg.p, alg.dim
+    same row of PX, where right_stack maps (N, dim) rows to their (N, m, m)
+    right operators; each witness's inputs are `tag` followed by x, and each
+    chunk keeps its first WITNESS_LIMIT failures in row order."""
     witnesses, failures = [], 0
-    block = max(1, _CHUNK_ENTRIES // max(1, d * d))
+    block = max(1, _CHUNK_ENTRIES // max(1, m * m))
     for lo in range(0, X.shape[0], block):
-        Rp = stack_mat_pow(alg.right_mult_stack(op, X[lo:lo + block]), p, p)
-        Rf = alg.right_mult_stack(op, PX[lo:lo + block])
+        Rp = stack_mat_pow(right_stack(X[lo:lo + block]), p, p)
+        Rf = right_stack(PX[lo:lo + block])
         bad = np.flatnonzero(((Rp - Rf) % p).any(axis=(1, 2)))
         failures += bad.size
         for n in bad[:WITNESS_LIMIT]:
@@ -315,7 +326,9 @@ def _operator_failures(alg, op, X, PX, tag=()):
 def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples, notes=()):
     """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
     X, coverage = _grid(alg, cap, seed, samples)
-    failures, witnesses = _operator_failures(alg, op, X, alg.apply_pmap_batch(pmap, X))
+    failures, witnesses = _operator_failures(
+        lambda rows: alg.right_mult_stack(op, rows), alg.dim, alg.p, X,
+        alg.apply_pmap_batch(pmap, X))
     return _report(identity, witnesses, failures, coverage, notes)
 
 
@@ -382,7 +395,8 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
             )
 
     # axiom 2: operator condition
-    count, found = _operator_failures(alg, bracket, X, PX, ("axiom2",))
+    count, found = _operator_failures(lambda rows: alg.right_mult_stack(bracket, rows),
+                                      alg.dim, p, X, PX, ("axiom2",))
     failures += count
     witnesses += found
 

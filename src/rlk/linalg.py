@@ -17,27 +17,6 @@ def mat_mod(m, p: int):
     return np.asarray(m, dtype=np.int64) % p
 
 
-def mat_mul(a, b, p: int):
-    return (np.matmul(a, b)) % p
-
-
-def mat_pow(m, n: int, p: int):
-    """Square-and-multiply power of a square matrix mod p; n >= 0."""
-    m = mat_mod(m, p)
-    if m.shape[0] != m.shape[1]:
-        raise UsageError(f"matrix power needs a square matrix, got {m.shape}")
-    if n < 0:
-        raise UsageError("negative matrix power")
-    out = np.eye(m.shape[0], dtype=np.int64)
-    base = m
-    while n:
-        if n & 1:
-            out = mat_mul(out, base, p)
-        base = mat_mul(base, base, p)
-        n >>= 1
-    return out
-
-
 def _eliminate(v: dict, lead_rows: dict, p: int) -> dict:
     """Clear, in place, every column of the sparse row v that leads a row of
     lead_rows (lead column -> row with lead coefficient 1 and every other

@@ -100,6 +100,19 @@ def _power_factors(g: Algebra, R: Algebra, bracket: str, half: str, y, b):
     return z, w
 
 
+def _formula_value(g: Algebra, R: Algebra, bracket: str, half: str, y, b):
+    """The formal p-th power of y⊗b as the outer product of its two factors,
+    with the vanishing of the half-shuffle factor asserted."""
+    z, w = _power_factors(g, R, bracket, half, y, b)
+    if any(w):
+        raise DomainError(
+            f"half-shuffle factor of the p-th power failed to vanish at "
+            f"{(tuple(y), tuple(b))}: got {w}"
+        )
+    v = np.outer(z, w).ravel() % g.p
+    return tuple(int(c) for c in v)
+
+
 class TensorFormulaPMap:
     """Formal p-th power attached to an assembled tensor product algebra.
 
@@ -121,15 +134,7 @@ class TensorFormulaPMap:
             y, b = _split_pure(self.gfactor, self.rfactor, x)
         except UsageError:
             return alg.zero()
-        z, w = _power_factors(self.gfactor, self.rfactor,
-                              self.bracket, self.half, y, b)
-        if any(w):
-            raise DomainError(
-                f"half-shuffle factor of the p-th power failed to vanish at "
-                f"{(y, b)}: got {w}"
-            )
-        v = np.outer(z, w).ravel() % alg.p
-        return tuple(int(c) for c in v)
+        return _formula_value(self.gfactor, self.rfactor, self.bracket, self.half, y, b)
 
     def apply_batch(self, alg: Algebra, X: np.ndarray) -> np.ndarray:
         return np.array(
@@ -249,14 +254,7 @@ def tensor_pmap(T: TensorAlgebraHandle, y, b=None):
     attached to the product algebra."""
     if b is None:
         y, b = T.split_pure(y)
-    z, w = tensor_pmap_factors(T, y, b)
-    if any(w):
-        raise DomainError(
-            f"half-shuffle factor of the p-th power failed to vanish at "
-            f"{(tuple(y), tuple(b))}: got {w}"
-        )
-    v = np.outer(z, w).ravel() % T.product.p
-    return tuple(int(c) for c in v)
+    return _formula_value(T.gfactor, T.rfactor, T.gbracket, T.rhalf, y, b)
 
 
 def tensor_pmap_factors(T: TensorAlgebraHandle, y, b=None):

@@ -14,7 +14,6 @@ from rlk.algebra_core import (
     ZeroPMap,
     enumeration_cap,
     lie_basis_violation,
-    operator_power,
     stack_mat_pow,
 )
 from rlk.errors import UsageError
@@ -84,14 +83,6 @@ def test_batch_helpers_match_single() -> None:
         assert tuple(int(v) for v in Z[n]) == alg.multiply("mul", x, y)
         assert np.array_equal(S[n], alg.right_mult_matrix("mul", x))
         assert np.array_equal(L[n], alg.left_mult_matrix("mul", x))
-
-
-def test_operator_power_matches_naive() -> None:
-    rng = random.Random(37)
-    p = 3
-    m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
-    for n in range(6):
-        assert operator_power(m, n, p).tolist() == naive_mat_pow(m, n, p)
 
 
 def test_stack_mat_pow() -> None:
@@ -277,3 +268,8 @@ def test_stack_mat_pow_matches_naive_for_small_exponents() -> None:
             out = stack_mat_pow(stack, n, p)
             for k in range(4):
                 assert out[k].tolist() == naive_mat_pow(stack[k].tolist(), n, p), (p, n)
+
+
+def test_stack_mat_pow_rejects_negative_exponent() -> None:
+    with pytest.raises(UsageError, match="negative"):
+        stack_mat_pow(np.eye(2, dtype=np.int64)[None], -1, 5)

@@ -59,13 +59,9 @@ def test_adjoint_module_matrices_realize_the_bracket():
 def test_action_of_general_elements_is_linear():
     g = l2(3)
     M = adjoint_module(g)
-    x = (2, 1)
-    assert np.array_equal(
-        M.left_of(x), (2 * M.left_action[0] + M.left_action[1]) % 3
-    )
-    assert np.array_equal(
-        M.right_of(x), (2 * M.right_action[0] + M.right_action[1]) % 3
-    )
+    X = np.array([(2, 1), (1, 0), (5, -1)])
+    for (a, b), mat in zip(X, M.right_stack(X)):
+        assert np.array_equal(mat, (a * M.right_action[0] + b * M.right_action[1]) % 3)
 
 
 def test_module_shape_validation():
@@ -74,6 +70,14 @@ def test_module_shape_validation():
         LeibnizModule(g, 2, np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(UsageError, match="dimension"):
         LeibnizModule(g, -1, np.zeros((2, 0, 0)), np.zeros((2, 0, 0)))
+
+
+def test_module_dimension_is_bounded_by_the_modulus():
+    """Module matrix products sum mdim products of residues below p."""
+    g = abelian(2**31 - 1, 1)
+    with pytest.raises(UsageError, match="too large"):
+        zero_module(g, 4)
+    assert zero_module(g, 1).mdim == 1
 
 
 # -- module identities -----------------------------------------------------------

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rlk.errors import UsageError
-from rlk.linalg import RowReducer, mat_pow, rank_mod
+from rlk.linalg import RowReducer, rank_mod
 
-from oracles import gauss_echelon_rows, gauss_nonpivot_columns, gauss_rank, naive_mat_pow
+from oracles import gauss_echelon_rows, gauss_nonpivot_columns, gauss_rank
 
 
 def test_rank_matches_oracle_random() -> None:
@@ -61,23 +61,6 @@ def test_nonpivot_columns_match_oracle() -> None:
             red.add(row)
         mine = [c for c in range(6) if c not in red.pivot_columns()]
         assert mine == gauss_nonpivot_columns(rows, p)
-
-
-def test_mat_pow_matches_naive() -> None:
-    rng = random.Random(17)
-    for p in (2, 3, 5):
-        for _ in range(30):
-            d = rng.randrange(1, 5)
-            m = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-            n = rng.randrange(0, 6)
-            assert np.array_equal(mat_pow(m, n, p), np.array(naive_mat_pow(m, n, p)))
-
-
-def test_mat_pow_rejects_bad_input() -> None:
-    with pytest.raises(UsageError):
-        mat_pow([[1, 2, 3]], 2, 5)
-    with pytest.raises(UsageError):
-        mat_pow([[1]], -1, 5)
 
 
 def test_reducer_rejects_wrong_width() -> None:
