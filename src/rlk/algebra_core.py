@@ -13,7 +13,6 @@ overflow int64.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from types import MappingProxyType
@@ -49,6 +48,15 @@ def enumeration_cap(explicit=None) -> int:
     return DEFAULT_CAP
 
 
+def _tup(row) -> tuple:
+    return tuple(int(v) for v in row)
+
+
+def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
+    """A p-map's value at one element: a one-row call of its apply_batch."""
+    return _tup(pmap.apply_batch(alg, np.asarray(x, dtype=np.int64)[None])[0])
+
+
 def _check_modulus_bound(p: int, dim: int) -> None:
     # one contracted index at a time: sums of dim products of reduced residues
     if dim and dim * (p - 1) * (p - 1) >= 1 << 62:
@@ -60,8 +68,7 @@ class ZeroPMap:
 
     variant = "zero"
 
-    def apply(self, alg: "Algebra", x: Element) -> Element:
-        return alg.zero()
+    apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
         return np.zeros_like(X)
@@ -93,17 +100,10 @@ class RightPowerPMap:
     def _n(self, alg: "Algebra") -> int:
         return alg.p if self.exponent is None else self.exponent
 
-    def apply(self, alg: "Algebra", x: Element) -> Element:
-        v = x
-        for _ in range(self._n(alg) - 1):
-            v = alg.multiply(self.op, v, x)
-        return v
+    apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
-        V = X % alg.p
-        for _ in range(self._n(alg) - 1):
-            V = alg.multiply_batch(self.op, V, X)
-        return V
+        return alg.right_power_batch(self.op, X, self._n(alg))
 
     def validate(self, alg: "Algebra") -> None:
         alg.structure(self.op)
@@ -135,21 +135,52 @@ class MatrixPowerPMap(RightPowerPMap):
 
 
 class TablePMap:
-    """Explicit value table; the domain must cover all p**dim elements."""
+    """Explicit value table; the domain must cover all p**dim elements.
+
+    `__init__` also lays the values out once as an array indexed by the key
+    read in base `radix` (one past the largest key entry: p for a table that
+    passes `validate`), with a mask of the keys present, so `apply_batch` is
+    one gather."""
 
     variant = "table"
 
     def __init__(self, mapping: dict):
         self.mapping = {tuple(k): tuple(v) for k, v in mapping.items()}
+        # no row has an entry in a table that is empty, of mixed arity, or
+        # scattered over a key box much larger than itself
+        self._radix, self._width = 1, -1
+        self._present = np.zeros(1, dtype=bool)
+        self._values = np.zeros((1, 0), dtype=np.int64)
+        keys, values = list(self.mapping), list(self.mapping.values())
+        if len({len(k) for k in keys}) != 1 or len({len(v) for v in values}) != 1:
+            return
+        K = np.array(keys, dtype=np.int64)
+        radix = int(K.max(initial=0)) + 1
+        if K.min(initial=0) < 0 or radix ** K.shape[1] > max(len(keys), DEFAULT_CAP):
+            return
+        self._radix, self._width = radix, K.shape[1]
+        slots = self._slots(K)
+        self._present = np.zeros(radix ** self._width, dtype=bool)
+        self._present[slots] = True
+        self._values = np.zeros((self._present.size, len(values[0])), dtype=np.int64)
+        self._values[slots] = values
 
-    def apply(self, alg: "Algebra", x: Element) -> Element:
-        try:
-            return self.mapping[tuple(x)]
-        except KeyError:
-            raise RuntimeError(f"table pmap has no entry for {x}") from None
+    def _slots(self, X: np.ndarray) -> np.ndarray:
+        return X @ self._radix ** np.arange(self._width - 1, -1, -1, dtype=np.int64)
+
+    apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
-        return np.array([self.apply(alg, tuple(int(c) for c in row)) for row in X], dtype=np.int64)
+        X = np.asarray(X, dtype=np.int64)
+        found = np.zeros(X.shape[0], dtype=bool)
+        slots = np.zeros(X.shape[0], dtype=np.int64)
+        if X.shape[1] == self._width:
+            inside = ((X >= 0) & (X < self._radix)).all(axis=1)
+            slots = np.where(inside, self._slots(X), 0)
+            found = inside & self._present[slots]
+        if not found.all():
+            raise RuntimeError(f"table pmap has no entry for {_tup(X[np.argmin(found)])}")
+        return self._values[slots]
 
     def validate(self, alg: "Algebra") -> None:
         count = alg.p ** alg.dim
@@ -187,9 +218,7 @@ class BasisJacobsonPMap:
         self.bracket = bracket
         self.values = tuple(tuple(v) for v in values)
 
-    def apply(self, alg: "Algebra", x: Element) -> Element:
-        X = np.array(x, dtype=np.int64).reshape(1, alg.dim)
-        return tuple(int(c) for c in self.apply_batch(alg, X)[0])
+    apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
         """One basis coordinate i at a time across all rows: add a**p e_i^[p]
@@ -308,19 +337,25 @@ class Algebra:
         a %= self.p
         return tuple((a * c) % self.p for c in x)
 
-    def _vec(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.int64)
-        if v.shape != (self.dim,):
-            raise UsageError(f"element of shape {v.shape} in dim {self.dim}")
-        return v % self.p
-
     # -- products and operators -------------------------------------------
+    #
+    # The batch kernels below are the one place each operation is computed;
+    # the single-element methods are one-row calls of them.
+
+    def _one_row(self, kernel, op: str, *xs):
+        """kernel(op, ...) on each element as a (1, dim) row, first row out;
+        the op is looked up first, so it is reported before a bad element."""
+        self.structure(op)
+        rows = []
+        for x in xs:
+            v = np.asarray(x, dtype=np.int64)
+            if v.shape != (self.dim,):
+                raise UsageError(f"element of shape {v.shape} in dim {self.dim}")
+            rows.append(v[None] % self.p)
+        return kernel(op, *rows)[0]
 
     def multiply(self, op: str, x: Element, y: Element) -> Element:
-        c = self.structure(op)
-        t = np.tensordot(self._vec(x), c, axes=(0, 0)) % self.p
-        out = (self._vec(y) @ t) % self.p
-        return tuple(int(v) for v in out)
+        return _tup(self._one_row(self.multiply_batch, op, x, y))
 
     def multiply_batch(self, op: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise products of two (N, dim) coefficient arrays."""
@@ -328,17 +363,21 @@ class Algebra:
         t = np.tensordot(X % self.p, c, axes=(1, 0)) % self.p  # (N, j, k)
         return np.einsum("njk,nj->nk", t, Y % self.p) % self.p
 
+    def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
+        """Row-wise n-fold right powers (((x*x)*x)...*x), n >= 1, of an
+        (N, dim) coefficient array."""
+        V = X % self.p
+        for _ in range(n - 1):
+            V = self.multiply_batch(op, V, X)
+        return V
+
     def right_mult_matrix(self, op: str, x: Element) -> np.ndarray:
         """Matrix of y -> y * x; column i is e_i * x."""
-        c = self.structure(op)
-        m = np.tensordot(c, self._vec(x), axes=(1, 0)) % self.p  # (i, k)
-        return m.T.copy()
+        return self._one_row(self.right_mult_stack, op, x)
 
     def left_mult_matrix(self, op: str, x: Element) -> np.ndarray:
         """Matrix of y -> x * y; column j is x * e_j."""
-        c = self.structure(op)
-        m = np.tensordot(self._vec(x), c, axes=(0, 0)) % self.p  # (j, k)
-        return m.T.copy()
+        return self._one_row(self.left_mult_stack, op, x)
 
     def right_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
         """(N, dim, dim) stack of right-multiplication matrices."""
@@ -362,7 +401,7 @@ class Algebra:
             ) from None
 
     def apply_pmap(self, name: str, x: Element) -> Element:
-        return self.pmap(name).apply(self, self.element(x))
+        return _apply_one_row(self.pmap(name), self, self.element(x))
 
     def apply_pmap_batch(self, name: str, X: np.ndarray) -> np.ndarray:
         return self.pmap(name).apply_batch(self, np.asarray(X, dtype=np.int64) % self.p)
@@ -376,15 +415,11 @@ class Algebra:
         return self.element_count() <= enumeration_cap(cap)
 
     def enumerate_elements(self, cap=None):
-        """All p**dim elements in lexicographic coefficient order."""
-        if not self.can_enumerate(cap):
-            raise UsageError(
-                f"{self.element_count()} elements exceed cap {enumeration_cap(cap)}"
-            )
-        return itertools.product(range(self.p), repeat=self.dim)
+        """All p**dim elements as tuples, in the order of elements_array."""
+        return map(_tup, self.elements_array(cap))
 
     def elements_array(self, cap=None) -> np.ndarray:
-        """(p**dim, dim) array of all elements, same order as enumerate_elements."""
+        """(p**dim, dim) array of all elements in lexicographic coefficient order."""
         if not self.can_enumerate(cap):
             raise UsageError(
                 f"{self.element_count()} elements exceed cap {enumeration_cap(cap)}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra_core import Algebra, Element, MatrixPowerPMap, RightPowerPMap
+from .algebra_core import Algebra, Element, MatrixPowerPMap, RightPowerPMap, _tup
 from .errors import UsageError
 from .identities import (
     CheckReport,
@@ -113,27 +113,17 @@ def _dleib_reports(D: Algebra, left: str, right: str, cap, seed: int, samples: i
 # -- iterated-power compatibility ------------------------------------------------
 
 
-def _iterated_power(alg: Algebra, op: str, x: Element, n: int) -> Element:
-    v = x
-    for _ in range(n - 1):
-        v = alg.multiply(op, v, x)
-    return v
-
-
 def check_lemdias(D: Algebra, x: Element, y: Element, n: int,
                   left: str = "left", right: str = "right") -> CheckReport:
     """x -| (n-fold -| power of y)  ==  x -| (n-fold |- power of y)."""
     if n < 1:
         raise UsageError(f"power must be >= 1, got {n}")
     x, y = D.element(x), D.element(y)
-    lhs = D.multiply(left, x, _iterated_power(D, left, y, n))
-    rhs = D.multiply(left, x, _iterated_power(D, right, y, n))
-    witnesses = []
-    failures = 0
-    if lhs != rhs:
-        failures = 1
-        witnesses.append(Witness((x, y, n), lhs, rhs))
-    return _report("lemdias", witnesses, failures, Coverage("exhaustive", 1))
+    Y = np.array([y], dtype=np.int64)
+    powers = np.concatenate([D.right_power_batch(left, Y, n), D.right_power_batch(right, Y, n)])
+    lhs, rhs = (_tup(v) for v in D.multiply_batch(left, np.array([x, x], dtype=np.int64), powers))
+    witnesses = [] if lhs == rhs else [Witness((x, y, n), lhs, rhs)]
+    return _report("lemdias", witnesses, len(witnesses), Coverage("exhaustive", 1))
 
 
 def sweep_lemdias(D: Algebra, nmax=None, left: str = "left",
@@ -172,7 +162,7 @@ def sweep_lemdias(D: Algebra, nmax=None, left: str = "left",
 
 
 def matrix_dialgebra(D: Algebra, n: int, left: str = "left",
-                     right: str = "right", max_dim: int = MATRIX_DIM_BOUND) -> Dialgebra:
+                     right: str = "right") -> Dialgebra:
     """gl_n(D): matrices over D with entrywise-sum products for -| and |-.
 
     Basis (i, j, a) -> E_ij e_a at flat index (i*n + j)*dim(D) + a; the
@@ -181,8 +171,8 @@ def matrix_dialgebra(D: Algebra, n: int, left: str = "left",
     if n < 1:
         raise UsageError(f"matrix size must be >= 1, got {n}")
     dim = n * n * D.dim
-    if dim > max_dim:
-        raise UsageError(f"gl_{n} carrier has dim {dim} > bound {max_dim}")
+    if dim > MATRIX_DIM_BOUND:
+        raise UsageError(f"gl_{n} carrier has dim {dim} > bound {MATRIX_DIM_BOUND}")
     ops = {}
     for name, c in (("left", D.structure(left)), ("right", D.structure(right))):
         big = np.zeros((dim, dim, dim), dtype=np.int64)

@@ -23,13 +23,13 @@ word algebra on 2·dim(g) letters (letter i acts as [e_i, -], letter dim+i as
 - (r_y + l_y) l_x = 0                  (mixed annihilation)
 - r_{x^[p]} = r_x^p                    (p-power compatibility)
 
-The first two signs are derived from the module identities; a variant with
-both composites subtracted is available behind a flag for demonstration, and
-is genuinely different (nonzero residual on small fixtures in odd
-characteristic).  `ulp_truncated` divides the degree-truncated word algebra
-by the two-sided ideal these relations span; `module_roundtrip` turns a
-module into a word action, confirms every relation acts as zero, and reads
-the module back bit-exactly.
+The first two signs are derived from the module identities; subtracting
+both composites instead gives a genuinely different relation, which fails
+on L2 in odd characteristic and agrees with these mod 2.  `ulp_truncated`
+divides the degree-truncated word algebra by the two-sided ideal these
+relations span; `module_roundtrip` turns a module into a word action,
+confirms every relation acts as zero, and reads the module back
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Algebra, _check_modulus_bound
+from .algebra_core import Algebra, _check_modulus_bound, _tup
 from .errors import UsageError
 from .free_structures import (
     QuotientPresentation,
@@ -55,7 +55,6 @@ from .identities import (
     _grid,
     _operator_failures,
     _report,
-    _tup,
     check_leibniz,
     check_restricted_leibniz,
 )
@@ -182,14 +181,12 @@ def check_restricted_module(g: Algebra, M: LeibnizModule,
 # -- relation words ------------------------------------------------------------
 
 
-def _relation_terms(g: Algebra, pmap: str, bracket: str, printed_signs: bool,
-                    cap, seed, samples):
+def _relation_terms(g: Algebra, pmap: str, bracket: str, cap, seed, samples):
     """The four relation families as (tag, key, [(word, coeff), ...]) triples,
     in letter convention: letter i = left action of e_i, letter n+i = right.
     Bilinear families are instantiated on basis pairs, the p-power family on
     enumerated or sampled elements of g."""
     p, n = g.p, g.dim
-    sign = -1 if printed_signs else 1
     brackets = g.structure(bracket).tolist()
     out = []
     for i in range(n):
@@ -198,9 +195,9 @@ def _relation_terms(g: Algebra, pmap: str, bracket: str, printed_signs: bool,
             rbr = [((n + k,), c % p) for k, c in enumerate(br) if c % p]
             lbr = [((k,), c % p) for k, c in enumerate(br) if c % p]
             out.append(("r_bracket", (i, j),
-                        rbr + [((n + i, n + j), -1), ((n + j, n + i), sign)]))
+                        rbr + [((n + i, n + j), -1), ((n + j, n + i), 1)]))
             out.append(("l_bracket", (i, j),
-                        lbr + [((i, n + j), -1), ((n + j, i), sign)]))
+                        lbr + [((i, n + j), -1), ((n + j, i), 1)]))
             out.append(("l_kills_symmetrized", (i, j),
                         [((n + j, i), 1), ((j, i), 1)]))
     instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
@@ -256,19 +253,14 @@ def _relation_failures(act, terms, key_prefix, p):
 
 def ulp_relations_check(g: Algebra, M: LeibnizModule,
                         pmap: str = "frobenius", bracket: str = "bracket",
-                        printed_signs: bool = False, cap=None, seed: int = 0,
-                        samples: int = 400) -> CheckReport:
-    """Each relation word family, evaluated as operators on the module and
-    asserted zero.  With printed_signs=True both composites of the two
-    bracket-compatibility relations are subtracted, which is inconsistent
-    with the module identities and fails on small fixtures in odd
-    characteristic."""
+                        cap=None, seed: int = 0, samples: int = 400) -> CheckReport:
+    """Each relation word family, with the derived signs, evaluated as
+    operators on the module and asserted zero."""
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    terms, note = _relation_terms(g, pmap, bracket, printed_signs, cap, seed,
-                                  samples)
+    terms, note = _relation_terms(g, pmap, bracket, cap, seed, samples)
     failures, witnesses = _relation_failures(_word_action(M), terms, (), g.p)
-    notes = ("printed signs" if printed_signs else "derived signs", note)
+    notes = ("derived signs", note)
     return _report("ulp_relations", witnesses, failures,
                    Coverage("exhaustive", len(terms)), notes)
 
@@ -290,7 +282,7 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None,
             f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
         )
     W = word_ambient(2 * g.dim, d, g.p, label=f"ul_words({g.label})")
-    terms, note = _relation_terms(g, pmap, bracket, False, cap, seed, samples)
+    terms, note = _relation_terms(g, pmap, bracket, cap, seed, samples)
     rels = []
     for _tag, _key, words in terms:
         rel = {}
@@ -327,7 +319,7 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
         )
     p, n = g.p, g.dim
     act = _word_action(M)
-    terms, note = _relation_terms(g, pmap, bracket, False, cap, seed, samples)
+    terms, note = _relation_terms(g, pmap, bracket, cap, seed, samples)
     failures, witnesses = _relation_failures(act, terms, ("relation",), p)
     for i in range(n):
         for tag, original, letter in (

@@ -254,10 +254,10 @@ class GradedBasisAlgebra:
 
     # -- conversions -----------------------------------------------------------
 
-    def to_algebra(self, bound: int = DENSE_DIM_BOUND) -> Algebra:
-        """Dense structure-constant copy (small dimensions only)."""
-        if self.dim > bound:
-            raise UsageError(f"dim {self.dim} exceeds dense bound {bound}")
+    def to_algebra(self) -> Algebra:
+        """Dense structure-constant copy (dimensions up to DENSE_DIM_BOUND)."""
+        if self.dim > DENSE_DIM_BOUND:
+            raise UsageError(f"dim {self.dim} exceeds dense bound {DENSE_DIM_BOUND}")
         ops = {}
         for op in self.op_names:
             c = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
@@ -506,7 +506,7 @@ def _pmap_instances(g: Algebra, pmap: str, cap, seed, samples):
     basis vectors plus a seeded sample (p-maps are not linear); returned with
     the p-map values of those elements, from one batch call, and a note."""
     if g.can_enumerate(cap):
-        out = list(g.enumerate_elements(cap))
+        out = g.elements_array(cap).tolist()
         note = f"p-relations on all {g.element_count()} elements"
     else:
         rng = random.Random(seed)
@@ -542,6 +542,21 @@ def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, bracket, cap, seed, sampl
     return pairs, note
 
 
+def _ud_presentation(g: Algebra, pmap: str, d: int, bracket: str, cap, seed, samples):
+    """ud_p's presentation, the relation pairs of _ud_pairs it divides out,
+    and whether truncation touched the build of those pairs."""
+    rep = check_restricted_leibniz(g, bracket, pmap, cap=cap, seed=seed)
+    if not rep.ok():
+        raise UsageError(
+            f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
+        )
+    F = free_dias(g.dim, d, g.p)
+    with OverflowProbe(F) as probe:
+        pairs, note = _ud_pairs(F, g, pmap, bracket, cap, seed, samples)
+    rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
+    return truncated_ideal_quotient(F, rels, notes=(note,)), pairs, probe.triggered
+
+
 def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3,
          bracket: str = "bracket", cap=None, seed: int = 0,
          samples: int = 64) -> QuotientPresentation:
@@ -551,15 +566,7 @@ def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3,
     and embedded p-map values minus p-fold |- powers on the instantiated
     element set.
     """
-    rep = check_restricted_leibniz(g, bracket, pmap, cap=cap, seed=seed)
-    if not rep.ok():
-        raise UsageError(
-            f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
-        )
-    F = free_dias(g.dim, d, g.p)
-    pairs, note = _ud_pairs(F, g, pmap, bracket, cap, seed, samples)
-    rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
-    return truncated_ideal_quotient(F, rels, notes=(note,))
+    return _ud_presentation(g, pmap, d, bracket, cap, seed, samples)[0]
 
 
 def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3,
@@ -567,9 +574,7 @@ def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3,
                   samples: int = 64) -> CheckReport:
     """The degree-one embedding respects brackets on basis pairs and p-maps
     on the instantiated elements, inside the quotient."""
-    pres = ud_p(g, pmap, d, bracket, cap, seed, samples)
-    with OverflowProbe(pres.ambient) as probe:
-        pairs, note = _ud_pairs(pres.ambient, g, pmap, bracket, cap, seed, samples)
+    pres, pairs, touched = _ud_presentation(g, pmap, d, bracket, cap, seed, samples)
     witnesses, failures = [], 0
     for key, lhs, rhs in pairs:
         lhs, rhs = pres.project(lhs), pres.project(rhs)
@@ -578,12 +583,13 @@ def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3,
             if len(witnesses) < WITNESS_LIMIT:
                 witnesses.append(Witness(key, tuple(int(v) for v in lhs),
                                          tuple(int(v) for v in rhs)))
-    notes = (note,) + pres.notes
-    if probe.triggered:
+    # the pairs' note, then the presentation's notes, which start with it
+    notes = pres.notes[:1] + pres.notes
+    if touched:
         notes += (f"truncation above degree {d} touched the sweep",)
     return _report("ud_unit", witnesses, failures,
                    Coverage("exhaustive", len(pairs)), notes,
-                   inconclusive=probe.triggered)
+                   inconclusive=touched)
 
 
 # -- both-products-identified quotient --------------------------------------------------

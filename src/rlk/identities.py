@@ -20,6 +20,7 @@ import numpy as np
 from .algebra_core import (
     Algebra,
     Element,
+    _tup,
     lie_basis_violation,
     stack_mat_pow,
 )
@@ -28,6 +29,8 @@ from .scalars import inv_mod
 
 WITNESS_LIMIT = 16
 _CHUNK_ENTRIES = 1 << 21
+# axiom-3 pairs of check_restricted_lie: all of them up to this many, else sampled
+PAIR_BUDGET = 4096
 
 
 def _jsonable(v):
@@ -280,10 +283,6 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, bracket) -> list:
     return out
 
 
-def _tup(row) -> tuple:
-    return tuple(int(v) for v in row)
-
-
 def jacobson_si(alg: Algebra, bracket: str, x: Element, y: Element) -> list:
     """Polarization coefficients s_1..s_{p-1} of the named bracket."""
     X, Y = (np.array([alg.element(v)], dtype=np.int64) for v in (x, y))
@@ -359,15 +358,14 @@ def check_restricted_prelie(alg: Algebra, op: str = "prelie",
 
 
 def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pmap",
-                         cap=None, seed: int = 0, samples: int = 200,
-                         pair_budget: int = 4096) -> CheckReport:
+                         cap=None, seed: int = 0, samples: int = 200) -> CheckReport:
     """The three restricted-Lie axioms for the named p-map.
 
     1. (a x)^[p] = a**p x^[p] for every scalar a;
     2. r_{y^[p]} = r_y**p as operators (equivalently [x, y^[p]] is the p-fold
        right bracketing of x by y for every x);
     3. (x+y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).
-    Pairs for axiom 3 are enumerated when their number fits pair_budget,
+    Pairs for axiom 3 are enumerated when their number fits PAIR_BUDGET,
     otherwise sampled with the given seed.
     """
     bad = lie_basis_violation(alg, bracket)
@@ -401,12 +399,12 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     witnesses += found
 
     # axiom 3: Jacobson sum over pairs
-    if N * N <= pair_budget:
+    if N * N <= PAIR_BUDGET:
         pair_cov = Coverage("exhaustive", N * N)
         I, J = np.repeat(np.arange(N), N), np.tile(np.arange(N), N)
     else:
         rng = random.Random(seed + 1)
-        npairs = min(pair_budget, max(samples, 1))
+        npairs = min(PAIR_BUDGET, max(samples, 1))
         I, J = np.array([(rng.randrange(N), rng.randrange(N)) for _ in range(npairs)]).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
     S = alg.apply_pmap_batch(pmap, X[I] + X[J])
@@ -445,10 +443,7 @@ def _dleib_jacobson_sides(D: Algebra, Z, X, Y, left: str, right: str):
     def bracket(U, V):
         return (D.multiply_batch(left, U, V) - D.multiply_batch(right, V, U)) % p
 
-    base = np.concatenate([X + Y, X, Y]) % p
-    power = base
-    for _ in range(p - 1):
-        power = D.multiply_batch(right, power, base)
+    power = D.right_power_batch(right, np.concatenate([X + Y, X, Y]), p)
     s_sum = sum(jacobson_terms_batch(p, X, Y, bracket)) % p
     B = bracket(np.tile(Z, (4, 1)), np.concatenate([power, s_sum])).reshape(4, N, D.dim)
     return B[0], (B[1] + B[2] + B[3]) % p

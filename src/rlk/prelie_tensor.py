@@ -46,6 +46,8 @@ from .algebra_core import (
     Algebra,
     BasisJacobsonPMap,
     ZeroPMap,
+    _apply_one_row,
+    _tup,
     lie_basis_violation,
     stack_mat_pow,
 )
@@ -62,55 +64,56 @@ from .identities import (
     check_restricted_lie,
     check_zinbiel,
 )
+from .scalars import inv_mod
 
 import random
 
 PRODUCT_DIM_BOUND = 64
 
 
-def _split_pure(g: Algebra, R: Algebra, u):
-    """Factor u in g⊗R as (y, b) with u = y⊗b, or raise if its coefficient
-    matrix has rank above one."""
+def _split_pure(g: Algebra, R: Algebra, U):
+    """Factor each row u of U as y⊗b: y is the column of u's coefficient
+    matrix through its first nonzero entry, and b is that entry's row scaled
+    to 1 there (0⊗0 for u = 0).  Returns (Y, B, pure), where pure marks the
+    rows whose coefficient matrix has rank at most one."""
     p = g.p
-    M = np.asarray(u, dtype=np.int64).reshape(g.dim, R.dim) % p
-    nz = np.argwhere(M != 0)
-    if nz.size == 0:
-        return g.zero(), R.zero()
-    i0, j0 = (int(v) for v in nz[0])
-    inv = pow(int(M[i0, j0]), p - 2, p)
-    y = M[:, j0] % p
-    b = (M[i0, :] * inv) % p
-    if not np.array_equal(np.outer(y, b) % p, M):
-        raise UsageError("element is not a pure tensor")
-    return tuple(int(v) for v in y), tuple(int(v) for v in b)
+    M = (np.asarray(U, dtype=np.int64) % p).reshape(-1, g.dim, R.dim)
+    N, flat = M.shape[0], M.reshape(M.shape[0], -1)
+    if not flat.size:  # no coefficients, so every row is 0 = 0⊗0
+        return np.zeros((N, g.dim), np.int64), np.zeros((N, R.dim), np.int64), np.ones(N, bool)
+    first = np.argmax(flat != 0, axis=1)
+    I0, J0 = np.divmod(first, R.dim)
+    rows = np.arange(N)
+    leads, where = np.unique(flat[rows, first], return_inverse=True)
+    inv = np.array([inv_mod(int(a), p) if a else 0 for a in leads], dtype=np.int64)
+    Y = M[rows, :, J0]
+    B = (M[rows, I0, :] * inv[where.reshape(N)][:, None]) % p
+    pure = (np.einsum("ni,nj->nij", Y, B) % p == M).all(axis=(1, 2))
+    return Y, B, pure
 
 
-def _power_factors(g: Algebra, R: Algebra, bracket: str, half: str, y, b):
-    """Both factors of the formal p-th power of the pure tensor y⊗b:
-    p-fold left-iterated bracket of y, and b right-half-shuffled by itself
-    p times (whose value is p! times a right-nested product, hence 0)."""
+def _power_factors(g: Algebra, R: Algebra, bracket: str, half: str, Y, B):
+    """The two factors of the formal p-th power of y⊗b, for the rows y of Y
+    and b of B: the p-fold left-iterated bracket of y, and b right
+    half-shuffled by itself p times (p! times a right-nested product,
+    hence 0)."""
     p = g.p
-    y, b = g.element(y), R.element(b)
-    z = y
-    for _ in range(p - 1):
-        z = g.multiply(bracket, z, y)
-    w = b
-    for _ in range(p):
-        w = R.multiply(half, w, b)
-    return z, w
+    return g.right_power_batch(bracket, Y, p), R.right_power_batch(half, B, p + 1)
 
 
-def _formula_value(g: Algebra, R: Algebra, bracket: str, half: str, y, b):
-    """The formal p-th power of y⊗b as the outer product of its two factors,
-    with the vanishing of the half-shuffle factor asserted."""
-    z, w = _power_factors(g, R, bracket, half, y, b)
-    if any(w):
+def _formula_values(g: Algebra, R: Algebra, bracket: str, half: str, Y, B):
+    """The formal p-th powers of the pure tensors y⊗b, one per row pair of Y
+    and B, as outer products of their two factors, with the vanishing of
+    the half-shuffle factor asserted."""
+    Z, W = _power_factors(g, R, bracket, half, Y, B)
+    bad = np.flatnonzero(W.any(axis=1))
+    if bad.size:
+        n = bad[0]
         raise DomainError(
             f"half-shuffle factor of the p-th power failed to vanish at "
-            f"{(tuple(y), tuple(b))}: got {w}"
+            f"{(_tup(Y[n]), _tup(B[n]))}: got {_tup(W[n])}"
         )
-    v = np.outer(z, w).ravel() % g.p
-    return tuple(int(c) for c in v)
+    return np.einsum("ni,nj->nij", Z, W).reshape(len(Z), g.dim * R.dim) % g.p
 
 
 class TensorFormulaPMap:
@@ -129,18 +132,14 @@ class TensorFormulaPMap:
         self.bracket = bracket
         self.half = half
 
-    def apply(self, alg: Algebra, x):
-        try:
-            y, b = _split_pure(self.gfactor, self.rfactor, x)
-        except UsageError:
-            return alg.zero()
-        return _formula_value(self.gfactor, self.rfactor, self.bracket, self.half, y, b)
+    apply = _apply_one_row
 
     def apply_batch(self, alg: Algebra, X: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.apply(alg, tuple(int(c) for c in row)) for row in X],
-            dtype=np.int64,
-        )
+        g, R = self.gfactor, self.rfactor
+        Y, B, pure = _split_pure(g, R, X)
+        out = np.zeros((pure.size, alg.dim), dtype=np.int64)
+        out[pure] = _formula_values(g, R, self.bracket, self.half, Y[pure], B[pure])
+        return out
 
     def validate(self, alg: Algebra) -> None:
         if alg.dim != self.gfactor.dim * self.rfactor.dim:
@@ -185,7 +184,10 @@ class TensorAlgebraHandle:
 
     def split_pure(self, u):
         """Inverse of `pure` up to scalar regrouping; raises on non-pure input."""
-        return _split_pure(self.gfactor, self.rfactor, self.product.element(u))
+        Y, B, pure = _split_pure(self.gfactor, self.rfactor, [self.product.element(u)])
+        if not pure[0]:
+            raise UsageError("element is not a pure tensor")
+        return _tup(Y[0]), _tup(B[0])
 
     def __repr__(self):
         return (
@@ -243,6 +245,14 @@ def tensor_prelie(g: Algebra, R, bracket: str = "bracket",
     return T
 
 
+def _pure_rows(T: TensorAlgebraHandle, y, b):
+    """y and b as one-row arrays; a single product element is split first."""
+    if b is None:
+        y, b = T.split_pure(y)
+    return (np.array([T.gfactor.element(y)], dtype=np.int64),
+            np.array([T.rfactor.element(b)], dtype=np.int64))
+
+
 def tensor_pmap(T: TensorAlgebraHandle, y, b=None):
     """Formal p-th power of the pure tensor y⊗b (y in g, b in R), or of a
     single product element that must factor as a pure tensor.
@@ -252,17 +262,24 @@ def tensor_pmap(T: TensorAlgebraHandle, y, b=None):
     Non-pure single-element input is a usage error: the formula is defined on
     pure tensors only, and the whole-space extension is owned by the p-maps
     attached to the product algebra."""
-    if b is None:
-        y, b = T.split_pure(y)
-    return _formula_value(T.gfactor, T.rfactor, T.gbracket, T.rhalf, y, b)
+    Y, B = _pure_rows(T, y, b)
+    return _tup(_formula_values(T.gfactor, T.rfactor, T.gbracket, T.rhalf, Y, B)[0])
 
 
 def tensor_pmap_factors(T: TensorAlgebraHandle, y, b=None):
     """Both factors of the formal p-th power of y⊗b, exactly as computed:
     (p-fold left-iterated bracket of y, p-fold right half-shuffle of b)."""
-    if b is None:
-        y, b = T.split_pure(y)
-    return _power_factors(T.gfactor, T.rfactor, T.gbracket, T.rhalf, y, b)
+    Y, B = _pure_rows(T, y, b)
+    Z, W = _power_factors(T.gfactor, T.rfactor, T.gbracket, T.rhalf, Y, B)
+    return _tup(Z[0]), _tup(W[0])
+
+
+def _keep(witnesses, rows, witness) -> int:
+    """Append witness(*row) for the first rows while fewer than WITNESS_LIMIT
+    witnesses are kept; returns the number of rows."""
+    for row in rows[:max(0, WITNESS_LIMIT - len(witnesses))]:
+        witnesses.append(witness(*row))
+    return len(rows)
 
 
 def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
@@ -273,66 +290,35 @@ def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
     asserted-zero formula value on every basis pure tensor."""
     g, R, A = T.gfactor, T.rfactor, T.product
     p = A.p
-    witnesses, failures, count = [], 0, 0
+    witnesses = []
 
     cg = g.structure(T.gbracket)
     B = np.einsum("ijm,kmn->kijn", cg, cg) % p
     anti = (B + B.transpose(0, 2, 1, 3)) % p
-    bad = np.argwhere(anti.any(axis=3))
-    failures += bad.shape[0]
-    for k, i, j in bad[:WITNESS_LIMIT]:
-        if len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(
-                Witness(("inner_antisym", int(k), int(i), int(j)),
-                        tuple(int(v) for v in B[k, i, j]),
-                        tuple(int(-v) % p for v in B[k, j, i]))
-            )
-    count += g.dim ** 3
+    failures = _keep(witnesses, np.argwhere(anti.any(axis=3)), lambda k, i, j: Witness(
+        ("inner_antisym", int(k), int(i), int(j)), _tup(B[k, i, j]),
+        tuple(int(-v) % p for v in B[k, j, i])))
     idx = np.arange(g.dim)
     sq = B[:, idx, idx, :]
-    bad = np.argwhere(sq.any(axis=2))
-    failures += bad.shape[0]
-    for k, i in bad[:WITNESS_LIMIT]:
-        if len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(
-                Witness(("inner_square", int(k), int(i)),
-                        tuple(int(v) for v in sq[k, i]),
-                        g.zero())
-            )
-    count += g.dim ** 2
+    failures += _keep(witnesses, np.argwhere(sq.any(axis=2)), lambda k, i: Witness(
+        ("inner_square", int(k), int(i)), _tup(sq[k, i]), g.zero()))
 
-    eye = np.eye(A.dim, dtype=np.int64)
-    Rp = stack_mat_pow(A.right_mult_stack("prelie", eye), p, p)
-    bad = np.argwhere(Rp.any(axis=(1, 2)))
-    failures += bad.shape[0]
-    for (u,) in bad[:WITNESS_LIMIT]:
-        if len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(
-                Witness(("basis_operator", int(u)), Rp[u], np.zeros_like(Rp[u]))
-            )
-    count += A.dim
+    Rp = stack_mat_pow(A.right_mult_stack("prelie", np.eye(A.dim, dtype=np.int64)), p, p)
+    failures += _keep(witnesses, np.argwhere(Rp.any(axis=(1, 2))), lambda u: Witness(
+        ("basis_operator", int(u)), Rp[u], np.zeros_like(Rp[u])))
 
-    for i in range(g.dim):
-        for j in range(R.dim):
-            z, w = tensor_pmap_factors(T, g.basis(i), R.basis(j))
-            count += 1
-            if any(w):
-                failures += 1
-                if len(witnesses) < WITNESS_LIMIT:
-                    witnesses.append(Witness(("power_factor", i, j), w, R.zero()))
+    # the factors of e_i⊗f_j are those of e_i and of f_j
+    _, W = _power_factors(g, R, T.gbracket, T.rhalf, np.eye(g.dim, dtype=np.int64),
+                          np.eye(R.dim, dtype=np.int64))
+    pairs = [(i, int(j)) for i in range(g.dim) for j in np.flatnonzero(W.any(axis=1))]
+    failures += _keep(witnesses, pairs, lambda i, j: Witness(
+        ("power_factor", i, j), _tup(W[j]), R.zero()))
 
-    rng = random.Random(seed)
-    X = A.sample_array(samples, rng)
+    X = A.sample_array(samples, random.Random(seed))
     Rps = stack_mat_pow(A.right_mult_stack("prelie", X), p, p)
-    bad = np.argwhere(Rps.any(axis=(1, 2)))
-    failures += bad.shape[0]
-    for (n,) in bad[:WITNESS_LIMIT]:
-        if len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(
-                Witness(("sampled_operator", tuple(int(v) for v in X[n])),
-                        Rps[n], np.zeros_like(Rps[n]))
-            )
-    count += samples
+    failures += _keep(witnesses, np.argwhere(Rps.any(axis=(1, 2))), lambda n: Witness(
+        ("sampled_operator", _tup(X[n])), Rps[n], np.zeros_like(Rps[n])))
+    count = g.dim ** 3 + g.dim ** 2 + A.dim + g.dim * R.dim + samples
 
     notes = (
         f"general-element operators sampled({samples}) seed {seed}",
@@ -386,16 +372,10 @@ def check_corollary(T: TensorAlgebraHandle, seed: int = 0,
         - np.einsum("kim,ljn->ijklmn", cg, cr)
     ).reshape(d, d, d) % p
     clie = A.structure("lie")
-    witnesses, failures = [], 0
+    witnesses = []
     bad = np.argwhere(((direct - clie) % p).any(axis=2))
-    failures += bad.shape[0]
-    for u, v in bad[:WITNESS_LIMIT]:
-        if len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(
-                Witness(("corollary_bracket", int(u), int(v)),
-                        tuple(int(x) for x in direct[u, v]),
-                        tuple(int(x) for x in clie[u, v]))
-            )
+    failures = _keep(witnesses, bad, lambda u, v: Witness(
+        ("corollary_bracket", int(u), int(v)), _tup(direct[u, v]), _tup(clie[u, v])))
     viol = lie_basis_violation(A, "lie")
     if viol is not None:
         failures += 1
@@ -407,9 +387,7 @@ def check_corollary(T: TensorAlgebraHandle, seed: int = 0,
     rep = check_restricted_lie(A, "lie", "lie_p", cap=cap, seed=seed,
                                samples=samples)
     failures += rep.failure_count
-    for w in rep.witnesses:
-        if len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(w)
+    witnesses += rep.witnesses[:max(0, WITNESS_LIMIT - len(witnesses))]
 
     notes = (
         "p-th-power data: zero on every basis pure tensor, extended by the "

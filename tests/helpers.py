@@ -174,3 +174,24 @@ def tensor_suite(max_product_dim=64):
                 if g.dim * R.dim <= max_product_dim:
                     pairs.append((g, R))
     return pairs
+
+
+def counting(calls, key, fn):
+    """fn, adding 1 to calls[key] on every call."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_per_element_calls(monkeypatch):
+    """Count Algebra.multiply and p-map apply calls from here on; returns the
+    live {"multiply": n, "apply": n} dict."""
+    from rlk.algebra_core import BasisJacobsonPMap, RightPowerPMap
+    from rlk.prelie_tensor import TensorFormulaPMap
+
+    calls = {"multiply": 0, "apply": 0}
+    monkeypatch.setattr(Algebra, "multiply", counting(calls, "multiply", Algebra.multiply))
+    for cls in (ZeroPMap, RightPowerPMap, TablePMap, BasisJacobsonPMap, TensorFormulaPMap):
+        monkeypatch.setattr(cls, "apply", counting(calls, "apply", cls.apply))
+    return calls

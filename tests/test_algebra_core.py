@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -56,23 +57,36 @@ def test_multiply_matches_naive_oracle() -> None:
                 assert alg.multiply("mul", x, y) == naive_multiply(c.tolist(), x, y, p)
 
 
+def _naive_mult_matrices(c, x, p):
+    """Right and left multiplication matrices of x, column by column from
+    the triple-loop product: column i is e_i * x, resp. x * e_i."""
+    dim = len(x)
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    right = [naive_multiply(c, e, x, p) for e in basis]
+    left = [naive_multiply(c, x, e, p) for e in basis]
+    return [list(row) for row in zip(*right)], [list(row) for row in zip(*left)]
+
+
 def test_mult_matrices_agree_with_multiply() -> None:
     rng = random.Random(29)
     p, dim = 5, 4
-    alg = Algebra(p, dim, {"mul": random_structure(p, dim, rng)})
+    c = random_structure(p, dim, rng)
+    alg = Algebra(p, dim, {"mul": c})
     for _ in range(20):
         x = tuple(rng.randrange(p) for _ in range(dim))
         y = tuple(rng.randrange(p) for _ in range(dim))
         rm = alg.right_mult_matrix("mul", x)
         lm = alg.left_mult_matrix("mul", x)
-        assert tuple((rm @ np.array(y)) % p) == alg.multiply("mul", y, x)
-        assert tuple((lm @ np.array(y)) % p) == alg.multiply("mul", x, y)
+        assert (rm.tolist(), lm.tolist()) == _naive_mult_matrices(c.tolist(), x, p)
+        assert tuple((rm @ np.array(y)) % p) == naive_multiply(c.tolist(), y, x, p)
+        assert tuple((lm @ np.array(y)) % p) == naive_multiply(c.tolist(), x, y, p)
 
 
 def test_batch_helpers_match_single() -> None:
     rng = random.Random(31)
     p, dim = 3, 3
-    alg = Algebra(p, dim, {"mul": random_structure(p, dim, rng)})
+    c = random_structure(p, dim, rng)
+    alg = Algebra(p, dim, {"mul": c})
     X = alg.sample_array(25, rng)
     Y = alg.sample_array(25, rng)
     Z = alg.multiply_batch("mul", X, Y)
@@ -80,9 +94,8 @@ def test_batch_helpers_match_single() -> None:
     L = alg.left_mult_stack("mul", X)
     for n in range(25):
         x, y = tuple(int(v) for v in X[n]), tuple(int(v) for v in Y[n])
-        assert tuple(int(v) for v in Z[n]) == alg.multiply("mul", x, y)
-        assert np.array_equal(S[n], alg.right_mult_matrix("mul", x))
-        assert np.array_equal(L[n], alg.left_mult_matrix("mul", x))
+        assert tuple(int(v) for v in Z[n]) == naive_multiply(c.tolist(), x, y, p)
+        assert (S[n].tolist(), L[n].tolist()) == _naive_mult_matrices(c.tolist(), x, p)
 
 
 def test_stack_mat_pow() -> None:
@@ -146,17 +159,15 @@ def test_matrixpower_on_truncated_poly() -> None:
 def test_rightpower_matches_repeated_multiply() -> None:
     rng = random.Random(43)
     p, dim = 3, 3
-    alg = Algebra(
-        p, dim, {"mul": random_structure(p, dim, rng)},
-        {"pw": RightPowerPMap("mul")},
-    )
+    c = random_structure(p, dim, rng)
+    alg = Algebra(p, dim, {"mul": c}, {"pw": RightPowerPMap("mul")})
     X = alg.sample_array(40, rng)
     batch = alg.apply_pmap_batch("pw", X)
     for n in range(40):
         x = tuple(int(v) for v in X[n])
         v = x
         for _ in range(p - 1):
-            v = alg.multiply("mul", v, x)
+            v = naive_multiply(c.tolist(), v, x, p)
         assert alg.apply_pmap("pw", x) == v
         assert tuple(int(e) for e in batch[n]) == v
 
@@ -273,3 +284,129 @@ def test_stack_mat_pow_matches_naive_for_small_exponents() -> None:
 def test_stack_mat_pow_rejects_negative_exponent() -> None:
     with pytest.raises(UsageError, match="negative"):
         stack_mat_pow(np.eye(2, dtype=np.int64)[None], -1, 5)
+
+
+# -- exact at a modulus next to the int64 bound ---------------------------------
+
+# the largest prime p with 3 * (p - 1)**2 < 2**62, the bound that
+# _check_modulus_bound puts on 3-dimensional algebras
+BIG_P = 1239850223
+
+
+def _naive_right_power(c, x, n, p):
+    v = x
+    for _ in range(n - 1):
+        v = naive_multiply(c, v, x, p)
+    return v
+
+
+def _naive_lie_violation(c, p):
+    """lie_basis_violation's witness, searched in the same order by loops."""
+    n = len(c)
+    for i in range(n):
+        if any(c[i][i]):
+            return ("alternating", i, i)
+    for i, j in itertools.product(range(n), repeat=2):
+        if any((a + b) % p for a, b in zip(c[i][j], c[j][i])):
+            return ("antisymmetry", i, j)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        jac = [0] * n
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = c[x][y]
+            for m in range(n):
+                for out in range(n):
+                    jac[out] = (jac[out] + inner[m] * c[m][z][out]) % p
+        if any(jac):
+            return ("jacobi", i, j, k)
+    return None
+
+
+def test_single_element_views_and_powers_exact_near_modulus_bound() -> None:
+    rng = random.Random("views-near-bound")
+    p, dim = BIG_P, 3
+    c = random_structure(p, dim, rng)
+    pmaps = {f"pw{n}": RightPowerPMap("mul", n) for n in range(1, 6)}
+    alg = Algebra(p, dim, {"mul": c}, pmaps)
+    X = alg.sample_array(6, rng)
+    for n in range(1, 6):
+        powers = alg.right_power_batch("mul", X, n)
+        for row, power in zip(X.tolist(), powers.tolist()):
+            x = tuple(row)
+            want = _naive_right_power(c.tolist(), x, n, p)
+            assert tuple(power) == alg.apply_pmap(f"pw{n}", x) == want
+            assert pmaps[f"pw{n}"].apply(alg, x) == want
+    for x, y in zip(X.tolist(), X[::-1].tolist()):
+        assert alg.multiply("mul", x, y) == naive_multiply(c.tolist(), x, y, p)
+        right, left = _naive_mult_matrices(c.tolist(), tuple(x), p)
+        assert alg.right_mult_matrix("mul", x).tolist() == right
+        assert alg.left_mult_matrix("mul", x).tolist() == left
+
+
+def test_table_gather_exact_near_modulus_bound() -> None:
+    rng = random.Random("table-near-bound")
+    p, dim = BIG_P, 3
+    alg = Algebra(p, dim, {"mul": np.zeros((dim, dim, dim), dtype=np.int64)})
+    box = list(itertools.product(range(2), repeat=dim))
+    table = {k: tuple(rng.randrange(p - 8, p) for _ in range(dim)) for k in box}
+    pm = TablePMap(table)
+    rows = [box[rng.randrange(len(box))] for _ in range(20)]
+    got = pm.apply_batch(alg, np.array(rows, dtype=np.int64))
+    assert [tuple(v) for v in got.tolist()] == [table[k] for k in rows]
+    assert [pm.apply(alg, k) for k in rows] == [table[k] for k in rows]
+    with pytest.raises(RuntimeError, match=r"no entry for \(0, 1, 1239850222\)"):
+        pm.apply_batch(alg, np.array([[0, 0, 1], [0, 1, p - 1]], dtype=np.int64))
+
+
+def test_lie_basis_violation_exact_near_modulus_bound() -> None:
+    rng = random.Random("lie-near-bound")
+    p, dim = BIG_P, 3
+    cross = np.zeros((dim, dim, dim), dtype=np.int64)
+    a = rng.randrange(1, p)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        cross[i, j, k], cross[j, i, k] = a, p - a
+    cases = [cross]
+    for _ in range(4):
+        c = np.zeros((dim, dim, dim), dtype=np.int64)
+        for i, j in itertools.combinations(range(dim), 2):
+            c[i, j] = [rng.randrange(p) for _ in range(dim)]
+            c[j, i] = (-c[i, j]) % p
+        cases.append(c)
+    cases.append(random_structure(p, dim, rng))
+    found = []
+    for c in cases:
+        want = _naive_lie_violation(c.tolist(), p)
+        assert lie_basis_violation(Algebra(p, dim, {"b": c}), "b") == want
+        found.append(want if want is None else want[0])
+    assert found[0] is None and "jacobi" in found
+
+
+# -- one kernel per operation ----------------------------------------------------
+
+
+def test_power_and_tensor_paths_make_no_per_element_calls(monkeypatch, tmp_path) -> None:
+    from rlk.algfile import format_algebra
+    from rlk.cli import main
+    from rlk.dialgebra import as_dialgebra, check_lemdias, dleib
+    from rlk.free_structures import check_ud_unit, free_zinbiel
+    from rlk.identities import sweep_dleib_jacobson
+    from rlk.prelie_tensor import check_corollary, check_tensor_restricted, tensor_prelie
+
+    from helpers import count_per_element_calls, l2_dialgebra, upper_triangular2
+
+    g, R = l2(3), free_zinbiel(2, 2, 3).to_algebra()
+    T = tensor_prelie(g, R)
+    paths = []
+    for name, alg in (("g.alg", g), ("r.alg", R)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(format_algebra(alg), encoding="utf-8")
+    D = l2_dialgebra(3)
+    ut2 = dleib(as_dialgebra(upper_triangular2(2)))
+    calls = count_per_element_calls(monkeypatch)
+    assert check_tensor_restricted(T).ok()
+    assert check_corollary(T, samples=40).ok()
+    assert main(["derive", "tensor-prelie", str(paths[0]), str(paths[1]),
+                 "--out", str(tmp_path / "t.alg")]) == 0
+    assert check_lemdias(D, (1, 2), (2, 1), 3).ok()
+    assert sweep_dleib_jacobson(D, samples=50).ok()
+    assert check_ud_unit(ut2, d=2).status != "fail"
+    assert calls == {"multiply": 0, "apply": 0}
