@@ -12,6 +12,7 @@ which is excluded from the canonical content)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -174,39 +175,36 @@ def _lie_op(alg) -> str:
     return "lie" if "lie" in alg.op_names else "bracket"
 
 
-def _identity_runners():
-    return {
-        "leibniz": lambda alg, a: check_leibniz(
-            alg, "bracket", mode=_basis_mode(a), seed=a.seed, samples=a.samples
-        ),
-        "restricted-leibniz": lambda alg, a: check_restricted_leibniz(
-            alg, "bracket", _resolve_pmap(alg, a.pmap),
-            cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-        ),
-        "dias": lambda alg, a: check_dias(
-            alg, "left", "right", mode=_basis_mode(a), seed=a.seed,
-            samples=a.samples,
-        ),
-        "lemdias": lambda alg, a: sweep_lemdias(alg),
-        "zinbiel": lambda alg, a: check_zinbiel(
-            alg, "zinbiel", mode=_basis_mode(a), seed=a.seed, samples=a.samples
-        ),
-        "prelie": lambda alg, a: check_prelie(
-            alg, "prelie", mode=_basis_mode(a), seed=a.seed, samples=a.samples
-        ),
-        "restricted-prelie": lambda alg, a: check_restricted_prelie(
-            alg, "prelie", _resolve_pmap(alg, a.pmap),
-            cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-        ),
-        "restricted-lie": lambda alg, a: check_restricted_lie(
-            alg, _lie_op(alg), _resolve_pmap(alg, a.pmap),
-            cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-        ),
-        "commutative-diagram": lambda alg, a: check_commutative_diagram(
-            alg, "assoc", cap=_effective_cap(alg, a), seed=a.seed,
-            samples=a.samples,
-        ),
-    }
+_RUNNERS = {
+    "leibniz": lambda alg, a: check_leibniz(
+        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
+    ),
+    "restricted-leibniz": lambda alg, a: check_restricted_leibniz(
+        alg, _resolve_pmap(alg, a.pmap),
+        cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
+    ),
+    "dias": lambda alg, a: check_dias(
+        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
+    ),
+    "lemdias": lambda alg, a: sweep_lemdias(alg),
+    "zinbiel": lambda alg, a: check_zinbiel(
+        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
+    ),
+    "prelie": lambda alg, a: check_prelie(
+        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
+    ),
+    "restricted-prelie": lambda alg, a: check_restricted_prelie(
+        alg, _resolve_pmap(alg, a.pmap),
+        cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
+    ),
+    "restricted-lie": lambda alg, a: check_restricted_lie(
+        alg, _lie_op(alg), _resolve_pmap(alg, a.pmap),
+        cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
+    ),
+    "commutative-diagram": lambda alg, a: check_commutative_diagram(
+        alg, cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
+    ),
+}
 
 
 def _emit(doc: ReportDocument, args, stream=None) -> int:
@@ -224,18 +222,17 @@ def _timed(args, build, doc_of=lambda result: result):
 
 
 def cmd_check(args) -> int:
-    runners = _identity_runners()
-    unknown = [n for n in args.identities if n not in runners]
+    unknown = [n for n in args.identities if n not in _RUNNERS]
     if unknown:
         raise UsageError(
             f"unknown identities: {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(runners))}"
+            f"available: {', '.join(sorted(_RUNNERS))}"
         )
     alg = parse_algebra_file(args.file)
 
     def build():
         checks = tuple(
-            runners[name](alg, args).to_dict() for name in args.identities
+            _RUNNERS[name](alg, args).to_dict() for name in args.identities
         )
         return ReportDocument(
             version=__version__,
@@ -291,8 +288,8 @@ def cmd_derive(args) -> int:
     def build():
         if args.construction == "dleib":
             D = _as_dialgebra_input(parse_algebra_file(args.files[0]))
-            derived, reports = _dleib_reports(D, "left", "right", _effective_cap(D, args),
-                                              args.seed, args.samples)
+            derived, reports = _dleib_reports(D, _effective_cap(D, args), args.seed,
+                                              args.samples)
             checks = tuple(r.to_dict() for r in reports)
         elif args.construction == "gln":
             D0 = _as_dialgebra_input(parse_algebra_file(args.files[0]))
@@ -322,7 +319,7 @@ def cmd_derive(args) -> int:
             )
         else:  # antisymmetrize
             alg = parse_algebra_file(args.files[0])
-            derived, reports = _antisymmetrized(alg, args.op, "lie")
+            derived, reports = _antisymmetrized(alg, args.op)
             checks = tuple(r.to_dict() for r in reports)
         doc = ReportDocument(
             version=__version__,
@@ -402,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("identities", nargs="+",
                    help="identity names (see error message for the catalog)")
     _common_flags(c)
-    c.set_defaults(func=cmd_check)
 
     d = subs.add_parser("derive", help="construct a new algebra from inputs")
     d.add_argument("construction",
@@ -417,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the derived algebra file here "
                         "(default: stdout, report to stderr)")
     _common_flags(d)
-    d.set_defaults(func=cmd_derive)
 
     e = subs.add_parser("envelope",
                         help="truncated enveloping quotient of a restricted "
@@ -427,15 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--degree", type=int, default=None,
                    help="truncation degree (default: the characteristic)")
     _common_flags(e)
-    e.set_defaults(func=cmd_envelope)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = {"check": cmd_check, "derive": cmd_derive, "envelope": cmd_envelope}
     try:
-        return args.func(args)
+        return command[args.subcommand](args)
     except DomainError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 3

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra_core import Algebra, Element, MatrixPowerPMap, RightPowerPMap, _tup
+from .algebra_core import Algebra, Element, RightPowerPMap, _tup
 from .errors import UsageError
 from .identities import (
     CheckReport,
@@ -37,12 +37,9 @@ class Dialgebra(Algebra):
     """Algebra whose "left"/"right" ops are verified diassociative; the
     passing check_dias report is kept as `dias_report`."""
 
-    def __init__(self, p, dim, ops, pmaps=None, label="",
-                 left="left", right="right"):
+    def __init__(self, p, dim, ops, pmaps=None, label=""):
         super().__init__(p, dim, ops, pmaps, label)
-        self.left = left
-        self.right = right
-        rep = check_dias(self, left, right)
+        rep = check_dias(self)
         if not rep.ok():
             w = rep.witnesses[0]
             raise UsageError(
@@ -52,15 +49,10 @@ class Dialgebra(Algebra):
         self.dias_report = rep
 
 
-def as_dialgebra(alg: Algebra, op: str = "assoc", label=None) -> Dialgebra:
-    """Associative algebra viewed as a dialgebra with -| = |- = the product."""
-    c = alg.structure(op)
-    return Dialgebra(
-        alg.p,
-        alg.dim,
-        {"left": c, "right": c},
-        label=alg.label if label is None else label,
-    )
+def as_dialgebra(alg: Algebra) -> Dialgebra:
+    """Associative algebra viewed as a dialgebra with -| = |- = "assoc"."""
+    c = alg.structure("assoc")
+    return Dialgebra(alg.p, alg.dim, {"left": c, "right": c}, label=alg.label)
 
 
 def _first_tensor_mismatch(a: np.ndarray, b: np.ndarray, p: int):
@@ -70,21 +62,20 @@ def _first_tensor_mismatch(a: np.ndarray, b: np.ndarray, p: int):
     return None
 
 
-def dleib(D: Algebra, left: str = "left", right: str = "right",
-          cap=None, seed: int = 0, samples: int = 400) -> Algebra:
+def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
     """Derived bracket x -| y - y |- x with the p-fold |- power map.
 
     The result carries ops "bracket", "left", "right" on the same carrier
     and the p-map "frobenius"; the Leibniz identity and the operator
     condition r_x**p = r_{x^[p]} are each checked once before returning.
     """
-    return _dleib_reports(D, left, right, cap, seed, samples)[0]
+    return _dleib_reports(D, cap, seed, samples)[0]
 
 
-def _dleib_reports(D: Algebra, left: str, right: str, cap, seed: int, samples: int):
+def _dleib_reports(D: Algebra, cap, seed: int, samples: int):
     """dleib's algebra and its passing (leibniz, restricted_leibniz) reports."""
-    cl = D.structure(left)
-    cr = D.structure(right)
+    cl = D.structure("left")
+    cr = D.structure("right")
     bracket = (cl - cr.transpose(1, 0, 2)) % D.p
     out = Algebra(
         D.p,
@@ -113,25 +104,24 @@ def _dleib_reports(D: Algebra, left: str, right: str, cap, seed: int, samples: i
 # -- iterated-power compatibility ------------------------------------------------
 
 
-def check_lemdias(D: Algebra, x: Element, y: Element, n: int,
-                  left: str = "left", right: str = "right") -> CheckReport:
+def check_lemdias(D: Algebra, x: Element, y: Element, n: int) -> CheckReport:
     """x -| (n-fold -| power of y)  ==  x -| (n-fold |- power of y)."""
     if n < 1:
         raise UsageError(f"power must be >= 1, got {n}")
     x, y = D.element(x), D.element(y)
     Y = np.array([y], dtype=np.int64)
-    powers = np.concatenate([D.right_power_batch(left, Y, n), D.right_power_batch(right, Y, n)])
-    lhs, rhs = (_tup(v) for v in D.multiply_batch(left, np.array([x, x], dtype=np.int64), powers))
+    powers = np.concatenate([D.right_power_batch(op, Y, n) for op in ("left", "right")])
+    X = np.array([x, x], dtype=np.int64)
+    lhs, rhs = (_tup(v) for v in D.multiply_batch("left", X, powers))
     witnesses = [] if lhs == rhs else [Witness((x, y, n), lhs, rhs)]
     return _report("lemdias", witnesses, len(witnesses), Coverage("exhaustive", 1))
 
 
-def sweep_lemdias(D: Algebra, nmax=None, left: str = "left",
-                  right: str = "right") -> CheckReport:
+def sweep_lemdias(D: Algebra, nmax=None) -> CheckReport:
     """check_lemdias over all basis pairs and all powers 1..nmax (default p+1)."""
     if nmax is None:
         nmax = D.p + 1
-    cl = D.structure(left)
+    cl = D.structure("left")
     p, d = D.p, D.dim
     eye = np.eye(d, dtype=np.int64)
     VL = eye.copy()
@@ -139,8 +129,8 @@ def sweep_lemdias(D: Algebra, nmax=None, left: str = "left",
     witnesses, failures = [], 0
     for n in range(1, nmax + 1):
         if n > 1:
-            VL = D.multiply_batch(left, VL, eye)
-            VR = D.multiply_batch(right, VR, eye)
+            VL = D.multiply_batch("left", VL, eye)
+            VR = D.multiply_batch("right", VR, eye)
         TL = np.einsum("jm,imk->ijk", VL, cl) % p
         TR = np.einsum("jm,imk->ijk", VR, cl) % p
         bad = np.argwhere(((TL - TR) % p).any(axis=2))
@@ -161,8 +151,7 @@ def sweep_lemdias(D: Algebra, nmax=None, left: str = "left",
 # -- matrix dialgebras -------------------------------------------------------------
 
 
-def matrix_dialgebra(D: Algebra, n: int, left: str = "left",
-                     right: str = "right") -> Dialgebra:
+def matrix_dialgebra(D: Algebra, n: int) -> Dialgebra:
     """gl_n(D): matrices over D with entrywise-sum products for -| and |-.
 
     Basis (i, j, a) -> E_ij e_a at flat index (i*n + j)*dim(D) + a; the
@@ -174,7 +163,8 @@ def matrix_dialgebra(D: Algebra, n: int, left: str = "left",
     if dim > MATRIX_DIM_BOUND:
         raise UsageError(f"gl_{n} carrier has dim {dim} > bound {MATRIX_DIM_BOUND}")
     ops = {}
-    for name, c in (("left", D.structure(left)), ("right", D.structure(right))):
+    for name in ("left", "right"):
+        c = D.structure(name)
         big = np.zeros((dim, dim, dim), dtype=np.int64)
         for i in range(n):
             for j in range(n):
@@ -192,8 +182,8 @@ def matrix_dialgebra(D: Algebra, n: int, left: str = "left",
 # -- operator dialgebras ------------------------------------------------------------
 
 
-def _assoc_violation(alg: Algebra, op: str):
-    c = alg.structure(op)
+def _assoc_violation(alg: Algebra):
+    c = alg.structure("assoc")
     p = alg.p
     resid = (np.einsum("ijm,mkl->ijkl", c, c) % p
              - np.einsum("jkm,iml->ijkl", c, c) % p) % p
@@ -203,22 +193,21 @@ def _assoc_violation(alg: Algebra, op: str):
     return None
 
 
-def dialgebra_from_operator(A: Algebra, Dop, op: str = "assoc",
-                            label=None) -> Dialgebra:
-    """Dialgebra a -| b = a(Db), a |- b = (Da)b on an associative algebra.
+def dialgebra_from_operator(A: Algebra, Dop, label=None) -> Dialgebra:
+    """Dialgebra a -| b = a(Db), a |- b = (Da)b on the associative op "assoc".
 
     Requires D(a(Db)) = (Da)(Db) = D((Da)b) for all basis pairs (the
     condition is bilinear, so basis pairs suffice); rejected with the first
     failing pair otherwise.
     """
-    bad = _assoc_violation(A, op)
+    bad = _assoc_violation(A)
     if bad is not None:
         raise UsageError(f"base product not associative at basis triple {bad}")
     p = A.p
     Dm = np.asarray(Dop, dtype=np.int64) % p
     if Dm.shape != (A.dim, A.dim):
         raise UsageError(f"operator matrix of shape {Dm.shape} on dim {A.dim}")
-    c = A.structure(op)
+    c = A.structure("assoc")
     cl = np.einsum("mj,imk->ijk", Dm, c) % p  # e_i (D e_j)
     cr = np.einsum("mi,mjk->ijk", Dm, c) % p  # (D e_i) e_j
     t1 = np.einsum("km,ijm->ijk", Dm, cl) % p  # D(a(Db))
@@ -242,21 +231,21 @@ def dialgebra_from_operator(A: Algebra, Dop, op: str = "assoc",
 # -- the two paths from associative algebras ------------------------------------------
 
 
-def check_commutative_diagram(A: Algebra, op: str = "assoc", cap=None,
-                              seed: int = 0, samples: int = 400) -> CheckReport:
-    """Commutator bracket + p-th power matches as_dialgebra followed by dleib.
+def check_commutative_diagram(A: Algebra, cap=None, seed: int = 0,
+                              samples: int = 400) -> CheckReport:
+    """Commutator bracket + p-th power of "assoc" matches as_dialgebra
+    followed by dleib.
 
     Compares bracket structure constants entry for entry and p-map values on
     all enumerated (or sampled) elements.
     """
-    bad = _assoc_violation(A, op)
+    bad = _assoc_violation(A)
     if bad is not None:
         raise UsageError(f"product not associative at basis triple {bad}")
     p = A.p
-    c = A.structure(op)
-    direct = A.extended(pmaps={"pw": MatrixPowerPMap(op)})
+    c = A.structure("assoc")
     commutator = (c - c.transpose(1, 0, 2)) % p
-    derived = dleib(as_dialgebra(A, op), cap=cap, seed=seed, samples=samples)
+    derived = dleib(as_dialgebra(A), cap=cap, seed=seed, samples=samples)
     witnesses, failures = [], 0
     diff = np.argwhere(((commutator - derived.structure("bracket")) % p).any(axis=2))
     failures += diff.shape[0]
@@ -270,7 +259,7 @@ def check_commutative_diagram(A: Algebra, op: str = "assoc", cap=None,
             )
         )
     X, coverage = _grid(A, cap, seed, samples)
-    P1 = direct.apply_pmap_batch("pw", X)
+    P1 = A.right_power_batch("assoc", X, p)
     P2 = derived.apply_pmap_batch("frobenius", X)
     bad_rows = np.argwhere(((P1 - P2) % p).any(axis=1))
     failures += bad_rows.shape[0]

@@ -100,9 +100,9 @@ class LeibnizModule:
         )
 
 
-def adjoint_module(g: Algebra, bracket: str = "bracket") -> LeibnizModule:
+def adjoint_module(g: Algebra) -> LeibnizModule:
     """g acting on itself: left_action[i] = [e_i, -], right_action[i] = [-, e_i]."""
-    c = g.structure(bracket)
+    c = g.structure("bracket")
     left = np.transpose(c, (0, 2, 1)) % g.p
     right = np.transpose(c, (1, 2, 0)) % g.p
     return LeibnizModule(g, g.dim, left, right, label=f"adjoint({g.label})")
@@ -114,8 +114,7 @@ def zero_module(g: Algebra, mdim: int) -> LeibnizModule:
                          label=f"zero{mdim}({g.label})")
 
 
-def check_module_axioms(g: Algebra, M: LeibnizModule,
-                        bracket: str = "bracket") -> CheckReport:
+def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
     """The three nested-bracket identities, one per module slot, on all basis
     pairs of g with every module basis vector covered through the matrices:
 
@@ -125,13 +124,13 @@ def check_module_axioms(g: Algebra, M: LeibnizModule,
     """
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    base = check_leibniz(g, bracket)
+    base = check_leibniz(g)
     if not base.ok():
         raise UsageError(
             f"underlying bracket fails its identity (witness {base.witnesses[:1]})"
         )
     p, n, L, R = g.p, g.dim, M.left_action, M.right_action
-    brackets = g.structure(bracket).reshape(n * n, n)
+    brackets = g.structure("bracket").reshape(n * n, n)
     witnesses, failures = [], 0
     # about 16 (pairs, mdim, mdim) arrays are alive at once in a chunk
     block = max(1, _CHUNK_ENTRIES // max(1, 16 * M.mdim ** 2))
@@ -158,15 +157,13 @@ def check_module_axioms(g: Algebra, M: LeibnizModule,
                    Coverage("exhaustive", n * n * len(MODULE_AXIOMS) * M.mdim))
 
 
-def check_restricted_module(g: Algebra, M: LeibnizModule,
-                            pmap: str = "frobenius", bracket: str = "bracket",
-                            cap=None, seed: int = 0,
-                            samples: int = 400) -> CheckReport:
+def check_restricted_module(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
+                            cap=None, seed: int = 0, samples: int = 400) -> CheckReport:
     """r_{x^[p]} equals r_x^p as matrices, swept over elements of g (the
     p-map is not linear, so basis pairs do not suffice).  Each witness is
     (x,) with lhs r_{x^[p]} and rhs r_x^p; the first 16 failures in element
     order are kept."""
-    base = check_module_axioms(g, M, bracket)
+    base = check_module_axioms(g, M)
     if not base.ok():
         raise UsageError(
             f"module identities fail (witness {base.witnesses[:1]})"
@@ -181,13 +178,13 @@ def check_restricted_module(g: Algebra, M: LeibnizModule,
 # -- relation words ------------------------------------------------------------
 
 
-def _relation_terms(g: Algebra, pmap: str, bracket: str, cap, seed, samples):
+def _relation_terms(g: Algebra, pmap: str, cap, seed, samples):
     """The four relation families as (tag, key, [(word, coeff), ...]) triples,
     in letter convention: letter i = left action of e_i, letter n+i = right.
     Bilinear families are instantiated on basis pairs, the p-power family on
     enumerated or sampled elements of g."""
     p, n = g.p, g.dim
-    brackets = g.structure(bracket).tolist()
+    brackets = g.structure("bracket").tolist()
     out = []
     for i in range(n):
         for j in range(n):
@@ -251,23 +248,21 @@ def _relation_failures(act, terms, key_prefix, p):
     return failures, witnesses
 
 
-def ulp_relations_check(g: Algebra, M: LeibnizModule,
-                        pmap: str = "frobenius", bracket: str = "bracket",
+def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
                         cap=None, seed: int = 0, samples: int = 400) -> CheckReport:
     """Each relation word family, with the derived signs, evaluated as
     operators on the module and asserted zero."""
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    terms, note = _relation_terms(g, pmap, bracket, cap, seed, samples)
+    terms, note = _relation_terms(g, pmap, cap, seed, samples)
     failures, witnesses = _relation_failures(_word_action(M), terms, (), g.p)
     notes = ("derived signs", note)
     return _report("ulp_relations", witnesses, failures,
                    Coverage("exhaustive", len(terms)), notes)
 
 
-def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None,
-                  bracket: str = "bracket", cap=None, seed: int = 0,
-                  samples: int = 64) -> QuotientPresentation:
+def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
+                  seed: int = 0, samples: int = 64) -> QuotientPresentation:
     """Degree-truncated word envelope: the free unital word algebra on
     2·dim(g) letters divided by the two-sided ideal of the four relation
     families (derived signs)."""
@@ -276,19 +271,17 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None,
         raise UsageError(
             f"degree cap {d} is below the characteristic {g.p}"
         )
-    rep = check_restricted_leibniz(g, bracket, pmap, cap=cap, seed=seed)
+    rep = check_restricted_leibniz(g, pmap, cap=cap, seed=seed)
     if not rep.ok():
         raise UsageError(
             f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
         )
     W = word_ambient(2 * g.dim, d, g.p, label=f"ul_words({g.label})")
-    terms, note = _relation_terms(g, pmap, bracket, cap, seed, samples)
+    terms, note = _relation_terms(g, pmap, cap, seed, samples)
     rels = []
     for _tag, _key, words in terms:
         rel = {}
         for word, coeff in words:
-            if len(word) > d:
-                continue
             k = W.index[word]
             v = (rel.get(k, 0) + coeff) % g.p
             if v:
@@ -306,20 +299,19 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None,
 
 
 def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
-                     bracket: str = "bracket", cap=None, seed: int = 0,
-                     samples: int = 64) -> CheckReport:
+                     cap=None, seed: int = 0, samples: int = 64) -> CheckReport:
     """Module -> word action -> module.  The word action sends letter i to
     left_action[i] and letter n+i to right_action[i], composed in reading
     order; every relation word must act as the zero operator, and the
     single-letter words must read the original module back bit-exactly."""
-    base = check_restricted_module(g, M, pmap, bracket, cap=cap, seed=seed)
+    base = check_restricted_module(g, M, pmap, cap=cap, seed=seed)
     if not base.ok():
         raise UsageError(
             f"module is not restricted (witness {base.witnesses[:1]})"
         )
     p, n = g.p, g.dim
     act = _word_action(M)
-    terms, note = _relation_terms(g, pmap, bracket, cap, seed, samples)
+    terms, note = _relation_terms(g, pmap, cap, seed, samples)
     failures, witnesses = _relation_failures(act, terms, ("relation",), p)
     for i in range(n):
         for tag, original, letter in (

@@ -522,11 +522,11 @@ def _pmap_instances(g: Algebra, pmap: str, cap, seed, samples):
     return out, g.apply_pmap_batch(pmap, X).tolist(), note
 
 
-def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, bracket, cap, seed, samples):
+def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, cap, seed, samples):
     """(key, embedded value, its image under the derived operations) for the
     bracket on basis pairs and the p-map on the instantiated elements, and
     the note saying which elements those are."""
-    brackets = g.structure(bracket).tolist()
+    brackets = g.structure("bracket").tolist()
     pairs = []
     for i in range(g.dim):
         gi = F.generator(i)
@@ -542,23 +542,22 @@ def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, bracket, cap, seed, sampl
     return pairs, note
 
 
-def _ud_presentation(g: Algebra, pmap: str, d: int, bracket: str, cap, seed, samples):
+def _ud_presentation(g: Algebra, pmap: str, d: int, cap, seed, samples):
     """ud_p's presentation, the relation pairs of _ud_pairs it divides out,
     and whether truncation touched the build of those pairs."""
-    rep = check_restricted_leibniz(g, bracket, pmap, cap=cap, seed=seed)
+    rep = check_restricted_leibniz(g, pmap, cap=cap, seed=seed)
     if not rep.ok():
         raise UsageError(
             f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
         )
     F = free_dias(g.dim, d, g.p)
     with OverflowProbe(F) as probe:
-        pairs, note = _ud_pairs(F, g, pmap, bracket, cap, seed, samples)
+        pairs, note = _ud_pairs(F, g, pmap, cap, seed, samples)
     rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
     return truncated_ideal_quotient(F, rels, notes=(note,)), pairs, probe.triggered
 
 
-def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3,
-         bracket: str = "bracket", cap=None, seed: int = 0,
+def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None, seed: int = 0,
          samples: int = 64) -> QuotientPresentation:
     """Enveloping diassociative quotient of the free dialgebra on g's basis.
 
@@ -566,15 +565,14 @@ def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3,
     and embedded p-map values minus p-fold |- powers on the instantiated
     element set.
     """
-    return _ud_presentation(g, pmap, d, bracket, cap, seed, samples)[0]
+    return _ud_presentation(g, pmap, d, cap, seed, samples)[0]
 
 
-def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3,
-                  bracket: str = "bracket", cap=None, seed: int = 0,
-                  samples: int = 64) -> CheckReport:
+def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None,
+                  seed: int = 0, samples: int = 64) -> CheckReport:
     """The degree-one embedding respects brackets on basis pairs and p-maps
     on the instantiated elements, inside the quotient."""
-    pres, pairs, touched = _ud_presentation(g, pmap, d, bracket, cap, seed, samples)
+    pres, pairs, touched = _ud_presentation(g, pmap, d, cap, seed, samples)
     witnesses, failures = [], 0
     for key, lhs, rhs in pairs:
         lhs, rhs = pres.project(lhs), pres.project(rhs)

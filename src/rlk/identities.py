@@ -223,22 +223,22 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
     return _report(identity, witnesses, failures, coverage)
 
 
-def check_leibniz(alg: Algebra, bracket: str = "bracket", mode: str = "basis",
-                  seed: int = 0, samples: int = 200) -> CheckReport:
-    """[x,[y,z]] = [[x,y],z] - [[x,z],y]."""
-    return _trilinear_sweep(alg, "leibniz", {"o": bracket}, mode, seed, samples)
+def check_leibniz(alg: Algebra, mode: str = "basis", seed: int = 0,
+                  samples: int = 200) -> CheckReport:
+    """[x,[y,z]] = [[x,y],z] - [[x,z],y] for the op "bracket"."""
+    return _trilinear_sweep(alg, "leibniz", {"o": "bracket"}, mode, seed, samples)
 
 
-def check_dias(alg: Algebra, left: str = "left", right: str = "right",
-               mode: str = "basis", seed: int = 0, samples: int = 200) -> CheckReport:
-    """Both products associative plus the three mixed axioms."""
-    return _trilinear_sweep(alg, "dias", {"l": left, "r": right}, mode, seed, samples)
+def check_dias(alg: Algebra, mode: str = "basis", seed: int = 0,
+               samples: int = 200) -> CheckReport:
+    """Ops "left" and "right" associative plus the three mixed axioms."""
+    return _trilinear_sweep(alg, "dias", {"l": "left", "r": "right"}, mode, seed, samples)
 
 
-def check_zinbiel(alg: Algebra, op: str = "zinbiel", mode: str = "basis",
-                  seed: int = 0, samples: int = 200) -> CheckReport:
-    """(a<b)<c = a<(b<c) + a<(c<b)."""
-    return _trilinear_sweep(alg, "zinbiel", {"o": op}, mode, seed, samples)
+def check_zinbiel(alg: Algebra, mode: str = "basis", seed: int = 0,
+                  samples: int = 200) -> CheckReport:
+    """(a<b)<c = a<(b<c) + a<(c<b) for the op "zinbiel"."""
+    return _trilinear_sweep(alg, "zinbiel", {"o": "zinbiel"}, mode, seed, samples)
 
 
 def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
@@ -322,38 +322,36 @@ def _operator_failures(right_stack, m, p, X, PX, tag=()):
     return failures, witnesses
 
 
-def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples, notes=()):
+def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
     """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
     X, coverage = _grid(alg, cap, seed, samples)
     failures, witnesses = _operator_failures(
         lambda rows: alg.right_mult_stack(op, rows), alg.dim, alg.p, X,
         alg.apply_pmap_batch(pmap, X))
-    return _report(identity, witnesses, failures, coverage, notes)
+    return _report(identity, witnesses, failures, coverage)
 
 
-def check_restricted_leibniz(alg: Algebra, bracket: str = "bracket",
-                             pmap: str = "frobenius", cap=None, seed: int = 0,
-                             samples: int = 400) -> CheckReport:
-    """Right multiplications satisfy r_x**p = r_{x^[p]}; bracket must be Leibniz."""
-    base = check_leibniz(alg, bracket)
+def check_restricted_leibniz(alg: Algebra, pmap: str = "frobenius", cap=None,
+                             seed: int = 0, samples: int = 400) -> CheckReport:
+    """Right multiplications satisfy r_x**p = r_{x^[p]}; "bracket" must be Leibniz."""
+    base = check_leibniz(alg)
     if not base.ok():
         w = base.witnesses[0].inputs if base.witnesses else ()
-        raise UsageError(f"bracket {bracket!r} is not Leibniz (witness {w})")
+        raise UsageError(f"bracket 'bracket' is not Leibniz (witness {w})")
     return _operator_condition_sweep(
-        alg, bracket, pmap, "restricted_leibniz", cap, seed, samples
+        alg, "bracket", pmap, "restricted_leibniz", cap, seed, samples
     )
 
 
-def check_restricted_prelie(alg: Algebra, op: str = "prelie",
-                            pmap: str = "zero", cap=None, seed: int = 0,
-                            samples: int = 400) -> CheckReport:
-    """R_a**p = R_{a^{p}} for right multiplications of a pre-Lie product."""
-    base = check_prelie(alg, op)
+def check_restricted_prelie(alg: Algebra, pmap: str = "zero", cap=None,
+                            seed: int = 0, samples: int = 400) -> CheckReport:
+    """R_a**p = R_{a^{p}} for right multiplications of the pre-Lie op "prelie"."""
+    base = check_prelie(alg)
     if not base.ok():
         w = base.witnesses[0].inputs if base.witnesses else ()
-        raise UsageError(f"op {op!r} is not pre-Lie (witness {w})")
+        raise UsageError(f"op 'prelie' is not pre-Lie (witness {w})")
     return _operator_condition_sweep(
-        alg, op, pmap, "restricted_prelie", cap, seed, samples
+        alg, "prelie", pmap, "restricted_prelie", cap, seed, samples
     )
 
 
@@ -434,37 +432,36 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
 # -- derived-bracket Jacobson proposition --------------------------------------
 
 
-def _dleib_jacobson_sides(D: Algebra, Z, X, Y, left: str, right: str):
+def _dleib_jacobson_sides(D: Algebra, Z, X, Y):
     """Both sides of [z,(x+y)^[p]] = [z,x^[p]] + [z,y^[p]] + [z, sum_i s_i(x,y)]
     for (N, dim) rows z, x, y, with the derived bracket a -| b - b |- a and the
     p-fold right-product power as p-map."""
     p, N = D.p, X.shape[0]
 
     def bracket(U, V):
-        return (D.multiply_batch(left, U, V) - D.multiply_batch(right, V, U)) % p
+        return (D.multiply_batch("left", U, V) - D.multiply_batch("right", V, U)) % p
 
-    power = D.right_power_batch(right, np.concatenate([X + Y, X, Y]), p)
+    power = D.right_power_batch("right", np.concatenate([X + Y, X, Y]), p)
     s_sum = sum(jacobson_terms_batch(p, X, Y, bracket)) % p
     B = bracket(np.tile(Z, (4, 1)), np.concatenate([power, s_sum])).reshape(4, N, D.dim)
     return B[0], (B[1] + B[2] + B[3]) % p
 
 
-def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element, y: Element,
-                                 left: str = "left", right: str = "right") -> CheckReport:
+def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element,
+                                 y: Element) -> CheckReport:
     """[z,(x+y)^[p]] = [z,x^[p]] + [z,y^[p]] + [z, sum_i s_i(x,y)] in the
     derived bracket structure of a diassociative algebra, where the p-map is
     the p-fold right-product power."""
     z, x, y = D.element(z), D.element(x), D.element(y)
     rows = (np.array([v], dtype=np.int64) for v in (z, x, y))
-    lhs, rhs = _dleib_jacobson_sides(D, *rows, left, right)
+    lhs, rhs = _dleib_jacobson_sides(D, *rows)
     lhs, rhs = _tup(lhs[0]), _tup(rhs[0])
     witnesses = [] if lhs == rhs else [Witness((z, x, y), lhs, rhs)]
     return _report("dleib_jacobson_bracket", witnesses, len(witnesses),
                    Coverage("exhaustive", 1))
 
 
-def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0,
-                         left: str = "left", right: str = "right") -> CheckReport:
+def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0) -> CheckReport:
     """check_dleib_jacobson_bracket on seeded random triples, drawn z, x, y
     one coefficient at a time and evaluated a chunk of triples at once."""
     rng = random.Random(seed)
@@ -473,7 +470,7 @@ def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0,
     witnesses, failures = [], 0
     for lo in range(0, samples, block):
         T = D.sample_array(3 * min(block, samples - lo), rng).reshape(-1, 3, d)
-        lhs, rhs = _dleib_jacobson_sides(D, T[:, 0], T[:, 1], T[:, 2], left, right)
+        lhs, rhs = _dleib_jacobson_sides(D, T[:, 0], T[:, 1], T[:, 2])
         bad = np.flatnonzero((lhs != rhs).any(axis=1))
         failures += bad.size
         for n in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:

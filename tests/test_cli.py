@@ -18,7 +18,7 @@ from rlk.dialgebra import dialgebra_from_operator, dleib as dleib_build
 from rlk.errors import DomainError
 from rlk.free_structures import free_zinbiel, ud_p
 
-from helpers import (abelian, diagonal_assoc, l2, l2_dialgebra,
+from helpers import (abelian, counting, diagonal_assoc, l2, l2_dialgebra,
                      truncated_poly, upper_triangular2)
 
 
@@ -375,6 +375,19 @@ def test_domain_error_exits_3_not_as_a_usage_error(tmp_path, capsys, monkeypatch
     assert main(["envelope", path, "ul"]) == 3
     err = capsys.readouterr().err
     assert err == "internal invariant violated: assembled product is not pre-Lie\n"
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, capsys, monkeypatch):
+    built = {"parser": 0}
+    monkeypatch.setattr(rlk.cli, "build_parser",
+                        counting(built, "parser", rlk.cli.build_parser))
+    rlk.cli._parser.cache_clear()
+    path = write(tmp_path, "l2.alg", l2(2))
+    for argv in (["check", path, "leibniz"], ["check", path, "no-such-identity"],
+                 ["envelope", path, "ul"], ["check", path, "leibniz"]):
+        assert main(argv) in (0, 2)
+    capsys.readouterr()
+    assert built["parser"] == 1
 
 
 # ---------------------------------------------------------- verify once

@@ -87,7 +87,8 @@ def test_dleib_rejects_non_leibniz_bracket() -> None:
     c[0, 0, 1] = 1
     c[1, 1, 0] = 1
     fake = Algebra(2, 2, {"left": c, "right": np.zeros_like(c)})
-    if check_leibniz(fake, "left").ok():
+    # with |- zero the derived bracket x -| y - y |- x is c itself
+    if check_leibniz(Algebra(2, 2, {"bracket": c})).ok():
         pytest.skip("fixture accidentally Leibniz")
     with pytest.raises(UsageError, match="Leibniz"):
         dleib(fake)
@@ -255,8 +256,10 @@ def test_operator_condition_rejected_with_witness() -> None:
 
 
 def test_operator_rejects_non_associative_base() -> None:
+    # (e0 e0) e1 = 0 but e0 (e0 e1) = e1 under the L2 bracket
+    bad = Algebra(3, 2, {"assoc": l2(3).structure("bracket")})
     with pytest.raises(UsageError, match="associative"):
-        dialgebra_from_operator(l2(3), np.eye(2, dtype=np.int64), op="bracket")
+        dialgebra_from_operator(bad, np.eye(2, dtype=np.int64))
 
 
 def test_operator_rejects_bad_shape() -> None:
@@ -285,5 +288,6 @@ def test_commutative_diagram_one_dim_ground_field() -> None:
 
 
 def test_commutative_diagram_rejects_non_associative() -> None:
-    with pytest.raises(UsageError):
-        check_commutative_diagram(l2(3), op="bracket")
+    bad = Algebra(3, 2, {"assoc": l2(3).structure("bracket")})
+    with pytest.raises(UsageError, match="not associative"):
+        check_commutative_diagram(bad)

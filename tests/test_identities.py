@@ -251,7 +251,7 @@ def test_restricted_prelie_on_associative() -> None:
             ops={"prelie": a.structure("assoc")},
             pmaps={"pw": MatrixPowerPMap("assoc")},
         )
-        assert check_restricted_prelie(alg, "prelie", "pw").ok()
+        assert check_restricted_prelie(alg, "pw").ok()
 
 
 def test_restricted_lie_matrices_f2() -> None:

@@ -6,6 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
+import rlk.algebra_core
+import rlk.identities
+import rlk.prelie_tensor
 from rlk.algebra_core import Algebra
 from rlk.errors import UsageError
 from rlk.free_structures import free_zinbiel
@@ -27,6 +30,7 @@ from rlk.prelie_tensor import (
 from helpers import (
     abelian,
     all_elements,
+    counting,
     l2,
     tensor_suite,
     truncated_poly,
@@ -108,8 +112,8 @@ def test_factor_validation_errors():
         tensor_prelie(l2(2), bad_half)
     with pytest.raises(UsageError, match="characteristics differ"):
         tensor_prelie(l2(2), free_zinbiel(1, 2, 3))
-    with pytest.raises(UsageError, match="exceeds bound"):
-        tensor_prelie(l2(2), free_zinbiel(1, 3, 2), bound=4)
+    with pytest.raises(UsageError, match=r"2\*33 = 66 exceeds bound 64"):
+        tensor_prelie(l2(2), zinbiel_zero(2, 33))
 
 
 # -- formal p-th power ------------------------------------------------------------
@@ -173,8 +177,8 @@ def test_attached_formula_pmap_evaluates_and_extends():
     assert A.apply_pmap("tensor_p", T.pure((1, 1), (1, 1, 0))) == A.zero()
     nonpure = A.add(T.pure((1, 0), (1, 0, 0)), T.pure((0, 1), (0, 1, 0)))
     assert A.apply_pmap("tensor_p", nonpure) == A.zero()
-    assert check_restricted_prelie(A, "prelie", "tensor_p").status == "pass"
-    assert check_restricted_prelie(A, "prelie", "zero").status == "pass"
+    assert check_restricted_prelie(A, "tensor_p").status == "pass"
+    assert check_restricted_prelie(A, "zero").status == "pass"
 
 
 # -- operator vanishing ------------------------------------------------------------
@@ -216,7 +220,7 @@ def test_ingredient_failures_reported_for_forged_handle():
 
 def test_associative_commutator_bracket():
     A = upper_triangular2(3)
-    L = prelie_to_lie(A, op="assoc", out="lie")
+    L = prelie_to_lie(A, op="assoc")
     c = A.structure("assoc")
     assert np.array_equal(L.structure("lie"), (c - c.transpose(1, 0, 2)) % 3)
     assert set(L.op_names) == {"assoc", "lie"}
@@ -226,6 +230,16 @@ def test_antisymmetrize_rejects_non_prelie():
     R = free_zinbiel(2, 3, 3).to_algebra()
     with pytest.raises(UsageError, match="not pre-Lie"):
         prelie_to_lie(R, op="zinbiel")
+
+
+def test_check_corollary_checks_the_lie_axioms_once(monkeypatch):
+    T = l2_tensor(2)
+    calls = {"lie": 0}
+    for mod in (rlk.algebra_core, rlk.identities, rlk.prelie_tensor):
+        monkeypatch.setattr(mod, "lie_basis_violation",
+                            counting(calls, "lie", mod.lie_basis_violation))
+    assert check_corollary(T, samples=20).ok()
+    assert calls["lie"] == 1
 
 
 def test_corollary_bracket_matches_independent_loop():
