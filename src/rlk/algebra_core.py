@@ -20,12 +20,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import UsageError
-from .scalars import validate_prime
+from .scalars import inv_mod, validate_prime
 
 DEFAULT_CAP = 1 << 16
 # Largest carrier dimension given a dense (dim, dim, dim) structure tensor
 # from outside: algebra files and free algebras made dense.
 DENSE_DIM_BOUND = 160
+# entries one chunk of a batched kernel may stack at once
+_CHUNK_ENTRIES = 1 << 21
 
 Element = tuple
 
@@ -224,8 +226,6 @@ class BasisJacobsonPMap:
         """One basis coordinate i at a time across all rows: add a**p e_i^[p]
         for the coefficient a of e_i (a**p == a in F_p), then the Jacobson
         terms s_k(a e_i, rest) on the rows whose rest past i is nonzero."""
-        from .identities import jacobson_terms_batch
-
         p = alg.p
         rest = np.array(X, dtype=np.int64) % p
         acc = np.zeros_like(rest)
@@ -475,6 +475,38 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
             base = np.matmul(base, base) % p
     if out is None:
         return np.broadcast_to(np.eye(d, dtype=np.int64), (N, d, d)).copy()
+    return out
+
+
+def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, bracket) -> list:
+    """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, each
+    as an (N, dim) array: i*s_i is the coefficient of lambda**(i-1) in the
+    (p-1)-fold right bracketing of x by (lambda x + y).
+
+    `bracket(U, V)` brackets two (M, dim) arrays row by row.  Each round
+    brackets every (P_i, y) and (P_i, x) coefficient pair in one call; rows
+    are cut into chunks so that one call sees at most _CHUNK_ENTRIES // dim**2
+    stacked rows."""
+    N, d = X.shape
+    out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
+    block = max(1, _CHUNK_ENTRIES // max(1, 2 * p * d * d))
+    for lo in range(0, N, block):
+        x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
+        n = x.shape[0]
+        P = x[None]  # P[k] is the coefficient of lambda**k
+        for _ in range(p - 1):
+            k = P.shape[0]
+            B = bracket(
+                np.concatenate([P, P]).reshape(-1, d),
+                np.concatenate([np.broadcast_to(y, P.shape),
+                                np.broadcast_to(x, P.shape)]).reshape(-1, d),
+            ).reshape(2, k, n, d)
+            nxt = np.zeros((k + 1, n, d), dtype=np.int64)
+            nxt[:k] += B[0]
+            nxt[1:] += B[1]
+            P = nxt % p
+        for i in range(1, p):
+            out[i - 1][lo:lo + n] = (inv_mod(i, p) * P[i - 1]) % p
     return out
 
 

@@ -348,13 +348,14 @@ def cmd_envelope(args) -> int:
             f"degree cap {d} is below the characteristic {alg.p}"
         )
     pmap = _resolve_pmap(alg, args.pmap)
+    cap = _effective_cap(alg, args)
 
     def build():
         if args.which == "ud":
-            pres = ud_p(alg, pmap=pmap, d=d, cap=args.cap, seed=args.seed,
+            pres = ud_p(alg, pmap=pmap, d=d, cap=cap, seed=args.seed,
                         samples=args.samples)
         else:
-            pres = ulp_truncated(alg, pmap=pmap, d=d, cap=args.cap,
+            pres = ulp_truncated(alg, pmap=pmap, d=d, cap=cap,
                                  seed=args.seed, samples=args.samples)
         return ReportDocument(
             version=__version__,

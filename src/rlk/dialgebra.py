@@ -24,6 +24,7 @@ from .identities import (
     WITNESS_LIMIT,
     Witness,
     _grid,
+    _keep,
     _operator_condition_sweep,
     _report,
     check_dias,
@@ -133,17 +134,9 @@ def sweep_lemdias(D: Algebra, nmax=None) -> CheckReport:
             VR = D.multiply_batch("right", VR, eye)
         TL = np.einsum("jm,imk->ijk", VL, cl) % p
         TR = np.einsum("jm,imk->ijk", VR, cl) % p
-        bad = np.argwhere(((TL - TR) % p).any(axis=2))
-        failures += bad.shape[0]
-        for row in bad[:WITNESS_LIMIT]:
-            i, j = (int(v) for v in row)
-            witnesses.append(
-                Witness(
-                    (i, j, n),
-                    tuple(int(v) for v in TL[i, j]),
-                    tuple(int(v) for v in TR[i, j]),
-                )
-            )
+        failures += _keep(witnesses, np.argwhere(((TL - TR) % p).any(axis=2)),
+                          lambda i, j: Witness((int(i), int(j), n), _tup(TL[i, j]),
+                                               _tup(TR[i, j])), WITNESS_LIMIT)
     return _report("lemdias", witnesses, failures,
                    Coverage("exhaustive", d * d * nmax))
 
@@ -246,32 +239,17 @@ def check_commutative_diagram(A: Algebra, cap=None, seed: int = 0,
     c = A.structure("assoc")
     commutator = (c - c.transpose(1, 0, 2)) % p
     derived = dleib(as_dialgebra(A), cap=cap, seed=seed, samples=samples)
-    witnesses, failures = [], 0
-    diff = np.argwhere(((commutator - derived.structure("bracket")) % p).any(axis=2))
-    failures += diff.shape[0]
-    for row in diff[:WITNESS_LIMIT]:
-        i, j = (int(v) for v in row)
-        witnesses.append(
-            Witness(
-                ("bracket", i, j),
-                tuple(int(v) for v in commutator[i, j]),
-                tuple(int(v) for v in derived.structure("bracket")[i, j]),
-            )
-        )
+    bracket = derived.structure("bracket")
+    witnesses = []
+    failures = _keep(witnesses, np.argwhere(((commutator - bracket) % p).any(axis=2)),
+                     lambda i, j: Witness(("bracket", int(i), int(j)), _tup(commutator[i, j]),
+                                          _tup(bracket[i, j])), WITNESS_LIMIT)
     X, coverage = _grid(A, cap, seed, samples)
     P1 = A.right_power_batch("assoc", X, p)
     P2 = derived.apply_pmap_batch("frobenius", X)
-    bad_rows = np.argwhere(((P1 - P2) % p).any(axis=1))
-    failures += bad_rows.shape[0]
-    for row in bad_rows[:WITNESS_LIMIT]:
-        i = int(row[0])
-        witnesses.append(
-            Witness(
-                ("pmap", tuple(int(v) for v in X[i])),
-                tuple(int(v) for v in P1[i]),
-                tuple(int(v) for v in P2[i]),
-            )
-        )
+    failures += _keep(witnesses, np.argwhere(((P1 - P2) % p).any(axis=1)),
+                      lambda i: Witness(("pmap", _tup(X[i])), _tup(P1[i]), _tup(P2[i])),
+                      WITNESS_LIMIT)
     notes = (
         f"bracket pairs exhaustive({A.dim * A.dim})",
         f"pmap values {coverage.kind}({coverage.count})",

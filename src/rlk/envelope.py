@@ -48,13 +48,14 @@ from .free_structures import (
 )
 from .identities import (
     _CHUNK_ENTRIES,
-    WITNESS_LIMIT,
     Coverage,
     CheckReport,
     Witness,
     _grid,
+    _keep,
     _operator_failures,
     _report,
+    _require,
     check_leibniz,
     check_restricted_leibniz,
 )
@@ -124,11 +125,7 @@ def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
     """
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    base = check_leibniz(g)
-    if not base.ok():
-        raise UsageError(
-            f"underlying bracket fails its identity (witness {base.witnesses[:1]})"
-        )
+    _require(check_leibniz(g), "underlying bracket fails its identity")
     p, n, L, R = g.p, g.dim, M.left_action, M.right_action
     brackets = g.structure("bracket").reshape(n * n, n)
     witnesses, failures = [], 0
@@ -146,13 +143,10 @@ def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
             ((Li @ Rj) % p, (RjLi - Lbr) % p),
             ((Li @ Lj) % p, (Lbr - RjLi) % p),
         ]
-        bad = np.argwhere(np.stack(
-            [((lhs - rhs) % p).any(axis=1) for lhs, rhs in sides], axis=1))
-        failures += bad.shape[0]
-        for b, a, m in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:
-            lhs, rhs = sides[a]
-            witnesses.append(Witness((MODULE_AXIOMS[a], int(I[b]), int(J[b]), int(m)),
-                                     _tup(lhs[b, :, m]), _tup(rhs[b, :, m])))
+        bad = np.stack([((lhs - rhs) % p).any(axis=1) for lhs, rhs in sides], axis=1)
+        failures += _keep(witnesses, np.argwhere(bad), lambda b, a, m: Witness(
+            (MODULE_AXIOMS[a], int(I[b]), int(J[b]), int(m)),
+            _tup(sides[a][0][b, :, m]), _tup(sides[a][1][b, :, m])))
     return _report("module_axioms", witnesses, failures,
                    Coverage("exhaustive", n * n * len(MODULE_AXIOMS) * M.mdim))
 
@@ -163,15 +157,12 @@ def check_restricted_module(g: Algebra, M: LeibnizModule, pmap: str = "frobenius
     p-map is not linear, so basis pairs do not suffice).  Each witness is
     (x,) with lhs r_{x^[p]} and rhs r_x^p; the first 16 failures in element
     order are kept."""
-    base = check_module_axioms(g, M)
-    if not base.ok():
-        raise UsageError(
-            f"module identities fail (witness {base.witnesses[:1]})"
-        )
+    _require(check_module_axioms(g, M), "module identities fail")
     X, coverage = _grid(g, cap, seed, samples)
     failures, found = _operator_failures(M.right_stack, M.mdim, g.p, X,
                                          g.apply_pmap_batch(pmap, X))
-    witnesses = [Witness(w.inputs, w.rhs, w.lhs) for w in found[:WITNESS_LIMIT]]
+    witnesses = []
+    _keep(witnesses, [(w.inputs, w.rhs, w.lhs) for w in found], Witness)
     return _report("restricted_module", witnesses, failures, coverage)
 
 
@@ -235,16 +226,18 @@ def _relation_failures(act, terms, key_prefix, p):
     """Evaluate each relation as the sum of coeff * act(word) and collect
     the nonzero ones as (failure count, witnesses keyed key_prefix + (tag,)
     + key)."""
-    witnesses, failures = [], 0
-    for tag, key, words in terms:
+    def value(words):
         op = np.zeros_like(act(()))
         for word, coeff in words:
             op = (op + coeff * act(word)) % p
-        if op.any():
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(Witness(key_prefix + (tag,) + key, op,
-                                         np.zeros_like(op)))
+        return op
+
+    def witness(tag, key, words):  # evaluated again for the few kept
+        op = value(words)
+        return Witness(key_prefix + (tag,) + key, op, np.zeros_like(op))
+
+    witnesses = []
+    failures = _keep(witnesses, [t for t in terms if value(t[2]).any()], witness)
     return failures, witnesses
 
 
@@ -271,11 +264,8 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
         raise UsageError(
             f"degree cap {d} is below the characteristic {g.p}"
         )
-    rep = check_restricted_leibniz(g, pmap, cap=cap, seed=seed)
-    if not rep.ok():
-        raise UsageError(
-            f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
-        )
+    _require(check_restricted_leibniz(g, pmap, cap=cap, seed=seed),
+             "input is not restricted Leibniz")
     W = word_ambient(2 * g.dim, d, g.p, label=f"ul_words({g.label})")
     terms, note = _relation_terms(g, pmap, cap, seed, samples)
     rels = []
@@ -304,25 +294,17 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     left_action[i] and letter n+i to right_action[i], composed in reading
     order; every relation word must act as the zero operator, and the
     single-letter words must read the original module back bit-exactly."""
-    base = check_restricted_module(g, M, pmap, cap=cap, seed=seed)
-    if not base.ok():
-        raise UsageError(
-            f"module is not restricted (witness {base.witnesses[:1]})"
-        )
+    _require(check_restricted_module(g, M, pmap, cap=cap, seed=seed),
+             "module is not restricted")
     p, n = g.p, g.dim
     act = _word_action(M)
     terms, note = _relation_terms(g, pmap, cap, seed, samples)
     failures, witnesses = _relation_failures(act, terms, ("relation",), p)
-    for i in range(n):
-        for tag, original, letter in (
-            ("left", M.left_action[i], (i,)),
-            ("right", M.right_action[i], (n + i,)),
-        ):
-            back = act(letter)
-            if not np.array_equal(back, original % p):
-                failures += 1
-                if len(witnesses) < WITNESS_LIMIT:
-                    witnesses.append(Witness(("readback", tag, i), back,
-                                             original % p))
+    readback = [(tag, i, act(letter), original % p)
+                for i in range(n)
+                for tag, original, letter in (("left", M.left_action[i], (i,)),
+                                              ("right", M.right_action[i], (n + i,)))]
+    failures += _keep(witnesses, [r for r in readback if not np.array_equal(r[2], r[3])],
+                      lambda tag, i, back, original: Witness(("readback", tag, i), back, original))
     return _report("module_roundtrip", witnesses, failures,
                    Coverage("exhaustive", len(terms) + 2 * n), (note,))

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra_core import DENSE_DIM_BOUND, Algebra
+from .algebra_core import DENSE_DIM_BOUND, Algebra, _tup
 from .errors import UsageError
 from .identities import (
     _AXIOMS,
@@ -43,7 +43,9 @@ from .identities import (
     WITNESS_LIMIT,
     Witness,
     _bracketing,
+    _keep,
     _report,
+    _require,
     check_restricted_leibniz,
 )
 from .linalg import RowReducer
@@ -545,11 +547,8 @@ def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, pmap, cap, seed, samples):
 def _ud_presentation(g: Algebra, pmap: str, d: int, cap, seed, samples):
     """ud_p's presentation, the relation pairs of _ud_pairs it divides out,
     and whether truncation touched the build of those pairs."""
-    rep = check_restricted_leibniz(g, pmap, cap=cap, seed=seed)
-    if not rep.ok():
-        raise UsageError(
-            f"input is not restricted Leibniz (witness {rep.witnesses[:1]})"
-        )
+    _require(check_restricted_leibniz(g, pmap, cap=cap, seed=seed),
+             "input is not restricted Leibniz")
     F = free_dias(g.dim, d, g.p)
     with OverflowProbe(F) as probe:
         pairs, note = _ud_pairs(F, g, pmap, cap, seed, samples)
@@ -573,14 +572,13 @@ def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None,
     """The degree-one embedding respects brackets on basis pairs and p-maps
     on the instantiated elements, inside the quotient."""
     pres, pairs, touched = _ud_presentation(g, pmap, d, cap, seed, samples)
-    witnesses, failures = [], 0
-    for key, lhs, rhs in pairs:
-        lhs, rhs = pres.project(lhs), pres.project(rhs)
-        if not np.array_equal(lhs, rhs):
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(Witness(key, tuple(int(v) for v in lhs),
-                                         tuple(int(v) for v in rhs)))
+    witnesses = []
+    # projections are ambient-dim vectors, so only the kept ones are made again
+    failures = _keep(
+        witnesses,
+        [(key, lhs, rhs) for key, lhs, rhs in pairs
+         if not np.array_equal(pres.project(lhs), pres.project(rhs))],
+        lambda key, lhs, rhs: Witness(key, _tup(pres.project(lhs)), _tup(pres.project(rhs))))
     # the pairs' note, then the presentation's notes, which start with it
     notes = pres.notes[:1] + pres.notes
     if touched:
@@ -623,16 +621,11 @@ def das_quotient(F: GradedBasisAlgebra, nfold=None):
             for op in pattern:
                 v = F.product(op, v, x)
             images.append((pattern, pres.project(v)))
-    witnesses, failures = [], 0
-    base_pattern, base = images[0]
-    for pattern, img in images[1:]:
-        if not np.array_equal(img, base):
-            failures += 1
-            if len(witnesses) < WITNESS_LIMIT:
-                witnesses.append(
-                    Witness((pattern,), tuple(int(v) for v in img),
-                            tuple(int(v) for v in base))
-                )
+    witnesses = []
+    base = images[0][1]
+    failures = _keep(witnesses, [(pattern, img) for pattern, img in images[1:]
+                                 if not np.array_equal(img, base)],
+                     lambda pattern, img: Witness((pattern,), _tup(img), _tup(base)))
     notes = (f"{len(images)} patterns of {n} factors",)
     if probe.triggered:
         notes += ("power exceeded the degree cap",)

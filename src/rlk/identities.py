@@ -18,17 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra_core import (
+    _CHUNK_ENTRIES,
     Algebra,
     Element,
     _tup,
+    jacobson_terms_batch,
     lie_basis_violation,
     stack_mat_pow,
 )
 from .errors import UsageError
-from .scalars import inv_mod
 
 WITNESS_LIMIT = 16
-_CHUNK_ENTRIES = 1 << 21
 # axiom-3 pairs of check_restricted_lie: all of them up to this many, else sampled
 PAIR_BUDGET = 4096
 
@@ -106,6 +106,25 @@ def _report(identity, witnesses, failure_count, coverage, notes=(), inconclusive
     else:
         status = "pass"
     return CheckReport(identity, status, witnesses, coverage, failure_count, tuple(notes))
+
+
+def _keep(witnesses, rows, witness, room=None) -> int:
+    """Append witness(*row) for the first `room` of the failing rows (by
+    default, up to WITNESS_LIMIT witnesses kept in all); returns the number
+    of rows, which is the failure count they add."""
+    room = WITNESS_LIMIT - len(witnesses) if room is None else room
+    for row in rows[:max(0, room)]:
+        witnesses.append(witness(*row))
+    return len(rows)
+
+
+def _require(report: CheckReport, what: str, error=UsageError) -> CheckReport:
+    """The report if it passes; else raise error("<what> (witness <the first
+    witness's inputs>)")."""
+    if not report.ok():
+        w = report.witnesses[0].inputs if report.witnesses else ()
+        raise error(f"{what} (witness {w})")
+    return report
 
 
 # -- trilinear sweeps --------------------------------------------------------
@@ -189,11 +208,12 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
 
                 lhs, rhs = side(lhs_terms, bracketing), side(rhs_terms, bracketing)
                 bad = (lhs != rhs).any(axis=3)
-                count = int(np.count_nonzero(bad))
-                failures += count
-                for i, j, k in np.argwhere(bad)[:WITNESS_LIMIT] if count else ():
-                    witnesses.append(Witness(tag(name) + (int(i) + lo, int(j), int(k)),
-                                             _tup(lhs[i, j, k]), _tup(rhs[i, j, k])))
+                # argwhere costs several count_nonzero calls, and most sweeps pass
+                failures += _keep(
+                    witnesses, np.argwhere(bad) if np.count_nonzero(bad) else (),
+                    lambda i, j, k: Witness(tag(name) + (int(i) + lo, int(j), int(k)),
+                                            _tup(lhs[i, j, k]), _tup(rhs[i, j, k])),
+                    WITNESS_LIMIT)
         coverage = Coverage("exhaustive", len(axioms) * d ** 3)
     elif mode == "sampled":
         rng = random.Random(seed)
@@ -211,12 +231,10 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
 
             sides = [(side(lhs_terms, bracketing), side(rhs_terms, bracketing))
                      for _, lhs_terms, rhs_terms in axioms]
-            bad = np.argwhere(np.stack([(lhs != rhs).any(axis=1) for lhs, rhs in sides], axis=1))
-            failures += bad.shape[0]
-            for s, k in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:
-                lhs, rhs = sides[k]
-                witnesses.append(Witness(tag(axioms[k][0]) + tuple(_tup(v) for v in T[s]),
-                                         _tup(lhs[s]), _tup(rhs[s])))
+            bad = np.stack([(lhs != rhs).any(axis=1) for lhs, rhs in sides], axis=1)
+            failures += _keep(witnesses, np.argwhere(bad), lambda s, k: Witness(
+                tag(axioms[k][0]) + tuple(_tup(v) for v in T[s]),
+                _tup(sides[k][0][s]), _tup(sides[k][1][s])))
         coverage = Coverage("sampled", len(axioms) * samples, seed)
     else:
         raise UsageError(f"unknown mode {mode!r}")
@@ -251,38 +269,6 @@ def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
 # -- Jacobson polarization ----------------------------------------------------
 
 
-def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, bracket) -> list:
-    """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, each
-    as an (N, dim) array: i*s_i is the coefficient of lambda**(i-1) in the
-    (p-1)-fold right bracketing of x by (lambda x + y).
-
-    `bracket(U, V)` brackets two (M, dim) arrays row by row.  Each round
-    brackets every (P_i, y) and (P_i, x) coefficient pair in one call; rows
-    are cut into chunks so that one call sees at most _CHUNK_ENTRIES // dim**2
-    stacked rows."""
-    N, d = X.shape
-    out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
-    block = max(1, _CHUNK_ENTRIES // max(1, 2 * p * d * d))
-    for lo in range(0, N, block):
-        x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
-        n = x.shape[0]
-        P = x[None]  # P[k] is the coefficient of lambda**k
-        for _ in range(p - 1):
-            k = P.shape[0]
-            B = bracket(
-                np.concatenate([P, P]).reshape(-1, d),
-                np.concatenate([np.broadcast_to(y, P.shape),
-                                np.broadcast_to(x, P.shape)]).reshape(-1, d),
-            ).reshape(2, k, n, d)
-            nxt = np.zeros((k + 1, n, d), dtype=np.int64)
-            nxt[:k] += B[0]
-            nxt[1:] += B[1]
-            P = nxt % p
-        for i in range(1, p):
-            out[i - 1][lo:lo + n] = (inv_mod(i, p) * P[i - 1]) % p
-    return out
-
-
 def jacobson_si(alg: Algebra, bracket: str, x: Element, y: Element) -> list:
     """Polarization coefficients s_1..s_{p-1} of the named bracket."""
     X, Y = (np.array([alg.element(v)], dtype=np.int64) for v in (x, y))
@@ -315,10 +301,9 @@ def _operator_failures(right_stack, m, p, X, PX, tag=()):
     for lo in range(0, X.shape[0], block):
         Rp = stack_mat_pow(right_stack(X[lo:lo + block]), p, p)
         Rf = right_stack(PX[lo:lo + block])
-        bad = np.flatnonzero(((Rp - Rf) % p).any(axis=(1, 2)))
-        failures += bad.size
-        for n in bad[:WITNESS_LIMIT]:
-            witnesses.append(Witness(tag + (_tup(X[lo + n]),), Rp[n], Rf[n]))
+        bad = np.argwhere(((Rp - Rf) % p).any(axis=(1, 2)))
+        failures += _keep(witnesses, bad, lambda n: Witness(
+            tag + (_tup(X[lo + n]),), Rp[n], Rf[n]), WITNESS_LIMIT)
     return failures, witnesses
 
 
@@ -334,10 +319,7 @@ def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
 def check_restricted_leibniz(alg: Algebra, pmap: str = "frobenius", cap=None,
                              seed: int = 0, samples: int = 400) -> CheckReport:
     """Right multiplications satisfy r_x**p = r_{x^[p]}; "bracket" must be Leibniz."""
-    base = check_leibniz(alg)
-    if not base.ok():
-        w = base.witnesses[0].inputs if base.witnesses else ()
-        raise UsageError(f"bracket 'bracket' is not Leibniz (witness {w})")
+    _require(check_leibniz(alg), "bracket 'bracket' is not Leibniz")
     return _operator_condition_sweep(
         alg, "bracket", pmap, "restricted_leibniz", cap, seed, samples
     )
@@ -346,10 +328,7 @@ def check_restricted_leibniz(alg: Algebra, pmap: str = "frobenius", cap=None,
 def check_restricted_prelie(alg: Algebra, pmap: str = "zero", cap=None,
                             seed: int = 0, samples: int = 400) -> CheckReport:
     """R_a**p = R_{a^{p}} for right multiplications of the pre-Lie op "prelie"."""
-    base = check_prelie(alg)
-    if not base.ok():
-        w = base.witnesses[0].inputs if base.witnesses else ()
-        raise UsageError(f"op 'prelie' is not pre-Lie (witness {w})")
+    _require(check_prelie(alg), "op 'prelie' is not pre-Lie")
     return _operator_condition_sweep(
         alg, "prelie", pmap, "restricted_prelie", cap, seed, samples
     )
@@ -383,12 +362,9 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     for a in range(2, p):
         expect = (pow(a, p, p) * PX) % p
         got = alg.apply_pmap_batch(pmap, (a * X) % p)
-        bad_rows = np.flatnonzero(((got - expect) % p).any(axis=1))
-        failures += bad_rows.size
-        for n in bad_rows[:WITNESS_LIMIT]:
-            witnesses.append(
-                Witness(("axiom1", a, _tup(X[n])), _tup(got[n]), _tup(expect[n]))
-            )
+        failures += _keep(witnesses, np.argwhere(((got - expect) % p).any(axis=1)),
+                          lambda n: Witness(("axiom1", a, _tup(X[n])), _tup(got[n]),
+                                            _tup(expect[n])), WITNESS_LIMIT)
 
     # axiom 2: operator condition
     count, found = _operator_failures(lambda rows: alg.right_mult_stack(bracket, rows),
@@ -410,12 +386,9 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         p, X[I], X[J], lambda U, V: alg.multiply_batch(bracket, U, V)
     )
     rhs = (PX[I] + PX[J] + sum(terms)) % p
-    bad_rows = np.flatnonzero((S != rhs).any(axis=1))
-    failures += bad_rows.size
-    for n in bad_rows[:max(0, 3 * WITNESS_LIMIT - len(witnesses))]:
-        witnesses.append(
-            Witness(("axiom3", _tup(X[I[n]]), _tup(X[J[n]])), _tup(S[n]), _tup(rhs[n]))
-        )
+    failures += _keep(witnesses, np.argwhere((S != rhs).any(axis=1)), lambda n: Witness(
+        ("axiom3", _tup(X[I[n]]), _tup(X[J[n]])), _tup(S[n]), _tup(rhs[n])),
+        3 * WITNESS_LIMIT - len(witnesses))
     notes = (
         f"elements {coverage.kind}({coverage.count})",
         f"axiom3 pairs {pair_cov.kind}({pair_cov.count})",
@@ -471,11 +444,8 @@ def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0) -> Chec
     for lo in range(0, samples, block):
         T = D.sample_array(3 * min(block, samples - lo), rng).reshape(-1, 3, d)
         lhs, rhs = _dleib_jacobson_sides(D, T[:, 0], T[:, 1], T[:, 2])
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
-        failures += bad.size
-        for n in bad[:max(0, WITNESS_LIMIT - len(witnesses))]:
-            inputs = tuple(_tup(v) for v in T[n])
-            witnesses.append(Witness(inputs, _tup(lhs[n]), _tup(rhs[n])))
+        failures += _keep(witnesses, np.argwhere((lhs != rhs).any(axis=1)), lambda n: Witness(
+            tuple(_tup(v) for v in T[n]), _tup(lhs[n]), _tup(rhs[n])))
     return _report(
         "dleib_jacobson_bracket", witnesses, failures, Coverage("sampled", samples, seed)
     )

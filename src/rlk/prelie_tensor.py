@@ -54,11 +54,12 @@ from .algebra_core import (
 from .errors import DomainError, UsageError
 from .free_structures import GradedBasisAlgebra
 from .identities import (
-    WITNESS_LIMIT,
     CheckReport,
     Coverage,
     Witness,
+    _keep,
     _report,
+    _require,
     check_leibniz,
     check_prelie,
     check_restricted_lie,
@@ -207,14 +208,8 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
         raise UsageError(
             f"product dimension {g.dim}*{R.dim} = {pdim} exceeds bound {PRODUCT_DIM_BOUND}"
         )
-    rep_g = check_leibniz(g)
-    if not rep_g.ok():
-        w = rep_g.witnesses[0].inputs if rep_g.witnesses else ()
-        raise UsageError(f"first factor is not Leibniz (witness {w})")
-    rep_R = check_zinbiel(R)
-    if not rep_R.ok():
-        w = rep_R.witnesses[0].inputs if rep_R.witnesses else ()
-        raise UsageError(f"second factor is not Zinbiel (witness {w})")
+    _require(check_leibniz(g), "first factor is not Leibniz")
+    _require(check_zinbiel(R), "second factor is not Zinbiel")
     p = g.p
     cg = g.structure("bracket")
     cr = R.structure("zinbiel")
@@ -224,10 +219,7 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
         p, pdim, {"prelie": prelie, "lie": lie},
         label=f"tensor({g.label},{R.label})",
     )
-    rep = check_prelie(product)
-    if not rep.ok():
-        w = rep.witnesses[0].inputs if rep.witnesses else ()
-        raise DomainError(f"assembled product is not pre-Lie (witness {w})")
+    rep = _require(check_prelie(product), "assembled product is not pre-Lie", DomainError)
     # attached once pre-Lie is known, which makes "lie" a Lie bracket
     product = product.extended(pmaps={
         "tensor_p": TensorFormulaPMap(g, R),
@@ -266,14 +258,6 @@ def tensor_pmap_factors(T: TensorAlgebraHandle, y, b=None):
     Y, B = _pure_rows(T, y, b)
     Z, W = _power_factors(T.gfactor, T.rfactor, Y, B)
     return _tup(Z[0]), _tup(W[0])
-
-
-def _keep(witnesses, rows, witness) -> int:
-    """Append witness(*row) for the first rows while fewer than WITNESS_LIMIT
-    witnesses are kept; returns the number of rows."""
-    for row in rows[:max(0, WITNESS_LIMIT - len(witnesses))]:
-        witnesses.append(witness(*row))
-    return len(rows)
 
 
 def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
@@ -333,10 +317,7 @@ def prelie_to_lie(A, op: str = "prelie") -> Algebra:
 def _antisymmetrized(A, op: str):
     """prelie_to_lie's algebra and its passing (prelie, lie_axioms) reports."""
     alg = A.product if isinstance(A, TensorAlgebraHandle) else A
-    rep = check_prelie(alg, op)
-    if not rep.ok():
-        w = rep.witnesses[0].inputs if rep.witnesses else ()
-        raise UsageError(f"op {op!r} is not pre-Lie (witness {w})")
+    rep = _require(check_prelie(alg, op), f"op {op!r} is not pre-Lie")
     c = alg.structure(op)
     lie = (c - c.transpose(1, 0, 2)) % alg.p
     result = alg.extended(ops={"lie": lie}, label=f"lie({alg.label})")
@@ -376,7 +357,7 @@ def check_corollary(T: TensorAlgebraHandle, seed: int = 0,
     rep = check_restricted_lie(A, "lie", "lie_p", cap=cap, seed=seed,
                                samples=samples)
     failures += rep.failure_count
-    witnesses += rep.witnesses[:max(0, WITNESS_LIMIT - len(witnesses))]
+    _keep(witnesses, [(w.inputs, w.lhs, w.rhs) for w in rep.witnesses], Witness)
 
     notes = (
         "p-th-power data: zero on every basis pure tensor, extended by the "

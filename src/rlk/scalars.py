@@ -2,9 +2,11 @@
 
 All arithmetic is exact: residues are plain Python ints in [0, p), inverses
 go through pow(a, -1, p), and nothing ever touches floating point.  LambdaPoly
-is the small workhorse behind the Jacobson polarization coefficients: a
-polynomial whose coefficients live in an arbitrary bilinear carrier (vectors,
-scalars), multiplied by convolution through a caller-supplied bracket.
+is a polynomial whose coefficients live in an arbitrary bilinear carrier
+(vectors, scalars), multiplied by convolution through a caller-supplied
+bracket.  The Jacobson polarization coefficients are computed by
+`algebra_core.jacobson_terms_batch`; LambdaPoly and lambda_poly_bracket stay
+only because perfbench/tracer.py patches them by name.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -345,6 +346,24 @@ def test_envelope_default_degree_is_p(tmp_path, capsys):
     path = write(tmp_path, "l2.alg", l2(2))
     assert main(["envelope", path, "ul"]) == 0
     assert "envelope ul d=2" in capsys.readouterr().out
+
+
+def test_envelope_honours_mode(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "l2.alg", l2(3))
+    argv = ["envelope", path, "ul", "--degree", "3"]
+    assert main(argv) == 0
+    # the bytes printed when --mode did not reach the envelope
+    out = capsys.readouterr().out.replace(path, "FILE")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "46f7965927c50248b748e509b77e588e7c504a9f85cbf6609425bb664363c9e1"
+    assert main(argv + ["--mode", "sample"]) == 0
+    assert "p-relations sampled on 9 elements (seed 0)" in capsys.readouterr().out
+    built = {"ulp_truncated": 0}
+    monkeypatch.setattr(rlk.cli, "ulp_truncated",
+                        counting(built, "ulp_truncated", rlk.cli.ulp_truncated))
+    assert main(argv + ["--mode", "exhaustive", "--cap", "2"]) == 2
+    assert "past the enumeration cap 2" in capsys.readouterr().err
+    assert built["ulp_truncated"] == 0
 
 
 def test_envelope_size_bound_exit2(tmp_path, capsys):

@@ -18,9 +18,10 @@ from rlk.envelope import (
     zero_module,
 )
 from rlk.errors import UsageError
+from rlk.free_structures import ud_p
 from rlk.identities import check_leibniz
 
-from helpers import abelian, l2, l2_dialgebra, truncated_poly
+from helpers import abelian, l2, l2_dialgebra, truncated_poly, upper_triangular2
 from oracles import (
     ideal_rank_fixed_point,
     naive_mat_mul,
@@ -339,3 +340,24 @@ def test_roundtrip_requires_a_restricted_module():
     g = with_zero_pmap(l2(2))
     with pytest.raises(UsageError, match="not restricted"):
         module_roundtrip(g, adjoint_module(g), pmap="zero")
+
+
+def test_precondition_errors_name_the_witness_inputs_on_one_line():
+    g = with_zero_pmap(l2(3))
+    ut2 = dleib(as_dialgebra(upper_triangular2(3)))
+    broken = Algebra(2, 1, {"bracket": np.ones((1, 1, 1), dtype=np.int64)})
+    not_restricted = "input is not restricted Leibniz (witness ((0, 1),))"
+    cases = [
+        (lambda: ud_p(g, pmap="zero", d=3), not_restricted),
+        (lambda: ulp_truncated(g, pmap="zero", d=3), not_restricted),
+        (lambda: check_module_axioms(broken, zero_module(broken, 2)),
+         "underlying bracket fails its identity (witness (0, 0, 0))"),
+        (lambda: check_restricted_module(ut2, swapped_adjoint(ut2)),
+         "module identities fail (witness ('m_first', 0, 1, 0))"),
+        (lambda: module_roundtrip(g, adjoint_module(g), pmap="zero"),
+         "module is not restricted (witness ((0, 1),))"),
+    ]
+    for run, message in cases:
+        with pytest.raises(UsageError) as err:
+            run()
+        assert str(err.value) == message

@@ -1,9 +1,12 @@
-"""Pinned reports of the module checks and relation builders, their failure
-counts against plain-Python matrix loops at a modulus next to the int64
-bound, and the absence of per-element products and p-map calls.
+"""Pinned reports of the module checks and relation builders, and of the
+other checks that collect witnesses outside the trilinear sweep; the module
+checks' failure counts against plain-Python matrix loops at a modulus next
+to the int64 bound; and the absence of per-element products and p-map calls.
 
-The digests were computed from the per-element loops that the batched
-sweeps replaced; they fix witness order, truncation, chunking and coverage."""
+The module digests were computed from the per-element loops that the batched
+sweeps replaced, and the others from the per-check witness loops that the
+shared collector replaced; they fix witness order, truncation, chunking and
+coverage."""
 
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ import random
 import numpy as np
 import pytest
 
-from rlk.algebra_core import Algebra, RightPowerPMap, ZeroPMap
-from rlk.dialgebra import as_dialgebra, dleib
+from rlk.algebra_core import Algebra, RightPowerPMap, TablePMap, ZeroPMap
+from rlk.dialgebra import as_dialgebra, check_commutative_diagram, dleib, sweep_lemdias
 from rlk.envelope import (
     LeibnizModule,
     adjoint_module,
@@ -26,9 +29,17 @@ from rlk.envelope import (
     ulp_truncated,
     zero_module,
 )
-from rlk.free_structures import check_ud_unit, ud_p
+from rlk.free_structures import check_ud_unit, das_quotient, free_dias, free_zinbiel, ud_p
+from rlk.identities import check_restricted_leibniz, check_restricted_lie, sweep_dleib_jacobson
+from rlk.prelie_tensor import (
+    TensorAlgebraHandle,
+    check_corollary,
+    check_tensor_restricted,
+    tensor_prelie,
+)
 
-from helpers import abelian, count_per_element_calls, counting, l2, upper_triangular2
+from helpers import (abelian, count_per_element_calls, counting, l2, matrix_assoc,
+                     random_structure, upper_triangular2)
 from oracles import naive_mat_mul, naive_mat_pow
 
 
@@ -68,6 +79,104 @@ def _diagonal_module(p, dim, mdim, seed):
 def _presentation(pres):
     return {**pres.to_dict(), "relations": [list(r) for r in pres.relations],
             "projection": pres.projection.tolist()}
+
+
+def _random_pair(p, dim):
+    """Seeded random "left" and "right" tensors: not diassociative, and the
+    iterated powers of the two products disagree."""
+    rng = random.Random(f"pair-{p}-{dim}")
+    return Algebra(p, dim, {"left": random_structure(p, dim, rng),
+                            "right": random_structure(p, dim, rng)})
+
+
+def _zero_pmap_m2(p):
+    """dleib of M_2(F_p) with the zero p-map, which breaks r_x**p = r_{x^[p]}
+    wherever r_x is not nilpotent: more than 16 failures."""
+    return dleib(as_dialgebra(matrix_assoc(p, 2))).extended(pmaps={"zero": ZeroPMap()})
+
+
+def _shifted_lie_l2(p, shift_zero=False):
+    """The Lie algebra [e0, e1] = e0 = -[e1, e0] with the table p-map
+    x -> e0 + x_1 e1 on nonzero x (and on 0 too with shift_zero), so that
+    (a x)^[p] != a**p x^[p] for every nonzero x and every scalar a > 1."""
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0], c[1, 0, 0] = 1, p - 1
+    table = {(a, b): (int(shift_zero or (a, b) != (0, 0)), b)
+             for a in range(p) for b in range(p)}
+    return Algebra(p, 2, {"bracket": c}, {"shifted": TablePMap(table)})
+
+
+def _forged_ingredients(p):
+    """A handle on seeded random tensors: every ingredient that
+    check_tensor_restricted checks fails, more than 16 times in all."""
+    rng = random.Random(f"forged-{p}")
+    g = Algebra(p, 3, {"bracket": random_structure(p, 3, rng)})
+    R = Algebra(p, 2, {"zinbiel": random_structure(p, 2, rng)})
+    prod = Algebra(p, 6, {"prelie": random_structure(p, 6, rng),
+                          "lie": np.zeros((6, 6, 6), dtype=np.int64)})
+    return TensorAlgebraHandle(g, R, prod)
+
+
+def _forged_bracket(p, lie=np.zeros_like, lie_p=None):
+    """L2 (x) free_zinbiel(2, 2) with the product's "lie" replaced by
+    lie(antisymmetrized bracket) and, if given, lie_p attached as "lie_p"."""
+    T = tensor_prelie(l2(p), free_zinbiel(2, 2, p))
+    A = T.product
+    pmaps = {} if lie_p is None else {"lie_p": lie_p}
+    prod = Algebra(p, A.dim, {"prelie": A.structure("prelie"),
+                              "lie": lie(A.structure("lie"))}, pmaps)
+    return TensorAlgebraHandle(T.gfactor, T.rfactor, prod)
+
+
+def _collector_cases():
+    """Checks that sweep rows and keep witnesses outside the trilinear sweep
+    and the module layer, with failing, sampled, multi-chunk and
+    inconclusive inputs across p = 2, 3, 5."""
+    pairs = {dim: _random_pair(p, dim) for p, dim in ((3, 3), (3, 6), (2, 40))}
+    m2_3, m2_2 = matrix_assoc(3, 2), matrix_assoc(2, 2)
+    z3, z2 = _zero_pmap_m2(3), _zero_pmap_m2(2)
+    return [
+        ("lemdias-fail-dim3", lambda: sweep_lemdias(pairs[3])),
+        ("lemdias-fail-dim6", lambda: sweep_lemdias(pairs[6])),
+        ("lemdias-fail-dim40", lambda: sweep_lemdias(pairs[40])),
+        ("diagram-m2-f3", lambda: check_commutative_diagram(m2_3)),
+        ("diagram-m2-f2", lambda: check_commutative_diagram(m2_2)),
+        ("diagram-m2-f3-sampled", lambda: check_commutative_diagram(
+            m2_3, cap=1, seed=2, samples=30)),
+        ("das-inconclusive", lambda: das_quotient(free_dias(1, 3, 3), nfold=5)[1]),
+        ("tensor-restricted-forged-f2", lambda: check_tensor_restricted(
+            _forged_ingredients(2), seed=1, samples=50)),
+        ("tensor-restricted-forged-f3", lambda: check_tensor_restricted(
+            _forged_ingredients(3), seed=2, samples=50)),
+        ("corollary-forged-bracket-f2", lambda: check_corollary(
+            _forged_bracket(2), samples=40)),
+        ("corollary-forged-bracket-f3", lambda: check_corollary(
+            _forged_bracket(3), seed=5, samples=40)),
+        # the literal zero map breaks additivity in characteristic 2
+        ("corollary-forged-zero-pmap-f2", lambda: check_corollary(
+            _forged_bracket(2, lambda c: c, ZeroPMap()), samples=40)),
+        # the bracket in reversed basis order is Lie but not the closed form,
+        # and its 16 bracket witnesses leave no room for the axiom witnesses
+        ("corollary-forged-reversed-f2", lambda: check_corollary(
+            _forged_bracket(2, lambda c: c[::-1, ::-1, ::-1], ZeroPMap()), samples=40)),
+        # dim 30 draws 700 triples in two chunks
+        ("dleib-jacobson-nondias-dim3", lambda: sweep_dleib_jacobson(
+            _random_pair(3, 3), samples=200, seed=1)),
+        ("dleib-jacobson-nondias-dim30", lambda: sweep_dleib_jacobson(
+            _random_pair(2, 30), samples=700, seed=2)),
+        ("restricted-leibniz-zero-m2-f3", lambda: check_restricted_leibniz(z3, "zero")),
+        ("restricted-leibniz-zero-m2-f2", lambda: check_restricted_leibniz(z2, "zero")),
+        ("restricted-leibniz-zero-m2-f3-sampled", lambda: check_restricted_leibniz(
+            z3, "zero", cap=1, seed=3, samples=60)),
+        ("restricted-lie-shifted-f3", lambda: check_restricted_lie(
+            _shifted_lie_l2(3), pmap="shifted")),
+        ("restricted-lie-shifted-f5", lambda: check_restricted_lie(
+            _shifted_lie_l2(5), pmap="shifted")),
+        ("restricted-lie-shifted-zero-f3", lambda: check_restricted_lie(
+            _shifted_lie_l2(3, shift_zero=True), pmap="shifted")),
+        ("restricted-lie-shifted-f5-sampled", lambda: check_restricted_lie(
+            _shifted_lie_l2(5), pmap="shifted", cap=1, seed=4, samples=30)),
+    ]
 
 
 def _cases():
@@ -115,7 +224,7 @@ def _cases():
             ulp_truncated(l2(2), d=3, cap=1, seed=1, samples=5))),
         ("ulp-zero-dim", lambda: _presentation(
             ulp_truncated(abelian(2, 0, with_pmap=True), pmap="zero", d=3))),
-    ]
+    ] + _collector_cases()
 
 
 PINNED = {
@@ -146,6 +255,28 @@ PINNED = {
     "ulp-l2-f2": "f1c673dbdd647f3bcdbea21d8c5794edc3832f7960947f4552292a701c70b2d1",
     "ulp-sampled": "5112fadcab423b01f7aa5bb32803268cd5127f13f763bce4181a52a42fde9a0b",
     "ulp-zero-dim": "845f6d4b3b619c3bf87952d0e4b09fa9e4b8dde9c50f4238b4048f8df12e4d8b",
+    "lemdias-fail-dim3": "05388c6a851fd3b9f64768d7f8a4432cc236cc2d47d9c566efc9c11d219f676b",
+    "lemdias-fail-dim6": "cfa0e5165b492e8fd6be31d662e248667cf9b556a1c64d7519473f5f8dd4eac1",
+    "lemdias-fail-dim40": "2e020611498f5768a6e10097993650a5db109f29c008ccb03c3dd9f93eaec4a1",
+    "diagram-m2-f3": "e9e1bd5f7f561cf6a64d6c9a60a98722e6cbd4c8323a24436fbf613aff618fb5",
+    "diagram-m2-f2": "8f7a980dc65f934cbf4d24a344e4c2ceefdbfcf6c9f65deefa7aa0ab5ab1cac3",
+    "diagram-m2-f3-sampled": "b808b0639a752c49a054e92d2a2ae75efcdcda465df4e11dbbbee3c0a1d5275d",
+    "das-inconclusive": "6a3ba63cfb1ead81ff322b102c2c2f497a3c2fec6ea3d2824ad49dddd6ee4c4e",
+    "tensor-restricted-forged-f2": "0e3db62d13ddcdf5510d4bdd5241e94b13e3c5827cf3563e36de2dac41ac01db",
+    "tensor-restricted-forged-f3": "6341868ab4aa045c2dafd8113844cef47cf6749ed4574e736dc23d07d43d3d46",
+    "corollary-forged-bracket-f2": "1a2cbdfb246a86d0cdbd3f45f8469bf3af912e74989f63efa48aaacb726fc64c",
+    "corollary-forged-bracket-f3": "dc2072cd4d528907e2b74ef04b2eae5b3804683a6b93e5259e68133dd098bbef",
+    "corollary-forged-zero-pmap-f2": "ccfad5c1a4bd394f1e54f44553a5d98a861ca2e15882727ea46feed8e9262ab6",
+    "corollary-forged-reversed-f2": "0c8053cd2074728a3f16c61bfa27d791025b01c8ff8e9f6eaf6a140e115cdfd8",
+    "dleib-jacobson-nondias-dim3": "045cf061aac92f849f2fb6ba7cf8d60ba00a74df562422bc81108e393371ee2b",
+    "dleib-jacobson-nondias-dim30": "2ee29818028d48e0e07dca657206a7b22d6783e56dc8bddcda38c1d959973dc3",
+    "restricted-leibniz-zero-m2-f3": "21b5e1773cd221d2379de59a35fa7e80a8c32142b048e90dd9c157137f28fe0c",
+    "restricted-leibniz-zero-m2-f2": "f484767ed8386756c7ae0a7095158a2f0fa85848d84504e3771641376ac58932",
+    "restricted-leibniz-zero-m2-f3-sampled": "d13fc99eff4f00ac36270ae7955d59a06549d627314059d73be2c723eeef98a0",
+    "restricted-lie-shifted-f3": "4a6eb4a4ee9769c8c11a2f33a7597feb3a4a9291d1eb3e3dab0c1e80bbfb15aa",
+    "restricted-lie-shifted-f5": "a448e2e42bdd4e20849cebf51fd41080bd8ac0ef69018bff58fb847394d6cd2a",
+    "restricted-lie-shifted-zero-f3": "ac80e6cdfbdfb568311b83205aab529291428a0717f6967df3ce0161433826fc",
+    "restricted-lie-shifted-f5-sampled": "73337e7f3c5ae5b6689428562bf8fdf09e04977780087656196c50ecb357f1ce",
 }
 
 
