@@ -13,6 +13,7 @@ overflow int64.
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 from types import MappingProxyType
@@ -240,7 +241,7 @@ class BasisJacobsonPMap:
                 head[:, i] = a[rows]
                 acc[rows] += sum(jacobson_terms_batch(
                     p, head, rest[rows],
-                    lambda U, V: alg.multiply_batch(self.bracket, U, V)))
+                    lambda V: alg.right_mult_stack(self.bracket, V)))
             acc %= p
         return acc
 
@@ -455,6 +456,13 @@ class Algebra:
             self.label if label is None else label,
         )
 
+    def _with_pmaps(self, pmaps) -> "Algebra":
+        """The same algebra carrying exactly `pmaps`, which are not validated
+        again: each must already be known valid on these ops."""
+        new = copy.copy(self)
+        new.pmaps = MappingProxyType(dict(pmaps))
+        return new
+
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"Algebra(p={self.p}, dim={self.dim}, ops={list(self.op_names)}{tag})"
@@ -478,31 +486,29 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
-def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, bracket) -> list:
+def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, right_stack) -> list:
     """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, each
     as an (N, dim) array: i*s_i is the coefficient of lambda**(i-1) in the
     (p-1)-fold right bracketing of x by (lambda x + y).
 
-    `bracket(U, V)` brackets two (M, dim) arrays row by row.  Each round
-    brackets every (P_i, y) and (P_i, x) coefficient pair in one call; rows
-    are cut into chunks so that one call sees at most _CHUNK_ENTRIES // dim**2
-    stacked rows."""
+    `right_stack(V)` maps (M, dim) rows v to the (M, dim, dim) reduced
+    operators u -> [u, v].  Each chunk of rows takes r_y and r_x from one
+    call; each round then updates the coefficients P_k of lambda**k by
+    batched mat-vecs, P'_k = r_y P_k + r_x P_{k-1}, each product reduced mod
+    p before the sum, so no entry passes dim*(p-1)**2 + p.  A chunk stacks
+    at most _CHUNK_ENTRIES // (2 p dim**2) rows."""
     N, d = X.shape
     out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
     block = max(1, _CHUNK_ENTRIES // max(1, 2 * p * d * d))
     for lo in range(0, N, block):
         x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
         n = x.shape[0]
+        R = right_stack(np.concatenate([y, x])).reshape(2, 1, n, d, d)
         P = x[None]  # P[k] is the coefficient of lambda**k
         for _ in range(p - 1):
-            k = P.shape[0]
-            B = bracket(
-                np.concatenate([P, P]).reshape(-1, d),
-                np.concatenate([np.broadcast_to(y, P.shape),
-                                np.broadcast_to(x, P.shape)]).reshape(-1, d),
-            ).reshape(2, k, n, d)
-            nxt = np.zeros((k + 1, n, d), dtype=np.int64)
-            nxt[:k] += B[0]
+            B = np.matmul(R, P[None, ..., None])[..., 0] % p  # (2, k, n, d)
+            nxt = np.zeros((P.shape[0] + 1, n, d), dtype=np.int64)
+            nxt[:-1] += B[0]
             nxt[1:] += B[1]
             P = nxt % p
         for i in range(1, p):

@@ -307,9 +307,7 @@ def cmd_derive(args) -> int:
             g = parse_algebra_file(args.files[0])
             R = parse_algebra_file(args.files[1])
             T = tensor_prelie(g, R)
-            A = T.product
-            derived = type(A)(A.p, A.dim, {op: A.structure(op) for op in A.op_names},
-                              {"lie_p": A.pmap("lie_p")}, label=A.label)
+            derived = T.product._with_pmaps({"lie_p": T.product.pmap("lie_p")})
             checks = (
                 T.prelie_report.to_dict(),
                 check_tensor_restricted(

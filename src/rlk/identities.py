@@ -272,9 +272,7 @@ def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
 def jacobson_si(alg: Algebra, bracket: str, x: Element, y: Element) -> list:
     """Polarization coefficients s_1..s_{p-1} of the named bracket."""
     X, Y = (np.array([alg.element(v)], dtype=np.int64) for v in (x, y))
-    terms = jacobson_terms_batch(
-        alg.p, X, Y, lambda U, V: alg.multiply_batch(bracket, U, V)
-    )
+    terms = jacobson_terms_batch(alg.p, X, Y, lambda V: alg.right_mult_stack(bracket, V))
     return [_tup(s[0]) for s in terms]
 
 
@@ -382,9 +380,7 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         I, J = np.array([(rng.randrange(N), rng.randrange(N)) for _ in range(npairs)]).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
     S = alg.apply_pmap_batch(pmap, X[I] + X[J])
-    terms = jacobson_terms_batch(
-        p, X[I], X[J], lambda U, V: alg.multiply_batch(bracket, U, V)
-    )
+    terms = jacobson_terms_batch(p, X[I], X[J], lambda V: alg.right_mult_stack(bracket, V))
     rhs = (PX[I] + PX[J] + sum(terms)) % p
     failures += _keep(witnesses, np.argwhere((S != rhs).any(axis=1)), lambda n: Witness(
         ("axiom3", _tup(X[I[n]]), _tup(X[J[n]])), _tup(S[n]), _tup(rhs[n])),
@@ -414,8 +410,11 @@ def _dleib_jacobson_sides(D: Algebra, Z, X, Y):
     def bracket(U, V):
         return (D.multiply_batch("left", U, V) - D.multiply_batch("right", V, U)) % p
 
+    def right_stack(V):  # u -> u -| v - v |- u
+        return (D.right_mult_stack("left", V) - D.left_mult_stack("right", V)) % p
+
     power = D.right_power_batch("right", np.concatenate([X + Y, X, Y]), p)
-    s_sum = sum(jacobson_terms_batch(p, X, Y, bracket)) % p
+    s_sum = sum(jacobson_terms_batch(p, X, Y, right_stack)) % p
     B = bracket(np.tile(Z, (4, 1)), np.concatenate([power, s_sum])).reshape(4, N, D.dim)
     return B[0], (B[1] + B[2] + B[3]) % p
 

@@ -220,8 +220,9 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
         label=f"tensor({g.label},{R.label})",
     )
     rep = _require(check_prelie(product), "assembled product is not pre-Lie", DomainError)
-    # attached once pre-Lie is known, which makes "lie" a Lie bracket
-    product = product.extended(pmaps={
+    # attached once pre-Lie is known, which makes "lie" a Lie bracket, so
+    # lie_p is valid without a Lie check of its own (check_corollary runs one)
+    product = product._with_pmaps({
         "tensor_p": TensorFormulaPMap(g, R),
         "zero": ZeroPMap(),
         "lie_p": BasisJacobsonPMap("lie", [product.zero()] * pdim),

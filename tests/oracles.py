@@ -6,6 +6,7 @@ two sides can disagree when one of them is wrong.
 """
 
 import itertools
+import math
 
 
 def brute_inv(a, p):
@@ -17,6 +18,11 @@ def brute_inv(a, p):
 
 def brute_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, n))
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to the square root, for n up to ~2**32."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def naive_multiply(c, x, y, p):
@@ -49,6 +55,18 @@ def naive_mat_pow(mat, n, p):
     out = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     for _ in range(n):
         out = naive_mat_mul(out, mat, p)
+    return out
+
+
+def square_multiply_mat_pow(mat, n, p):
+    """mat**n by repeated squaring, every square and product a naive_mat_mul;
+    usable where naive_mat_pow's n products are too many."""
+    out = naive_mat_pow(mat, 0, p)
+    while n:
+        if n & 1:
+            out = naive_mat_mul(out, mat, p)
+        mat = naive_mat_mul(mat, mat, p)
+        n >>= 1
     return out
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -20,7 +21,8 @@ from rlk.algebra_core import (
 from rlk.errors import UsageError
 
 from helpers import all_elements, l2, random_structure, truncated_poly
-from oracles import naive_mat_pow, naive_multiply
+from oracles import (naive_mat_pow, naive_multiply, square_multiply_mat_pow,
+                     trial_division_is_prime)
 
 
 def test_l2_multiply_example() -> None:
@@ -378,6 +380,54 @@ def test_lie_basis_violation_exact_near_modulus_bound() -> None:
         assert lie_basis_violation(Algebra(p, dim, {"b": c}), "b") == want
         found.append(want if want is None else want[0])
     assert found[0] is None and "jacobi" in found
+
+
+def _primes_at_the_bound(dim):
+    """(p, q): p the largest prime and q the smallest prime with
+    dim * (p - 1)**2 < 2**62 <= dim * (q - 1)**2."""
+    top = 1 + math.isqrt(((1 << 62) - 1) // dim)  # largest admitted p
+    p, q = top, top + 1
+    while not trial_division_is_prime(p):
+        p -= 1
+    while not trial_division_is_prime(q):
+        q += 1
+    return p, q
+
+
+def _random_prime_below(top, rng):
+    p = top - rng.randrange(1 << 20)
+    while not trial_division_is_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim) -> None:
+    """multiply_batch, right_mult_stack and stack_mat_pow(., p, p) against
+    Python-int loops, at random primes within 2**20 of the largest one that
+    _check_modulus_bound admits at this dim, on random reduced inputs, so that
+    every contraction sums dim products next to (p - 1)**2.
+
+    The Jacobson polarization kernel is left out: it runs p - 1 bracketing
+    rounds, which for a prime near 2**31 is not feasible."""
+    rng = random.Random(f"modulus-bound-{dim}")
+    top, above = _primes_at_the_bound(dim)
+    with pytest.raises(UsageError, match="too large"):
+        Algebra(above, dim, {})
+    for p in [top] + [_random_prime_below(top, rng) for _ in range(2)]:
+        c = random_structure(p, dim, rng)
+        alg = Algebra(p, dim, {"mul": c})
+        X, Y = alg.sample_array(8, rng), alg.sample_array(8, rng)
+        C = c.tolist()
+        got = alg.multiply_batch("mul", X, Y).tolist()
+        assert got == [list(naive_multiply(C, x, y, p)) for x, y in zip(X.tolist(), Y.tolist())]
+        stack = alg.right_mult_stack("mul", X)
+        assert stack.tolist() == [_naive_mult_matrices(C, tuple(x), p)[0] for x in X.tolist()]
+        mats = np.concatenate([stack, np.array(
+            [[[rng.randrange(p) for _ in range(dim)] for _ in range(dim)] for _ in range(4)],
+            dtype=np.int64)])
+        assert stack_mat_pow(mats, p, p).tolist() == [
+            square_multiply_mat_pow(m, p, p) for m in mats.tolist()]
 
 
 # -- one kernel per operation ----------------------------------------------------

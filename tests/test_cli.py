@@ -457,6 +457,17 @@ def test_derive_verifies_each_construction_once(tmp_path, capsys, calls):
     assert (got["check_prelie"], got["lie_basis_violation"]) == (1, 1)
 
 
+def test_derive_tensor_prelie_checks_the_lie_bracket_once(tmp_path, capsys, calls):
+    """tensor_prelie's pre-Lie check already makes "lie" a Lie bracket, so
+    the one Lie check is check_corollary's: attaching lie_p and dropping the
+    p-maps without a file form re-check nothing."""
+    g = write(tmp_path, "g.alg", l2(2))
+    zin = write(tmp_path, "z.alg", free_zinbiel(1, 3, 2).to_algebra())
+    assert main(["derive", "tensor-prelie", g, zin, "--out", str(tmp_path / "out.alg")]) == 0
+    capsys.readouterr()
+    assert calls["lie_basis_violation"] == 1
+
+
 def test_derive_dleib_exhaustive_past_the_cap_sweeps_nothing(tmp_path, capsys, calls):
     ut2 = write(tmp_path, "ut2.alg", upper_triangular2(3))  # 27 elements
     assert main(["derive", "dleib", ut2, "--mode", "exhaustive", "--cap", "5"]) == 2

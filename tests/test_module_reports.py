@@ -4,9 +4,10 @@ checks' failure counts against plain-Python matrix loops at a modulus next
 to the int64 bound; and the absence of per-element products and p-map calls.
 
 The module digests were computed from the per-element loops that the batched
-sweeps replaced, and the others from the per-check witness loops that the
-shared collector replaced; they fix witness order, truncation, chunking and
-coverage."""
+sweeps replaced, the polarization cases from the Jacobson kernel that
+bracketed row pairs each round (before it took right-operator stacks), and
+the others from the per-check witness loops that the shared collector
+replaced; they fix witness order, truncation, chunking and coverage."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import random
 import numpy as np
 import pytest
 
-from rlk.algebra_core import Algebra, RightPowerPMap, TablePMap, ZeroPMap
+from rlk.algebra_core import (Algebra, BasisJacobsonPMap, RightPowerPMap, TablePMap,
+                              ZeroPMap, _tup)
 from rlk.dialgebra import as_dialgebra, check_commutative_diagram, dleib, sweep_lemdias
 from rlk.envelope import (
     LeibnizModule,
@@ -38,9 +40,9 @@ from rlk.prelie_tensor import (
     tensor_prelie,
 )
 
-from helpers import (abelian, count_per_element_calls, counting, l2, matrix_assoc,
-                     random_structure, upper_triangular2)
-from oracles import naive_mat_mul, naive_mat_pow
+from helpers import (abelian, commutator_tensor, count_per_element_calls, counting, l2,
+                     matrix_assoc, random_structure, upper_triangular2)
+from oracles import naive_mat_mul, naive_mat_pow, square_multiply_mat_pow
 
 
 def _ut2(p):
@@ -95,15 +97,20 @@ def _zero_pmap_m2(p):
     return dleib(as_dialgebra(matrix_assoc(p, 2))).extended(pmaps={"zero": ZeroPMap()})
 
 
-def _shifted_lie_l2(p, shift_zero=False):
-    """The Lie algebra [e0, e1] = e0 = -[e1, e0] with the table p-map
-    x -> e0 + x_1 e1 on nonzero x (and on 0 too with shift_zero), so that
-    (a x)^[p] != a**p x^[p] for every nonzero x and every scalar a > 1."""
+def _lie_l2_bracket(p):
+    """The Lie bracket [e0, e1] = e0 = -[e1, e0]."""
     c = np.zeros((2, 2, 2), dtype=np.int64)
     c[0, 1, 0], c[1, 0, 0] = 1, p - 1
+    return c
+
+
+def _shifted_lie_l2(p, shift_zero=False):
+    """The Lie algebra of _lie_l2_bracket with the table p-map
+    x -> e0 + x_1 e1 on nonzero x (and on 0 too with shift_zero), so that
+    (a x)^[p] != a**p x^[p] for every nonzero x and every scalar a > 1."""
     table = {(a, b): (int(shift_zero or (a, b) != (0, 0)), b)
              for a in range(p) for b in range(p)}
-    return Algebra(p, 2, {"bracket": c}, {"shifted": TablePMap(table)})
+    return Algebra(p, 2, {"bracket": _lie_l2_bracket(p)}, {"shifted": TablePMap(table)})
 
 
 def _forged_ingredients(p):
@@ -176,6 +183,40 @@ def _collector_cases():
             _shifted_lie_l2(3, shift_zero=True), pmap="shifted")),
         ("restricted-lie-shifted-f5-sampled", lambda: check_restricted_lie(
             _shifted_lie_l2(5), pmap="shifted", cap=1, seed=4, samples=30)),
+    ] + _polarization_cases()
+
+
+def _true_pmap_lie_l2(p):
+    """The Lie algebra of _lie_l2_bracket with its restricted p-map e0 -> 0,
+    e1 -> e1, extended from the basis by the Jacobson formula."""
+    return Algebra(p, 2, {"bracket": _lie_l2_bracket(p)},
+                   {"jac": BasisJacobsonPMap("bracket", [(0, 0), (0, 1)])})
+
+
+def _true_pmap_gl2(p):
+    """gl_2(F_p) with e_i^[p] = e_i**p, extended by the Jacobson formula."""
+    A = matrix_assoc(p, 2)
+    values = [_tup(v) for v in A.right_power_batch("assoc", np.eye(4, dtype=np.int64), p)]
+    return Algebra(p, 4, {"bracket": commutator_tensor(A)},
+                   {"jac": BasisJacobsonPMap("bracket", values)})
+
+
+def _polarization_cases():
+    """Checks that evaluate the Jacobson polarization kernel past p = 5: the
+    additivity axiom of check_restricted_lie (through a table and through a
+    Jacobson-extended p-map), check_corollary, and the derived-bracket sweep."""
+    return [
+        ("restricted-lie-shifted-f7", lambda: check_restricted_lie(
+            _shifted_lie_l2(7), pmap="shifted")),
+        ("restricted-lie-true-l2-f7", lambda: check_restricted_lie(
+            _true_pmap_lie_l2(7), pmap="jac")),
+        # 2401 elements: axiom 3 samples its pairs
+        ("restricted-lie-true-gl2-f7", lambda: check_restricted_lie(
+            _true_pmap_gl2(7), pmap="jac", seed=6)),
+        ("corollary-l2-fz22-f3", lambda: check_corollary(
+            tensor_prelie(l2(3), free_zinbiel(2, 2, 3)), seed=2, samples=60)),
+        ("dleib-jacobson-nondias-f7", lambda: sweep_dleib_jacobson(
+            _random_pair(7, 3), samples=300, seed=4)),
     ]
 
 
@@ -277,6 +318,11 @@ PINNED = {
     "restricted-lie-shifted-f5": "a448e2e42bdd4e20849cebf51fd41080bd8ac0ef69018bff58fb847394d6cd2a",
     "restricted-lie-shifted-zero-f3": "ac80e6cdfbdfb568311b83205aab529291428a0717f6967df3ce0161433826fc",
     "restricted-lie-shifted-f5-sampled": "73337e7f3c5ae5b6689428562bf8fdf09e04977780087656196c50ecb357f1ce",
+    "restricted-lie-shifted-f7": "f2a62632b92e7e561b38591caf97cce767fe63614613e2195ba7ff507174e401",
+    "restricted-lie-true-l2-f7": "dc4d97fc5a8f16672d5f191c6e26e0268c3e33e9422284fd0390c12c84542261",
+    "restricted-lie-true-gl2-f7": "444c2ab12edb506887038aa15b0c73c6cb092fd55fe15c386dd41e164a275d60",
+    "corollary-l2-fz22-f3": "f67419b26d4d1a7a20cafa9ed57c2709d7f083684ebb8096d0a1374ca61f0840",
+    "dleib-jacobson-nondias-f7": "78c5357bcfe8efbd13c059edb9ad3a51597058a516cbc4ef19b4cf93d58e1d9e",
 }
 
 
@@ -298,17 +344,6 @@ def test_report_digest_is_pinned(case, run) -> None:
 # the largest prime p with 3 * (p - 1)**2 < 2**62, the bound that
 # _check_modulus_bound puts on 3-dimensional modules
 BIG_P = 1239850223
-
-
-def _mat_power(mat, n, p):
-    """mat**n by repeated squaring, every square and product a plain loop."""
-    out = naive_mat_pow(mat, 0, p)
-    while n:
-        if n & 1:
-            out = naive_mat_mul(out, mat, p)
-        mat = naive_mat_pow(mat, 2, p)
-        n >>= 1
-    return out
 
 
 def _combination(mats, x, p):
@@ -390,7 +425,7 @@ def test_restricted_failures_match_naive_powers_near_modulus_bound(diagonalizabl
     for _ in range(20):
         x = tuple(draw.randrange(p) for _ in range(2))
         rx = _combination(R, x, p)
-        power = _mat_power(rx, p, p)
+        power = square_multiply_mat_pow(rx, p, p)
         if power != rx:
             expect[x] = (rx, power)
     assert rep.failure_count == len(expect) == (0 if diagonalizable else 20)

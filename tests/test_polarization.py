@@ -57,23 +57,52 @@ def _brackets(p, rng):
     return out
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+def _random_rows(rng, p, n, d):
+    return np.array([[rng.randrange(p) for _ in range(d)] for _ in range(n)], dtype=np.int64)
+
+
+def _assert_rows_match_oracle(got, p, X, Y, bracket, kind):
+    """got is the kernel's s_1..s_{p-1} for the row pairs of X and Y, and
+    bracket(u, v) the plain-tuple bracket it should polarize."""
+    n, d = X.shape
+    assert len(got) == p - 1
+    assert all(s.shape == (n, d) for s in got)
+    for r in range(n):
+        x, y = tuple(X[r].tolist()), tuple(Y[r].tolist())
+        want = naive_jacobson_terms(bracket, x, y, p)
+        assert [tuple(s[r].tolist()) for s in got] == want, (kind, x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("n", [1, 37])
 def test_jacobson_terms_batch_rows_match_oracle(p, n):
     rng = random.Random(1000 * p + n)
     for kind, c in _brackets(p, rng):
         d = c.shape[0]
         alg = Algebra(p, d, {"b": c})
-        X = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(n)], dtype=np.int64)
-        Y = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(n)], dtype=np.int64)
-        got = jacobson_terms_batch(p, X, Y, lambda U, V: alg.multiply_batch("b", U, V))
-        assert len(got) == p - 1
-        assert all(s.shape == (n, d) for s in got)
+        X, Y = _random_rows(rng, p, n, d), _random_rows(rng, p, n, d)
+        got = jacobson_terms_batch(p, X, Y, lambda V: alg.right_mult_stack("b", V))
         C = c.tolist()
-        for r in range(n):
-            x, y = tuple(X[r].tolist()), tuple(Y[r].tolist())
-            want = naive_jacobson_terms(lambda u, v: naive_multiply(C, u, v, p), x, y, p)
-            assert [tuple(s[r].tolist()) for s in got] == want, (kind, x, y)
+        _assert_rows_match_oracle(got, p, X, Y, lambda u, v: naive_multiply(C, u, v, p), kind)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_jacobson_terms_batch_on_the_derived_bracket_of_a_non_dias_pair(p):
+    """The operator u -> u -| v - v |- u of two random products, which are
+    not diassociative, so the derived bracket is not even Leibniz."""
+    rng = random.Random(f"derived-{p}")
+    cl, cr = random_structure(p, 3, rng), random_structure(p, 3, rng)
+    D = Algebra(p, 3, {"left": cl, "right": cr})
+    X, Y = _random_rows(rng, p, 41, 3), _random_rows(rng, p, 41, 3)
+    got = jacobson_terms_batch(p, X, Y, lambda V: (
+        D.right_mult_stack("left", V) - D.left_mult_stack("right", V)) % p)
+    L, R = cl.tolist(), cr.tolist()
+
+    def bracket(u, v):
+        a, b = naive_multiply(L, u, v, p), naive_multiply(R, v, u, p)
+        return tuple((s - t) % p for s, t in zip(a, b))
+
+    _assert_rows_match_oracle(got, p, X, Y, bracket, "derived")
 
 
 def _power(C, x, p):
@@ -83,7 +112,7 @@ def _power(C, x, p):
     return v
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_basis_jacobson_batch_single_and_power_agree_on_gl2(p):
     A = matrix_assoc(p, 2)
     C = A.structure("assoc").tolist()
