@@ -8,7 +8,8 @@ matrix acts on coefficient column vectors from the left.
 
 Arithmetic is exact: every contraction sums dim terms of products of two
 reduced residues, and construction rejects moduli large enough for that to
-overflow int64.
+overflow int64.  The batch kernels contract through `_matmul_mod`, which
+runs in float64 BLAS while such a sum stays below 2**53 and in int64 above.
 """
 
 from __future__ import annotations
@@ -62,8 +63,28 @@ def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
 
 def _check_modulus_bound(p: int, dim: int) -> None:
     # one contracted index at a time: sums of dim products of reduced residues
+    # must fit int64; _matmul_mod uses float64 below the tighter 2**53
     if dim and dim * (p - 1) * (p - 1) >= 1 << 62:
         raise UsageError(f"modulus {p} too large for exact int64 kernels at dim {dim}")
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """np.matmul(A, B) % p as reduced int64, for reduced int64 operands.
+
+    While A.shape[-1] * (p - 1)**2 < 2**53, every partial sum is an integer
+    that float64 holds exactly, in whatever order BLAS adds, so the product
+    runs in float64 BLAS.  Larger primes take the int64 product, which
+    _check_modulus_bound keeps below 2**62.  Each operand is cast once and
+    each temporary freed once used, so the peak stays that of int64."""
+    if A.shape[-1] * (p - 1) ** 2 >= 1 << 53:
+        return np.matmul(A, B) % p
+    Af = A.astype(np.float64)
+    out = np.matmul(Af, Af if B is A else B.astype(np.float64))
+    del Af
+    res = out.astype(np.int64)
+    del out
+    res %= p
+    return res
 
 
 class ZeroPMap:
@@ -360,9 +381,10 @@ class Algebra:
 
     def multiply_batch(self, op: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise products of two (N, dim) coefficient arrays."""
-        c = self.structure(op)
-        t = np.tensordot(X % self.p, c, axes=(1, 0)) % self.p  # (N, j, k)
-        return np.einsum("njk,nj->nk", t, Y % self.p) % self.p
+        p, d = self.p, self.dim
+        c = self.structure(op).reshape(d, d * d)  # (i, jk)
+        t = _matmul_mod(X % p, c, p).reshape(len(X), d, d)  # (n, j, k)
+        return _matmul_mod((Y % p)[:, None, :], t, p)[:, 0]
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
         """Row-wise n-fold right powers (((x*x)*x)...*x), n >= 1, of an
@@ -382,14 +404,14 @@ class Algebra:
 
     def right_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
         """(N, dim, dim) stack of right-multiplication matrices."""
-        c = self.structure(op)
-        m = np.tensordot(X % self.p, c, axes=(1, 1)) % self.p  # (n, i, k)
-        return m.transpose(0, 2, 1)
+        p, d = self.p, self.dim
+        c = self.structure(op).transpose(1, 2, 0).reshape(d, d * d)  # (j, ki)
+        return _matmul_mod(X % p, c, p).reshape(len(X), d, d)
 
     def left_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
-        c = self.structure(op)
-        m = np.tensordot(X % self.p, c, axes=(1, 0)) % self.p  # (n, j, k)
-        return m.transpose(0, 2, 1)
+        p, d = self.p, self.dim
+        c = self.structure(op).transpose(0, 2, 1).reshape(d, d * d)  # (i, kj)
+        return _matmul_mod(X % p, c, p).reshape(len(X), d, d)
 
     # -- p-maps -------------------------------------------------------------
 
@@ -435,10 +457,21 @@ class Algebra:
         return np.stack(cols, axis=1)
 
     def sample_array(self, n: int, rng: random.Random) -> np.ndarray:
-        return np.array(
-            [[rng.randrange(self.p) for _ in range(self.dim)] for _ in range(n)],
-            dtype=np.int64,
-        )
+        """(n, dim) coefficients drawn row by row as rng.randrange(p) would
+        draw them one at a time, leaving rng in the same state.
+
+        randrange(p) takes the top p.bit_length() bits of Mersenne Twister
+        words until one is below p.  getrandbits(32 m) hands out the next m
+        words little-endian first, so the words still needed are drawn at
+        once and the rejected ones dropped, until every coefficient is in."""
+        need, shift = n * self.dim, 32 - self.p.bit_length()
+        parts, got = [np.zeros(0, dtype=np.uint32)], 0
+        while got < need:
+            raw = rng.getrandbits(32 * (need - got)).to_bytes(4 * (need - got), "little")
+            words = np.frombuffer(raw, dtype="<u4") >> shift
+            parts.append(words[words < self.p])
+            got += parts[-1].size
+        return np.concatenate(parts).astype(np.int64).reshape(n, self.dim)
 
     # -- derived copies ------------------------------------------------------
 
@@ -473,14 +506,16 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
     if n < 0:
         raise UsageError("negative matrix power")
     N, d, _ = stack.shape
-    # square and multiply from the lowest set bit: n = 2 costs one matmul
+    # square and multiply from the lowest set bit: n = 2 costs one matmul;
+    # a stack made for this call is freed before the first product
     out, base = None, stack % p
+    del stack
     while n:
         if n & 1:
-            out = base if out is None else np.matmul(out, base) % p
+            out = base if out is None else _matmul_mod(out, base, p)
         n >>= 1
         if n:
-            base = np.matmul(base, base) % p
+            base = _matmul_mod(base, base, p)
     if out is None:
         return np.broadcast_to(np.eye(d, dtype=np.int64), (N, d, d)).copy()
     return out
@@ -506,7 +541,7 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, right_stack) -> l
         R = right_stack(np.concatenate([y, x])).reshape(2, 1, n, d, d)
         P = x[None]  # P[k] is the coefficient of lambda**k
         for _ in range(p - 1):
-            B = np.matmul(R, P[None, ..., None])[..., 0] % p  # (2, k, n, d)
+            B = _matmul_mod(R, P[None, ..., None], p)[..., 0]  # (2, k, n, d)
             nxt = np.zeros((P.shape[0] + 1, n, d), dtype=np.int64)
             nxt[:-1] += B[0]
             nxt[1:] += B[1]

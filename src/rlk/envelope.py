@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Algebra, _check_modulus_bound, _tup
+from .algebra_core import Algebra, _check_modulus_bound, _matmul_mod, _tup
 from .errors import UsageError
 from .free_structures import (
     QuotientPresentation,
@@ -91,8 +91,9 @@ class LeibnizModule:
     def right_stack(self, X: np.ndarray) -> np.ndarray:
         """(N, mdim, mdim) stack of the matrices of m -> [m, x], one per row x
         of the (N, dim) coefficient array X."""
-        p = self.over.p
-        return np.tensordot(X % p, self.right_action, axes=(1, 0)) % p
+        p, m = self.over.p, self.mdim
+        A = self.right_action.reshape(self.over.dim, m * m)
+        return _matmul_mod(X % p, A, p).reshape(len(X), m, m)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""

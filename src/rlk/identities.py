@@ -299,7 +299,7 @@ def _operator_failures(right_stack, m, p, X, PX, tag=()):
     for lo in range(0, X.shape[0], block):
         Rp = stack_mat_pow(right_stack(X[lo:lo + block]), p, p)
         Rf = right_stack(PX[lo:lo + block])
-        bad = np.argwhere(((Rp - Rf) % p).any(axis=(1, 2)))
+        bad = np.argwhere((Rp != Rf).any(axis=(1, 2)))
         failures += _keep(witnesses, bad, lambda n: Witness(
             tag + (_tup(X[lo + n]),), Rp[n], Rf[n]), WITNESS_LIMIT)
     return failures, witnesses

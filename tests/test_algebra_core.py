@@ -18,6 +18,7 @@ from rlk.algebra_core import (
     lie_basis_violation,
     stack_mat_pow,
 )
+from rlk.envelope import LeibnizModule
 from rlk.errors import UsageError
 
 from helpers import all_elements, l2, random_structure, truncated_poly
@@ -382,10 +383,10 @@ def test_lie_basis_violation_exact_near_modulus_bound() -> None:
     assert found[0] is None and "jacobi" in found
 
 
-def _primes_at_the_bound(dim):
+def _primes_at_the_bound(bound, dim):
     """(p, q): p the largest prime and q the smallest prime with
-    dim * (p - 1)**2 < 2**62 <= dim * (q - 1)**2."""
-    top = 1 + math.isqrt(((1 << 62) - 1) // dim)  # largest admitted p
+    dim * (p - 1)**2 < bound <= dim * (q - 1)**2."""
+    top = 1 + math.isqrt((bound - 1) // dim)  # largest p under the bound
     p, q = top, top + 1
     while not trial_division_is_prime(p):
         p -= 1
@@ -401,33 +402,74 @@ def _random_prime_below(top, rng):
     return p
 
 
+def _residues_near_the_top(p, shape, rng):
+    """Residues within 8 of p - 1, odd and even: a contraction of them sums
+    dim products next to (p - 1)**2, so at the prime just past the float64
+    switch many of its totals are odd integers past 2**53."""
+    return np.array([p - 1 - rng.randrange(8) for _ in range(math.prod(shape))],
+                    dtype=np.int64).reshape(shape)
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim) -> None:
-    """multiply_batch, right_mult_stack and stack_mat_pow(., p, p) against
-    Python-int loops, at random primes within 2**20 of the largest one that
-    _check_modulus_bound admits at this dim, on random reduced inputs, so that
-    every contraction sums dim products next to (p - 1)**2.
+    """multiply_batch, right_mult_stack, left_mult_stack, stack_mat_pow(., p, p)
+    and LeibnizModule.right_stack against Python-int loops, on random reduced
+    inputs and on inputs next to p - 1, at:
+
+    - the largest prime that _check_modulus_bound admits at this dim, and two
+      random primes within 2**20 of it (int64 products next to 2**62);
+    - the largest prime with dim * (p - 1)**2 < 2**53 (float64 products next
+      to 2**53) and the next prime above it (int64 products just past 2**53,
+      where float64 would round).
 
     The Jacobson polarization kernel is left out: it runs p - 1 bracketing
     rounds, which for a prime near 2**31 is not feasible."""
     rng = random.Random(f"modulus-bound-{dim}")
-    top, above = _primes_at_the_bound(dim)
+    top, above = _primes_at_the_bound(1 << 62, dim)
     with pytest.raises(UsageError, match="too large"):
         Algebra(above, dim, {})
-    for p in [top] + [_random_prime_below(top, rng) for _ in range(2)]:
-        c = random_structure(p, dim, rng)
+    switch, past = _primes_at_the_bound(1 << 53, dim)
+    for p in [top, switch, past] + [_random_prime_below(top, rng) for _ in range(2)]:
+        c = _residues_near_the_top(p, (dim, dim, dim), rng)
         alg = Algebra(p, dim, {"mul": c})
-        X, Y = alg.sample_array(8, rng), alg.sample_array(8, rng)
+        X = np.concatenate([alg.sample_array(4, rng), _residues_near_the_top(p, (4, dim), rng)])
+        Y = np.concatenate([alg.sample_array(4, rng), _residues_near_the_top(p, (4, dim), rng)])
         C = c.tolist()
-        got = alg.multiply_batch("mul", X, Y).tolist()
-        assert got == [list(naive_multiply(C, x, y, p)) for x, y in zip(X.tolist(), Y.tolist())]
+        got = alg.multiply_batch("mul", X, Y)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(naive_multiply(C, x, y, p)) for x, y in zip(X.tolist(), Y.tolist())]
+        naive = [_naive_mult_matrices(C, tuple(x), p) for x in X.tolist()]
         stack = alg.right_mult_stack("mul", X)
-        assert stack.tolist() == [_naive_mult_matrices(C, tuple(x), p)[0] for x in X.tolist()]
+        assert stack.dtype == np.int64
+        assert stack.tolist() == [right for right, _ in naive]
+        assert alg.left_mult_stack("mul", X).tolist() == [left for _, left in naive]
         mats = np.concatenate([stack, np.array(
             [[[rng.randrange(p) for _ in range(dim)] for _ in range(dim)] for _ in range(4)],
-            dtype=np.int64)])
+            dtype=np.int64), _residues_near_the_top(p, (4, dim, dim), rng)])
         assert stack_mat_pow(mats, p, p).tolist() == [
             square_multiply_mat_pow(m, p, p) for m in mats.tolist()]
+        mdim = dim  # the module bound is the algebra's
+        right = _residues_near_the_top(p, (dim, mdim, mdim), rng)
+        M = LeibnizModule(alg, mdim, np.zeros_like(right), right)
+        A = right.tolist()
+        assert M.right_stack(X).tolist() == [
+            [[sum(x[i] * A[i][r][s] for i in range(dim)) % p for s in range(mdim)]
+             for r in range(mdim)] for x in X.tolist()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 1_239_850_223, (1 << 31) - 1])
+def test_sample_array_draws_as_randrange_does(p) -> None:
+    """The vectorized draw returns the coefficients of the one-at-a-time
+    randrange loop and leaves the generator in the same state."""
+    dim = 1 if p > 1 << 30 else 3
+    alg = Algebra(p, dim, {})
+    for n in (0, 1, 7, 1000):
+        fast, slow = random.Random(f"draw-{p}-{n}"), random.Random(f"draw-{p}-{n}")
+        got = alg.sample_array(n, fast)
+        want = [[slow.randrange(p) for _ in range(dim)] for _ in range(n)]
+        assert got.dtype == np.int64 and got.shape == (n, dim)
+        assert got.tolist() == want
+        assert fast.getstate() == slow.getstate()
 
 
 # -- one kernel per operation ----------------------------------------------------
