@@ -8,8 +8,8 @@ matrix acts on coefficient column vectors from the left.
 
 Arithmetic is exact: every contraction sums dim terms of products of two
 reduced residues, and construction rejects moduli large enough for that to
-overflow int64.  The batch kernels contract through `_matmul_mod`, which
-runs in float64 BLAS while such a sum stays below 2**53 and in int64 above.
+overflow int64.  Every summed contraction runs through `_matmul_mod`, in
+float64 BLAS where that is exact and repays the casts, else in int64.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ DEFAULT_CAP = 1 << 16
 DENSE_DIM_BOUND = 160
 # entries one chunk of a batched kernel may stack at once
 _CHUNK_ENTRIES = 1 << 21
+# multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
+_SMALL_PRODUCT = 1 << 12
 
 Element = tuple
 
@@ -74,9 +76,11 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     While A.shape[-1] * (p - 1)**2 < 2**53, every partial sum is an integer
     that float64 holds exactly, in whatever order BLAS adds, so the product
     runs in float64 BLAS.  Larger primes take the int64 product, which
-    _check_modulus_bound keeps below 2**62.  Each operand is cast once and
-    each temporary freed once used, so the peak stays that of int64."""
-    if A.shape[-1] * (p - 1) ** 2 >= 1 << 53:
+    _check_modulus_bound keeps below 2**62, and so do products of fewer than
+    _SMALL_PRODUCT multiply-adds (A.size * B.shape[-1]), for which the float64
+    casts cost more than BLAS saves.  Each operand is cast once and each
+    temporary freed once used, so the peak stays that of int64."""
+    if A.size * B.shape[-1] < _SMALL_PRODUCT or A.shape[-1] * (p - 1) ** 2 >= 1 << 53:
         return np.matmul(A, B) % p
     Af = A.astype(np.float64)
     out = np.matmul(Af, Af if B is A else B.astype(np.float64))
@@ -502,14 +506,13 @@ class Algebra:
 
 
 def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Batched matrix power of a (N, d, d) stack mod p."""
+    """Batched matrix power of a reduced (N, d, d) stack mod p; n = 1
+    returns the stack itself."""
     if n < 0:
         raise UsageError("negative matrix power")
     N, d, _ = stack.shape
-    # square and multiply from the lowest set bit: n = 2 costs one matmul;
-    # a stack made for this call is freed before the first product
-    out, base = None, stack % p
-    del stack
+    # square and multiply from the lowest set bit: n = 2 costs one matmul
+    out, base = None, stack
     while n:
         if n & 1:
             out = base if out is None else _matmul_mod(out, base, p)
@@ -551,6 +554,17 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, right_stack) -> l
     return out
 
 
+def _basis_triples(ca: np.ndarray, cb: np.ndarray, p: int, form: str) -> np.ndarray:
+    """t[i, j, k] = (e_i a e_j) b e_k for form "(xy)z", e_i a (e_j b e_k) for
+    "x(yz)": a reduced (n, d, d, d) tensor, one GEMM, where a and b multiply
+    by the structure tensors ca (its n rows give i) and cb (d, d, d)."""
+    n, d = ca.shape[0], cb.shape[0]
+    if form == "(xy)z":
+        return _matmul_mod(ca.reshape(n * d, d), cb.reshape(d, d * d), p).reshape(n, d, d, d)
+    t = _matmul_mod(cb.reshape(d * d, d), ca.transpose(1, 0, 2).reshape(d, n * d), p)
+    return t.reshape(d, d, n, d).transpose(2, 0, 1, 3)
+
+
 def lie_basis_violation(alg: Algebra, op: str):
     """None if `op` is alternating, antisymmetric and Jacobi on the basis,
     else a witness tuple (kind, i, j[, k])."""
@@ -564,8 +578,8 @@ def lie_basis_violation(alg: Algebra, op: str):
     if bad.size:
         i, j = (int(v) for v in bad[0])
         return ("antisymmetry", i, j)
-    # [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples, one contraction at a time
-    t1 = np.einsum("ijm,mkl->ijkl", c, c) % p
+    # [[x,y],z] + [[y,z],x] + [[z,x],y] on basis triples
+    t1 = _basis_triples(c, c, p, "(xy)z")
     jac = (t1 + t1.transpose(1, 2, 0, 3) + t1.transpose(2, 0, 1, 3)) % p
     bad = np.argwhere(jac.any(axis=3))
     if bad.size:

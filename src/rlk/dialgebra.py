@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra_core import Algebra, Element, RightPowerPMap, _tup
+from .algebra_core import Algebra, Element, RightPowerPMap, _basis_triples, _matmul_mod, _tup
 from .errors import UsageError
 from .identities import (
     CheckReport,
@@ -56,11 +56,11 @@ def as_dialgebra(alg: Algebra) -> Dialgebra:
     return Dialgebra(alg.p, alg.dim, {"left": c, "right": c}, label=alg.label)
 
 
-def _first_tensor_mismatch(a: np.ndarray, b: np.ndarray, p: int):
-    bad = np.argwhere(((a - b) % p).any(axis=2))
-    if bad.size:
-        return tuple(int(v) for v in bad[0])
-    return None
+def _first_mismatch(a: np.ndarray, b: np.ndarray):
+    """Leading indices of the first row where the reduced tensors a and b
+    differ, or None."""
+    bad = np.argwhere((a != b).any(axis=-1))
+    return tuple(int(v) for v in bad[0]) if bad.size else None
 
 
 def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
@@ -122,7 +122,6 @@ def sweep_lemdias(D: Algebra, nmax=None) -> CheckReport:
     """check_lemdias over all basis pairs and all powers 1..nmax (default p+1)."""
     if nmax is None:
         nmax = D.p + 1
-    cl = D.structure("left")
     p, d = D.p, D.dim
     eye = np.eye(d, dtype=np.int64)
     VL = eye.copy()
@@ -132,8 +131,9 @@ def sweep_lemdias(D: Algebra, nmax=None) -> CheckReport:
         if n > 1:
             VL = D.multiply_batch("left", VL, eye)
             VR = D.multiply_batch("right", VR, eye)
-        TL = np.einsum("jm,imk->ijk", VL, cl) % p
-        TR = np.einsum("jm,imk->ijk", VR, cl) % p
+        # T[i, j] = e_i -| v_j, v_j the j-th power row
+        TL = D.right_mult_stack("left", VL).transpose(2, 0, 1)
+        TR = D.right_mult_stack("left", VR).transpose(2, 0, 1)
         failures += _keep(witnesses, np.argwhere(((TL - TR) % p).any(axis=2)),
                           lambda i, j: Witness((int(i), int(j), n), _tup(TL[i, j]),
                                                _tup(TR[i, j])), WITNESS_LIMIT)
@@ -177,13 +177,8 @@ def matrix_dialgebra(D: Algebra, n: int) -> Dialgebra:
 
 def _assoc_violation(alg: Algebra):
     c = alg.structure("assoc")
-    p = alg.p
-    resid = (np.einsum("ijm,mkl->ijkl", c, c) % p
-             - np.einsum("jkm,iml->ijkl", c, c) % p) % p
-    bad = np.argwhere(resid.any(axis=3))
-    if bad.size:
-        return tuple(int(v) for v in bad[0])
-    return None
+    return _first_mismatch(_basis_triples(c, c, alg.p, "(xy)z"),
+                           _basis_triples(c, c, alg.p, "x(yz)"))
 
 
 def dialgebra_from_operator(A: Algebra, Dop, label=None) -> Dialgebra:
@@ -200,15 +195,14 @@ def dialgebra_from_operator(A: Algebra, Dop, label=None) -> Dialgebra:
     Dm = np.asarray(Dop, dtype=np.int64) % p
     if Dm.shape != (A.dim, A.dim):
         raise UsageError(f"operator matrix of shape {Dm.shape} on dim {A.dim}")
-    c = A.structure("assoc")
-    cl = np.einsum("mj,imk->ijk", Dm, c) % p  # e_i (D e_j)
-    cr = np.einsum("mi,mjk->ijk", Dm, c) % p  # (D e_i) e_j
-    t1 = np.einsum("km,ijm->ijk", Dm, cl) % p  # D(a(Db))
-    t3 = np.einsum("km,ijm->ijk", Dm, cr) % p  # D((Da)b)
-    half = np.einsum("mi,mlk->ilk", Dm, c) % p
-    t2 = np.einsum("lj,ilk->ijk", Dm, half) % p  # (Da)(Db)
+    # the rows of Dm.T are the images D e_j
+    cl = A.right_mult_stack("assoc", Dm.T).transpose(2, 0, 1)  # e_i (D e_j)
+    cr = A.left_mult_stack("assoc", Dm.T).transpose(0, 2, 1)  # (D e_i) e_j
+    t1 = _matmul_mod(cl, Dm.T, p)  # D(a(Db))
+    t3 = _matmul_mod(cr, Dm.T, p)  # D((Da)b)
+    t2 = _matmul_mod(Dm.T, cr, p)  # (Da)(Db)
     for other, tag in ((t2, "(Da)(Db)"), (t3, "D((Da)b)")):
-        w = _first_tensor_mismatch(t1, other, p)
+        w = _first_mismatch(t1, other)
         if w is not None:
             raise UsageError(
                 f"operator condition D(a(Db)) = {tag} fails at basis pair {w[:2]}"

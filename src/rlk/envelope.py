@@ -135,14 +135,14 @@ def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
     for lo in range(0, n * n, block):
         I, J = np.divmod(np.arange(lo, min(lo + block, n * n)), n)
         br = brackets[lo:lo + block]
-        Lbr = np.tensordot(br, L, axes=(1, 0)) % p
-        Rbr = np.tensordot(br, R, axes=(1, 0)) % p
+        Lbr = _matmul_mod(br, L.reshape(n, M.mdim ** 2), p).reshape(len(br), M.mdim, M.mdim)
+        Rbr = M.right_stack(br)
         Li, Ri, Lj, Rj = L[I], R[I], L[J], R[J]
-        RjLi = Rj @ Li
+        RjLi = _matmul_mod(Rj, Li, p)
         sides = [  # in MODULE_AXIOMS order
-            (Rbr, (Rj @ Ri - Ri @ Rj) % p),
-            ((Li @ Rj) % p, (RjLi - Lbr) % p),
-            ((Li @ Lj) % p, (Lbr - RjLi) % p),
+            (Rbr, (_matmul_mod(Rj, Ri, p) - _matmul_mod(Ri, Rj, p)) % p),
+            (_matmul_mod(Li, Rj, p), (RjLi - Lbr) % p),
+            (_matmul_mod(Li, Lj, p), (Lbr - RjLi) % p),
         ]
         bad = np.stack([((lhs - rhs) % p).any(axis=1) for lhs, rhs in sides], axis=1)
         failures += _keep(witnesses, np.argwhere(bad), lambda b, a, m: Witness(

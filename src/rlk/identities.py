@@ -21,6 +21,7 @@ from .algebra_core import (
     _CHUNK_ENTRIES,
     Algebra,
     Element,
+    _basis_triples,
     _tup,
     jacobson_terms_batch,
     lie_basis_violation,
@@ -166,7 +167,7 @@ def _bracketing(mul, form, pair, xyz):
 def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
     """Every axiom of `identity`, with `ops` mapping roles to op names.
 
-    Mode "basis" sweeps all basis triples, one einsum per bracketing and chunk
+    Mode "basis" sweeps all basis triples, one GEMM per bracketing and chunk
     of first indices, and keeps the first WITNESS_LIMIT failures of each chunk
     and axiom.  Mode "sampled" draws x, y, z one coefficient at a time, runs a
     chunk of triples at once through multiply_batch, and keeps the first
@@ -198,11 +199,7 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
                     a, b = pair
                     base = _UNSWAPPED[form]
                     if (base, a, b) not in cache:
-                        if base == "(xy)z":
-                            t = np.einsum("ijm,mkl->ijkl", C[a][lo:lo + block], C[b])
-                        else:
-                            t = np.einsum("jkm,iml->ijkl", C[b], C[a][lo:lo + block])
-                        cache[base, a, b] = t % p
+                        cache[base, a, b] = _basis_triples(C[a][lo:lo + block], C[b], p, base)
                     t = cache[base, a, b]
                     return t if base == form else t.transpose(0, 2, 1, 3)
 

@@ -47,6 +47,7 @@ from .algebra_core import (
     BasisJacobsonPMap,
     ZeroPMap,
     _apply_one_row,
+    _basis_triples,
     _tup,
     lie_basis_violation,
     stack_mat_pow,
@@ -272,7 +273,7 @@ def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
     witnesses = []
 
     cg = g.structure("bracket")
-    B = np.einsum("ijm,kmn->kijn", cg, cg) % p
+    B = _basis_triples(cg, cg, p, "x(yz)")  # B[k, i, j] = [e_k, [e_i, e_j]]
     anti = (B + B.transpose(0, 2, 1, 3)) % p
     failures = _keep(witnesses, np.argwhere(anti.any(axis=3)), lambda k, i, j: Witness(
         ("inner_antisym", int(k), int(i), int(j)), _tup(B[k, i, j]),

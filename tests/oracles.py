@@ -40,6 +40,41 @@ def naive_multiply(c, x, y, p):
     return tuple(out)
 
 
+def naive_trilinear_sides(identity, ops, p, x, y, z):
+    """[(lhs, rhs)] per axiom of a trilinear identity ("leibniz", "zinbiel",
+    "prelie" or "dias", whose five axioms come in the order assoc_left,
+    assoc_right, left_bar, middle, right_bar) at the tuples x, y, z, spelled
+    out from the definitions; ops maps op names to nested-list structure
+    constants."""
+    def m(op, u, v):
+        return naive_multiply(ops[op], u, v, p)
+
+    def add(u, v):
+        return tuple((a + b) % p for a, b in zip(u, v))
+
+    def sub(u, v):
+        return tuple((a - b) % p for a, b in zip(u, v))
+
+    if identity == "leibniz":
+        b = "bracket"
+        return [(m(b, x, m(b, y, z)), sub(m(b, m(b, x, y), z), m(b, m(b, x, z), y)))]
+    if identity == "zinbiel":
+        o = "zinbiel"
+        return [(m(o, m(o, x, y), z), add(m(o, x, m(o, y, z)), m(o, x, m(o, z, y))))]
+    if identity == "prelie":
+        o = "prelie"
+        return [(sub(m(o, m(o, x, y), z), m(o, x, m(o, y, z))),
+                 sub(m(o, m(o, x, z), y), m(o, x, m(o, z, y))))]
+    lt, rt = "left", "right"
+    return [
+        (m(lt, m(lt, x, y), z), m(lt, x, m(lt, y, z))),
+        (m(rt, m(rt, x, y), z), m(rt, x, m(rt, y, z))),
+        (m(lt, x, m(lt, y, z)), m(lt, x, m(rt, y, z))),
+        (m(lt, m(rt, x, y), z), m(rt, x, m(lt, y, z))),
+        (m(rt, m(lt, x, y), z), m(rt, m(rt, x, y), z)),
+    ]
+
+
 def naive_mat_mul(a, b, p):
     n = len(a)
     m = len(b[0])
@@ -47,6 +82,29 @@ def naive_mat_mul(a, b, p):
     return [
         [sum(a[i][t] * b[t][j] for t in range(inner)) % p for j in range(m)]
         for i in range(n)
+    ]
+
+
+def naive_module_sides(c, L, R, p, i, j):
+    """The three module identities (m first, m middle, m last) on the basis
+    pair (e_i, e_j) as (lhs, rhs) matrix pairs, spelled out from the
+    identities: column s is the identity at module basis vector s.  L[k] and
+    R[k] are the matrices of m -> [e_k, m] and m -> [m, e_k]."""
+    m = len(L[0])
+
+    def combination(mats, x):
+        return [[sum(a * mat[r][s] for a, mat in zip(x, mats)) % p for s in range(m)]
+                for r in range(m)]
+
+    def sub(a, b):
+        return [[(u - v) % p for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    Lbr, Rbr = combination(L, c[i][j]), combination(R, c[i][j])
+    RjLi = naive_mat_mul(R[j], L[i], p)
+    return [
+        (Rbr, sub(naive_mat_mul(R[j], R[i], p), naive_mat_mul(R[i], R[j], p))),
+        (naive_mat_mul(L[i], R[j], p), sub(RjLi, Lbr)),
+        (naive_mat_mul(L[i], L[j], p), sub(Lbr, RjLi)),
     ]
 
 

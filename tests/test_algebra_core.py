@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rlk import algebra_core
 from rlk.algebra_core import (
     Algebra,
     BasisJacobsonPMap,
@@ -18,12 +21,14 @@ from rlk.algebra_core import (
     lie_basis_violation,
     stack_mat_pow,
 )
-from rlk.envelope import LeibnizModule
+from rlk.dialgebra import dialgebra_from_operator, sweep_lemdias
+from rlk.envelope import LeibnizModule, adjoint_module, check_module_axioms
 from rlk.errors import UsageError
+from rlk.identities import check_dias, check_leibniz
 
-from helpers import all_elements, l2, random_structure, truncated_poly
-from oracles import (naive_mat_pow, naive_multiply, square_multiply_mat_pow,
-                     trial_division_is_prime)
+from helpers import all_elements, l2, matrix_assoc, random_structure, truncated_poly
+from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
+                     naive_trilinear_sides, square_multiply_mat_pow, trial_division_is_prime)
 
 
 def test_l2_multiply_example() -> None:
@@ -410,8 +415,18 @@ def _residues_near_the_top(p, shape, rng):
                     dtype=np.int64).reshape(shape)
 
 
+def _bound_primes(dim, rng):
+    """The primes of the modulus-bound tests at this dim, after checking
+    that _check_modulus_bound refuses the prime past its bound."""
+    top, above = _primes_at_the_bound(1 << 62, dim)
+    with pytest.raises(UsageError, match="too large"):
+        Algebra(above, dim, {})
+    switch, past = _primes_at_the_bound(1 << 53, dim)
+    return [top, switch, past] + [_random_prime_below(top, rng) for _ in range(2)]
+
+
 @pytest.mark.parametrize("dim", [2, 4])
-def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim) -> None:
+def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch) -> None:
     """multiply_batch, right_mult_stack, left_mult_stack, stack_mat_pow(., p, p)
     and LeibnizModule.right_stack against Python-int loops, on random reduced
     inputs and on inputs next to p - 1, at:
@@ -422,14 +437,13 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim) -> None:
       to 2**53) and the next prime above it (int64 products just past 2**53,
       where float64 would round).
 
-    The Jacobson polarization kernel is left out: it runs p - 1 bracketing
+    Products this small stay in int64 under the small-product cut, so the
+    cut is set to 0 here and the modulus alone picks the route.  The
+    Jacobson polarization kernel is left out: it runs p - 1 bracketing
     rounds, which for a prime near 2**31 is not feasible."""
+    monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
     rng = random.Random(f"modulus-bound-{dim}")
-    top, above = _primes_at_the_bound(1 << 62, dim)
-    with pytest.raises(UsageError, match="too large"):
-        Algebra(above, dim, {})
-    switch, past = _primes_at_the_bound(1 << 53, dim)
-    for p in [top, switch, past] + [_random_prime_below(top, rng) for _ in range(2)]:
+    for p in _bound_primes(dim, rng):
         c = _residues_near_the_top(p, (dim, dim, dim), rng)
         alg = Algebra(p, dim, {"mul": c})
         X = np.concatenate([alg.sample_array(4, rng), _residues_near_the_top(p, (4, dim), rng)])
@@ -455,6 +469,174 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim) -> None:
         assert M.right_stack(X).tolist() == [
             [[sum(x[i] * A[i][r][s] for i in range(dim)) % p for s in range(mdim)]
              for r in range(mdim)] for x in X.tolist()]
+
+
+DIAS_AXIOMS = ("assoc_left", "assoc_right", "left_bar", "middle", "right_bar")
+
+
+def _inverse_mod(P, p):
+    """P**-1 mod p by Gauss-Jordan elimination, or None if P is singular."""
+    n = len(P)
+    rows = [list(row) + [int(r == k) for k in range(n)] for r, row in enumerate(P)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] % p), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [v * inv % p for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _dense_basis(dim, p, rng):
+    """(P, Q): a random invertible matrix with entries near p - 1, and its
+    inverse; the basis f_a = sum_i P[i][a] e_i spreads 0/1 structure
+    constants into residues of every size."""
+    while True:
+        P = _residues_near_the_top(p, (dim, dim), rng).tolist()
+        Q = _inverse_mod(P, p)
+        if Q is not None:
+            return P, Q
+
+
+def _in_basis(c, P, Q, p):
+    """Structure constants of c (nested lists) in the basis f_a = sum_i P[i][a] e_i."""
+    n = range(len(P))
+    half = [[[sum(P[i][a] * P[j][b] * c[i][j][k] for i in n for j in n) % p
+              for k in n] for b in n] for a in n]
+    return [[[sum(half[a][b][k] * Q[t][k] for k in n) % p for t in n]
+             for b in n] for a in n]
+
+
+def _failures(names, sides, triples):
+    """{inputs: (lhs, rhs)} of every failing triple and axiom; inputs lead
+    with the axiom name when there are several axioms."""
+    out = {}
+    for i, j, k in triples:
+        for name, (lhs, rhs) in zip(names, sides(i, j, k)):
+            if lhs != rhs:
+                out[(name,) * (len(names) > 1) + (i, j, k)] = (lhs, rhs)
+    return out
+
+
+def _assert_report_matches(rep, failures):
+    assert rep.failure_count == len(failures)
+    assert len(rep.witnesses) == min(len(failures), 16)
+    for w in rep.witnesses:
+        assert failures[w.inputs] == (w.lhs, w.rhs)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch) -> None:
+    """The basis sweeps that contract structure tensors with each other
+    against plain-Python loops, at the primes of the kernel test above:
+    check_leibniz, check_dias, lie_basis_violation, check_module_axioms,
+    sweep_lemdias and dialgebra_from_operator.
+
+    Each passing input is a known Lie or associative algebra (and the
+    augmentation on F_p[t]/t**dim) written in a dense random basis, where a
+    sum that rounded would make it fail.  Each failing input has random
+    residues next to p - 1, and its failure count and witnesses must be the
+    loops'.  As in the kernel test, the small-product cut is set to 0."""
+    monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    rng = random.Random(f"sweeps-bound-{dim}")
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    triples = list(itertools.product(range(dim), repeat=3))
+    if dim == 2:
+        lie0 = [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]  # [e_0, e_1] = e_0
+    else:
+        c = matrix_assoc(2, 2).structure("assoc")  # 0/1 constants, the same over every F_p
+        lie0 = (c - c.transpose(1, 0, 2)).tolist()  # gl_2
+    assoc0 = truncated_poly(2, dim).structure("assoc").tolist()
+    for p in _bound_primes(dim, rng):
+        P, Q = _dense_basis(dim, p, rng)
+        lie, assoc = _in_basis(lie0, P, Q, p), _in_basis(assoc0, P, Q, p)
+        big = [_residues_near_the_top(p, (dim, dim, dim), rng).tolist() for _ in range(2)]
+
+        g = Algebra(p, dim, {"bracket": np.array(lie)})
+        assert lie_basis_violation(g, "bracket") is None
+        assert check_leibniz(g).failure_count == 0
+        anti = [[[(a - b) % p for a, b in zip(big[0][i][j], big[0][j][i])]
+                 for j in range(dim)] for i in range(dim)]
+        assert (lie_basis_violation(Algebra(p, dim, {"b": np.array(anti)}), "b")
+                == _naive_lie_violation(anti, p))
+        bad = Algebra(p, dim, {"bracket": np.array(big[0])})
+        _assert_report_matches(check_leibniz(bad), _failures(
+            ("leibniz",), lambda i, j, k: naive_trilinear_sides(
+                "leibniz", {"bracket": big[0]}, p, basis[i], basis[j], basis[k]), triples))
+
+        D = Algebra(p, dim, {"left": np.array(assoc), "right": np.array(assoc)})
+        assert check_dias(D).failure_count == 0
+        ops = {"left": big[0], "right": big[1]}
+        bad = Algebra(p, dim, {n: np.array(c) for n, c in ops.items()})
+        _assert_report_matches(check_dias(bad), _failures(
+            DIAS_AXIOMS, lambda i, j, k: naive_trilinear_sides(
+                "dias", ops, p, basis[i], basis[j], basis[k]), triples))
+
+        assert check_module_axioms(g, adjoint_module(g)).failure_count == 0
+        L, R = (_residues_near_the_top(p, (dim, dim, dim), rng).tolist() for _ in range(2))
+        failures = {}
+        for i, j in itertools.product(range(dim), repeat=2):
+            sides = naive_module_sides(lie, L, R, p, i, j)
+            for (axiom, (lhs, rhs)), s in itertools.product(
+                    zip(("m_first", "m_middle", "m_last"), sides), range(dim)):
+                col = (tuple(r[s] for r in lhs), tuple(r[s] for r in rhs))
+                if col[0] != col[1]:
+                    failures[(axiom, i, j, s)] = col
+        _assert_report_matches(check_module_axioms(
+            g, LeibnizModule(g, dim, np.array(L), np.array(R))), failures)
+
+        failures = {}
+        for n in range(1, 4):
+            for i, j in itertools.product(range(dim), repeat=2):
+                powers = [basis[j], basis[j]]
+                for _ in range(n - 1):
+                    powers = [naive_multiply(c, v, basis[j], p) for c, v in zip(big, powers)]
+                lhs, rhs = (naive_multiply(big[0], basis[i], v, p) for v in powers)
+                if lhs != rhs:
+                    failures[(i, j, n)] = (lhs, rhs)
+        _assert_report_matches(sweep_lemdias(bad, nmax=3), failures)
+
+        A = Algebra(p, dim, {"assoc": np.array(assoc)})
+        aug = [[int(r == k == 0) for k in range(dim)] for r in range(dim)]
+        Dop = naive_mat_mul(naive_mat_mul(Q, aug, p), P, p)
+        got = dialgebra_from_operator(A, np.array(Dop))
+        cols = [tuple(row[j] for row in Dop) for j in range(dim)]  # D e_j
+        assert got.structure("left").tolist() == [
+            [list(naive_multiply(assoc, basis[i], cols[j], p)) for j in range(dim)]
+            for i in range(dim)]
+        assert got.structure("right").tolist() == [
+            [list(naive_multiply(assoc, cols[i], basis[j], p)) for j in range(dim)]
+            for i in range(dim)]
+        Dop[dim - 1][0] = (Dop[dim - 1][0] + 1) % p
+        with pytest.raises(UsageError) as err:
+            dialgebra_from_operator(A, np.array(Dop))
+        assert str(err.value) == _naive_operator_rejection(assoc, Dop, p)
+
+
+def _naive_operator_rejection(c, Dop, p):
+    """dialgebra_from_operator's message for an operator it must reject,
+    searched in the same order by loops."""
+    dim = len(Dop)
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    cols = [tuple(row[j] for row in Dop) for j in range(dim)]
+
+    def op(v):
+        return tuple(sum(Dop[r][k] * v[k] for k in range(dim)) % p for r in range(dim))
+
+    def mul(u, v):
+        return naive_multiply(c, u, v, p)
+
+    for tag, other in (("(Da)(Db)", lambda i, j: mul(cols[i], cols[j])),
+                       ("D((Da)b)", lambda i, j: op(mul(cols[i], basis[j])))):
+        for i, j in itertools.product(range(dim), repeat=2):
+            if op(mul(basis[i], cols[j])) != other(i, j):
+                return f"operator condition D(a(Db)) = {tag} fails at basis pair {(i, j)}"
+    raise AssertionError("the operator satisfies the condition")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 1_239_850_223, (1 << 31) - 1])
@@ -502,3 +684,67 @@ def test_power_and_tensor_paths_make_no_per_element_calls(monkeypatch, tmp_path)
     assert sweep_dleib_jacobson(D, samples=50).ok()
     assert check_ud_unit(ut2, d=2).status != "fail"
     assert calls == {"multiply": 0, "apply": 0}
+
+
+# -- one exact contraction path ---------------------------------------------------
+
+# Functions that may contract without _matmul_mod, each with its reason.
+_CONTRACTION_EXEMPT = {
+    # decides how residues are multiplied exactly
+    "algebra_core._matmul_mod",
+    # index arithmetic on keys, not residues
+    "algebra_core.TablePMap._slots",
+    # per-letter products of tiny matrices, for which the helper's
+    # dispatch doubled module_roundtrip's time
+    "envelope._word_action",
+    # ambient dimensions up to 20,000 lie outside _check_modulus_bound
+    "free_structures.QuotientPresentation.project",
+}
+
+
+def _summed_contractions(tree, module):
+    """(enclosing qualified name, line) of every `@`, np.matmul, np.dot,
+    np.tensordot and index-summing np.einsum in a module's syntax tree."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        hit = (isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, ast.MatMult))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            hit = hit or name in ("matmul", "dot", "tensordot")
+            if name == "einsum":
+                spec = node.args[0].value if isinstance(node.args[0], ast.Constant) else None
+                if not isinstance(spec, str):
+                    hit = True  # subscripts not readable: treated as summing
+                else:
+                    ins, _, out = spec.replace(" ", "").partition("->")
+                    letters = [c for c in ins if c.isalpha()]
+                    summed = (set(letters) - set(out) if "->" in spec
+                              else {c for c in letters if letters.count(c) > 1})
+                    hit = hit or bool(summed)
+        if hit:
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_every_summed_contraction_goes_through_matmul_mod() -> None:
+    """Outside _matmul_mod and the exempt functions, src/rlk multiplies
+    residues only through _matmul_mod: no `@`, matmul, dot, tensordot or
+    einsum that sums an index.  Every exemption is still in use."""
+    found = []
+    for path in sorted(Path(algebra_core.__file__).parent.glob("*.py")):
+        found += _summed_contractions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+    def exempt(scope):
+        return next((e for e in _CONTRACTION_EXEMPT if scope == e or scope.startswith(e + ".")),
+                    None)
+
+    assert [(scope, line) for scope, line in found if exempt(scope) is None] == []
+    assert {exempt(scope) for scope, _ in found} == _CONTRACTION_EXEMPT

@@ -42,7 +42,7 @@ from rlk.prelie_tensor import (
 
 from helpers import (abelian, commutator_tensor, count_per_element_calls, counting, l2,
                      matrix_assoc, random_structure, upper_triangular2)
-from oracles import naive_mat_mul, naive_mat_pow, square_multiply_mat_pow
+from oracles import naive_mat_mul, naive_mat_pow, naive_module_sides, square_multiply_mat_pow
 
 
 def _ut2(p):
@@ -359,24 +359,9 @@ def _big_random(rng, m):
 def _module_axiom_failures(c, L, R, p):
     """Failing (pair, axiom, column) count, spelled out from the identities."""
     n, m = len(L), len(L[0])
-
-    def sub(a, b):
-        return [[(u - v) % p for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            Lbr, Rbr = _combination(L, c[i][j], p), _combination(R, c[i][j], p)
-            mul = naive_mat_mul
-            sides = [
-                (Rbr, sub(mul(R[j], R[i], p), mul(R[i], R[j], p))),
-                (mul(L[i], R[j], p), sub(mul(R[j], L[i], p), Lbr)),
-                (mul(L[i], L[j], p), sub(Lbr, mul(R[j], L[i], p))),
-            ]
-            for lhs, rhs in sides:
-                count += sum(any(lhs[r][s] != rhs[r][s] for r in range(m))
-                             for s in range(m))
-    return count
+    return sum(any(lhs[r][s] != rhs[r][s] for r in range(m))
+               for i in range(n) for j in range(n)
+               for lhs, rhs in naive_module_sides(c, L, R, p, i, j) for s in range(m))
 
 
 def test_module_axiom_failures_match_naive_loop_near_modulus_bound() -> None:

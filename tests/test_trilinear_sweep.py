@@ -18,7 +18,7 @@ from rlk.free_structures import free_zinbiel
 from rlk.identities import check_dias, check_leibniz, check_prelie, check_zinbiel
 
 from helpers import commutator_tensor, matrix_assoc, random_structure, upper_triangular2
-from oracles import naive_multiply
+from oracles import naive_trilinear_sides
 
 CHECKERS = {
     "leibniz": (check_leibniz, ("bracket",)),
@@ -125,37 +125,6 @@ def test_report_digest_is_pinned(case, run) -> None:
 BIG_P = 1239850223
 
 
-def _naive_sides(identity, ops, p, x, y, z):
-    """[(lhs, rhs)] per axiom, spelled out from the definitions."""
-    def m(op, u, v):
-        return naive_multiply(ops[op], u, v, p)
-
-    def add(u, v):
-        return tuple((a + b) % p for a, b in zip(u, v))
-
-    def sub(u, v):
-        return tuple((a - b) % p for a, b in zip(u, v))
-
-    if identity == "leibniz":
-        b = "bracket"
-        return [(m(b, x, m(b, y, z)), sub(m(b, m(b, x, y), z), m(b, m(b, x, z), y)))]
-    if identity == "zinbiel":
-        o = "zinbiel"
-        return [(m(o, m(o, x, y), z), add(m(o, x, m(o, y, z)), m(o, x, m(o, z, y))))]
-    if identity == "prelie":
-        o = "prelie"
-        return [(sub(m(o, m(o, x, y), z), m(o, x, m(o, y, z))),
-                 sub(m(o, m(o, x, z), y), m(o, x, m(o, z, y))))]
-    lt, rt = "left", "right"
-    return [
-        (m(lt, m(lt, x, y), z), m(lt, x, m(lt, y, z))),
-        (m(rt, m(rt, x, y), z), m(rt, x, m(rt, y, z))),
-        (m(lt, x, m(lt, y, z)), m(lt, x, m(rt, y, z))),
-        (m(lt, m(rt, x, y), z), m(rt, x, m(lt, y, z))),
-        (m(rt, m(lt, x, y), z), m(rt, m(rt, x, y), z)),
-    ]
-
-
 def _sparse_big_structure(rng, dim):
     return [[[rng.randrange(1, BIG_P) if rng.random() < 0.3 else 0
               for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
@@ -172,7 +141,7 @@ def test_failure_counts_match_naive_loop_near_modulus_bound(identity) -> None:
 
     expect = sum(lhs != rhs
                  for x in basis for y in basis for z in basis
-                 for lhs, rhs in _naive_sides(identity, ops, BIG_P, x, y, z))
+                 for lhs, rhs in naive_trilinear_sides(identity, ops, BIG_P, x, y, z))
     rep = check(alg)
     assert 0 < rep.failure_count == expect
 
@@ -180,9 +149,9 @@ def test_failure_counts_match_naive_loop_near_modulus_bound(identity) -> None:
     expect = 0
     for _ in range(30):
         x, y, z = (tuple(draw.randrange(BIG_P) for _ in range(dim)) for _ in range(3))
-        expect += sum(lhs != rhs for lhs, rhs in _naive_sides(identity, ops, BIG_P, x, y, z))
+        expect += sum(lhs != rhs for lhs, rhs in naive_trilinear_sides(identity, ops, BIG_P, x, y, z))
     rep = check(alg, mode="sampled", seed=11, samples=30)
     assert 0 < rep.failure_count == expect
     for w in rep.witnesses:
         x, y, z = w.inputs[-3:]
-        assert (w.lhs, w.rhs) in _naive_sides(identity, ops, BIG_P, x, y, z)
+        assert (w.lhs, w.rhs) in naive_trilinear_sides(identity, ops, BIG_P, x, y, z)
