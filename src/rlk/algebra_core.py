@@ -8,8 +8,9 @@ matrix acts on coefficient column vectors from the left.
 
 Arithmetic is exact: every contraction sums dim terms of products of two
 reduced residues, and construction rejects moduli large enough for that to
-overflow int64.  Every summed contraction runs through `_matmul_mod`, in
-float64 BLAS where that is exact and repays the casts, else in int64.
+overflow int64.  Every summed contraction runs through `_matmul_mod`, which
+takes its route from the shapes it is given: float64 BLAS where that is exact
+and repays the casts, else int64.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ DENSE_DIM_BOUND = 160
 _CHUNK_ENTRIES = 1 << 21
 # multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
 _SMALL_PRODUCT = 1 << 12
+# the same per item of a batched product (measured crossover: d = 5-8 matrices)
+_SMALL_ITEM = 512
 
 Element = tuple
 
@@ -73,15 +76,25 @@ def _check_modulus_bound(p: int, dim: int) -> None:
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """np.matmul(A, B) % p as reduced int64, for reduced int64 operands.
 
-    While A.shape[-1] * (p - 1)**2 < 2**53, every partial sum is an integer
-    that float64 holds exactly, in whatever order BLAS adds, so the product
-    runs in float64 BLAS.  Larger primes take the int64 product, which
-    _check_modulus_bound keeps below 2**62, and so do products of fewer than
-    _SMALL_PRODUCT multiply-adds (A.size * B.shape[-1]), for which the float64
-    casts cost more than BLAS saves.  Each operand is cast once and each
-    temporary freed once used, so the peak stays that of int64."""
-    if A.size * B.shape[-1] < _SMALL_PRODUCT or A.shape[-1] * (p - 1) ** 2 >= 1 << 53:
-        return np.matmul(A, B) % p
+    int64, reduced in place, takes mat-vecs (casts would cost as much as
+    the product), products below _SMALL_PRODUCT multiply-adds, batches whose
+    items stay below _SMALL_ITEM, and A.shape[-1] * (p - 1)**2 >= 2**53.
+    The rest runs in float64 BLAS, exact below 2**53 in any summation order,
+    casting each operand once.  Sums past _check_modulus_bound's 2**62
+    (QuotientPresentation.project's) are split in halves, and taken in
+    Python ints where one product passes int64."""
+    k, top = A.shape[-1], (p - 1) ** 2
+    if k * top >= 1 << 62:
+        if top >= 1 << 62:
+            return (np.matmul(A.astype(object), B.astype(object)) % p).astype(np.int64)
+        h = k // 2
+        return (_matmul_mod(A[..., :h], B[..., :h, :], p)
+                + _matmul_mod(A[..., h:], B[..., h:, :], p)) % p
+    if (B.shape[-1] == 1 or A.size * B.shape[-1] < _SMALL_PRODUCT or k * top >= 1 << 53
+            or max(A.ndim, B.ndim) > 2 and A.shape[-2] * k * B.shape[-1] < _SMALL_ITEM):
+        res = np.matmul(A, B)
+        res %= p
+        return res
     Af = A.astype(np.float64)
     out = np.matmul(Af, Af if B is A else B.astype(np.float64))
     del Af

@@ -29,11 +29,13 @@ on L2 in odd characteristic and agrees with these mod 2.  `ulp_truncated`
 divides the degree-truncated word algebra by the two-sided ideal these
 relations span; `module_roundtrip` turns a module into a word action,
 confirms every relation acts as zero, and reads the module back
-bit-exactly.
+bit-exactly, both reading one table of word operators.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,67 +180,55 @@ def _relation_terms(g: Algebra, pmap: str, cap, seed, samples):
     p, n = g.p, g.dim
     brackets = g.structure("bracket").tolist()
     out = []
-    for i in range(n):
-        for j in range(n):
-            br = brackets[i][j]
-            rbr = [((n + k,), c % p) for k, c in enumerate(br) if c % p]
-            lbr = [((k,), c % p) for k, c in enumerate(br) if c % p]
-            out.append(("r_bracket", (i, j),
-                        rbr + [((n + i, n + j), -1), ((n + j, n + i), 1)]))
-            out.append(("l_bracket", (i, j),
-                        lbr + [((i, n + j), -1), ((n + j, i), 1)]))
-            out.append(("l_kills_symmetrized", (i, j),
-                        [((n + j, i), 1), ((j, i), 1)]))
+    for i, j in itertools.product(range(n), repeat=2):
+        br = [(k, c % p) for k, c in enumerate(brackets[i][j]) if c % p]
+        out += [("r_bracket", (i, j), [((n + k,), c) for k, c in br]
+                 + [((n + i, n + j), -1), ((n + j, n + i), 1)]),
+                ("l_bracket", (i, j), [((k,), c) for k, c in br]
+                 + [((i, n + j), -1), ((n + j, i), 1)]),
+                ("l_kills_symmetrized", (i, j), [((n + j, i), 1), ((j, i), 1)])]
     instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
     for x, fx in zip(instances, values):
-        x = tuple(int(v) for v in x)
+        x = tuple(x)
         terms = [((n + k,), c % p) for k, c in enumerate(fx) if c % p]
-        support = [(k, v % p) for k, v in enumerate(x) if v % p]
-        power = {(): 1}
-        for _ in range(p):
-            nxt = {}
-            for word, cw in power.items():
-                for k, v in support:
-                    key = word + (n + k,)
-                    nxt[key] = (nxt.get(key, 0) + cw * v) % p
-            power = {w: c for w, c in nxt.items() if c}
-        terms += [(w, (-c) % p) for w, c in power.items()]
+        support = [(n + k, v % p) for k, v in enumerate(x) if v % p]
+        terms += [(tuple(k for k, _ in f), -math.prod(v for _, v in f) % p)
+                  for f in itertools.product(support, repeat=p)]
         out.append(("r_power", (x,), terms))
     return out, note
 
 
-def _word_action(M: LeibnizModule):
-    """Word -> operator on M: letter i acts by left_action[i], letter n+i by
-    right_action[i], composed in reading order (the empty word is 1)."""
-    p = M.over.p
-    mats = np.concatenate([M.left_action, M.right_action]) % p
-    eye = np.eye(M.mdim, dtype=np.int64)
+def _word_action(M: LeibnizModule, terms) -> dict:
+    """Word -> operator on M, for every word of the relation terms, its
+    prefixes and every single letter: letter i acts by left_action[i], letter
+    n+i by right_action[i], composed in reading order (the empty word is 1).
+    The words of one length take one stacked product of their last letters'
+    matrices with their prefixes' operators."""
+    mats = np.concatenate([M.left_action, M.right_action])
+    words = {w for _tag, _key, ws in terms for w, _c in ws} | {(i,) for i in range(len(mats))}
+    words |= {w[:k] for w in words for k in range(1, len(w))}
+    table = {(): np.eye(M.mdim, dtype=np.int64)}
+    for k in range(1, max(map(len, words), default=0) + 1):
+        ws = [w for w in words if len(w) == k]
+        prefixes = np.stack([table[w[:-1]] for w in ws])
+        table.update(zip(ws, _matmul_mod(mats[[w[-1] for w in ws]], prefixes, M.over.p)))
+    return table
 
-    def act(word):
-        acc = eye
-        for letter in word:
-            acc = (mats[letter] @ acc) % p
-        return acc
 
-    return act
-
-
-def _relation_failures(act, terms, key_prefix, p):
-    """Evaluate each relation as the sum of coeff * act(word) and collect
+def _relation_failures(table, terms, key_prefix, p):
+    """Evaluate each relation as the sum of coeff * table[word] and collect
     the nonzero ones as (failure count, witnesses keyed key_prefix + (tag,)
     + key)."""
     def value(words):
-        op = np.zeros_like(act(()))
+        op = np.zeros_like(table[()])
         for word, coeff in words:
-            op = (op + coeff * act(word)) % p
+            op = (op + coeff * table[word]) % p
         return op
 
-    def witness(tag, key, words):  # evaluated again for the few kept
-        op = value(words)
-        return Witness(key_prefix + (tag,) + key, op, np.zeros_like(op))
-
     witnesses = []
-    failures = _keep(witnesses, [t for t in terms if value(t[2]).any()], witness)
+    failures = _keep(witnesses, [(tag, key, op) for tag, key, words in terms
+                                 if (op := value(words)).any()],
+                     lambda tag, key, op: Witness(key_prefix + (tag,) + key, op, np.zeros_like(op)))
     return failures, witnesses
 
 
@@ -249,7 +239,7 @@ def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
     terms, note = _relation_terms(g, pmap, cap, seed, samples)
-    failures, witnesses = _relation_failures(_word_action(M), terms, (), g.p)
+    failures, witnesses = _relation_failures(_word_action(M, terms), terms, (), g.p)
     notes = ("derived signs", note)
     return _report("ulp_relations", witnesses, failures,
                    Coverage("exhaustive", len(terms)), notes)
@@ -298,10 +288,10 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     _require(check_restricted_module(g, M, pmap, cap=cap, seed=seed),
              "module is not restricted")
     p, n = g.p, g.dim
-    act = _word_action(M)
     terms, note = _relation_terms(g, pmap, cap, seed, samples)
-    failures, witnesses = _relation_failures(act, terms, ("relation",), p)
-    readback = [(tag, i, act(letter), original % p)
+    table = _word_action(M, terms)
+    failures, witnesses = _relation_failures(table, terms, ("relation",), p)
+    readback = [(tag, i, table[letter], original % p)
                 for i in range(n)
                 for tag, original, letter in (("left", M.left_action[i], (i,)),
                                               ("right", M.right_action[i], (n + i,)))]

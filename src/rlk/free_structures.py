@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra_core import DENSE_DIM_BOUND, Algebra, _tup
+from .algebra_core import DENSE_DIM_BOUND, Algebra, _matmul_mod, _tup, enumeration_cap
 from .errors import UsageError
 from .identities import (
     _AXIOMS,
@@ -443,7 +443,7 @@ class QuotientPresentation:
     def project(self, x) -> np.ndarray:
         """Canonical representative (ambient coordinates on the normal basis)."""
         v = x if isinstance(x, np.ndarray) else self.ambient.dense(x)
-        return (self.projection @ (v % self.ambient.p)) % self.ambient.p
+        return _matmul_mod(self.projection, v[:, None] % self.ambient.p, self.ambient.p)[:, 0]
 
     def to_dict(self) -> dict:
         return {
@@ -594,6 +594,9 @@ def das_quotient(F: GradedBasisAlgebra, nfold=None):
     n = F.p if nfold is None else nfold
     if n < 2:
         raise UsageError(f"power must be >= 2, got {n}")
+    cap = enumeration_cap()
+    if n - 1 >= cap.bit_length():  # 2**(n - 1) > cap, without forming 2**(n - 1)
+        raise UsageError(f"2**{n - 1} patterns of {n} factors exceed cap {cap}")
     rels = []
     for i in range(F.dim):
         for j in range(F.dim):

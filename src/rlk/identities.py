@@ -402,18 +402,12 @@ def _dleib_jacobson_sides(D: Algebra, Z, X, Y):
     """Both sides of [z,(x+y)^[p]] = [z,x^[p]] + [z,y^[p]] + [z, sum_i s_i(x,y)]
     for (N, dim) rows z, x, y, with the derived bracket a -| b - b |- a and the
     p-fold right-product power as p-map."""
-    p, N = D.p, X.shape[0]
-
-    def bracket(U, V):
-        return (D.multiply_batch("left", U, V) - D.multiply_batch("right", V, U)) % p
-
-    def right_stack(V):  # u -> u -| v - v |- u
-        return (D.right_mult_stack("left", V) - D.left_mult_stack("right", V)) % p
-
+    p, N, cr = D.p, X.shape[0], D.structure("right")
+    g = Algebra(p, D.dim, {"bracket": (D.structure("left") - cr.transpose(1, 0, 2)) % p})
     power = D.right_power_batch("right", np.concatenate([X + Y, X, Y]), p)
-    s_sum = sum(jacobson_terms_batch(p, X, Y, right_stack)) % p
-    B = bracket(np.tile(Z, (4, 1)), np.concatenate([power, s_sum])).reshape(4, N, D.dim)
-    return B[0], (B[1] + B[2] + B[3]) % p
+    s_sum = sum(jacobson_terms_batch(p, X, Y, lambda V: g.right_mult_stack("bracket", V))) % p
+    B = g.multiply_batch("bracket", np.tile(Z, (4, 1)), np.concatenate([power, s_sum]))
+    return B[:N], (B[N:2 * N] + B[2 * N:3 * N] + B[3 * N:]) % p
 
 
 def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element,

@@ -437,11 +437,13 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
       to 2**53) and the next prime above it (int64 products just past 2**53,
       where float64 would round).
 
-    Products this small stay in int64 under the small-product cut, so the
-    cut is set to 0 here and the modulus alone picks the route.  The
+    Products this small stay in int64 under the small-product and
+    small-item cuts, so both are set to 0 here and the modulus alone picks
+    the route of every product but the mat-vecs.  The
     Jacobson polarization kernel is left out: it runs p - 1 bracketing
     rounds, which for a prime near 2**31 is not feasible."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    monkeypatch.setattr(algebra_core, "_SMALL_ITEM", 0)
     rng = random.Random(f"modulus-bound-{dim}")
     for p in _bound_primes(dim, rng):
         c = _residues_near_the_top(p, (dim, dim, dim), rng)
@@ -469,6 +471,41 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
         assert M.right_stack(X).tolist() == [
             [[sum(x[i] * A[i][r][s] for i in range(dim)) % p for s in range(mdim)]
              for r in range(mdim)] for x in X.tolist()]
+
+
+def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
+    """envelope._word_action against a plain-Python composition of each word,
+    on random modules at p = 2, 3, 5 and at the primes of the modulus-bound
+    tests.  The words share prefixes and repeat letters, and the table must
+    also hold every prefix, every single letter and the empty word.  Each
+    module is run with the default cuts and with both cuts at 0, so that the
+    stacks also take the float64 route below 2**53."""
+    from rlk.envelope import _word_action
+
+    rng = random.Random("word-action")
+    n, mdim = 2, 3
+    primes = [2, 3, 5, *_primes_at_the_bound(1 << 62, mdim)[:1],
+              *_primes_at_the_bound(1 << 53, mdim)]
+    cuts = [(algebra_core._SMALL_PRODUCT, algebra_core._SMALL_ITEM), (0, 0)]
+    for p, (small_product, small_item) in itertools.product(primes, cuts):
+        monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", small_product)
+        monkeypatch.setattr(algebra_core, "_SMALL_ITEM", small_item)
+        g = Algebra(p, n, {})
+        left, right = (_residues_near_the_top(p, (n, mdim, mdim), rng) for _ in range(2))
+        M = LeibnizModule(g, mdim, left, right)
+        stem = [rng.randrange(2 * n) for _ in range(3)]
+        words = [tuple(stem[:k]) + tuple(rng.randrange(2 * n) for _ in range(extra))
+                 for k in range(4) for extra in (0, 1, 2, 4)]
+        words += [(0,) * 5, (2 * n - 1,) * 3, (1, 1, 2, 1, 1)]
+        terms = [("t", (i,), [(w, rng.randrange(p)) for w in words[i::3]]) for i in range(3)]
+        table = _word_action(M, terms)
+        mats = left.tolist() + right.tolist()
+        expected = {(): [[int(r == c) for c in range(mdim)] for r in range(mdim)]}
+        for w in sorted({w[:k] for w in words + [(i,) for i in range(2 * n)]
+                         for k in range(len(w) + 1)}, key=len):
+            if w:
+                expected[w] = naive_mat_mul(mats[w[-1]], expected[w[:-1]], p)
+        assert {w: op.tolist() for w, op in table.items()} == expected, p
 
 
 DIAS_AXIOMS = ("assoc_left", "assoc_right", "left_bar", "middle", "right_bar")
@@ -541,8 +578,10 @@ def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch)
     augmentation on F_p[t]/t**dim) written in a dense random basis, where a
     sum that rounded would make it fail.  Each failing input has random
     residues next to p - 1, and its failure count and witnesses must be the
-    loops'.  As in the kernel test, the small-product cut is set to 0."""
+    loops'.  As in the kernel test, the small-product and small-item cuts
+    are set to 0."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    monkeypatch.setattr(algebra_core, "_SMALL_ITEM", 0)
     rng = random.Random(f"sweeps-bound-{dim}")
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     triples = list(itertools.product(range(dim), repeat=3))
@@ -694,11 +733,6 @@ _CONTRACTION_EXEMPT = {
     "algebra_core._matmul_mod",
     # index arithmetic on keys, not residues
     "algebra_core.TablePMap._slots",
-    # per-letter products of tiny matrices, for which the helper's
-    # dispatch doubled module_roundtrip's time
-    "envelope._word_action",
-    # ambient dimensions up to 20,000 lie outside _check_modulus_bound
-    "free_structures.QuotientPresentation.project",
 }
 
 

@@ -29,7 +29,7 @@ from rlk.free_structures import (
 
 from helpers import abelian, l2
 from oracles import (ideal_rank_fixed_point, naive_multiply, naive_shuffle,
-                     naive_word_tables)
+                     naive_word_tables, trial_division_is_prime)
 
 
 # -- naive three-slot monomial arithmetic for the oracle side ----------------
@@ -332,6 +332,36 @@ def test_quotient_counts_and_projection_are_consistent():
             assert np.array_equal(pres.project(img), img)
 
 
+def _prime_from(n, step):
+    while not trial_division_is_prime(n):
+        n += step
+    return n
+
+
+@pytest.mark.parametrize("p", [
+    _prime_from(1 + (1 << 30), -1),  # (p - 1)**2 near 2**60: blocks of 4 columns
+    2**31 - 1,  # the largest prime with (p - 1)**2 < 2**62: blocks of one column
+    _prime_from(1 + (1 << 40), 1),  # one product alone passes int64
+])
+def test_projection_is_exact_at_large_primes(p):
+    """project against a Python-int product of the projection.  Six random
+    relations on the eight words of degree 3 leave two normal words whose
+    rows hold seven random residues, so on vectors next to p - 1 their sums
+    pass int64 from p = 2**31 on."""
+    rng = random.Random(f"project-{p}")
+    F = word_ambient(2, 3, p)
+    rels = [{F.index[w]: rng.randrange(1, p) for w in F.basis[7:]} for _ in range(6)]
+    pres = truncated_ideal_quotient(F, rels)
+    P = pres.projection.tolist()
+    assert pres.ideal_rank == 6
+    for i in range(20):
+        v = [p - 1 - rng.randrange(1 << (i % 10)) for _ in range(F.dim)]
+        want = [sum(a * b for a, b in zip(row, v)) % p for row in P]
+        got = pres.project(np.array(v, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert pres.project(F.from_dense(v)).tolist() == want
+
+
 def test_quotient_accepts_dense_rows_and_serializes():
     F = free_dias(1, 2, 2)
     row = np.zeros(F.dim, dtype=np.int64)
@@ -492,6 +522,35 @@ def test_identified_products_inconclusive_past_the_cap():
     pres, rep = das_quotient(free_dias(1, 3, 3), nfold=4)
     assert rep.status == "inconclusive"
     assert any("cap" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("nfold", [2, 5, 9])
+def test_identified_products_refuse_patterns_past_the_cap(nfold, monkeypatch):
+    """das_quotient compares the 2**(nfold - 1) patterns with the enumeration
+    cap before it builds the quotient or enumerates one pattern: a cap one
+    short refuses, the exact count passes."""
+    F = free_dias(1, nfold, 3)
+    monkeypatch.setenv("RLK_CAP", str(2 ** (nfold - 1) - 1))
+    with monkeypatch.context() as m:
+        m.setattr(free_structures, "truncated_ideal_quotient", None)
+        m.setattr(free_structures.itertools, "product", None)
+        with pytest.raises(UsageError, match=rf"2\*\*{nfold - 1} patterns .* cap"):
+            das_quotient(F, nfold=nfold)
+    monkeypatch.setenv("RLK_CAP", str(2 ** (nfold - 1)))
+    pres, rep = das_quotient(F, nfold=nfold)
+    assert rep.coverage.count == 2 ** (nfold - 1)
+
+
+def test_identified_products_refuse_the_default_fold_at_a_large_prime(monkeypatch):
+    """The default nfold = p asks for 2**(p - 1) patterns; at p = 2**31 - 1
+    the refusal comes before any enumeration and without forming 2**(p - 1)."""
+    p = 2**31 - 1
+    F = free_dias(1, 3, p)
+    monkeypatch.delenv("RLK_CAP", raising=False)
+    monkeypatch.setattr(free_structures, "truncated_ideal_quotient", None)
+    monkeypatch.setattr(free_structures.itertools, "product", None)
+    with pytest.raises(UsageError, match=rf"2\*\*{p - 1} patterns of {p} factors exceed cap 65536"):
+        das_quotient(F)
 
 
 def test_identified_products_rejects_bad_input():
