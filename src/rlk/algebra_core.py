@@ -33,8 +33,6 @@ DENSE_DIM_BOUND = 160
 _CHUNK_ENTRIES = 1 << 21
 # multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
 _SMALL_PRODUCT = 1 << 12
-# the same per item of a batched product (measured crossover: d = 5-8 matrices)
-_SMALL_ITEM = 512
 
 Element = tuple
 
@@ -74,24 +72,17 @@ def _check_modulus_bound(p: int, dim: int) -> None:
 
 
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """np.matmul(A, B) % p as reduced int64, for reduced int64 operands.
+    """np.matmul(A, B) % p as reduced int64, for reduced int64 operands whose
+    sums stay below _check_modulus_bound's 2**62.
 
-    int64, reduced in place, takes mat-vecs (casts would cost as much as
-    the product), products below _SMALL_PRODUCT multiply-adds, batches whose
-    items stay below _SMALL_ITEM, and A.shape[-1] * (p - 1)**2 >= 2**53.
-    The rest runs in float64 BLAS, exact below 2**53 in any summation order,
-    casting each operand once.  Sums past _check_modulus_bound's 2**62
-    (QuotientPresentation.project's) are split in halves, and taken in
-    Python ints where one product passes int64."""
-    k, top = A.shape[-1], (p - 1) ** 2
-    if k * top >= 1 << 62:
-        if top >= 1 << 62:
-            return (np.matmul(A.astype(object), B.astype(object)) % p).astype(np.int64)
-        h = k // 2
-        return (_matmul_mod(A[..., :h], B[..., :h, :], p)
-                + _matmul_mod(A[..., h:], B[..., h:, :], p)) % p
-    if (B.shape[-1] == 1 or A.size * B.shape[-1] < _SMALL_PRODUCT or k * top >= 1 << 53
-            or max(A.ndim, B.ndim) > 2 and A.shape[-2] * k * B.shape[-1] < _SMALL_ITEM):
+    int64, reduced in place, takes mat-vecs and stacks of vec-mats (their
+    casts touch as many entries as the product multiplies), products below
+    _SMALL_PRODUCT multiply-adds, and A.shape[-1] * (p - 1)**2 >= 2**53, as
+    do object operands (Python ints) past p = 2**27.  The rest runs in
+    float64 BLAS, exact below 2**53 in any summation order, each operand cast
+    once and each temporary freed once used (the peak stays that of int64)."""
+    if (B.shape[-1] == 1 or A.shape[-2] == 1 and B.ndim > 2
+            or A.size * B.shape[-1] < _SMALL_PRODUCT or A.shape[-1] * (p - 1) ** 2 >= 1 << 53):
         res = np.matmul(A, B)
         res %= p
         return res

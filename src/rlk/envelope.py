@@ -50,6 +50,7 @@ from .free_structures import (
 )
 from .identities import (
     _CHUNK_ENTRIES,
+    WITNESS_LIMIT,
     Coverage,
     CheckReport,
     Witness,
@@ -199,36 +200,37 @@ def _relation_terms(g: Algebra, pmap: str, cap, seed, samples):
 
 
 def _word_action(M: LeibnizModule, terms) -> dict:
-    """Word -> operator on M, for every word of the relation terms, its
-    prefixes and every single letter: letter i acts by left_action[i], letter
-    n+i by right_action[i], composed in reading order (the empty word is 1).
-    The words of one length take one stacked product of their last letters'
-    matrices with their prefixes' operators."""
+    """Word -> operator on M for 1, every letter and every relation word:
+    letter i acts by left_action[i], letter n+i by right_action[i], composed
+    in reading order.  Each word length is one stacked product, in chunks of
+    _CHUNK_ENTRIES entries, of last letters with prefixes; a prefix no
+    relation names is dropped once used.  Up to dim**p operators are kept."""
     mats = np.concatenate([M.left_action, M.right_action])
-    words = {w for _tag, _key, ws in terms for w, _c in ws} | {(i,) for i in range(len(mats))}
-    words |= {w[:k] for w in words for k in range(1, len(w))}
+    keep = {w for _tag, _key, ws in terms for w, _c in ws} | {(i,) for i in range(len(mats))}
+    words = keep | {w[:k] for w in keep for k in range(1, len(w))}
     table = {(): np.eye(M.mdim, dtype=np.int64)}
+    step = max(1, _CHUNK_ENTRIES // max(1, M.mdim ** 2))
     for k in range(1, max(map(len, words), default=0) + 1):
         ws = [w for w in words if len(w) == k]
-        prefixes = np.stack([table[w[:-1]] for w in ws])
-        table.update(zip(ws, _matmul_mod(mats[[w[-1] for w in ws]], prefixes, M.over.p)))
+        for chunk in (ws[c:c + step] for c in range(0, len(ws), step)):
+            table.update(zip(chunk, _matmul_mod(mats[[w[-1] for w in chunk]], np.stack(
+                [table[w[:-1]] for w in chunk]), M.over.p)))
+        for w in {w[:-1] for w in ws} - keep - {()}:
+            del table[w]
     return table
 
 
 def _relation_failures(table, terms, key_prefix, p):
-    """Evaluate each relation as the sum of coeff * table[word] and collect
-    the nonzero ones as (failure count, witnesses keyed key_prefix + (tag,)
-    + key)."""
-    def value(words):
+    """Failure count of the relations (sums of coeff * table[word]) and
+    witnesses keyed key_prefix + (tag,) + key for the first WITNESS_LIMIT."""
+    failures, witnesses = 0, []
+    for tag, key, words in terms:
         op = np.zeros_like(table[()])
         for word, coeff in words:
             op = (op + coeff * table[word]) % p
-        return op
-
-    witnesses = []
-    failures = _keep(witnesses, [(tag, key, op) for tag, key, words in terms
-                                 if (op := value(words)).any()],
-                     lambda tag, key, op: Witness(key_prefix + (tag,) + key, op, np.zeros_like(op)))
+        failures += bool(op.any())
+        if op.any() and len(witnesses) < WITNESS_LIMIT:
+            witnesses.append(Witness(key_prefix + (tag,) + key, op, np.zeros_like(op)))
     return failures, witnesses
 
 

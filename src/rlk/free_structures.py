@@ -441,9 +441,16 @@ class QuotientPresentation:
         return dict(Counter(self.ambient.degrees[i] for i in self.normal_indices))
 
     def project(self, x) -> np.ndarray:
-        """Canonical representative (ambient coordinates on the normal basis)."""
-        v = x if isinstance(x, np.ndarray) else self.ambient.dense(x)
-        return _matmul_mod(self.projection, v[:, None] % self.ambient.p, self.ambient.p)[:, 0]
+        """Canonical representative (ambient coordinates on the normal basis), summed in
+        column blocks that fit int64 (dim is unbounded), in Python ints past p = 2**31."""
+        p, P = self.ambient.p, self.projection
+        v = (x if isinstance(x, np.ndarray) else self.ambient.dense(x))[:, None] % p
+        if (p - 1) ** 2 >= 1 << 62:
+            return _matmul_mod(P.astype(object), v.astype(object), p)[:, 0].astype(np.int64)
+        step, out = ((1 << 62) - 1) // (p - 1) ** 2, np.zeros(len(P), dtype=np.int64)
+        for s in range(0, len(v), step):
+            out = (out + _matmul_mod(P[:, s:s + step], v[s:s + step], p)[:, 0]) % p
+        return out
 
     def to_dict(self) -> dict:
         return {

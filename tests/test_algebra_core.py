@@ -24,7 +24,7 @@ from rlk.algebra_core import (
 from rlk.dialgebra import dialgebra_from_operator, sweep_lemdias
 from rlk.envelope import LeibnizModule, adjoint_module, check_module_axioms
 from rlk.errors import UsageError
-from rlk.identities import check_dias, check_leibniz
+from rlk.identities import WITNESS_LIMIT, check_dias, check_leibniz
 
 from helpers import all_elements, l2, matrix_assoc, random_structure, truncated_poly
 from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
@@ -437,13 +437,12 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
       to 2**53) and the next prime above it (int64 products just past 2**53,
       where float64 would round).
 
-    Products this small stay in int64 under the small-product and
-    small-item cuts, so both are set to 0 here and the modulus alone picks
-    the route of every product but the mat-vecs.  The
-    Jacobson polarization kernel is left out: it runs p - 1 bracketing
-    rounds, which for a prime near 2**31 is not feasible."""
+    Products this small stay in int64 under the small-product cut, so the
+    cut is set to 0 here and the modulus alone picks the route of every
+    product but the mat-vecs and vec-mat stacks.  The Jacobson polarization
+    kernel is left out: it runs p - 1 bracketing rounds, which for a prime
+    near 2**31 is not feasible."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
-    monkeypatch.setattr(algebra_core, "_SMALL_ITEM", 0)
     rng = random.Random(f"modulus-bound-{dim}")
     for p in _bound_primes(dim, rng):
         c = _residues_near_the_top(p, (dim, dim, dim), rng)
@@ -476,20 +475,23 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
 def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
     """envelope._word_action against a plain-Python composition of each word,
     on random modules at p = 2, 3, 5 and at the primes of the modulus-bound
-    tests.  The words share prefixes and repeat letters, and the table must
-    also hold every prefix, every single letter and the empty word.  Each
-    module is run with the default cuts and with both cuts at 0, so that the
-    stacks also take the float64 route below 2**53."""
-    from rlk.envelope import _word_action
+    tests.  The words share prefixes and repeat letters; the table must hold
+    exactly the relation words, every single letter and the empty word.  Each
+    module is run with the default cuts and once with the small-product cut
+    at 0 and chunks of two words, so that the stacks also take the float64
+    route below 2**53 and prefixes cross chunks.  _relation_failures must
+    count every nonzero relation and keep the first WITNESS_LIMIT."""
+    from rlk import envelope
+    from rlk.envelope import _relation_failures, _word_action
 
     rng = random.Random("word-action")
     n, mdim = 2, 3
     primes = [2, 3, 5, *_primes_at_the_bound(1 << 62, mdim)[:1],
               *_primes_at_the_bound(1 << 53, mdim)]
-    cuts = [(algebra_core._SMALL_PRODUCT, algebra_core._SMALL_ITEM), (0, 0)]
-    for p, (small_product, small_item) in itertools.product(primes, cuts):
+    cuts = [(algebra_core._SMALL_PRODUCT, envelope._CHUNK_ENTRIES), (0, 2 * mdim * mdim)]
+    for p, (small_product, chunk) in itertools.product(primes, cuts):
         monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", small_product)
-        monkeypatch.setattr(algebra_core, "_SMALL_ITEM", small_item)
+        monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", chunk)
         g = Algebra(p, n, {})
         left, right = (_residues_near_the_top(p, (n, mdim, mdim), rng) for _ in range(2))
         M = LeibnizModule(g, mdim, left, right)
@@ -497,15 +499,23 @@ def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
         words = [tuple(stem[:k]) + tuple(rng.randrange(2 * n) for _ in range(extra))
                  for k in range(4) for extra in (0, 1, 2, 4)]
         words += [(0,) * 5, (2 * n - 1,) * 3, (1, 1, 2, 1, 1)]
-        terms = [("t", (i,), [(w, rng.randrange(p)) for w in words[i::3]]) for i in range(3)]
+        terms = [("t", (i,), [(w, rng.randrange(1, p)) for w in words[i % 7::7]])
+                 for i in range(WITNESS_LIMIT + 4)]
         table = _word_action(M, terms)
         mats = left.tolist() + right.tolist()
-        expected = {(): [[int(r == c) for c in range(mdim)] for r in range(mdim)]}
-        for w in sorted({w[:k] for w in words + [(i,) for i in range(2 * n)]
-                         for k in range(len(w) + 1)}, key=len):
-            if w:
-                expected[w] = naive_mat_mul(mats[w[-1]], expected[w[:-1]], p)
-        assert {w: op.tolist() for w, op in table.items()} == expected, p
+        kept = {(), *words, *((i,) for i in range(2 * n))}
+        composed = {(): [[int(r == c) for c in range(mdim)] for r in range(mdim)]}
+        for w in sorted({w[:k] for w in kept for k in range(1, len(w) + 1)}, key=len):
+            composed[w] = naive_mat_mul(mats[w[-1]], composed[w[:-1]], p)
+        assert {w: op.tolist() for w, op in table.items()} == {
+            w: m for w, m in composed.items() if w in kept}, p
+        values = [[[sum(c * composed[w][r][s] for w, c in ws) % p for s in range(mdim)]
+                   for r in range(mdim)] for _tag, _key, ws in terms]
+        failing = [(key, v) for (_tag, key, _ws), v in zip(terms, values) if any(map(any, v))]
+        failures, witnesses = _relation_failures(table, terms, ("x",), p)
+        assert failures == len(failing) > WITNESS_LIMIT, p
+        assert [(w.inputs, w.lhs.tolist()) for w in witnesses] == [
+            (("x", "t") + key, v) for key, v in failing[:WITNESS_LIMIT]]
 
 
 DIAS_AXIOMS = ("assoc_left", "assoc_right", "left_bar", "middle", "right_bar")
@@ -578,10 +588,8 @@ def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch)
     augmentation on F_p[t]/t**dim) written in a dense random basis, where a
     sum that rounded would make it fail.  Each failing input has random
     residues next to p - 1, and its failure count and witnesses must be the
-    loops'.  As in the kernel test, the small-product and small-item cuts
-    are set to 0."""
+    loops'.  As in the kernel test, the small-product cut is set to 0."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
-    monkeypatch.setattr(algebra_core, "_SMALL_ITEM", 0)
     rng = random.Random(f"sweeps-bound-{dim}")
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     triples = list(itertools.product(range(dim), repeat=3))

@@ -341,6 +341,7 @@ def _prime_from(n, step):
 @pytest.mark.parametrize("p", [
     _prime_from(1 + (1 << 30), -1),  # (p - 1)**2 near 2**60: blocks of 4 columns
     2**31 - 1,  # the largest prime with (p - 1)**2 < 2**62: blocks of one column
+    _prime_from(1 + (1 << 31), 1),  # the first with (p - 1)**2 >= 2**62: Python ints
     _prime_from(1 + (1 << 40), 1),  # one product alone passes int64
 ])
 def test_projection_is_exact_at_large_primes(p):
