@@ -9,8 +9,9 @@ matrix acts on coefficient column vectors from the left.
 Arithmetic is exact: every contraction sums dim terms of products of two
 reduced residues, and construction rejects moduli large enough for that to
 overflow int64.  Every summed contraction runs through `_matmul_mod`, which
-takes its route from the shapes it is given: float64 BLAS where that is exact
-and repays the casts, else int64.
+takes its route from the shapes and the modulus it is given: float BLAS where
+that is exact and repays the casts (float32 while the sums stay below 2**24,
+float64 below 2**53), reduced mod p before the one cast back, else int64.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
 
 def _check_modulus_bound(p: int, dim: int) -> None:
     # one contracted index at a time: sums of dim products of reduced residues
-    # must fit int64; _matmul_mod uses float64 below the tighter 2**53
+    # must fit int64; _matmul_mod uses float32 below 2**24 and float64 below 2**53
     if dim and dim * (p - 1) * (p - 1) >= 1 << 62:
         raise UsageError(f"modulus {p} too large for exact int64 kernels at dim {dim}")
 
@@ -78,21 +79,32 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     int64, reduced in place, takes mat-vecs and stacks of vec-mats (their
     casts touch as many entries as the product multiplies), products below
     _SMALL_PRODUCT multiply-adds, and A.shape[-1] * (p - 1)**2 >= 2**53, as
-    do object operands (Python ints) past p = 2**27.  The rest runs in
-    float64 BLAS, exact below 2**53 in any summation order, each operand cast
-    once and each temporary freed once used (the peak stays that of int64)."""
+    do object operands (Python ints) past p = 2**27.  The rest runs in float
+    BLAS: float32 while that bound is below 2**24, else float64, each operand
+    cast once.  The product is reduced in the float dtype and cast back once.
+
+    Exact: with m = 24 or 53 significand bits, every partial sum is an
+    integer below 2**m, so no summation order, FMA or thread split can round
+    it.  For an integer 0 <= x < 2**m, x/p lies at least 1/p below
+    floor(x/p) + 1, and half an ulp of x/p is at most (x/p) / 2**m < 1/p, so
+    fl(x/p) (true division, not a multiply by 1/p) has the same floor; the
+    product and difference that follow are integers below 2**m, exact too."""
+    bound = A.shape[-1] * (p - 1) ** 2
     if (B.shape[-1] == 1 or A.shape[-2] == 1 and B.ndim > 2
-            or A.size * B.shape[-1] < _SMALL_PRODUCT or A.shape[-1] * (p - 1) ** 2 >= 1 << 53):
+            or A.size * B.shape[-1] < _SMALL_PRODUCT or bound >= 1 << 53):
         res = np.matmul(A, B)
         res %= p
         return res
-    Af = A.astype(np.float64)
-    out = np.matmul(Af, Af if B is A else B.astype(np.float64))
+    dtype = np.float32 if bound < 1 << 24 else np.float64
+    Af = A.astype(dtype)
+    out = np.matmul(Af, Af if B is A else B.astype(dtype))
     del Af
-    res = out.astype(np.int64)
-    del out
-    res %= p
-    return res
+    q = out / p
+    np.floor(q, out=q)
+    q *= p
+    out -= q
+    del q
+    return out.astype(np.int64)
 
 
 class ZeroPMap:
@@ -396,10 +408,12 @@ class Algebra:
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
         """Row-wise n-fold right powers (((x*x)*x)...*x), n >= 1, of an
-        (N, dim) coefficient array."""
+        (N, dim) coefficient array: r_x built once, then n - 1 mat-vecs."""
         V = X % self.p
-        for _ in range(n - 1):
-            V = self.multiply_batch(op, V, X)
+        if n > 1:
+            R = self.right_mult_stack(op, V)
+            for _ in range(n - 1):
+                V = _matmul_mod(R, V[..., None], self.p)[..., 0]
         return V
 
     def right_mult_matrix(self, op: str, x: Element) -> np.ndarray:

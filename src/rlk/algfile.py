@@ -28,7 +28,6 @@ format can express, entry for entry.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
@@ -258,11 +257,9 @@ def format_algebra(alg: Algebra) -> str:
     out.append(f"p={alg.p} dim={alg.dim}")
     for name in sorted(alg.op_names):
         out.append(f"op {name}:")
-        c = alg.structure(name)
-        for i, j, k in itertools.product(range(alg.dim), repeat=3):
-            v = int(c[i, j, k]) % alg.p
-            if v:
-                out.append(f"{i} {j} {k} {v}")
+        c = alg.structure(name)  # reduced mod p at construction
+        for (i, j, k), v in zip(np.argwhere(c).tolist(), c[c != 0].tolist()):
+            out.append(f"{i} {j} {k} {v}")
     for name in sorted(alg.pmaps):
         out.extend(_format_pmap(alg, name, alg.pmaps[name]))
     return "\n".join(out) + "\n"

@@ -409,8 +409,8 @@ def _random_prime_below(top, rng):
 
 def _residues_near_the_top(p, shape, rng):
     """Residues within 8 of p - 1, odd and even: a contraction of them sums
-    dim products next to (p - 1)**2, so at the prime just past the float64
-    switch many of its totals are odd integers past 2**53."""
+    dim products next to (p - 1)**2, so at the prime just past a float
+    switch many of its totals are odd integers past 2**24 or 2**53."""
     return np.array([p - 1 - rng.randrange(8) for _ in range(math.prod(shape))],
                     dtype=np.int64).reshape(shape)
 
@@ -422,7 +422,8 @@ def _bound_primes(dim, rng):
     with pytest.raises(UsageError, match="too large"):
         Algebra(above, dim, {})
     switch, past = _primes_at_the_bound(1 << 53, dim)
-    return [top, switch, past] + [_random_prime_below(top, rng) for _ in range(2)]
+    return ([top, switch, past, *_primes_at_the_bound(1 << 24, dim)]
+            + [_random_prime_below(top, rng) for _ in range(2)])
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -435,7 +436,9 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
       random primes within 2**20 of it (int64 products next to 2**62);
     - the largest prime with dim * (p - 1)**2 < 2**53 (float64 products next
       to 2**53) and the next prime above it (int64 products just past 2**53,
-      where float64 would round).
+      where float64 would round);
+    - the same pair at 2**24 (float32 products next to 2**24, and float64
+      products just past it, where float32 would round).
 
     Products this small stay in int64 under the small-product cut, so the
     cut is set to 0 here and the modulus alone picks the route of every
@@ -472,22 +475,84 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
              for r in range(mdim)] for x in X.tolist()]
 
 
+def _operands_summing_to(totals, p, k):
+    """(A, B): an (n, 2, k) and an (n, k, 2) stack of residues whose item
+    products hold one total in all four entries, summed as (p - 1)**2 as
+    often as it fits, then (p - 1) * u and a last v; so a total may be at
+    most (k - 1) * (p - 1)**2 - 1."""
+    n = len(totals)
+    A = np.zeros((n, 2, k), dtype=np.int64)
+    B = np.zeros((n, k, 2), dtype=np.int64)
+    for t, x in enumerate(totals):
+        full, rest = divmod(x, (p - 1) ** 2)
+        assert full <= k - 2
+        a = [p - 1] * full + [rest // (p - 1), rest % (p - 1)]
+        b = [p - 1] * (full + 1) + [1]
+        A[t, :, :len(a)] = a
+        B[t, :len(b), :] = np.array(b)[:, None]
+    return A, B
+
+
+@pytest.mark.parametrize("bits", [24, 53])
+def test_float_reduction_exact_next_to_multiples_of_p(bits, monkeypatch) -> None:
+    """_matmul_mod's float route on totals k*p - 1, k*p and k*p + 1 up to
+    just below 2**bits, for the largest primes p with
+    k_dim * (p - 1)**2 < 2**bits at several contracted lengths k_dim, and
+    for the prime just past that switch; each must come back as the Python
+    remainder.  A reduction by a multiply with 1/p, or a float32 product
+    past 2**24, gets some of them wrong."""
+    monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    rng = random.Random(f"float-reduction-{bits}")
+    for k_dim in (16, 64, 256):
+        for p in _primes_at_the_bound(1 << bits, k_dim):
+            top = (k_dim - 1) * (p - 1) ** 2 - 1
+            ks = {top // p - 1 - i for i in range(16)}
+            ks |= {rng.randrange(top // (2 * p), top // p) for _ in range(48)}
+            totals = [k * p + d for k in sorted(ks) for d in (-1, 0, 1)]
+            A, B = _operands_summing_to(totals, p, k_dim)
+            got = algebra_core._matmul_mod(A, B, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == [[[x % p] * 2] * 2 for x in totals], (p, k_dim)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_right_power_batch_matches_python_loop(dim, monkeypatch) -> None:
+    """right_power_batch (r_x built once, then mat-vecs) against repeated
+    Python-int products at n = 1, 2 and p for p = 2, 3, 5 and 7, and at
+    n = 1, 2 and 5 at the primes of the modulus-bound tests, where n = p
+    would take p - 1 loop products.  The small-product cut is set to 0, so
+    r_x takes the float routes below 2**24 and 2**53."""
+    monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    rng = random.Random(f"right-power-{dim}")
+    for p in [2, 3, 5, 7, *_bound_primes(dim, rng)]:
+        c = _residues_near_the_top(p, (dim, dim, dim), rng) % p
+        alg = Algebra(p, dim, {"mul": c})
+        X = np.concatenate([alg.sample_array(6, rng),
+                            _residues_near_the_top(p, (4, dim), rng) % p])
+        for n in (1, 2, p if p < 8 else 5):
+            want = [list(_naive_right_power(c.tolist(), tuple(x), n, p)) for x in X.tolist()]
+            got = alg.right_power_batch("mul", X, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, (p, n)
+
+
 def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
     """envelope._word_action against a plain-Python composition of each word,
     on random modules at p = 2, 3, 5 and at the primes of the modulus-bound
     tests.  The words share prefixes and repeat letters; the table must hold
     exactly the relation words, every single letter and the empty word.  Each
     module is run with the default cuts and once with the small-product cut
-    at 0 and chunks of two words, so that the stacks also take the float64
-    route below 2**53 and prefixes cross chunks.  _relation_failures must
-    count every nonzero relation and keep the first WITNESS_LIMIT."""
+    at 0 and chunks of two words, so that the stacks also take the float
+    routes below 2**24 and 2**53 and prefixes cross chunks.
+    _relation_failures must count every nonzero relation and keep the first
+    WITNESS_LIMIT."""
     from rlk import envelope
     from rlk.envelope import _relation_failures, _word_action
 
     rng = random.Random("word-action")
     n, mdim = 2, 3
     primes = [2, 3, 5, *_primes_at_the_bound(1 << 62, mdim)[:1],
-              *_primes_at_the_bound(1 << 53, mdim)]
+              *_primes_at_the_bound(1 << 53, mdim), *_primes_at_the_bound(1 << 24, mdim)]
     cuts = [(algebra_core._SMALL_PRODUCT, envelope._CHUNK_ENTRIES), (0, 2 * mdim * mdim)]
     for p, (small_product, chunk) in itertools.product(primes, cuts):
         monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", small_product)

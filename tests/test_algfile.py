@@ -1,5 +1,7 @@
 """Round-trip and error-path tests for the algebra text file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,13 @@ from rlk.prelie_tensor import tensor_prelie
 
 from helpers import (
     abelian,
+    as_dialgebra,
     dleib,
     l2,
     l2_dialgebra,
+    matrix_dialgebra,
     truncated_poly,
+    upper_triangular2,
     zinbiel_zero,
 )
 
@@ -152,3 +157,17 @@ def test_format_is_canonical_and_sorted():
     assert op_lines == sorted(op_lines)
     assert pmap_lines == sorted(pmap_lines)
     assert text.endswith("\n")
+
+
+def test_format_text_of_a_dim12_dleib_file_is_pinned():
+    """The entries of dleib(gl_2(ut2/F3)) in lexicographic (i, j, k) order,
+    byte for byte as the per-entry loop that first wrote them printed them,
+    and parsed back to the same algebra."""
+    g = dleib(matrix_dialgebra(as_dialgebra(upper_triangular2(3)), 2))
+    text = format_algebra(g)
+    assert g.dim == 12 and len(text.splitlines()) == 126
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e7840a3efeff0c409b77b14a7a950f03f48afcef83db45204be5b23121f9dcaa")
+    back = parse_algebra(text)
+    assert same_algebra(g, back)
+    assert format_algebra(back) == text
