@@ -76,10 +76,10 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """np.matmul(A, B) % p as reduced int64, for reduced int64 operands whose
     sums stay below _check_modulus_bound's 2**62.
 
-    int64, reduced in place, takes mat-vecs and stacks of vec-mats (their
-    casts touch as many entries as the product multiplies), products below
-    _SMALL_PRODUCT multiply-adds, and A.shape[-1] * (p - 1)**2 >= 2**53, as
-    do object operands (Python ints) past p = 2**27.  The rest runs in float
+    int64, reduced in place, takes mat-vecs (their casts touch as many
+    entries as the product multiplies), products below _SMALL_PRODUCT
+    multiply-adds, and A.shape[-1] * (p - 1)**2 >= 2**53, as do object
+    operands (Python ints) past p = 2**27.  The rest runs in float
     BLAS: float32 while that bound is below 2**24, else float64, each operand
     cast once.  The product is reduced in the float dtype and cast back once.
 
@@ -90,8 +90,7 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     fl(x/p) (true division, not a multiply by 1/p) has the same floor; the
     product and difference that follow are integers below 2**m, exact too."""
     bound = A.shape[-1] * (p - 1) ** 2
-    if (B.shape[-1] == 1 or A.shape[-2] == 1 and B.ndim > 2
-            or A.size * B.shape[-1] < _SMALL_PRODUCT or bound >= 1 << 53):
+    if B.shape[-1] == 1 or A.size * B.shape[-1] < _SMALL_PRODUCT or bound >= 1 << 53:
         res = np.matmul(A, B)
         res %= p
         return res
@@ -313,7 +312,11 @@ class BasisJacobsonPMap:
 
 class Algebra:
     """Immutable structure-constant algebra over F_p; `pmaps` is a read-only
-    mapping of names to p-maps."""
+    mapping of names to p-maps.  `reports` holds the passing reports of the
+    checks its construction ran on its own ops, in the order they ran; it is
+    empty unless a verified construction made this very object."""
+
+    reports = ()
 
     def __init__(self, p: int, dim: int, ops: dict, pmaps=None, label: str = ""):
         validate_prime(p)
@@ -400,11 +403,9 @@ class Algebra:
         return _tup(self._one_row(self.multiply_batch, op, x, y))
 
     def multiply_batch(self, op: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Row-wise products of two (N, dim) coefficient arrays."""
-        p, d = self.p, self.dim
-        c = self.structure(op).reshape(d, d * d)  # (i, jk)
-        t = _matmul_mod(X % p, c, p).reshape(len(X), d, d)  # (n, j, k)
-        return _matmul_mod((Y % p)[:, None, :], t, p)[:, 0]
+        """Row-wise products x * y = r_y x of two (N, dim) coefficient arrays."""
+        R = self.right_mult_stack(op, Y)
+        return _matmul_mod(R, (X % self.p)[..., None], self.p)[..., 0]
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
         """Row-wise n-fold right powers (((x*x)*x)...*x), n >= 1, of an
@@ -513,9 +514,11 @@ class Algebra:
 
     def _with_pmaps(self, pmaps) -> "Algebra":
         """The same algebra carrying exactly `pmaps`, which are not validated
-        again: each must already be known valid on these ops."""
+        again: each must already be known valid on these ops.  It carries no
+        reports."""
         new = copy.copy(self)
         new.pmaps = MappingProxyType(dict(pmaps))
+        new.reports = ()
         return new
 
     def __repr__(self):

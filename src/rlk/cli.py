@@ -24,10 +24,10 @@ from .algebra_core import enumeration_cap
 from .algfile import format_algebra, parse_algebra_file
 from .dialgebra import (
     Dialgebra,
-    _dleib_reports,
     as_dialgebra,
     check_commutative_diagram,
     dialgebra_from_operator,
+    dleib,
     matrix_dialgebra,
     sweep_lemdias,
 )
@@ -44,9 +44,9 @@ from .identities import (
     check_zinbiel,
 )
 from .prelie_tensor import (
-    _antisymmetrized,
     check_corollary,
     check_tensor_restricted,
+    prelie_to_lie,
     tensor_prelie,
 )
 
@@ -271,11 +271,11 @@ def _endo_matrix(alg) -> np.ndarray:
     return c[:, 0, :].T.copy()
 
 
-def _dialgebra_report(D: Dialgebra, args) -> tuple:
+def _dialgebra_reports(D: Dialgebra, args) -> tuple:
     """The basis sweep is the one D ran when it was built."""
-    dias = D.dias_report if _basis_mode(args) == "basis" else check_dias(
-        D, mode="sampled", seed=args.seed, samples=args.samples)
-    return dias.to_dict(), sweep_lemdias(D).to_dict()
+    dias = D.reports if _basis_mode(args) == "basis" else (check_dias(
+        D, mode="sampled", seed=args.seed, samples=args.samples),)
+    return dias + (sweep_lemdias(D),)
 
 
 def cmd_derive(args) -> int:
@@ -288,13 +288,12 @@ def cmd_derive(args) -> int:
     def build():
         if args.construction == "dleib":
             D = _as_dialgebra_input(parse_algebra_file(args.files[0]))
-            derived, reports = _dleib_reports(D, _effective_cap(D, args), args.seed,
-                                              args.samples)
-            checks = tuple(r.to_dict() for r in reports)
+            derived = dleib(D, _effective_cap(D, args), args.seed, args.samples)
+            reports = derived.reports
         elif args.construction == "gln":
             D0 = _as_dialgebra_input(parse_algebra_file(args.files[0]))
             derived = matrix_dialgebra(D0, args.n)
-            checks = _dialgebra_report(derived, args)
+            reports = _dialgebra_reports(derived, args)
         elif args.construction == "operator-dialgebra":
             alg = parse_algebra_file(args.files[0])
             if "assoc" not in alg.op_names or "endo" not in alg.op_names:
@@ -302,29 +301,26 @@ def cmd_derive(args) -> int:
                     "operator-dialgebra input needs ops 'assoc' and 'endo'"
                 )
             derived = dialgebra_from_operator(alg, _endo_matrix(alg))
-            checks = _dialgebra_report(derived, args)
+            reports = _dialgebra_reports(derived, args)
         elif args.construction == "tensor-prelie":
             g = parse_algebra_file(args.files[0])
             R = parse_algebra_file(args.files[1])
             T = tensor_prelie(g, R)
             derived = T.product._with_pmaps({"lie_p": T.product.pmap("lie_p")})
-            checks = (
-                T.prelie_report.to_dict(),
-                check_tensor_restricted(
-                    T, seed=args.seed, samples=args.samples).to_dict(),
+            reports = T.product.reports + (
+                check_tensor_restricted(T, seed=args.seed, samples=args.samples),
                 check_corollary(T, seed=args.seed, samples=args.samples,
-                                cap=_effective_cap(T.product, args)).to_dict(),
+                                cap=_effective_cap(T.product, args)),
             )
         else:  # antisymmetrize
-            alg = parse_algebra_file(args.files[0])
-            derived, reports = _antisymmetrized(alg, args.op)
-            checks = tuple(r.to_dict() for r in reports)
+            derived = prelie_to_lie(parse_algebra_file(args.files[0]), args.op)
+            reports = derived.reports
         doc = ReportDocument(
             version=__version__,
             command=f"derive {args.construction}",
             inputs=tuple((f, _digest(f)) for f in args.files),
             seed=args.seed,
-            checks=checks,
+            checks=tuple(r.to_dict() for r in reports),
         )
         return derived, doc
 

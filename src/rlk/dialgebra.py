@@ -35,8 +35,8 @@ MATRIX_DIM_BOUND = 96
 
 
 class Dialgebra(Algebra):
-    """Algebra whose "left"/"right" ops are verified diassociative; the
-    passing check_dias report is kept as `dias_report`."""
+    """Algebra whose "left"/"right" ops are verified diassociative; its
+    `reports` are (the passing check_dias report,)."""
 
     def __init__(self, p, dim, ops, pmaps=None, label=""):
         super().__init__(p, dim, ops, pmaps, label)
@@ -47,7 +47,7 @@ class Dialgebra(Algebra):
                 f"not a dialgebra: axiom {w.inputs[0]} fails at basis triple "
                 f"{w.inputs[1:]} ({w.lhs} != {w.rhs})"
             )
-        self.dias_report = rep
+        self.reports = (rep,)
 
 
 def as_dialgebra(alg: Algebra) -> Dialgebra:
@@ -68,13 +68,9 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
 
     The result carries ops "bracket", "left", "right" on the same carrier
     and the p-map "frobenius"; the Leibniz identity and the operator
-    condition r_x**p = r_{x^[p]} are each checked once before returning.
+    condition r_x**p = r_{x^[p]} are each checked once before returning, and
+    their passing reports are its `reports` (leibniz, restricted_leibniz).
     """
-    return _dleib_reports(D, cap, seed, samples)[0]
-
-
-def _dleib_reports(D: Algebra, cap, seed: int, samples: int):
-    """dleib's algebra and its passing (leibniz, restricted_leibniz) reports."""
     cl = D.structure("left")
     cr = D.structure("right")
     bracket = (cl - cr.transpose(1, 0, 2)) % D.p
@@ -99,7 +95,8 @@ def _dleib_reports(D: Algebra, cap, seed: int, samples: int):
         raise UsageError(
             f"p-fold right power is not a restricted p-map; witness x = {w.inputs[0]}"
         )
-    return out, (leib, rep)
+    out.reports = (leib, rep)
+    return out
 
 
 # -- iterated-power compatibility ------------------------------------------------

@@ -203,13 +203,15 @@ def _word_action(M: LeibnizModule, terms) -> dict:
     """Word -> operator on M for 1, every letter and every relation word:
     letter i acts by left_action[i], letter n+i by right_action[i], composed
     in reading order.  Each word length is one stacked product, in chunks of
-    _CHUNK_ENTRIES entries, of last letters with prefixes; a prefix no
-    relation names is dropped once used.  Up to dim**p operators are kept."""
+    last letters with prefixes; a prefix no relation names is dropped once
+    used.  Up to dim**p operators are kept.  A chunk holds its two int64
+    operand stacks, their float copies, the product and the int64 result at
+    once, six operators per word, and all of them fit _CHUNK_ENTRIES."""
     mats = np.concatenate([M.left_action, M.right_action])
     keep = {w for _tag, _key, ws in terms for w, _c in ws} | {(i,) for i in range(len(mats))}
     words = keep | {w[:k] for w in keep for k in range(1, len(w))}
     table = {(): np.eye(M.mdim, dtype=np.int64)}
-    step = max(1, _CHUNK_ENTRIES // max(1, M.mdim ** 2))
+    step = max(1, _CHUNK_ENTRIES // max(1, 6 * M.mdim ** 2))
     for k in range(1, max(map(len, words), default=0) + 1):
         ws = [w for w in words if len(w) == k]
         for chunk in (ws[c:c + step] for c in range(0, len(ws), step)):

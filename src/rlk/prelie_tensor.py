@@ -38,7 +38,7 @@ its notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,13 +161,12 @@ class TensorAlgebraHandle:
 
     `product` is an Algebra of dimension dim(g)·dim(R) with ops "prelie" and
     "lie" and p-maps "tensor_p", "zero" and "lie_p"; basis index (i, j) ↦
-    i·dim(R)+j (row-major pairing e_i ⊗ f_j).  `prelie_report` is the
-    passing check_prelie report of a product built by tensor_prelie."""
+    i·dim(R)+j (row-major pairing e_i ⊗ f_j).  A product built by
+    tensor_prelie has `reports` (the passing check_prelie report,)."""
 
     gfactor: Algebra
     rfactor: Algebra
     product: Algebra
-    prelie_report: CheckReport | None = field(default=None, init=False, compare=False)
 
     def pair_index(self, i: int, j: int) -> int:
         return i * self.rfactor.dim + j
@@ -228,9 +227,8 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
         "zero": ZeroPMap(),
         "lie_p": BasisJacobsonPMap("lie", [product.zero()] * pdim),
     })
-    T = TensorAlgebraHandle(g, R, product)
-    T.prelie_report = rep
-    return T
+    product.reports = (rep,)
+    return TensorAlgebraHandle(g, R, product)
 
 
 def _pure_rows(T: TensorAlgebraHandle, y, b):
@@ -312,12 +310,8 @@ def prelie_to_lie(A, op: str = "prelie") -> Algebra:
 
     Accepts a tensor handle or any Algebra whose named op passes the
     right-symmetric associator check; the returned algebra carries both ops,
-    and the antisymmetrized bracket is verified alternating + Jacobi."""
-    return _antisymmetrized(A, op)[0]
-
-
-def _antisymmetrized(A, op: str):
-    """prelie_to_lie's algebra and its passing (prelie, lie_axioms) reports."""
+    and the antisymmetrized bracket is verified alternating + Jacobi.  Its
+    `reports` are the two passing reports (prelie, lie_axioms)."""
     alg = A.product if isinstance(A, TensorAlgebraHandle) else A
     rep = _require(check_prelie(alg, op), f"op {op!r} is not pre-Lie")
     c = alg.structure(op)
@@ -328,7 +322,8 @@ def _antisymmetrized(A, op: str):
         raise DomainError(f"antisymmetrization failed the Lie checks: {viol}")
     lie_rep = CheckReport("lie_axioms", "pass", [], Coverage("exhaustive", result.dim ** 3),
                           0, ("alternating + antisymmetry + Jacobi on basis triples",))
-    return result, (rep, lie_rep)
+    result.reports = (rep, lie_rep)
+    return result
 
 
 def check_corollary(T: TensorAlgebraHandle, seed: int = 0,

@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,12 @@ from rlk.algebra_core import (
     lie_basis_violation,
     stack_mat_pow,
 )
-from rlk.dialgebra import dialgebra_from_operator, sweep_lemdias
+from rlk.dialgebra import as_dialgebra, dialgebra_from_operator, dleib, sweep_lemdias
 from rlk.envelope import LeibnizModule, adjoint_module, check_module_axioms
 from rlk.errors import UsageError
+from rlk.free_structures import free_zinbiel
 from rlk.identities import WITNESS_LIMIT, check_dias, check_leibniz
+from rlk.prelie_tensor import tensor_prelie
 
 from helpers import all_elements, l2, matrix_assoc, random_structure, truncated_poly
 from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
@@ -270,6 +273,21 @@ def test_extended_does_not_mutate_original() -> None:
         base.pmaps["z"] = ZeroPMap()
     assert base.label != ext.label
     assert np.array_equal(base.structure("bracket"), ext.structure("bracket"))
+
+
+def test_derived_copies_carry_no_reports() -> None:
+    """A report speaks only for the object whose construction ran it: copies
+    made by extended and _with_pmaps start with none."""
+    assert l2(3).reports == ()
+    D = as_dialgebra(truncated_poly(3, 2))
+    L = dleib(D)
+    T = tensor_prelie(l2(2), free_zinbiel(1, 2, 2))
+    for built in (D, L, T.product):
+        assert built.reports
+        assert built.extended(label="copy").reports == ()
+        assert built.extended(pmaps={"z": ZeroPMap()}).reports == ()
+        assert built._with_pmaps({}).reports == ()
+        assert built.reports  # the original keeps its own
 
 
 def test_element_reduction() -> None:
@@ -581,6 +599,36 @@ def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
         assert failures == len(failing) > WITNESS_LIMIT, p
         assert [(w.inputs, w.lhs.tolist()) for w in witnesses] == [
             (("x", "t") + key, v) for key, v in failing[:WITNESS_LIMIT]]
+
+
+@pytest.mark.parametrize("p", [5, 1_000_003])
+def test_word_action_chunk_fits_its_entry_budget(p, monkeypatch) -> None:
+    """Everything one chunk of _word_action holds besides the table it
+    returns (two int64 operand stacks, their float32 or float64 copies, the
+    product and its result) fits _CHUNK_ENTRIES int64 entries, plus a fixed
+    allowance for the Python lists and tuples of one word length.  Every
+    word up to length 5 on 4 letters names a relation, so no operator is
+    dropped and the table at the end holds every operator ever computed;
+    sizing the chunk by one operand stack overshoots the budget two to
+    four times over."""
+    from rlk import envelope
+
+    monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", 1 << 16)
+    rng = random.Random(f"word-chunk-{p}")
+    n, mdim = 2, 10
+    left, right = (np.array([[[rng.randrange(p) for _ in range(mdim)] for _ in range(mdim)]
+                             for _ in range(n)], dtype=np.int64) for _ in range(2))
+    M = LeibnizModule(Algebra(p, n, {}), mdim, left, right)
+    words = [w for k in range(1, 6) for w in itertools.product(range(2 * n), repeat=k)]
+    terms = [("t", (i,), [(w, 1)]) for i, w in enumerate(words)]
+    tracemalloc.start()
+    try:
+        table = envelope._word_action(M, terms)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(words) + 1
+    assert peak - held <= 8 * envelope._CHUNK_ENTRIES + (1 << 16)
 
 
 DIAS_AXIOMS = ("assoc_left", "assoc_right", "left_bar", "middle", "right_bar")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,3 +580,66 @@ def test_exhaustive_mode_past_the_cap_exit2_at_once(tmp_path, capsys, monkeypatc
     assert main(["check", path, "restricted-leibniz", "--mode", "exhaustive",
                  "--cap", "1000"]) == 2
     assert "enumeration cap 1000" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- layering
+
+
+def test_cli_imports_no_private_names():
+    """The CLI is a client of the library: every name it takes from another
+    rlk module is public (dunders such as __version__ count as public)."""
+    tree = ast.parse(Path(rlk.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "rlk")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
+# ----------------------------------------------------------- pinned bytes
+
+
+def _derive_inputs(tmp_path):
+    base = upper_triangular2(3)
+    return {
+        "ut2": write(tmp_path, "ut2.alg", base),
+        "endo": endo_file(tmp_path, base, np.diag([1, 0, 1]).astype(np.int64).T, "endo.alg"),
+        "g": write(tmp_path, "g.alg", l2(2)),
+        "zin": write(tmp_path, "z.alg", free_zinbiel(1, 3, 2).to_algebra()),
+        "prod": write(tmp_path, "tp.alg", _tensor_product_algebra(3)),
+    }
+
+
+_DERIVE_DIGESTS = {
+    ("dleib", "ut2"):
+        "a18eab2befe82abb5cc57031a1616b91a6f3331a3f5800418af82406ce5f673d",
+    ("gln", "ut2"):
+        "0e32e96d83600f9f9ea18a0eefe7a0894bde0874b3ea510369777e29d53c20b5",
+    ("gln", "ut2", "--mode", "sample"):
+        "a6c3a3151de45408fb9bde55c093a2966f725ebc927baf397e73e71692ba0fe3",
+    ("operator-dialgebra", "endo"):
+        "240ce7a57b8f9ea1bbf7426308a1b421aebb54d2e4fefe319332a48f04a94a29",
+    ("tensor-prelie", "g", "zin", "--samples", "40"):
+        "9f5cb963d8f5e06e079d0f2d428770df17510c6b96acba314ac49e7fff91a4f2",
+    ("antisymmetrize", "prod"):
+        "1b7309794a4516c4e6379f9846918ccb2a4ec5e0d8d681747b984f96af280adf",
+}
+
+
+@pytest.mark.parametrize("argv", list(_DERIVE_DIGESTS), ids=lambda a: "-".join(a))
+def test_derive_report_bytes_are_pinned(argv, tmp_path, capsys):
+    """The sha256 of each derive construction's JSON report, input paths
+    replaced by their names, so a change to how a construction hands on its
+    reports cannot move a byte unnoticed."""
+    files = _derive_inputs(tmp_path)
+    args = [files.get(a, a) for a in argv]
+    assert main(["derive", *args, "--format", "json", "--seed", "1",
+                 "--out", str(tmp_path / "out.alg")]) == 0
+    out = capsys.readouterr().out
+    for name, path in files.items():
+        out = out.replace(path, name)
+    assert hashlib.sha256(out.encode()).hexdigest() == _DERIVE_DIGESTS[argv]

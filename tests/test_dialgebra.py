@@ -17,7 +17,7 @@ from rlk.dialgebra import (
     sweep_lemdias,
 )
 from rlk.errors import UsageError
-from rlk.identities import check_leibniz, check_restricted_leibniz
+from rlk.identities import check_dias, check_leibniz, check_restricted_leibniz
 
 from helpers import (
     associative_suite,
@@ -291,3 +291,29 @@ def test_commutative_diagram_rejects_non_associative() -> None:
     bad = Algebra(3, 2, {"assoc": l2(3).structure("bracket")})
     with pytest.raises(UsageError, match="not associative"):
         check_commutative_diagram(bad)
+
+
+# -- reports handed on ---------------------------------------------------------------
+
+
+def _dicts(reports):
+    return [r.to_dict() for r in reports]
+
+
+def test_dialgebra_reports_are_its_dias_check() -> None:
+    base = upper_triangular2(3)
+    endo = np.diag([1, 0, 1]).astype(np.int64)
+    for D in (as_dialgebra(base), matrix_dialgebra(as_dialgebra(truncated_poly(2, 2)), 2),
+              dialgebra_from_operator(base, endo), l2_dialgebra(3)):
+        assert _dicts(D.reports) == _dicts([check_dias(D)]), D.label
+
+
+def test_dleib_reports_are_its_two_checks() -> None:
+    for D, cap, seed, samples in ((as_dialgebra(upper_triangular2(3)), None, 0, 400),
+                                  (l2_dialgebra(5), 1, 7, 30)):
+        L = dleib(D, cap=cap, seed=seed, samples=samples)
+        assert _dicts(L.reports) == _dicts([
+            check_leibniz(L),
+            check_restricted_leibniz(L, "frobenius", cap=cap, seed=seed, samples=samples),
+        ])
+        assert L.reports[1].coverage.kind == ("exhaustive" if cap is None else "sampled")

@@ -9,10 +9,12 @@ import pytest
 import rlk.algebra_core
 import rlk.identities
 import rlk.prelie_tensor
-from rlk.algebra_core import Algebra
+from rlk.algebra_core import Algebra, lie_basis_violation
 from rlk.errors import UsageError
 from rlk.free_structures import free_zinbiel
 from rlk.identities import (
+    CheckReport,
+    Coverage,
     check_prelie,
     check_restricted_lie,
     check_restricted_prelie,
@@ -306,3 +308,24 @@ def test_corollary_leaves_product_pmaps_unchanged():
     rep = check_corollary(forged, samples=10)
     assert rep.to_dict() == check_corollary(T, samples=10).to_dict()
     assert prod.pmaps == {}
+
+
+# -- reports handed on ---------------------------------------------------------------
+
+
+def test_tensor_product_reports_are_its_prelie_check():
+    for g, R in tensor_suite()[:6]:
+        T = tensor_prelie(g, R)
+        assert [r.to_dict() for r in T.product.reports] == [check_prelie(T.product).to_dict()]
+
+
+def test_prelie_to_lie_reports_are_its_two_checks():
+    for A, op in ((upper_triangular2(3), "assoc"), (l2_tensor(2), "prelie")):
+        L = prelie_to_lie(A, op=op)
+        base = A.product if isinstance(A, TensorAlgebraHandle) else A
+        assert lie_basis_violation(L, "lie") is None
+        lie_axioms = CheckReport(
+            "lie_axioms", "pass", [], Coverage("exhaustive", L.dim ** 3), 0,
+            ("alternating + antisymmetry + Jacobi on basis triples",))
+        assert [r.to_dict() for r in L.reports] == [
+            check_prelie(base, op).to_dict(), lie_axioms.to_dict()]
