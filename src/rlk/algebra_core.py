@@ -19,12 +19,14 @@ from __future__ import annotations
 import copy
 import os
 import random
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import UsageError
-from .scalars import inv_mod, validate_prime
+from .scalars import _freeze, inv_mod, validate_prime
 
 DEFAULT_CAP = 1 << 16
 # Largest carrier dimension given a dense (dim, dim, dim) structure tensor
@@ -34,6 +36,9 @@ DENSE_DIM_BOUND = 160
 _CHUNK_ENTRIES = 1 << 21
 # multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
 _SMALL_PRODUCT = 1 << 12
+# powers right_power_batch takes as mat-vecs; past it stack_mat_pow is faster
+# (measured crossover: 2-32 at dims 2-16 and 1-8,192 rows, BENCH_17.json)
+_MATVEC_POWERS = 32
 
 Element = tuple
 
@@ -106,6 +111,7 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
+@dataclass(frozen=True)
 class ZeroPMap:
     """x -> 0."""
 
@@ -119,13 +125,8 @@ class ZeroPMap:
     def validate(self, alg: "Algebra") -> None:
         pass
 
-    def __eq__(self, other):
-        return isinstance(other, ZeroPMap)
 
-    def __repr__(self):
-        return "ZeroPMap()"
-
-
+@dataclass(frozen=True)
 class RightPowerPMap:
     """x -> (((x*x)*x)...*x), `exponent` factors of x under the named product.
 
@@ -134,82 +135,69 @@ class RightPowerPMap:
 
     variant = "rightpower"
 
-    def __init__(self, op: str, exponent=None):
-        if exponent is not None and exponent < 1:
-            raise UsageError(f"rightpower exponent must be >= 1, got {exponent}")
-        self.op = op
-        self.exponent = exponent
+    op: str
+    exponent: int | None = None
 
-    def _n(self, alg: "Algebra") -> int:
-        return alg.p if self.exponent is None else self.exponent
+    def __post_init__(self):
+        if self.exponent is not None and self.exponent < 1:
+            raise UsageError(f"rightpower exponent must be >= 1, got {self.exponent}")
 
     apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
-        return alg.right_power_batch(self.op, X, self._n(alg))
+        n = alg.p if self.exponent is None else self.exponent
+        return alg.right_power_batch(self.op, X, n)
 
     def validate(self, alg: "Algebra") -> None:
         alg.structure(self.op)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RightPowerPMap)
-            and self.op == other.op
-            and self.exponent == other.exponent
-        )
 
-    def __repr__(self):
-        return f"RightPowerPMap({self.op!r}, {self.exponent!r})"
-
-
+@dataclass(frozen=True)
 class MatrixPowerPMap(RightPowerPMap):
     """x -> x**p under an associative product (p-th power)."""
 
     variant = "matrixpower"
 
-    def __init__(self, op: str = "assoc"):
-        super().__init__(op, None)
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixPowerPMap) and self.op == other.op
-
-    def __repr__(self):
-        return f"MatrixPowerPMap({self.op!r})"
+    op: str = "assoc"
+    exponent: None = field(default=None, init=False, repr=False)
 
 
+@dataclass(frozen=True)
 class TablePMap:
     """Explicit value table; the domain must cover all p**dim elements.
 
-    `__init__` also lays the values out once as an array indexed by the key
-    read in base `radix` (one past the largest key entry: p for a table that
-    passes `validate`), with a mask of the keys present, so `apply_batch` is
-    one gather."""
+    `mapping` is read-only.  `__post_init__` also lays the values out once
+    as a read-only array indexed by the key read in base `radix` (one past
+    the largest key entry: p for a table that passes `validate`), with a
+    mask of the keys present, so `apply_batch` is one gather."""
 
     variant = "table"
 
-    def __init__(self, mapping: dict):
-        self.mapping = {tuple(k): tuple(v) for k, v in mapping.items()}
+    mapping: Mapping
+
+    def __post_init__(self):
+        mapping = {tuple(k): tuple(v) for k, v in self.mapping.items()}
+        keys, values = list(mapping), list(mapping.values())
         # no row has an entry in a table that is empty, of mixed arity, or
         # scattered over a key box much larger than itself
-        self._radix, self._width = 1, -1
-        self._present = np.zeros(1, dtype=bool)
-        self._values = np.zeros((1, 0), dtype=np.int64)
-        keys, values = list(self.mapping), list(self.mapping.values())
-        if len({len(k) for k in keys}) != 1 or len({len(v) for v in values}) != 1:
-            return
-        K = np.array(keys, dtype=np.int64)
-        radix = int(K.max(initial=0)) + 1
-        if K.min(initial=0) < 0 or radix ** K.shape[1] > max(len(keys), DEFAULT_CAP):
-            return
-        self._radix, self._width = radix, K.shape[1]
-        slots = self._slots(K)
-        self._present = np.zeros(radix ** self._width, dtype=bool)
-        self._present[slots] = True
-        self._values = np.zeros((self._present.size, len(values[0])), dtype=np.int64)
-        self._values[slots] = values
+        radix, width = 1, -1
+        present, table = np.zeros(1, dtype=bool), np.zeros((1, 0), dtype=np.int64)
+        if len({len(k) for k in keys}) == 1 == len({len(v) for v in values}):
+            K = np.array(keys, dtype=np.int64)
+            box = (int(K.max(initial=0)) + 1, K.shape[1])
+            if K.min(initial=0) >= 0 and box[0] ** box[1] <= max(len(keys), DEFAULT_CAP):
+                radix, width = box
+                slots = self._slots(K, radix, width)
+                present = np.zeros(radix ** width, dtype=bool)
+                present[slots] = True
+                table = np.zeros((present.size, len(values[0])), dtype=np.int64)
+                table[slots] = values
+        _freeze(self, mapping=MappingProxyType(mapping), _radix=radix, _width=width,
+                _present=present, _values=table)
 
-    def _slots(self, X: np.ndarray) -> np.ndarray:
-        return X @ self._radix ** np.arange(self._width - 1, -1, -1, dtype=np.int64)
+    @staticmethod
+    def _slots(X: np.ndarray, radix: int, width: int) -> np.ndarray:
+        return X @ radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
     apply = _apply_one_row
 
@@ -219,7 +207,7 @@ class TablePMap:
         slots = np.zeros(X.shape[0], dtype=np.int64)
         if X.shape[1] == self._width:
             inside = ((X >= 0) & (X < self._radix)).all(axis=1)
-            slots = np.where(inside, self._slots(X), 0)
+            slots = np.where(inside, self._slots(X, self._radix, self._width), 0)
             found = inside & self._present[slots]
         if not found.all():
             raise RuntimeError(f"table pmap has no entry for {_tup(X[np.argmin(found)])}")
@@ -239,13 +227,11 @@ class TablePMap:
             if any(not (0 <= c < alg.p) for c in k) or any(not (0 <= c < alg.p) for c in v):
                 raise UsageError(f"table pmap entry not reduced mod {alg.p}: {k} -> {v}")
 
-    def __eq__(self, other):
-        return isinstance(other, TablePMap) and self.mapping == other.mapping
-
     def __repr__(self):
         return f"TablePMap(<{len(self.mapping)} entries>)"
 
 
+@dataclass(frozen=True)
 class BasisJacobsonPMap:
     """p-map determined by its values on basis elements of a Lie bracket.
 
@@ -257,9 +243,11 @@ class BasisJacobsonPMap:
 
     variant = "basisjacobson"
 
-    def __init__(self, bracket: str, values):
-        self.bracket = bracket
-        self.values = tuple(tuple(v) for v in values)
+    bracket: str
+    values: tuple
+
+    def __post_init__(self):
+        _freeze(self, values=tuple(tuple(v) for v in self.values))
 
     apply = _apply_one_row
 
@@ -298,16 +286,6 @@ class BasisJacobsonPMap:
             raise UsageError(
                 f"basisjacobson pmap needs a Lie bracket; {bad[0]} fails at {bad[1:]}"
             )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisJacobsonPMap)
-            and self.bracket == other.bracket
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        return f"BasisJacobsonPMap({self.bracket!r}, {list(self.values)!r})"
 
 
 class Algebra:
@@ -408,14 +386,23 @@ class Algebra:
         return _matmul_mod(R, (X % self.p)[..., None], self.p)[..., 0]
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
-        """Row-wise n-fold right powers (((x*x)*x)...*x), n >= 1, of an
-        (N, dim) coefficient array: r_x built once, then n - 1 mat-vecs."""
+        """Row-wise n-fold right powers (((x*x)*x)...*x) = r_x**(n-1) x, n >= 1,
+        of an (N, dim) coefficient array, r_x built once for each chunk of
+        _CHUNK_ENTRIES // dim**2 rows: n - 1 mat-vecs, or past _MATVEC_POWERS
+        one mat-vec by r_x**(n-1) from stack_mat_pow (under 2 log2(n) products)."""
         V = X % self.p
-        if n > 1:
-            R = self.right_mult_stack(op, V)
-            for _ in range(n - 1):
-                V = _matmul_mod(R, V[..., None], self.p)[..., 0]
-        return V
+        out = np.empty_like(V)
+        block = max(1, _CHUNK_ENTRIES // max(1, self.dim ** 2))
+        for lo in range(0, len(V), block):
+            v = V[lo:lo + block]
+            if n > 1:
+                R, steps = self.right_mult_stack(op, v), n - 1
+                if steps > _MATVEC_POWERS:
+                    R, steps = stack_mat_pow(R, steps, self.p), 1
+                for _ in range(steps):
+                    v = _matmul_mod(R, v[..., None], self.p)[..., 0]
+            out[lo:lo + block] = v
+        return out
 
     def right_mult_matrix(self, op: str, x: Element) -> np.ndarray:
         """Matrix of y -> y * x; column i is e_i * x."""

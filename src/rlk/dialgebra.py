@@ -152,19 +152,9 @@ def matrix_dialgebra(D: Algebra, n: int) -> Dialgebra:
     dim = n * n * D.dim
     if dim > MATRIX_DIM_BOUND:
         raise UsageError(f"gl_{n} carrier has dim {dim} > bound {MATRIX_DIM_BOUND}")
-    ops = {}
-    for name in ("left", "right"):
-        c = D.structure(name)
-        big = np.zeros((dim, dim, dim), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                row = (i * n + j) * D.dim
-                for l in range(n):
-                    col = (j * n + l) * D.dim
-                    out = (i * n + l) * D.dim
-                    big[row:row + D.dim, col:col + D.dim,
-                        out:out + D.dim] = c
-        ops[name] = big
+    E = np.eye(n, dtype=np.int64)
+    ops = {name: np.einsum("im,jk,lq,abc->ijaklbmqc", E, E, E, D.structure(name))
+           .reshape(dim, dim, dim) for name in ("left", "right")}
     label = f"gl_{n}({D.label})" if D.label else f"gl_{n}"
     return Dialgebra(D.p, dim, ops, label=label)
 

@@ -62,14 +62,16 @@ from .identities import (
     check_leibniz,
     check_restricted_leibniz,
 )
+from .scalars import _freeze
 
 MODULE_AXIOMS = ("m_first", "m_middle", "m_last")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeibnizModule:
     """Module carrier: left_action[i] realizes m -> [e_i, m] and
-    right_action[i] realizes m -> [m, e_i], both in column convention."""
+    right_action[i] realizes m -> [m, e_i], both in column convention and
+    held as read-only (dim, mdim, mdim) stacks reduced mod p."""
 
     over: Algebra
     mdim: int
@@ -89,7 +91,7 @@ class LeibnizModule:
                 raise UsageError(
                     f"{name} must have shape {shape}, got {mats.shape}"
                 )
-            setattr(self, name, mats)
+            _freeze(self, **{name: mats})
 
     def right_stack(self, X: np.ndarray) -> np.ndarray:
         """(N, mdim, mdim) stack of the matrices of m -> [m, x], one per row x
@@ -97,12 +99,6 @@ class LeibnizModule:
         p, m = self.over.p, self.mdim
         A = self.right_action.reshape(self.over.dim, m * m)
         return _matmul_mod(X % p, A, p).reshape(len(X), m, m)
-
-    def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return (
-            f"LeibnizModule(over={self.over.label!r}, mdim={self.mdim}{tag})"
-        )
 
 
 def adjoint_module(g: Algebra) -> LeibnizModule:

@@ -49,7 +49,7 @@ from .identities import (
     check_restricted_leibniz,
 )
 from .linalg import RowReducer
-from .scalars import validate_prime
+from .scalars import _freeze, validate_prime
 
 BASIS_SIZE_BOUND = 20000
 
@@ -251,6 +251,8 @@ class GradedBasisAlgebra:
             raise UsageError(f"power must be >= 1, got {n}")
         v = x
         for _ in range(n - 1):
+            if not v:  # 0 * x is 0 and touches no product, so no overflow either
+                break
             v = self.product(op, v, x)
         return v
 
@@ -420,14 +422,20 @@ def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
 # -- truncated ideal quotients --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientPresentation:
+    """F divided by an ideal: the normal-form basis indices of F and the
+    read-only idempotent projection onto their span."""
+
     ambient: GradedBasisAlgebra
     relations: tuple
     normal_indices: tuple
     projection: np.ndarray
     ideal_rank: int
     notes: tuple = ()
+
+    def __post_init__(self):
+        _freeze(self, projection=np.asarray(self.projection))
 
     @property
     def dimension(self) -> int:
@@ -495,6 +503,7 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
         for k, c in row.items():
             projection[k, pc] = -c % p
         projection[pc, pc] = 0
+    projection.flags.writeable = False  # handed on read-only, so not copied
     return QuotientPresentation(
         F, tuple(dense_rels), normal, projection, rr.rank, tuple(notes)
     )

@@ -13,7 +13,7 @@ coverage records either exhaustive(count) or sampled(count, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .algebra_core import (
     stack_mat_pow,
 )
 from .errors import UsageError
+from .scalars import _freeze
 
 WITNESS_LIMIT = 16
 # axiom-3 pairs of check_restricted_lie: all of them up to this many, else sampled
@@ -71,14 +72,17 @@ class Coverage:
         return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     identity: str
     status: str  # "pass" | "fail" | "inconclusive"
-    witnesses: list = field(default_factory=list)
+    witnesses: tuple = ()
     coverage: Coverage = Coverage("exhaustive", 0)
     failure_count: int = 0
     notes: tuple = ()
+
+    def __post_init__(self):
+        _freeze(self, witnesses=tuple(self.witnesses), notes=tuple(self.notes))
 
     def ok(self) -> bool:
         return self.status == "pass"
@@ -106,7 +110,7 @@ def _report(identity, witnesses, failure_count, coverage, notes=(), inconclusive
         status = "inconclusive"
     else:
         status = "pass"
-    return CheckReport(identity, status, witnesses, coverage, failure_count, tuple(notes))
+    return CheckReport(identity, status, witnesses, coverage, failure_count, notes)
 
 
 def _keep(witnesses, rows, witness, room=None) -> int:

@@ -118,6 +118,7 @@ def _formula_values(g: Algebra, R: Algebra, Y, B):
     return np.einsum("ni,nj->nij", Z, W).reshape(len(Z), g.dim * R.dim) % g.p
 
 
+@dataclass(frozen=True)
 class TensorFormulaPMap:
     """Formal p-th power attached to an assembled tensor product algebra.
 
@@ -127,9 +128,8 @@ class TensorFormulaPMap:
 
     variant = "tensorformula"
 
-    def __init__(self, gfactor: Algebra, rfactor: Algebra):
-        self.gfactor = gfactor
-        self.rfactor = rfactor
+    gfactor: Algebra
+    rfactor: Algebra
 
     apply = _apply_one_row
 
@@ -149,13 +149,8 @@ class TensorFormulaPMap:
         if alg.p != self.gfactor.p:
             raise UsageError("tensor formula pmap characteristic mismatch")
 
-    def __repr__(self):
-        return (
-            f"TensorFormulaPMap({self.gfactor.label!r}, {self.rfactor.label!r})"
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class TensorAlgebraHandle:
     """Assembled g⊗R with its factors: g's op "bracket" and R's op "zinbiel".
 
@@ -184,12 +179,6 @@ class TensorAlgebraHandle:
         if not pure[0]:
             raise UsageError("element is not a pure tensor")
         return _tup(Y[0]), _tup(B[0])
-
-    def __repr__(self):
-        return (
-            f"TensorAlgebraHandle({self.gfactor.label!r} (x) "
-            f"{self.rfactor.label!r}, dim={self.product.dim})"
-        )
 
 
 def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
@@ -320,9 +309,8 @@ def prelie_to_lie(A, op: str = "prelie") -> Algebra:
     viol = lie_basis_violation(result, "lie")
     if viol is not None:
         raise DomainError(f"antisymmetrization failed the Lie checks: {viol}")
-    lie_rep = CheckReport("lie_axioms", "pass", [], Coverage("exhaustive", result.dim ** 3),
-                          0, ("alternating + antisymmetry + Jacobi on basis triples",))
-    result.reports = (rep, lie_rep)
+    result.reports = (rep, _report("lie_axioms", [], 0, Coverage("exhaustive", result.dim ** 3),
+                                   ("alternating + antisymmetry + Jacobi on basis triples",)))
     return result
 
 

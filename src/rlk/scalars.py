@@ -12,9 +12,23 @@ lambda_poly_bracket stay only because perfbench/tracer.py patches them by name.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, UsageError
+
+
+def _freeze(obj, **fields) -> None:
+    """Set fields of a frozen dataclass from its __post_init__.  An array is
+    stored read-only, copied first if writable or a view, so no caller keeps a
+    writable alias.  It lives below algebra_core, so no import makes a cycle."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray) and (value.flags.writeable or value.base is not None):
+            value = value.copy()
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
 
 
 @lru_cache(maxsize=4096)
@@ -46,18 +60,19 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+@dataclass(frozen=True, slots=True)
 class LambdaPoly:
     """Polynomial in lambda with coefficients in an arbitrary carrier.
 
-    Coefficients are stored lowest degree first; trailing zeros (detected by
-    equality with the carrier's zero) are kept as-is unless a zero value is
-    supplied to normalize().
+    Coefficients are stored lowest degree first, as a tuple; trailing zeros
+    (detected by equality with the carrier's zero) are kept as-is unless a
+    zero value is supplied to normalize().
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
+    def __post_init__(self):
+        _freeze(self, coeffs=tuple(self.coeffs))
 
     def coeff(self, i, zero):
         """Coefficient of lambda**i, or the supplied zero beyond the degree."""
@@ -70,15 +85,6 @@ class LambdaPoly:
         while cs and cs[-1] == zero:
             cs.pop()
         return LambdaPoly(cs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"LambdaPoly({list(self.coeffs)!r})"
 
 
 def lambda_poly_bracket(P: LambdaPoly, Q: LambdaPoly, bracket, add, zero) -> LambdaPoly:

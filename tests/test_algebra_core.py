@@ -26,8 +26,8 @@ from rlk.dialgebra import as_dialgebra, dialgebra_from_operator, dleib, sweep_le
 from rlk.envelope import LeibnizModule, adjoint_module, check_module_axioms
 from rlk.errors import UsageError
 from rlk.free_structures import free_zinbiel
-from rlk.identities import WITNESS_LIMIT, check_dias, check_leibniz
-from rlk.prelie_tensor import tensor_prelie
+from rlk.identities import WITNESS_LIMIT, Witness, check_dias, check_leibniz
+from rlk.prelie_tensor import TensorAlgebraHandle, check_tensor_restricted, tensor_prelie
 
 from helpers import all_elements, l2, matrix_assoc, random_structure, truncated_poly
 from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
@@ -535,23 +535,85 @@ def test_float_reduction_exact_next_to_multiples_of_p(bits, monkeypatch) -> None
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_right_power_batch_matches_python_loop(dim, monkeypatch) -> None:
-    """right_power_batch (r_x built once, then mat-vecs) against repeated
-    Python-int products at n = 1, 2 and p for p = 2, 3, 5 and 7, and at
-    n = 1, 2 and 5 at the primes of the modulus-bound tests, where n = p
-    would take p - 1 loop products.  The small-product cut is set to 0, so
-    r_x takes the float routes below 2**24 and 2**53."""
+    """right_power_batch (r_x built once, then mat-vecs, or r_x**(n-1) from
+    stack_mat_pow for large n) against Python ints at n = 1, 2 and p for
+    p = 2, 3, 5 and 7, and at n = 1, 2, 5 and p at the primes of the
+    modulus-bound tests.  Below n = 8 the oracle is repeated products; at
+    n = p there, where p - 1 loop products are too many, it is
+    r_x**(p-1) x with the power from square_multiply_mat_pow.  At these n
+    every call takes at most 2 * n.bit_length() + 2 _matmul_mod calls.  The
+    small-product cut is set to 0, so r_x and its powers take the float
+    routes below 2**24 and 2**53."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    calls, matmul_mod = [], algebra_core._matmul_mod
+    monkeypatch.setattr(algebra_core, "_matmul_mod",
+                        lambda *args: calls.append(1) or matmul_mod(*args))
     rng = random.Random(f"right-power-{dim}")
     for p in [2, 3, 5, 7, *_bound_primes(dim, rng)]:
         c = _residues_near_the_top(p, (dim, dim, dim), rng) % p
         alg = Algebra(p, dim, {"mul": c})
         X = np.concatenate([alg.sample_array(6, rng),
                             _residues_near_the_top(p, (4, dim), rng) % p])
-        for n in (1, 2, p if p < 8 else 5):
-            want = [list(_naive_right_power(c.tolist(), tuple(x), n, p)) for x in X.tolist()]
+        for n in ((1, 2, p) if p < 8 else (1, 2, 5, p)):
+            if n < 8:
+                want = [list(_naive_right_power(c.tolist(), tuple(x), n, p)) for x in X.tolist()]
+            else:
+                want = []
+                for x in X.tolist():
+                    R = square_multiply_mat_pow(_naive_mult_matrices(c.tolist(), x, p)[0],
+                                                n - 1, p)
+                    want.append([sum(a * b for a, b in zip(row, x)) % p for row in R])
+            calls.clear()
             got = alg.right_power_batch("mul", X, n)
             assert got.dtype == np.int64
             assert got.tolist() == want, (p, n)
+            assert len(calls) <= 2 * n.bit_length() + 2, (p, n)
+
+
+@pytest.mark.parametrize("p", [37, 1_000_003])
+def test_right_power_batch_takes_stack_mat_pow_past_the_matvec_cut(p, monkeypatch) -> None:
+    """n - 1 = _MATVEC_POWERS takes mat-vecs only and one more takes one
+    stack_mat_pow; both agree with repeated Python-int products."""
+    pows, mat_pow = [], algebra_core.stack_mat_pow
+    monkeypatch.setattr(algebra_core, "stack_mat_pow",
+                        lambda *args: pows.append(args[1]) or mat_pow(*args))
+    rng = random.Random(f"matvec-cut-{p}")
+    for dim in (2, 3):
+        c = _residues_near_the_top(p, (dim, dim, dim), rng) % p
+        alg = Algebra(p, dim, {"mul": c})
+        X = alg.sample_array(5, rng)
+        for n in (algebra_core._MATVEC_POWERS + 1, algebra_core._MATVEC_POWERS + 2):
+            pows.clear()
+            got = alg.right_power_batch("mul", X, n)
+            assert pows == ([] if n - 1 == algebra_core._MATVEC_POWERS else [n - 1])
+            assert got.tolist() == [list(_naive_right_power(c.tolist(), tuple(x), n, p))
+                                    for x in X.tolist()], (dim, n)
+
+
+@pytest.mark.parametrize("p", [5, 1_000_003])
+def test_right_power_batch_chunk_fits_its_entry_budget(p, monkeypatch) -> None:
+    """right_power_batch at n = 64, past _MATVEC_POWERS, in chunks of 256
+    rows gives what it gives in one chunk, and what it holds besides its input and output (one reduced copy
+    of the input, and per chunk r_x, the two stacks of stack_mat_pow and the
+    float copies inside _matmul_mod) fits the reduced copy plus sixteen
+    _CHUNK_ENTRIES int64 entries and a fixed allowance; the whole
+    (N, dim, dim) stack at once overshoots that several times over."""
+    rng = random.Random(f"power-chunk-{p}")
+    dim, N = 4, 8192
+    c = np.array([[[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+                  for _ in range(dim)], dtype=np.int64)
+    alg = Algebra(p, dim, {"mul": c})
+    X = alg.sample_array(N, rng)
+    whole = alg.right_power_batch("mul", X, 64)
+    monkeypatch.setattr(algebra_core, "_CHUNK_ENTRIES", 256 * dim * dim)
+    tracemalloc.start()
+    try:
+        got = alg.right_power_batch("mul", X, 64)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == whole.tolist()
+    assert peak - held <= X.nbytes + 16 * 8 * algebra_core._CHUNK_ENTRIES + (1 << 16)
 
 
 def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
@@ -559,9 +621,11 @@ def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
     on random modules at p = 2, 3, 5 and at the primes of the modulus-bound
     tests.  The words share prefixes and repeat letters; the table must hold
     exactly the relation words, every single letter and the empty word.  Each
-    module is run with the default cuts and once with the small-product cut
-    at 0 and chunks of two words, so that the stacks also take the float
-    routes below 2**24 and 2**53 and prefixes cross chunks.
+    module is run with the default cuts and twice with the small-product cut
+    at 0, in chunks of one word and in chunks of two words, so that the
+    stacks also take the float routes below 2**24 and 2**53 and prefixes
+    cross chunks; the one-word floor, and a full chunk of two words, must
+    run there.
     _relation_failures must count every nonzero relation and keep the first
     WITNESS_LIMIT."""
     from rlk import envelope
@@ -571,10 +635,15 @@ def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
     n, mdim = 2, 3
     primes = [2, 3, 5, *_primes_at_the_bound(1 << 62, mdim)[:1],
               *_primes_at_the_bound(1 << 53, mdim), *_primes_at_the_bound(1 << 24, mdim)]
-    cuts = [(algebra_core._SMALL_PRODUCT, envelope._CHUNK_ENTRIES), (0, 2 * mdim * mdim)]
+    cuts = [(algebra_core._SMALL_PRODUCT, envelope._CHUNK_ENTRIES), (0, 2 * mdim * mdim),
+            (0, 12 * mdim * mdim)]
+    chunk_words, matmul_mod = [], envelope._matmul_mod
+    monkeypatch.setattr(envelope, "_matmul_mod",
+                        lambda A, B, p: chunk_words.append(len(A)) or matmul_mod(A, B, p))
     for p, (small_product, chunk) in itertools.product(primes, cuts):
         monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", small_product)
         monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", chunk)
+        chunk_words.clear()
         g = Algebra(p, n, {})
         left, right = (_residues_near_the_top(p, (n, mdim, mdim), rng) for _ in range(2))
         M = LeibnizModule(g, mdim, left, right)
@@ -585,6 +654,8 @@ def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
         terms = [("t", (i,), [(w, rng.randrange(1, p)) for w in words[i % 7::7]])
                  for i in range(WITNESS_LIMIT + 4)]
         table = _word_action(M, terms)
+        if small_product == 0:  # the one-word floor, or a full two-word chunk, ran
+            assert max(chunk_words) == {2 * mdim * mdim: 1, 12 * mdim * mdim: 2}[chunk], p
         mats = left.tolist() + right.tolist()
         kept = {(), *words, *((i,) for i in range(2 * n))}
         composed = {(): [[int(r == c) for c in range(mdim)] for r in range(mdim)]}
@@ -776,6 +847,86 @@ def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch)
         with pytest.raises(UsageError) as err:
             dialgebra_from_operator(A, np.array(Dop))
         assert str(err.value) == _naive_operator_rejection(assoc, Dop, p)
+
+
+def _naive_tensor_restricted(T, p, seed, samples):
+    """check_tensor_restricted's failures by loops, in its collection order:
+    (failure count, to_dict() of the first WITNESS_LIMIT witnesses as a
+    report sorts them), with every p-th operator power and the p-fold
+    half-shuffle power of each f_j from square_multiply_mat_pow."""
+    cg, cr, cp = (T.gfactor.structure("bracket").tolist(), T.rfactor.structure("zinbiel").tolist(),
+                  T.product.structure("prelie").tolist())
+    n, m = len(cg), len(cr)
+
+    def basis(d):
+        return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+    def pth_right_power(c, x):
+        return square_multiply_mat_pow(_naive_mult_matrices(c, tuple(x), p)[0], p, p)
+
+    found = []
+    eg = basis(n)
+    B = {(k, i, j): naive_multiply(cg, eg[k], naive_multiply(cg, eg[i], eg[j], p), p)
+         for k, i, j in itertools.product(range(n), repeat=3)}
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if any((a + b) % p for a, b in zip(B[k, i, j], B[k, j, i])):
+            found.append((("inner_antisym", k, i, j), B[k, i, j], [-v % p for v in B[k, j, i]]))
+    for k, i in itertools.product(range(n), repeat=2):
+        if any(B[k, i, i]):
+            found.append((("inner_square", k, i), B[k, i, i], [0] * n))
+    zero = [[0] * (n * m)] * (n * m)
+    for u, e in enumerate(basis(n * m)):
+        if any(map(any, Rp := pth_right_power(cp, e))):
+            found.append((("basis_operator", u), Rp, zero))
+    W = [[sum(a * b for a, b in zip(row, f)) % p for row in pth_right_power(cr, f)]
+         for f in basis(m)]  # f_j half-shuffled by itself p times: p + 1 factors
+    found += [(("power_factor", i, j), W[j], [0] * m)
+              for i in range(n) for j in range(m) if any(W[j])]
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = tuple(rng.randrange(p) for _ in range(n * m))
+        if any(map(any, Rp := pth_right_power(cp, x))):
+            found.append((("sampled_operator", x), Rp, zero))
+    kept = sorted(found[:WITNESS_LIMIT], key=lambda w: tuple(repr(part) for part in w[0]))
+    return len(found), [Witness(*w).to_dict() for w in kept]
+
+
+def test_check_tensor_restricted_exact_at_random_primes_under_the_modulus_bound(
+        monkeypatch) -> None:
+    """check_tensor_restricted at the primes of the modulus-bound tests:
+
+    - L2 (x) the 2-dim free Zinbiel algebra, both written in dense random
+      bases and assembled by tensor_prelie, passes at the primes of its
+      product dimension 4, where a sum that rounded would leave a nonzero
+      p-th power;
+    - a handle forged from random residues next to p - 1 (a dim-3 bracket,
+      a dim-2 half-shuffle and a dim-6 product), and the same handle with
+      the zero bracket, have the failure count and witnesses of Python-int
+      loops at the primes of dim 6.
+
+    The p-fold powers at these primes take stack_mat_pow, on the r_x**p
+    sweeps and on the power factors of right_power_batch.  As in the kernel
+    test, the small-product cut is set to 0."""
+    monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    rng = random.Random("tensor-restricted-bound")
+    lie0 = [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]  # [e_0, e_1] = e_0
+    zinbiel0 = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]  # x < x = xx
+    for p in _bound_primes(4, rng):
+        g, R = (Algebra(p, 2, {op: np.array(_in_basis(c, *_dense_basis(2, p, rng), p))})
+                for op, c in (("bracket", lie0), ("zinbiel", zinbiel0)))
+        rep = check_tensor_restricted(tensor_prelie(g, R), seed=p % 97)
+        assert rep.ok() and rep.coverage.count == 8 + 4 + 4 + 4 + 400, p
+    for p in _bound_primes(6, rng):
+        g, R, A = (_residues_near_the_top(p, (d, d, d), rng) for d in (3, 2, 6))
+        # the zero bracket passes both bracket facts, which leaves the
+        # witnesses to the operator powers and the power factors
+        for cg in (g, np.zeros_like(g)):
+            T = TensorAlgebraHandle(Algebra(p, 3, {"bracket": cg}),
+                                    Algebra(p, 2, {"zinbiel": R}), Algebra(p, 6, {"prelie": A}))
+            seed = p % 89
+            rep = check_tensor_restricted(T, seed=seed, samples=8)
+            assert (rep.failure_count, [w.to_dict() for w in rep.witnesses]) == (
+                _naive_tensor_restricted(T, p, seed, 8)), p
 
 
 def _naive_operator_rejection(c, Dop, p):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -144,6 +145,25 @@ def test_matrix_dialgebra_n1_is_identity() -> None:
     M = matrix_dialgebra(D, 1)
     assert np.array_equal(M.structure("left"), D.structure("left"))
     assert np.array_equal(M.structure("right"), D.structure("right"))
+
+
+def test_matrix_dialgebra_follows_the_product_rule() -> None:
+    """(E_ij a) o (E_kl b) = [j == k] E_il (a o b) entry by entry, at flat
+    index (i*n + j)*dim + a, for n = 1, 2, 3 on a dim-3 dialgebra over F_5."""
+    aug = np.zeros((3, 3), dtype=np.int64)
+    aug[0, 0] = 1
+    D = dialgebra_from_operator(truncated_poly(5, 3), aug)
+    d = D.dim
+    for n in (1, 2, 3):
+        M = matrix_dialgebra(D, n)
+        for name in ("left", "right"):
+            c = D.structure(name).tolist()
+            want = [[[0] * M.dim for _ in range(M.dim)] for _ in range(M.dim)]
+            for i, j, k, l, a, b, e in itertools.product(
+                    range(n), range(n), range(n), range(n), range(d), range(d), range(d)):
+                if j == k:
+                    want[(i * n + j) * d + a][(k * n + l) * d + b][(i * n + l) * d + e] = c[a][b][e]
+            assert M.structure(name).tolist() == want, (n, name)
 
 
 def test_gl2_of_ground_field_is_matrix_algebra() -> None:

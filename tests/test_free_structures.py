@@ -154,6 +154,21 @@ def test_unknown_op_rejected():
         F.power("left", F.generator(0), 0)
 
 
+def test_power_stops_at_zero(monkeypatch):
+    """Once a power is 0, later factors keep it 0 and touch no product, so a
+    power to a large exponent takes only the products before it vanishes
+    and sets the overflow flag as the full loop would."""
+    calls = []
+    product = GradedBasisAlgebra.product
+    monkeypatch.setattr(GradedBasisAlgebra, "product",
+                        lambda F, *args: calls.append(1) or product(F, *args))
+    F = free_dias(1, 3, 1_000_003)
+    with OverflowProbe(F) as probe:
+        assert F.power("right", F.generator(0), 1_000_003) == {}
+    assert probe.triggered and len(calls) == 3
+    assert F.power("left", F.generator(0), 3) == {F.index[((), 0, (0, 0))]: 1}
+
+
 # -- overflow bookkeeping ------------------------------------------------------
 
 

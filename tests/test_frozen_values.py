@@ -1,0 +1,141 @@
+"""The values rlk hands between modules are frozen dataclasses.
+
+Every p-map (each class with an `apply_batch`), `LambdaPoly`, the report
+types, `QuotientPresentation`, `LeibnizModule` and `TensorAlgebraHandle`
+take their `__init__`, `__eq__`, `__hash__` and `__repr__` from
+`dataclasses`, refuse attribute writes, and hold their arrays and tables
+read-only, so a value checked once stays what was checked."""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import sys
+
+import numpy as np
+import pytest
+
+import rlk
+from rlk.algebra_core import (
+    BasisJacobsonPMap,
+    MatrixPowerPMap,
+    RightPowerPMap,
+    TablePMap,
+    ZeroPMap,
+)
+from rlk.algfile import format_algebra
+from rlk.dialgebra import as_dialgebra, dleib
+from rlk.envelope import LeibnizModule, adjoint_module, ulp_truncated
+from rlk.free_structures import QuotientPresentation
+from rlk.identities import CheckReport, Coverage, Witness, check_leibniz
+from rlk.prelie_tensor import TensorAlgebraHandle, TensorFormulaPMap
+from rlk.scalars import LambdaPoly
+
+from helpers import l2, truncated_poly
+
+VALUES = {LambdaPoly, Witness, Coverage, CheckReport, QuotientPresentation, LeibnizModule,
+          TensorAlgebraHandle}
+PMAPS = {ZeroPMap, RightPowerPMap, MatrixPowerPMap, TablePMap, BasisJacobsonPMap,
+         TensorFormulaPMap}
+
+
+def _rlk_classes():
+    for info in pkgutil.iter_modules(rlk.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"rlk.{info.name}")
+        yield from (cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                    if cls.__module__ == module.__name__)
+
+
+def test_every_pmap_and_value_class_is_a_frozen_dataclass() -> None:
+    """Every class in rlk with an apply_batch, and every value class, is a
+    frozen dataclass: none of its __init__, __eq__, __hash__ and __repr__ is
+    written in rlk's source, except TablePMap's short __repr__."""
+    classes = set(_rlk_classes())
+    pmaps = {cls for cls in classes if hasattr(cls, "apply_batch")}
+    assert pmaps == PMAPS
+    assert VALUES <= classes
+    for cls in pmaps | VALUES:
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
+        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+            fn = cls.__dict__.get(name)
+            if inspect.isfunction(fn) and (cls, name) != (TablePMap, "__repr__"):
+                assert fn.__code__.co_filename != sys.modules[cls.__module__].__file__, (
+                    cls, name)
+
+
+def test_a_verified_pmap_and_report_cannot_be_changed() -> None:
+    """dleib's p-map refuses a new exponent (the constructor refuses 0), so
+    apply_pmap keeps returning x**p, and its carried reports refuse a new
+    status."""
+    h = dleib(as_dialgebra(truncated_poly(3, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.pmap("frobenius").exponent = 0
+    assert h.apply_pmap("frobenius", (2, 1)) == (2, 0)  # (2 + t)**3 = 8 + 12t + ... = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.reports[1].status = "fail"
+    assert [rep.status for rep in h.reports] == ["pass", "pass"]
+    assert isinstance(h.reports[0].witnesses, tuple)
+    assert check_leibniz(l2(3)).witnesses == ()
+
+
+def test_table_pmap_mapping_and_index_refuse_writes() -> None:
+    """Writing into the table, or into its gather index, raises; the file
+    text and apply_pmap keep agreeing."""
+    g = l2(3)
+    pm = g.pmap("frobenius")
+    with pytest.raises(TypeError):
+        pm.mapping[(1, 0)] = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pm.mapping = {}
+    for index in (pm._present, pm._values):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
+    assert "\n1 0 -> 0 0\n" in format_algebra(g)
+    assert g.apply_pmap("frobenius", (1, 0)) == (0, 0)
+    assert g.apply_pmap("frobenius", (1, 1)) == pm.mapping[(1, 1)] == (0, 1)
+
+
+def test_presentation_projection_and_module_stacks_refuse_writes() -> None:
+    """The projection and the action stacks are read-only copies: the arrays
+    a caller passes in stay writable, and writing into them later leaves the
+    value as it was checked."""
+    pres = ulp_truncated(l2(2), d=2)
+    with pytest.raises(ValueError, match="read-only"):
+        pres.projection[0, 0] = 1
+    eye = np.eye(pres.ambient.dim, dtype=np.int64)
+    replaced = dataclasses.replace(pres, projection=eye)
+    assert not replaced.projection.flags.writeable and eye.flags.writeable
+    eye[0, 0] = 5
+    assert replaced.projection[0, 0] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pres.ideal_rank = 0
+
+    M = adjoint_module(l2(3))
+    for stack in (M.left_action, M.right_action):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.right_action = np.zeros_like(M.right_action)
+    right = np.zeros((2, 2, 2), dtype=np.int64)
+    M = LeibnizModule(l2(3), 2, right, right)
+    assert right.flags.writeable
+    right[0, 0, 0] = 1
+    assert not M.right_action.any()
+
+
+def test_pmap_equality_hash_and_repr_come_from_their_fields() -> None:
+    assert RightPowerPMap("right") == RightPowerPMap("right", None)
+    assert repr(RightPowerPMap("right")) == "RightPowerPMap(op='right', exponent=None)"
+    assert repr(MatrixPowerPMap()) == "MatrixPowerPMap(op='assoc')"
+    assert MatrixPowerPMap("assoc") != RightPowerPMap("assoc")
+    with pytest.raises(TypeError):
+        MatrixPowerPMap("assoc", 3)
+    assert len({ZeroPMap(), ZeroPMap(), RightPowerPMap("r", 2), RightPowerPMap("r", 2),
+                BasisJacobsonPMap("b", [[1]]), BasisJacobsonPMap("b", ((1,),))}) == 3
+    assert repr(l2(3).pmap("frobenius")) == "TablePMap(<9 entries>)"
+    assert CheckReport("x", "pass", [], Coverage("exhaustive", 1)) == CheckReport(
+        "x", "pass", (), Coverage("exhaustive", 1))
