@@ -192,6 +192,7 @@ class TablePMap:
                 present[slots] = True
                 table = np.zeros((present.size, len(values[0])), dtype=np.int64)
                 table[slots] = values
+        present.flags.writeable = table.flags.writeable = False  # fresh, so not copied
         _freeze(self, mapping=MappingProxyType(mapping), _radix=radix, _width=width,
                 _present=present, _values=table)
 

@@ -13,10 +13,11 @@ Layout (UTF-8, ``#`` starts a comment line, blank lines ignored)::
     1 1 -> 0 1
 
 - header ``p=<prime> dim=<n>`` (the optional ``label`` line precedes it),
-  with n at most DENSE_DIM_BOUND;
+  with p below 2**64 and n at most DENSE_DIM_BOUND;
 - each ``op <name>:`` block lists sparse structure-constant entries
   ``i j k v`` meaning e_i * e_j has coefficient v on e_k; indices must be in
-  range, values are reduced mod p, duplicate (i, j, k) entries are rejected;
+  range, values are reduced mod p, duplicate (i, j, k) entries are rejected,
+  and all blocks together hold at most OP_ENTRY_BOUND dense entries;
 - p-map blocks: ``pmap <name> zero``, ``pmap <name> rightpower <op> [n]``,
   ``pmap <name> matrixpower <op>``, ``pmap <name> table:`` followed by one
   ``x1 .. xn -> y1 .. yn`` line per element, or ``pmap <name> basisjacobson
@@ -42,173 +43,140 @@ from .algebra_core import (
     ZeroPMap,
 )
 from .errors import UsageError
+from .scalars import MODULUS_BOUND
 
 _HEADER = re.compile(r"^p=(\d+)\s+dim=(\d+)$")
+# all op blocks of a file together: four dense tensors at DENSE_DIM_BOUND, 131 MB
+OP_ENTRY_BOUND = 4 * DENSE_DIM_BOUND ** 3
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.rows = text.splitlines()
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.rows):
-            raw = self.rows[self.pos].strip()
-            if not raw or raw.startswith("#"):
-                self.pos += 1
-                continue
-            return raw
-        return None
-
-    def take(self):
-        row = self.peek()
-        if row is not None:
-            self.pos += 1
-        return row
-
-    @property
-    def lineno(self) -> int:
-        return self.pos  # 1-based number of the last taken line
+def _fail(lineno: int, message: str):
+    raise UsageError(f"line {lineno}: {message}")
 
 
-def _fail(lines: _Lines, message: str):
-    raise UsageError(f"line {lines.lineno}: {message}")
-
-
-def _ints(lines: _Lines, row: str, expect: int, what: str):
+def _ints(lineno: int, row: str, expect: int, what: str):
     parts = row.split()
     if len(parts) != expect:
-        _fail(lines, f"{what} needs {expect} integers, got {len(parts)}")
+        _fail(lineno, f"{what} needs {expect} integers, got {len(parts)}")
     try:
         return [int(t) for t in parts]
     except ValueError:
-        _fail(lines, f"{what} has a non-integer token in {row!r}")
+        _fail(lineno, f"{what} has a non-integer token in {row!r}")
 
 
-def _parse_op_block(lines: _Lines, name: str, dim: int, p: int) -> np.ndarray:
+def _op_tensor(name: str, body: list, dim: int, p: int) -> np.ndarray:
     c = np.zeros((dim, dim, dim), dtype=np.int64)
     seen = set()
-    while True:
-        row = lines.peek()
-        if row is None or row.startswith(("op ", "pmap ")):
-            return c
-        lines.take()
-        i, j, k, v = _ints(lines, row, 4, f"op {name!r} entry")
+    for n, row in body:
+        i, j, k, v = _ints(n, row, 4, f"op {name!r} entry")
         for t in (i, j, k):
             if not 0 <= t < dim:
-                _fail(lines, f"op {name!r} index {t} out of range for dim {dim}")
+                _fail(n, f"op {name!r} index {t} out of range for dim {dim}")
         if (i, j, k) in seen:
-            _fail(lines, f"op {name!r} duplicates entry ({i}, {j}, {k})")
+            _fail(n, f"op {name!r} duplicates entry ({i}, {j}, {k})")
         seen.add((i, j, k))
         c[i, j, k] = v % p
+    return c
 
 
-def _parse_table_block(lines: _Lines, name: str, dim: int, p: int) -> TablePMap:
-    mapping = {}
-    expect = p ** dim
-    while len(mapping) < expect:
-        row = lines.take()
-        if row is None or row.startswith(("op ", "pmap ")):
-            _fail(lines, f"pmap {name!r} table has {len(mapping)} of {expect} rows")
-        if "->" not in row:
-            _fail(lines, f"pmap {name!r} table row needs '->': {row!r}")
-        left, right = row.split("->", 1)
-        key = tuple(v % p for v in _ints(lines, left, dim, f"pmap {name!r} key"))
-        val = tuple(v % p for v in _ints(lines, right, dim, f"pmap {name!r} value"))
-        if key in mapping:
-            _fail(lines, f"pmap {name!r} duplicates key {key}")
-        mapping[key] = val
-    return TablePMap(mapping)
-
-
-def _parse_basis_block(lines: _Lines, name: str, bracket: str,
-                       dim: int, p: int) -> BasisJacobsonPMap:
-    values = []
-    for i in range(dim):
-        row = lines.take()
-        if row is None or row.startswith(("op ", "pmap ")):
-            _fail(lines, f"pmap {name!r} needs {dim} value rows, got {i}")
-        values.append(tuple(v % p for v in
-                            _ints(lines, row, dim, f"pmap {name!r} value row")))
-    return BasisJacobsonPMap(bracket, values)
-
-
-def _parse_pmap(lines: _Lines, head: str, dim: int, p: int):
+def _pmap(n: int, head: str, body: list, end: int, dim: int, p: int):
+    """(name, p-map, body rows read); a short block fails at line `end`."""
     parts = head.split()
     if len(parts) < 3:
-        _fail(lines, f"pmap line needs a name and a variant: {head!r}")
-    name = parts[1]
-    variant = parts[2].rstrip(":")
+        _fail(n, f"pmap line needs a name and a variant: {head!r}")
+    name, variant = parts[1], parts[2].rstrip(":")
     args = [t.rstrip(":") for t in parts[3:]]
     if not name or name.endswith(":"):
-        _fail(lines, "empty or malformed pmap name")
+        _fail(n, "empty or malformed pmap name")
     if variant == "zero":
         if args:
-            _fail(lines, "pmap variant zero takes no arguments")
-        return name, ZeroPMap()
+            _fail(n, "pmap variant zero takes no arguments")
+        return name, ZeroPMap(), 0
     if variant == "rightpower":
         if len(args) not in (1, 2):
-            _fail(lines, "pmap variant rightpower needs: <op> [exponent]")
-        exponent = None
-        if len(args) == 2:
-            try:
-                exponent = int(args[1])
-            except ValueError:
-                _fail(lines, f"rightpower exponent must be an integer: {args[1]!r}")
-        return name, RightPowerPMap(args[0], exponent)
+            _fail(n, "pmap variant rightpower needs: <op> [exponent]")
+        try:
+            exponent = int(args[1]) if len(args) == 2 else None
+        except ValueError:
+            _fail(n, f"rightpower exponent must be an integer: {args[1]!r}")
+        return name, RightPowerPMap(args[0], exponent), 0
     if variant == "matrixpower":
         if len(args) != 1:
-            _fail(lines, "pmap variant matrixpower needs exactly: <op>")
-        return name, MatrixPowerPMap(args[0])
+            _fail(n, "pmap variant matrixpower needs exactly: <op>")
+        return name, MatrixPowerPMap(args[0]), 0
     if variant == "table":
         if args:
-            _fail(lines, "pmap variant table takes no inline arguments")
-        return name, _parse_table_block(lines, name, dim, p)
+            _fail(n, "pmap variant table takes no inline arguments")
+        expect, mapping = p ** dim, {}
+        for m, row in body[:expect]:
+            if "->" not in row:
+                _fail(m, f"pmap {name!r} table row needs '->': {row!r}")
+            left, right = row.split("->", 1)
+            key = tuple(v % p for v in _ints(m, left, dim, f"pmap {name!r} key"))
+            val = tuple(v % p for v in _ints(m, right, dim, f"pmap {name!r} value"))
+            if key in mapping:
+                _fail(m, f"pmap {name!r} duplicates key {key}")
+            mapping[key] = val
+        if len(mapping) < expect:
+            _fail(end, f"pmap {name!r} table has {len(mapping)} of {expect} rows")
+        return name, TablePMap(mapping), expect
     if variant == "basisjacobson":
         if len(args) != 1:
-            _fail(lines, "pmap variant basisjacobson needs exactly: <bracket op>")
-        return name, _parse_basis_block(lines, name, args[0], dim, p)
-    _fail(lines, f"unknown pmap variant {variant!r}")
+            _fail(n, "pmap variant basisjacobson needs exactly: <bracket op>")
+        values = [tuple(v % p for v in _ints(m, row, dim, f"pmap {name!r} value row"))
+                  for m, row in body[:dim]]
+        if len(values) < dim:
+            _fail(end, f"pmap {name!r} needs {dim} value rows, got {len(values)}")
+        return name, BasisJacobsonPMap(args[0], values), dim
+    _fail(n, f"unknown pmap variant {variant!r}")
 
 
 def parse_algebra(text: str) -> Algebra:
-    """Parse the text format into an Algebra; UsageError carries line numbers."""
-    lines = _Lines(text)
-    label = ""
-    row = lines.take()
-    if row is not None and row.startswith("label "):
-        label = row[len("label "):].strip()
-        row = lines.take()
-    if row is None:
+    """Parse the text format into an Algebra; UsageError carries line numbers.
+    The header and each 'op '/'pmap ' row open a block of the rows up to the next."""
+    raw = text.splitlines()
+    rows = [(n, r) for n, r in enumerate(map(str.strip, raw), 1) if r and not r.startswith("#")]
+    has_label = bool(rows) and rows[0][1].startswith("label ")
+    label = rows.pop(0)[1][len("label "):].strip() if has_label else ""
+    if not rows:
         raise UsageError("missing header line 'p=<prime> dim=<n>'")
-    m = _HEADER.match(row)
+    n, head = rows[0]
+    m = _HEADER.match(head)
     if not m:
-        _fail(lines, f"expected header 'p=<prime> dim=<n>', got {row!r}")
-    p, dim = int(m.group(1)), int(m.group(2))
+        _fail(n, f"expected header 'p=<prime> dim=<n>', got {head!r}")
+    try:
+        p, dim = int(m.group(1)), int(m.group(2))
+    except ValueError:  # past the digit limit of int()
+        _fail(n, "header number has too many digits")
     if dim > DENSE_DIM_BOUND:
-        _fail(lines, f"dim {dim} exceeds the dense bound {DENSE_DIM_BOUND}")
+        _fail(n, f"dim {dim} exceeds the dense bound {DENSE_DIM_BOUND}")
+    if p >= MODULUS_BOUND:
+        _fail(n, "modulus must be below 2**64")
+    starts = [k for k, (_, row) in enumerate(rows) if k == 0 or row.startswith(("op ", "pmap "))]
+    if sum(rows[k][1].startswith("op ") for k in starts) * dim ** 3 > OP_ENTRY_BOUND:
+        _fail(n, f"op blocks of dim {dim} exceed the bound of {OP_ENTRY_BOUND} entries")
     ops, pmaps = {}, {}
-    while True:
-        row = lines.take()
-        if row is None:
-            break
-        if row.startswith("op "):
-            head = row[3:].strip()
-            if not head.endswith(":"):
-                _fail(lines, f"op header must end with ':': {row!r}")
-            name = head[:-1].strip()
+    for k, stop in zip(starts, starts[1:] + [len(rows)]):
+        (n, head), body, used = rows[k], rows[k + 1:stop], 0
+        if head.startswith("op "):
+            name = head[3:].strip()
+            if not name.endswith(":"):
+                _fail(n, f"op header must end with ':': {head!r}")
+            name = name[:-1].strip()
             if not name:
-                _fail(lines, "empty op name")
+                _fail(n, "empty op name")
             if name in ops:
-                _fail(lines, f"duplicate op {name!r}")
-            ops[name] = _parse_op_block(lines, name, dim, p)
-        elif row.startswith("pmap "):
-            name, pm = _parse_pmap(lines, row, dim, p)
+                _fail(n, f"duplicate op {name!r}")
+            ops[name], used = _op_tensor(name, body, dim, p), len(body)
+        elif head.startswith("pmap "):
+            end = rows[stop][0] if stop < len(rows) else len(raw)
+            name, pm, used = _pmap(n, head, body, end, dim, p)
             if name in pmaps:
-                _fail(lines, f"duplicate pmap {name!r}")
+                _fail(rows[k + used][0], f"duplicate pmap {name!r}")
             pmaps[name] = pm
-        else:
-            _fail(lines, f"expected 'op <name>:' or 'pmap ...', got {row!r}")
+        if used < len(body):
+            n, row = body[used]
+            _fail(n, f"expected 'op <name>:' or 'pmap ...', got {row!r}")
     try:
         return Algebra(p, dim, ops, pmaps, label=label)
     except UsageError as e:
@@ -221,6 +189,8 @@ def parse_algebra_file(path) -> Algebra:
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: {e}") from None
     return parse_algebra(text)
 
 

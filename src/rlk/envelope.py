@@ -67,7 +67,7 @@ from .scalars import _freeze
 MODULE_AXIOMS = ("m_first", "m_middle", "m_last")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeibnizModule:
     """Module carrier: left_action[i] realizes m -> [e_i, m] and
     right_action[i] realizes m -> [m, e_i], both in column convention and
@@ -91,6 +91,7 @@ class LeibnizModule:
                 raise UsageError(
                     f"{name} must have shape {shape}, got {mats.shape}"
                 )
+            mats.flags.writeable = False  # fresh from % p, so not copied
             _freeze(self, **{name: mats})
 
     def right_stack(self, X: np.ndarray) -> np.ndarray:

@@ -422,7 +422,7 @@ def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
 # -- truncated ideal quotients --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientPresentation:
     """F divided by an ideal: the normal-form basis indices of F and the
     read-only idempotent projection onto their span."""

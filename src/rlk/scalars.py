@@ -31,25 +31,42 @@ def _freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
+# Moduli are refused from here on before any primality test; the int64
+# kernels refuse far smaller ones (Algebra's bound stops near 2**31 at dim 1).
+MODULUS_BOUND = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended range n <= 2**31."""
+    """Miller-Rabin to the first twelve prime bases, which is deterministic
+    for n < 318665857834031151167461 (about 3.2 * 10**23, past 2**78)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def validate_prime(p: int) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    is_int = isinstance(p, int) and not isinstance(p, bool)
+    if is_int and p >= MODULUS_BOUND:
+        raise UsageError(f"modulus must be below 2**64, got a {p.bit_length()}-bit int")
+    if not is_int or not is_prime(p):
         raise UsageError(f"modulus must be prime, got {p!r}")
     return p
 

@@ -1,6 +1,7 @@
 """Round-trip and error-path tests for the algebra text file format."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -171,3 +172,164 @@ def test_format_text_of_a_dim12_dleib_file_is_pinned():
     back = parse_algebra(text)
     assert same_algebra(g, back)
     assert format_algebra(back) == text
+
+
+# -- seeded corpus: every outcome of the parser, pinned -------------------------------
+#
+# A small grammar of labels, headers, op blocks and every p-map variant, with
+# short, long and malformed bodies, then row mutations (deleted, repeated,
+# swapped, truncated, indented or junk rows, comments, blank lines, other line
+# ends, a missing final newline).  dim <= 3 and p <= 7 keep it fast.
+
+_OPS = ("bracket", "assoc", "left", "right", "b", "lie")
+_PMAPS = ("f", "frobenius", "z", "t", "j", "f:")
+_JUNK = ("x", "1.5", "-", "->", "", "op", "pmap", "0x1", "+1", "9" * 30, "é")
+
+
+def _num(rng, hi):
+    return str(rng.randint(-1, hi)) if rng.random() < 0.15 else str(rng.randrange(max(hi, 1)))
+
+
+def _vector_row(rng, dim, p):
+    n = dim if rng.random() < 0.85 else rng.choice((max(dim - 1, 0), dim + 1))
+    return " ".join(_num(rng, p + 1) for _ in range(n))
+
+
+def _op_block(rng, dim, p):
+    head = rng.choice(_OPS)
+    r = rng.random()
+    rows = [f"op {head}:" if r < 0.85 else rng.choice(("op :", f"op {head}", "op  :", f"op {head} :"))]
+    entries = []
+    for _ in range(rng.randrange(5)):
+        r = rng.random()
+        if r < 0.75:
+            row = " ".join(_num(rng, dim + 1 if rng.random() < 0.1 else dim) for _ in range(3))
+            row += " " + str(rng.randint(-p, 2 * p))
+        elif r < 0.85:
+            row = " ".join(_num(rng, dim) for _ in range(rng.choice((3, 5))))
+        elif r < 0.92 and entries:
+            row = rng.choice(entries)
+        else:
+            parts = [_num(rng, dim) for _ in range(4)]
+            parts[rng.randrange(4)] = rng.choice(_JUNK)
+            row = " ".join(parts)
+        entries.append(row)
+    return rows + entries
+
+
+def _table_rows(rng, dim, p):
+    keys = [()]
+    for _ in range(dim):
+        keys = [k + (c,) for k in keys for c in range(p)]
+    rng.shuffle(keys)
+    r = rng.random()
+    if r < 0.15:
+        keys = keys[:rng.randrange(len(keys) + 1)]
+    elif r < 0.25 and keys:
+        keys = keys + [rng.choice(keys)]
+    rows = []
+    for k in keys:
+        val = " ".join(_num(rng, p + 1) for _ in range(dim))
+        row = " ".join(map(str, k)) + " -> " + val
+        r = rng.random()
+        if r < 0.03:
+            row = row.replace("->", rng.choice(("", "=>", "- >")))
+        elif r < 0.06:
+            row = _vector_row(rng, dim, p) + " -> " + _vector_row(rng, dim, p)
+        elif r < 0.08:
+            row = row + " " + rng.choice(_JUNK)
+        rows.append(row)
+    return rows
+
+
+def _pmap_block(rng, dim, p):
+    name = rng.choice(_PMAPS)
+    op = rng.choice(_OPS)
+    r = rng.random()
+    if r < 0.15:
+        return [rng.choice((f"pmap {name} zero", f"pmap {name} zero extra", f"pmap {name} zero:"))]
+    if r < 0.32:
+        tail = rng.choice(("", "", " 2", f" {p}", " x", " 3 4", " -1", " 0"))
+        return [rng.choice((f"pmap {name} rightpower {op}{tail}", f"pmap {name} rightpower"))]
+    if r < 0.42:
+        return [rng.choice((f"pmap {name} matrixpower {op}", f"pmap {name} matrixpower",
+                            f"pmap {name} matrixpower {op} x"))]
+    if r < 0.67:
+        head = rng.choice((f"pmap {name} table:",) * 6 + (f"pmap {name} table", f"pmap {name} table: x"))
+        return [head] + (_table_rows(rng, dim, p) if p ** dim <= 27 else [])
+    if r < 0.9:
+        head = rng.choice((f"pmap {name} basisjacobson {op}:",) * 5
+                          + (f"pmap {name} basisjacobson:", f"pmap {name} basisjacobson {op} x:"))
+        n = dim if rng.random() < 0.8 else rng.randrange(dim + 2)
+        return [head] + [_vector_row(rng, dim, p) for _ in range(n)]
+    return [rng.choice((f"pmap {name}", "pmap", f"pmap {name} frobnicate", f"pmap {name}: zero",
+                        f"pmap {name} table: 1", "pmap  zero"))]
+
+
+def _mutate(rng, rows, start):
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        r = rng.random()
+        i = rng.randrange(0 if rng.random() < 0.1 else min(start, len(rows)), len(rows) + 1)
+        if r < 0.2 and rows:
+            del rows[min(i, len(rows) - 1)]
+        elif r < 0.35 and rows:
+            rows.insert(i, rng.choice(rows))
+        elif r < 0.45 and len(rows) > 1:
+            j = rng.randrange(len(rows) - 1)
+            rows[j], rows[j + 1] = rows[j + 1], rows[j]
+        elif r < 0.6:
+            rows.insert(i, rng.choice(("", "   ", "# note", "  # indented comment", "\t", "#")))
+        elif r < 0.7 and rows:
+            rows[:] = rows[:i]
+        elif r < 0.8 and rows:
+            k = min(i, len(rows) - 1)
+            parts = rows[k].split() or [""]
+            parts[rng.randrange(len(parts))] = rng.choice(_JUNK)
+            rows[k] = " ".join(parts)
+        elif r < 0.9:
+            rows.insert(i, rng.choice(("op b:", "pmap z zero", "stray", "label late", "p=2 dim=1")))
+        elif rows:
+            k = min(i, len(rows) - 1)
+            rows[k] = rng.choice(("  ", "\t", " ")) + rows[k] + rng.choice(("", " ", "\t"))
+    return rows
+
+
+def corpus_text(rng):
+    p = rng.choice((2, 2, 2, 3, 3, 5, 7, 4))
+    dim = rng.choice((0, 1, 1, 2, 2, 2, 3))
+    rows = []
+    if rng.random() < 0.4:
+        rows.append(rng.choice(("label demo", "label L2/F2", "label  spaced  ", "label a b") * 3 + ("label", "labelx")))
+    r = rng.random()
+    if r < 0.94:
+        rows.append(f"p={p} dim={dim}")
+    else:
+        rows.append(rng.choice((f"p={p}  dim={dim}", f"p={p}\tdim={dim}", f"p = {p} dim={dim}",
+                                f"p={p} dim", f"p=0{p} dim=0{dim}", f"q={p} dim={dim}",
+                                f"p={p} dim={dim + 200}")))
+    body = []
+    for _ in range(rng.randrange(5)):
+        body += _op_block(rng, dim, p) if rng.random() < 0.5 else _pmap_block(rng, dim, p)
+    rows += body
+    rows = _mutate(rng, rows, len(rows) - len(body))
+    if rng.random() < 0.2:
+        rows += [rng.choice(("", "# trailing", "  "))]
+    sep = rng.choice(("\n",) * 8 + ("\r\n", "\n\n", "\r"))
+    return sep.join(rows) + ("" if rng.random() < 0.2 else sep)
+
+
+def test_parser_outcomes_on_a_seeded_corpus_are_pinned():
+    """sha256 over each text's outcome: the format_algebra text of the parsed
+    algebra, or the exact error text, line number included; taken from the
+    parser as it stood before its one-pass rewrite."""
+    rng = random.Random(20261019)
+    digest, valid = hashlib.sha256(), 0
+    for _ in range(20_000):
+        try:
+            outcome = format_algebra(parse_algebra(corpus_text(rng)))
+            valid += 1
+        except UsageError as e:
+            outcome = f"UsageError: {e}"
+        digest.update(outcome.encode() + b"\0")
+    assert (valid, digest.hexdigest()) == (2972, (
+        "5316544327cc4529d854ade248d5d8a6beffdc1d95a46d981612269ef2ff5e80"))

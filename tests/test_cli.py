@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,55 @@ def test_malformed_file_exit2(tmp_path, capsys):
 def test_missing_file_exit2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "none.alg"), "leibniz"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+HUGE_PRIME = (1 << 61) - 1
+HOSTILE_FILES = [
+    # bytes that are not UTF-8
+    (b"p=2 dim=1\n\xff\n", "error: cannot read {path}: 'utf-8' codec can't decode"),
+    # more digits than int() reads, and a modulus past 2**64
+    (b"p=" + b"7" * 5000 + b" dim=1\n", "error: line 1: "),
+    (b"# p = 2**65 - 1\np=36893488147419103231 dim=1\n",
+     "error: line 2: modulus must be below 2**64"),
+    # a prime too large for the int64 kernels, refused once it is known prime
+    (b"p=%d dim=1\n" % HUGE_PRIME,
+     f"error: file is not a valid algebra: modulus {HUGE_PRIME} too large"),
+    # 12 empty op blocks of dim 160 would take 393 MB of structure constants
+    (b"p=2 dim=160\n" + b"".join(b"op a%d:\n" % i for i in range(12)),
+     "error: line 1: op blocks of dim 160 exceed the bound of 16384000 entries"),
+]
+
+
+@pytest.mark.parametrize("data,start", HOSTILE_FILES,
+                         ids=["undecodable", "long-modulus", "modulus-past-2**64", "prime-2**61",
+                              "op-blocks"])
+def test_hostile_files_exit2_fast_with_one_line(tmp_path, capsys, data, start):
+    """Each file is a few bytes to a few KB; each ends within a second, with
+    exit 2 and one error line, before any structure tensor is allocated."""
+    path = tmp_path / "hostile.alg"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert main(["check", str(path), "leibniz"]) == 2
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(start.format(path=path))
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert elapsed < 1.0 and peak < 2 << 20
+
+
+def test_a_huge_prime_at_dim0_no_longer_hangs(tmp_path, capsys):
+    path = tmp_path / "dim0.alg"
+    path.write_text(f"p={HUGE_PRIME} dim=0\nop bracket:\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    assert main(["check", str(path), "leibniz"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_dialgebra_identities(tmp_path, capsys):

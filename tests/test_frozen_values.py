@@ -3,8 +3,9 @@
 Every p-map (each class with an `apply_batch`), `LambdaPoly`, the report
 types, `QuotientPresentation`, `LeibnizModule` and `TensorAlgebraHandle`
 take their `__init__`, `__eq__`, `__hash__` and `__repr__` from
-`dataclasses`, refuse attribute writes, and hold their arrays and tables
-read-only, so a value checked once stays what was checked."""
+`dataclasses` (the two that hold arrays compare by identity, as `Algebra`
+does), refuse attribute writes, and hold their arrays and tables read-only,
+so a value checked once stays what was checked."""
 
 from __future__ import annotations
 
@@ -139,3 +140,14 @@ def test_pmap_equality_hash_and_repr_come_from_their_fields() -> None:
     assert repr(l2(3).pmap("frobenius")) == "TablePMap(<9 entries>)"
     assert CheckReport("x", "pass", [], Coverage("exhaustive", 1)) == CheckReport(
         "x", "pass", (), Coverage("exhaustive", 1))
+
+
+def test_module_and_presentation_compare_by_identity() -> None:
+    """A value that holds arrays is equal only to itself, and comparing it
+    answers rather than asking numpy for the truth value of an array."""
+    M = adjoint_module(l2(3))
+    assert M == M and M != adjoint_module(l2(3))
+    pres = ulp_truncated(l2(2), d=2)
+    assert pres == pres
+    assert pres != dataclasses.replace(pres, projection=pres.projection.copy())
+    assert len({M, M, pres, pres}) == 2

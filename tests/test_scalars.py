@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rlk.errors import DomainError, UsageError
 from rlk.scalars import LambdaPoly, inv_mod, is_prime, lambda_poly_bracket, validate_prime
 
-from oracles import brute_inv, brute_is_prime
+from oracles import brute_inv, brute_is_prime, trial_division_is_prime
 
 
 def test_is_prime_matches_brute_force() -> None:
@@ -18,6 +19,41 @@ def test_is_prime_matches_brute_force() -> None:
 def test_is_prime_large_values() -> None:
     assert is_prime(2_147_483_647)
     assert not is_prime(2_147_483_647 - 1)
+
+
+def test_is_prime_matches_trial_division_below_10_5() -> None:
+    assert [n for n in range(100_000) if is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def _chernick_carmichael(at_least: int) -> tuple:
+    """The least Carmichael number (6k+1)(12k+1)(18k+1) >= at_least whose
+    three factors the trial-division oracle finds prime, with its factors."""
+    k = 1
+    while (6 * k + 1) * (12 * k + 1) * (18 * k + 1) < at_least:
+        k += 1
+    while not all(trial_division_is_prime(f * k + 1) for f in (6, 12, 18)):
+        k += 1
+    return 6 * k + 1, 12 * k + 1, 18 * k + 1
+
+
+def test_is_prime_near_2_31_2_32_and_2_61() -> None:
+    """Every n in a window about 2**31 and 2**32 against the trial-division
+    oracle; then composites built to fool weaker tests, each a product of
+    factors the oracle finds prime: Carmichael numbers past 2**31, 2**32 and
+    2**61, F5 = 2**32 + 1 and the least strong pseudoprimes to bases 2-7
+    (3215031751) and 2-23 (3825123056546413051, past 2**61)."""
+    for base in (1 << 31, 1 << 32):
+        window = range(base - 300, base + 300)
+        assert [n for n in window if is_prime(n) != trial_division_is_prime(n)] == []
+    composites = [_chernick_carmichael(1 << e) for e in (31, 32, 61)]
+    composites += [(641, 6700417), (151, 751, 28351), (149491, 747451, 34233211)]
+    for factors in composites:
+        assert all(trial_division_is_prime(f) for f in factors)
+        n = math.prod(factors)
+        assert pow(2, n - 1, n) == 1  # a Fermat liar to base 2
+        assert not is_prime(n), n
+    assert is_prime((1 << 61) - 1) and is_prime((1 << 31) - 1)
+    assert not is_prime(((1 << 61) - 1) ** 2)
 
 
 def test_inv_examples() -> None:
@@ -37,6 +73,9 @@ def test_domain_and_usage_errors() -> None:
         validate_prime(6)
     with pytest.raises(UsageError):
         validate_prime(True)
+    with pytest.raises(UsageError, match=r"below 2\*\*64, got a 65-bit int"):
+        validate_prime((1 << 64) + 13)
+    assert validate_prime((1 << 61) - 1) == (1 << 61) - 1
 
 
 # -- lambda polynomials -------------------------------------------------------
