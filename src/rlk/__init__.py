@@ -74,5 +74,5 @@ from .prelie_tensor import (
     tensor_pmap_factors,
     tensor_prelie,
 )
-from .algfile import format_algebra, parse_algebra, parse_algebra_file
+from .algfile import format_algebra, parse_algebra, parse_algebra_file, read_algebra_file
 from .cli import ReportDocument, build_parser, main

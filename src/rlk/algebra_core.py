@@ -289,35 +289,41 @@ class BasisJacobsonPMap:
             )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Algebra:
-    """Immutable structure-constant algebra over F_p; `pmaps` is a read-only
-    mapping of names to p-maps.  `reports` holds the passing reports of the
-    checks its construction ran on its own ops, in the order they ran; it is
-    empty unless a verified construction made this very object."""
+    """Immutable structure-constant algebra over F_p.  `ops` and `pmaps` are
+    read-only mappings of names to reduced read-only tensors and to p-maps.
+    `reports` holds the passing reports of the checks its construction ran
+    on its own ops, in the order they ran; it is empty unless a verified
+    construction made this very object."""
 
-    reports = ()
+    p: int
+    dim: int
+    ops: Mapping
+    pmaps: Mapping = None
+    label: str = ""
+    reports: tuple = field(default=(), init=False)
 
-    def __init__(self, p: int, dim: int, ops: dict, pmaps=None, label: str = ""):
-        validate_prime(p)
+    def __post_init__(self):
+        p, dim = validate_prime(self.p), self.dim
         if not isinstance(dim, int) or dim < 0:
             raise UsageError(f"dim must be a nonnegative int, got {dim!r}")
         _check_modulus_bound(p, dim)
-        self.p = p
-        self.dim = dim
-        self.label = label
-        self._ops = {}
-        for name, tensor in ops.items():
+        ops = {}
+        for name, tensor in self.ops.items():
             if not name:
                 raise UsageError("empty op name")
             t = np.asarray(tensor, dtype=np.int64)
             if t.shape != (dim, dim, dim):
-                raise UsageError(
-                    f"op {name!r} has shape {t.shape}, expected {(dim, dim, dim)}"
-                )
-            t = t % p
-            t.flags.writeable = False
-            self._ops[name] = t
-        self.pmaps = MappingProxyType(dict(pmaps or {}))
+                raise UsageError(f"op {name!r} has shape {t.shape}, expected {(dim, dim, dim)}")
+            # kept as handed over only if _freeze would keep it and it is reduced
+            if t.flags.writeable or t.base is not None or t.size and not (
+                    t.min() >= 0 and int(t.max()) < p):
+                t = t % p
+                t.flags.writeable = False
+            ops[name] = t
+        _freeze(self, ops=MappingProxyType(ops),
+                pmaps=MappingProxyType(dict(self.pmaps or {})))
         for name, pm in self.pmaps.items():
             if not name:
                 raise UsageError("empty pmap name")
@@ -327,11 +333,11 @@ class Algebra:
 
     @property
     def op_names(self):
-        return tuple(sorted(self._ops))
+        return tuple(sorted(self.ops))
 
     def structure(self, op: str) -> np.ndarray:
         try:
-            return self._ops[op]
+            return self.ops[op]
         except KeyError:
             raise UsageError(
                 f"unknown op {op!r}; available: {', '.join(self.op_names) or '(none)'}"
@@ -488,25 +494,16 @@ class Algebra:
 
     def extended(self, ops=None, pmaps=None, label=None) -> "Algebra":
         """New algebra on the same carrier with extra/overridden ops or pmaps."""
-        new_ops = dict(self._ops)
-        new_ops.update(ops or {})
-        new_pmaps = dict(self.pmaps)
-        new_pmaps.update(pmaps or {})
-        return Algebra(
-            self.p,
-            self.dim,
-            new_ops,
-            new_pmaps,
-            self.label if label is None else label,
-        )
+        return Algebra(self.p, self.dim, {**self.ops, **(ops or {})},
+                       {**self.pmaps, **(pmaps or {})},
+                       self.label if label is None else label)
 
-    def _with_pmaps(self, pmaps) -> "Algebra":
-        """The same algebra carrying exactly `pmaps`, which are not validated
-        again: each must already be known valid on these ops.  It carries no
-        reports."""
+    def _with_pmaps(self, pmaps, reports=()) -> "Algebra":
+        """A copy of this algebra carrying exactly `pmaps` and `reports`.  The
+        p-maps are not validated again: each must already be known valid on
+        these ops, and each report must be of a check run on them."""
         new = copy.copy(self)
-        new.pmaps = MappingProxyType(dict(pmaps))
-        new.reports = ()
+        _freeze(new, pmaps=MappingProxyType(dict(pmaps)), reports=tuple(reports))
         return new
 
     def __repr__(self):

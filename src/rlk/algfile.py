@@ -29,6 +29,7 @@ format can express, entry for entry.
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import numpy as np
@@ -46,6 +47,7 @@ from .errors import UsageError
 from .scalars import MODULUS_BOUND
 
 _HEADER = re.compile(r"^p=(\d+)\s+dim=(\d+)$")
+_DIGITS = re.compile(r"[+-]?\d+")
 # all op blocks of a file together: four dense tensors at DENSE_DIM_BOUND, 131 MB
 OP_ENTRY_BOUND = 4 * DENSE_DIM_BOUND ** 3
 
@@ -54,12 +56,22 @@ def _fail(lineno: int, message: str):
     raise UsageError(f"line {lineno}: {message}")
 
 
+def _int(lineno: int, token: str, what: str) -> int:
+    """int(token); digits past the digit limit of int() fail as too many."""
+    try:
+        return int(token)
+    except ValueError:
+        if _DIGITS.fullmatch(token):
+            _fail(lineno, f"{what} has a token with too many digits ({len(token)})")
+        raise
+
+
 def _ints(lineno: int, row: str, expect: int, what: str):
     parts = row.split()
     if len(parts) != expect:
         _fail(lineno, f"{what} needs {expect} integers, got {len(parts)}")
     try:
-        return [int(t) for t in parts]
+        return [_int(lineno, t, what) for t in parts]
     except ValueError:
         _fail(lineno, f"{what} has a non-integer token in {row!r}")
 
@@ -76,6 +88,7 @@ def _op_tensor(name: str, body: list, dim: int, p: int) -> np.ndarray:
             _fail(n, f"op {name!r} duplicates entry ({i}, {j}, {k})")
         seen.add((i, j, k))
         c[i, j, k] = v % p
+    c.flags.writeable = False  # reduced, so Algebra keeps it
     return c
 
 
@@ -96,7 +109,7 @@ def _pmap(n: int, head: str, body: list, end: int, dim: int, p: int):
         if len(args) not in (1, 2):
             _fail(n, "pmap variant rightpower needs: <op> [exponent]")
         try:
-            exponent = int(args[1]) if len(args) == 2 else None
+            exponent = _int(n, args[1], "rightpower exponent") if len(args) == 2 else None
         except ValueError:
             _fail(n, f"rightpower exponent must be an integer: {args[1]!r}")
         return name, RightPowerPMap(args[0], exponent), 0
@@ -183,15 +196,22 @@ def parse_algebra(text: str) -> Algebra:
         raise UsageError(f"file is not a valid algebra: {e}") from None
 
 
-def parse_algebra_file(path) -> Algebra:
+def read_algebra_file(path) -> tuple:
+    """(algebra, sha256 hex of the bytes it was parsed from): the file is
+    opened once, and its UTF-8 bytes are decoded whole."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
-    return parse_algebra(text)
+    return parse_algebra(text), hashlib.sha256(data).hexdigest()
+
+
+def parse_algebra_file(path) -> Algebra:
+    return read_algebra_file(path)[0]
 
 
 def _format_pmap(alg: Algebra, name: str, pm) -> list:

@@ -6,14 +6,14 @@ Exit codes: 0 all checks pass, 1 any check not passing, 2 usage error
 invariant violated (DomainError).
 
 Reports are deterministic for a fixed seed: the canonical text/JSON output
-contains no timestamps (pass --timing to append wall-clock milliseconds,
-which is excluded from the canonical content)."""
+contains no timestamps (pass --timing to append the wall-clock milliseconds
+from reading the inputs to the finished report, which are excluded from the
+canonical content)."""
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .algebra_core import enumeration_cap
-from .algfile import format_algebra, parse_algebra_file
+from .algfile import format_algebra, read_algebra_file
 from .dialgebra import (
     Dialgebra,
     as_dialgebra,
@@ -53,7 +53,7 @@ from .prelie_tensor import (
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportDocument:
     """Deterministic run report: inputs, per-check results, tables."""
 
@@ -127,14 +127,6 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
 
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror}") from None
-
-
 def _resolve_pmap(alg, explicit):
     if explicit is not None:
         if explicit not in alg.pmaps:
@@ -167,58 +159,70 @@ def _effective_cap(alg, args):
     return args.cap
 
 
-def _basis_mode(args) -> str:
-    return "sampled" if args.mode == "sample" else "basis"
+def _sweep(a) -> dict:
+    """Keywords of a basis or sampled sweep of a trilinear identity."""
+    mode = "sampled" if a.mode == "sample" else "basis"
+    return {"mode": mode, "seed": a.seed, "samples": a.samples}
 
 
-def _lie_op(alg) -> str:
-    return "lie" if "lie" in alg.op_names else "bracket"
+def _enumerated(alg, a) -> dict:
+    """Keywords of a check over all elements, or samples past the cap."""
+    return {"cap": _effective_cap(alg, a), "seed": a.seed, "samples": a.samples}
 
 
+# each check is looked up by name as it runs, so a wrapper bound in its place is called
 _RUNNERS = {
-    "leibniz": lambda alg, a: check_leibniz(
-        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
-    ),
+    "leibniz": lambda alg, a: check_leibniz(alg, **_sweep(a)),
     "restricted-leibniz": lambda alg, a: check_restricted_leibniz(
-        alg, _resolve_pmap(alg, a.pmap),
-        cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-    ),
-    "dias": lambda alg, a: check_dias(
-        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
-    ),
+        alg, _resolve_pmap(alg, a.pmap), **_enumerated(alg, a)),
+    "dias": lambda alg, a: check_dias(alg, **_sweep(a)),
     "lemdias": lambda alg, a: sweep_lemdias(alg),
-    "zinbiel": lambda alg, a: check_zinbiel(
-        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
-    ),
-    "prelie": lambda alg, a: check_prelie(
-        alg, mode=_basis_mode(a), seed=a.seed, samples=a.samples
-    ),
+    "zinbiel": lambda alg, a: check_zinbiel(alg, **_sweep(a)),
+    "prelie": lambda alg, a: check_prelie(alg, **_sweep(a)),
     "restricted-prelie": lambda alg, a: check_restricted_prelie(
-        alg, _resolve_pmap(alg, a.pmap),
-        cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-    ),
+        alg, _resolve_pmap(alg, a.pmap), **_enumerated(alg, a)),
     "restricted-lie": lambda alg, a: check_restricted_lie(
-        alg, _lie_op(alg), _resolve_pmap(alg, a.pmap),
-        cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-    ),
+        alg, "lie" if "lie" in alg.op_names else "bracket", _resolve_pmap(alg, a.pmap),
+        **_enumerated(alg, a)),
     "commutative-diagram": lambda alg, a: check_commutative_diagram(
-        alg, cap=_effective_cap(alg, a), seed=a.seed, samples=a.samples,
-    ),
+        alg, **_enumerated(alg, a)),
 }
 
 
-def _emit(doc: ReportDocument, args, stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def _run(args, paths, build) -> int:
+    """The work every command shares.  Read each file of `paths` once and
+    call build(args, *algebras), which returns (command, derived algebra or
+    None, further ReportDocument fields), both inside the --timing span; make
+    the one ReportDocument, whose sha256s are of the bytes parsed, and write
+    it out.  A derived algebra goes to --out, or to stdout with the report
+    on stderr."""
+    t0 = time.perf_counter()
+    read = [read_algebra_file(path) for path in paths]
+    command, derived, fields = build(args, *(alg for alg, _ in read))
+    doc = ReportDocument(
+        version=__version__,
+        command=command,
+        inputs=tuple((path, digest) for path, (_, digest) in zip(paths, read)),
+        seed=args.seed,
+        wall_ms=(time.perf_counter() - t0) * 1000.0 if args.timing else None,
+        **fields,
+    )
+    stream = sys.stdout
+    if derived is not None:
+        text = format_algebra(derived)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            stream = sys.stderr
     stream.write(doc.to_json() if args.format == "json" else doc.to_text())
     return doc.exit_code
 
 
-def _timed(args, build, doc_of=lambda result: result):
-    t0 = time.perf_counter()
-    result = build()
-    if args.timing:
-        doc_of(result).wall_ms = (time.perf_counter() - t0) * 1000.0
-    return result
+def _build_check(args, alg):
+    checks = tuple(_RUNNERS[name](alg, args).to_dict() for name in args.identities)
+    return "check " + " ".join(args.identities), None, {"checks": checks}
 
 
 def cmd_check(args) -> int:
@@ -228,29 +232,13 @@ def cmd_check(args) -> int:
             f"unknown identities: {', '.join(unknown)}; "
             f"available: {', '.join(sorted(_RUNNERS))}"
         )
-    alg = parse_algebra_file(args.file)
-
-    def build():
-        checks = tuple(
-            _RUNNERS[name](alg, args).to_dict() for name in args.identities
-        )
-        return ReportDocument(
-            version=__version__,
-            command="check " + " ".join(args.identities),
-            inputs=((args.file, _digest(args.file)),),
-            seed=args.seed,
-            checks=checks,
-        )
-
-    return _emit(_timed(args, build), args)
+    return _run(args, [args.file], _build_check)
 
 
 def _as_dialgebra_input(alg) -> Dialgebra:
     names = set(alg.op_names)
     if {"left", "right"} <= names:
-        return Dialgebra(alg.p, alg.dim,
-                         {"left": alg.structure("left"),
-                          "right": alg.structure("right")},
+        return Dialgebra(alg.p, alg.dim, {op: alg.structure(op) for op in ("left", "right")},
                          label=alg.label)
     if {"assoc", "endo"} <= names:
         return dialgebra_from_operator(alg, _endo_matrix(alg))
@@ -273,9 +261,36 @@ def _endo_matrix(alg) -> np.ndarray:
 
 def _dialgebra_reports(D: Dialgebra, args) -> tuple:
     """The basis sweep is the one D ran when it was built."""
-    dias = D.reports if _basis_mode(args) == "basis" else (check_dias(
-        D, mode="sampled", seed=args.seed, samples=args.samples),)
+    dias = D.reports if args.mode != "sample" else (check_dias(D, **_sweep(args)),)
     return dias + (sweep_lemdias(D),)
+
+
+def _build_derive(args, alg, *rest):
+    if args.construction == "dleib":
+        D = _as_dialgebra_input(alg)
+        derived = dleib(D, _effective_cap(D, args), args.seed, args.samples)
+        reports = derived.reports
+    elif args.construction == "gln":
+        derived = matrix_dialgebra(_as_dialgebra_input(alg), args.n)
+        reports = _dialgebra_reports(derived, args)
+    elif args.construction == "operator-dialgebra":
+        if "assoc" not in alg.op_names or "endo" not in alg.op_names:
+            raise UsageError("operator-dialgebra input needs ops 'assoc' and 'endo'")
+        derived = dialgebra_from_operator(alg, _endo_matrix(alg))
+        reports = _dialgebra_reports(derived, args)
+    elif args.construction == "tensor-prelie":
+        T = tensor_prelie(alg, *rest)
+        derived = T.product._with_pmaps({"lie_p": T.product.pmap("lie_p")})
+        reports = T.product.reports + (
+            check_tensor_restricted(T, seed=args.seed, samples=args.samples),
+            check_corollary(T, seed=args.seed, samples=args.samples,
+                            cap=_effective_cap(T.product, args)),
+        )
+    else:  # antisymmetrize
+        derived = prelie_to_lie(alg, args.op)
+        reports = derived.reports
+    return (f"derive {args.construction}", derived,
+            {"checks": tuple(r.to_dict() for r in reports)})
 
 
 def cmd_derive(args) -> int:
@@ -284,82 +299,22 @@ def cmd_derive(args) -> int:
         raise UsageError("tensor-prelie needs two files: <bracket> <zinbiel>")
     if not want_two and len(args.files) != 1:
         raise UsageError(f"{args.construction} takes exactly one file")
+    return _run(args, args.files, _build_derive)
 
-    def build():
-        if args.construction == "dleib":
-            D = _as_dialgebra_input(parse_algebra_file(args.files[0]))
-            derived = dleib(D, _effective_cap(D, args), args.seed, args.samples)
-            reports = derived.reports
-        elif args.construction == "gln":
-            D0 = _as_dialgebra_input(parse_algebra_file(args.files[0]))
-            derived = matrix_dialgebra(D0, args.n)
-            reports = _dialgebra_reports(derived, args)
-        elif args.construction == "operator-dialgebra":
-            alg = parse_algebra_file(args.files[0])
-            if "assoc" not in alg.op_names or "endo" not in alg.op_names:
-                raise UsageError(
-                    "operator-dialgebra input needs ops 'assoc' and 'endo'"
-                )
-            derived = dialgebra_from_operator(alg, _endo_matrix(alg))
-            reports = _dialgebra_reports(derived, args)
-        elif args.construction == "tensor-prelie":
-            g = parse_algebra_file(args.files[0])
-            R = parse_algebra_file(args.files[1])
-            T = tensor_prelie(g, R)
-            derived = T.product._with_pmaps({"lie_p": T.product.pmap("lie_p")})
-            reports = T.product.reports + (
-                check_tensor_restricted(T, seed=args.seed, samples=args.samples),
-                check_corollary(T, seed=args.seed, samples=args.samples,
-                                cap=_effective_cap(T.product, args)),
-            )
-        else:  # antisymmetrize
-            derived = prelie_to_lie(parse_algebra_file(args.files[0]), args.op)
-            reports = derived.reports
-        doc = ReportDocument(
-            version=__version__,
-            command=f"derive {args.construction}",
-            inputs=tuple((f, _digest(f)) for f in args.files),
-            seed=args.seed,
-            checks=tuple(r.to_dict() for r in reports),
-        )
-        return derived, doc
 
-    derived, doc = _timed(args, build, doc_of=lambda result: result[1])
-    text = format_algebra(derived)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return _emit(doc, args)
-    sys.stdout.write(text)
-    return _emit(doc, args, stream=sys.stderr)
+def _build_envelope(args, alg):
+    d = args.degree if args.degree is not None else alg.p
+    if d < alg.p:
+        raise UsageError(f"degree cap {d} is below the characteristic {alg.p}")
+    envelope = ud_p if args.which == "ud" else ulp_truncated
+    pres = envelope(alg, pmap=_resolve_pmap(alg, args.pmap), d=d,
+                    cap=_effective_cap(alg, args), seed=args.seed, samples=args.samples)
+    return (f"envelope {args.which} d={d}", None,
+            {"tables": {"envelope": pres.to_dict()}})
 
 
 def cmd_envelope(args) -> int:
-    alg = parse_algebra_file(args.file)
-    d = args.degree if args.degree is not None else alg.p
-    if d < alg.p:
-        raise UsageError(
-            f"degree cap {d} is below the characteristic {alg.p}"
-        )
-    pmap = _resolve_pmap(alg, args.pmap)
-    cap = _effective_cap(alg, args)
-
-    def build():
-        if args.which == "ud":
-            pres = ud_p(alg, pmap=pmap, d=d, cap=cap, seed=args.seed,
-                        samples=args.samples)
-        else:
-            pres = ulp_truncated(alg, pmap=pmap, d=d, cap=cap,
-                                 seed=args.seed, samples=args.samples)
-        return ReportDocument(
-            version=__version__,
-            command=f"envelope {args.which} d={d}",
-            inputs=((args.file, _digest(args.file)),),
-            seed=args.seed,
-            tables={"envelope": pres.to_dict()},
-        )
-
-    return _emit(_timed(args, build), args)
+    return _run(args, [args.file], _build_envelope)
 
 
 def _common_flags(sub):

@@ -14,6 +14,8 @@ dialgebra-then-dleib give the same structure on an associative algebra.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .algebra_core import Algebra, Element, RightPowerPMap, _basis_triples, _matmul_mod, _tup
@@ -30,16 +32,18 @@ from .identities import (
     check_dias,
     check_leibniz,
 )
+from .scalars import _freeze
 
 MATRIX_DIM_BOUND = 96
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Dialgebra(Algebra):
     """Algebra whose "left"/"right" ops are verified diassociative; its
     `reports` are (the passing check_dias report,)."""
 
-    def __init__(self, p, dim, ops, pmaps=None, label=""):
-        super().__init__(p, dim, ops, pmaps, label)
+    def __post_init__(self):
+        super().__post_init__()
         rep = check_dias(self)
         if not rep.ok():
             w = rep.witnesses[0]
@@ -47,7 +51,7 @@ class Dialgebra(Algebra):
                 f"not a dialgebra: axiom {w.inputs[0]} fails at basis triple "
                 f"{w.inputs[1:]} ({w.lhs} != {w.rhs})"
             )
-        self.reports = (rep,)
+        _freeze(self, reports=(rep,))
 
 
 def as_dialgebra(alg: Algebra) -> Dialgebra:
@@ -74,13 +78,9 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
     cl = D.structure("left")
     cr = D.structure("right")
     bracket = (cl - cr.transpose(1, 0, 2)) % D.p
-    out = Algebra(
-        D.p,
-        D.dim,
-        {"bracket": bracket, "left": cl, "right": cr},
-        {"frobenius": RightPowerPMap("right")},
-        label=f"dleib({D.label})" if D.label else "dleib",
-    )
+    out = Algebra(D.p, D.dim, {"bracket": bracket, "left": cl, "right": cr},
+                  {"frobenius": RightPowerPMap("right")},
+                  label=f"dleib({D.label})" if D.label else "dleib")
     leib = check_leibniz(out)
     if not leib.ok():
         w = leib.witnesses[0]
@@ -95,8 +95,7 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
         raise UsageError(
             f"p-fold right power is not a restricted p-map; witness x = {w.inputs[0]}"
         )
-    out.reports = (leib, rep)
-    return out
+    return out._with_pmaps(out.pmaps, (leib, rep))
 
 
 # -- iterated-power compatibility ------------------------------------------------

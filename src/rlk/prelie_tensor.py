@@ -215,8 +215,7 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
         "tensor_p": TensorFormulaPMap(g, R),
         "zero": ZeroPMap(),
         "lie_p": BasisJacobsonPMap("lie", [product.zero()] * pdim),
-    })
-    product.reports = (rep,)
+    }, (rep,))
     return TensorAlgebraHandle(g, R, product)
 
 
@@ -309,9 +308,9 @@ def prelie_to_lie(A, op: str = "prelie") -> Algebra:
     viol = lie_basis_violation(result, "lie")
     if viol is not None:
         raise DomainError(f"antisymmetrization failed the Lie checks: {viol}")
-    result.reports = (rep, _report("lie_axioms", [], 0, Coverage("exhaustive", result.dim ** 3),
-                                   ("alternating + antisymmetry + Jacobi on basis triples",)))
-    return result
+    return result._with_pmaps(result.pmaps, (rep, _report(
+        "lie_axioms", [], 0, Coverage("exhaustive", result.dim ** 3),
+        ("alternating + antisymmetry + Jacobi on basis triples",))))
 
 
 def check_corollary(T: TensorAlgebraHandle, seed: int = 0,

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,3 +335,53 @@ def test_parser_outcomes_on_a_seeded_corpus_are_pinned():
         digest.update(outcome.encode() + b"\0")
     assert (valid, digest.hexdigest()) == (2972, (
         "5316544327cc4529d854ade248d5d8a6beffdc1d95a46d981612269ef2ff5e80"))
+
+
+def _outcome(parse, arg) -> str:
+    try:
+        return format_algebra(parse(arg))
+    except UsageError as e:
+        return f"UsageError: {e}"
+
+
+def test_file_reader_matches_the_text_parser_on_every_line_end(tmp_path):
+    """The corpus texts written as bytes with each line end: reading the file
+    gives exactly what parse_algebra gives on the text, error text and line
+    numbers included."""
+    rng = random.Random(20261019)
+    path = tmp_path / "corpus.alg"
+    for _ in range(1_000):
+        lines = re.split(r"\r\n|\r|\n", corpus_text(rng))
+        for sep in ("\n", "\r\n", "\r"):
+            text = sep.join(lines)
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(parse_algebra_file, path) == _outcome(parse_algebra, text)
+
+
+def test_tokens_past_the_digit_limit_are_too_long_not_non_integer():
+    """A token of more digits than int() reads is named as too long, with its
+    line, and is not echoed back."""
+    long = "9" * 4400
+    for text, message in (
+            (f"p=2 dim=1\npmap f rightpower b {long}\n",
+             "line 2: rightpower exponent has a token with too many digits (4400)"),
+            (f"p=2 dim=1\nop b:\n0 0 0 {long}\n",
+             "line 3: op 'b' entry has a token with too many digits (4400)")):
+        with pytest.raises(UsageError) as exc:
+            parse_algebra(text)
+        assert str(exc.value) == message
+
+
+def test_parsing_a_dim160_file_holds_its_tensors_once():
+    """Four empty op blocks of dim 160 are 131 MB of tensors; the parser hands
+    them over read-only and reduced, so the peak is theirs and no copy."""
+    text = "p=2 dim=160\n" + "".join(f"op a{i}:\n" for i in range(4))
+    tracemalloc.start()
+    try:
+        alg = parse_algebra(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(alg.structure(name).nbytes for name in alg.op_names)
+    assert held == 4 * 160 ** 3 * 8
+    assert peak <= held + (1 << 20)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, report content, determinism."""
 
 import ast
+import builtins
 import hashlib
 import json
 import os
@@ -561,14 +562,38 @@ def test_derived_files_are_byte_deterministic(tmp_path, capsys):
 
 def test_timing_flag_adds_wall_ms_only_when_asked(tmp_path, capsys):
     path = write(tmp_path, "l2.alg", l2(2))
-    main(["check", path, "leibniz", "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert "wall_ms" not in doc
-    main(["check", path, "leibniz", "--format", "json", "--timing"])
-    doc = json.loads(capsys.readouterr().out)
-    assert isinstance(doc["wall_ms"], float)
-    main(["check", path, "leibniz", "--timing"])
-    assert "wall_ms" in capsys.readouterr().out
+    poly = write(tmp_path, "poly.alg", truncated_poly(3, 2))
+    out = str(tmp_path / "out.alg")
+    for argv in (["check", path, "leibniz"], ["derive", "dleib", poly, "--out", out],
+                 ["envelope", path, "ul"]):
+        main([*argv, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert "wall_ms" not in doc
+        main([*argv, "--format", "json", "--timing"])
+        doc = json.loads(capsys.readouterr().out)
+        assert isinstance(doc["wall_ms"], float)
+        main([*argv, "--timing"])
+        assert "wall_ms" in capsys.readouterr().out
+
+
+def test_each_input_file_is_opened_once(tmp_path, capsys, monkeypatch):
+    """The sha256 a report gives is of the bytes that were parsed, so each
+    input is opened once, not once to parse and once to hash."""
+    g = write(tmp_path, "g.alg", l2(2))
+    zin = write(tmp_path, "z.alg", free_zinbiel(1, 3, 2).to_algebra())
+    opened, real_open = [], builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    for argv, inputs in ((["check", g, "leibniz"], [g]), (["envelope", g, "ul"], [g]),
+                         (["derive", "tensor-prelie", g, zin, "--samples", "20"], [g, zin])):
+        opened.clear()
+        assert main(argv) == 0
+        assert [f for f in opened if f.startswith(str(tmp_path))] == inputs, argv
+    capsys.readouterr()
 
 
 def test_json_report_shape(tmp_path, capsys):
@@ -693,3 +718,104 @@ def test_derive_report_bytes_are_pinned(argv, tmp_path, capsys):
     for name, path in files.items():
         out = out.replace(path, name)
     assert hashlib.sha256(out.encode()).hexdigest() == _DERIVE_DIGESTS[argv]
+
+
+def _fixture_inputs(tmp_path):
+    """The input files of the pinned CLI runs, written under tmp_path."""
+    base = upper_triangular2(3)
+    for name, alg in (("l2.alg", l2(3)), ("l2f2.alg", l2(2)), ("broken.alg", broken_bracket()),
+                      ("ab.alg", abelian(3, 2, with_pmap=True)), ("poly.alg", truncated_poly(3, 2)),
+                      ("ut2.alg", base), ("lr.alg", l2_dialgebra(3)),
+                      ("z.alg", free_zinbiel(1, 3, 2).to_algebra()),
+                      ("tp.alg", _tensor_product_algebra(3)),
+                      ("left.alg", Algebra(2, 1, {"left": np.zeros((1, 1, 1), dtype=np.int64)})),
+                      ("notdias.alg", Algebra(2, 1, {"left": broken_bracket().structure("bracket"),
+                                                     "right": np.zeros((1, 1, 1), dtype=np.int64)})),
+                      ("zin.alg", Algebra(3, 14, {
+                          "prelie": free_zinbiel(2, 3, 3).to_algebra().structure("zinbiel")}))):
+        write(tmp_path, name, alg)
+    endo_file(tmp_path, base, np.diag([1, 0, 1]).astype(np.int64).T, "endo.alg")
+    endo_file(tmp_path, truncated_poly(2, 2), [(0, 0), (0, 1)], "deriv.alg")
+    (tmp_path / "undecodable.alg").write_bytes(b"p=2 dim=1\n\xff\n")
+
+
+_PINNED_RUNS = [
+    # check: all nine identities, both formats, each --mode
+    "check l2.alg leibniz restricted-leibniz",
+    "check l2.alg leibniz --format json --seed 7",
+    "check l2.alg restricted-leibniz --mode sample --samples 20 --seed 3 --format json",
+    "check l2.alg restricted-leibniz --mode exhaustive",
+    "check broken.alg leibniz",
+    "check lr.alg dias lemdias",
+    "check lr.alg dias --mode sample --samples 30 --format json",
+    "check z.alg zinbiel --format json",
+    "check tp.alg prelie restricted-prelie --pmap zero",
+    "check tp.alg restricted-lie --samples 20",
+    "check ab.alg restricted-lie --format json",
+    "check poly.alg commutative-diagram",
+    "check poly.alg commutative-diagram --mode sample --samples 10 --format json",
+    # check: exit 2
+    "check l2.alg no-such",
+    "check missing.alg no-such",
+    "check missing.alg leibniz",
+    "check undecodable.alg leibniz",
+    "check l2.alg restricted-leibniz --pmap nosuch",
+    "check ab.alg restricted-leibniz --mode exhaustive --cap 5",
+    # derive: every construction, to --out and to stdout
+    "derive dleib poly.alg --out out.alg",
+    "derive dleib poly.alg",
+    "derive dleib ut2.alg --format json --seed 1 --out out.alg",
+    "derive dleib lr.alg --mode sample --samples 15",
+    "derive dleib endo.alg --out out.alg",
+    "derive gln ut2.alg --n 2 --out out.alg",
+    "derive gln poly.alg --mode sample --format json",
+    "derive operator-dialgebra endo.alg --out out.alg",
+    "derive operator-dialgebra endo.alg --format json",
+    "derive tensor-prelie l2f2.alg z.alg --samples 40 --out out.alg",
+    "derive tensor-prelie l2f2.alg z.alg --samples 20 --format json",
+    "derive antisymmetrize tp.alg --out out.alg",
+    "derive antisymmetrize tp.alg --format json",
+    # derive: exit 2
+    "derive tensor-prelie l2f2.alg",
+    "derive dleib poly.alg ut2.alg",
+    "derive operator-dialgebra deriv.alg",
+    "derive operator-dialgebra poly.alg",
+    "derive dleib left.alg",
+    "derive dleib notdias.alg",
+    "derive gln poly.alg --n 0",
+    "derive antisymmetrize zin.alg",
+    "derive tensor-prelie l2f2.alg missing.alg",
+    # envelope: both kinds, --degree, each --mode, both formats
+    "envelope l2f2.alg ul",
+    "envelope l2f2.alg ud --format json",
+    "envelope l2.alg ul --degree 3 --format json",
+    "envelope l2.alg ud --degree 4 --mode sample --samples 10",
+    "envelope ab.alg ul --degree 3 --mode exhaustive --format json",
+    "envelope ab.alg ud --degree 3 --mode sample",
+    # envelope: exit 2
+    "envelope l2.alg ul --degree 2",
+    "envelope l2.alg ul --degree 2 --pmap nosuch",
+    "envelope l2.alg ud --pmap nosuch",
+    "envelope missing.alg ud",
+    "envelope undecodable.alg ul",
+]
+
+
+def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    """One sha256 over argv, exit code, stdout, stderr and the --out text of
+    a fixed set of runs, with relative input paths; taken before the
+    commands shared one reader."""
+    _fixture_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RLK_CAP", raising=False)
+    digest = hashlib.sha256()
+    for run in _PINNED_RUNS:
+        out = tmp_path / "out.alg"
+        out.unlink(missing_ok=True)
+        code = main(run.split())
+        captured = capsys.readouterr()
+        text = out.read_text(encoding="utf-8") if out.exists() else ""
+        for part in (run, str(code), captured.out, captured.err, text):
+            digest.update(part.encode() + b"\0")
+    assert digest.hexdigest() == (
+        "6c09fad83e0f13fa9dff626ee5dbe5df3ced2c670015c696b979c52386a99c69")

@@ -1,14 +1,16 @@
 """The values rlk hands between modules are frozen dataclasses.
 
 Every p-map (each class with an `apply_batch`), `LambdaPoly`, the report
-types, `QuotientPresentation`, `LeibnizModule` and `TensorAlgebraHandle`
-take their `__init__`, `__eq__`, `__hash__` and `__repr__` from
-`dataclasses` (the two that hold arrays compare by identity, as `Algebra`
-does), refuse attribute writes, and hold their arrays and tables read-only,
-so a value checked once stays what was checked."""
+types, `QuotientPresentation`, `LeibnizModule`, `TensorAlgebraHandle`,
+`Algebra`, `Dialgebra` and the CLI's `ReportDocument` take their
+`__init__`, `__eq__`, `__hash__` and `__repr__` from `dataclasses` (those
+that hold arrays compare by identity), refuse attribute writes, and hold
+their arrays and tables read-only, so a value checked once stays what was
+checked."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -20,14 +22,16 @@ import pytest
 
 import rlk
 from rlk.algebra_core import (
+    Algebra,
     BasisJacobsonPMap,
     MatrixPowerPMap,
     RightPowerPMap,
     TablePMap,
     ZeroPMap,
 )
-from rlk.algfile import format_algebra
-from rlk.dialgebra import as_dialgebra, dleib
+from rlk.algfile import format_algebra, parse_algebra
+from rlk.cli import ReportDocument
+from rlk.dialgebra import Dialgebra, as_dialgebra, dleib
 from rlk.envelope import LeibnizModule, adjoint_module, ulp_truncated
 from rlk.free_structures import QuotientPresentation
 from rlk.identities import CheckReport, Coverage, Witness, check_leibniz
@@ -37,7 +41,8 @@ from rlk.scalars import LambdaPoly
 from helpers import l2, truncated_poly
 
 VALUES = {LambdaPoly, Witness, Coverage, CheckReport, QuotientPresentation, LeibnizModule,
-          TensorAlgebraHandle}
+          TensorAlgebraHandle, Algebra, Dialgebra, ReportDocument}
+OWN_REPRS = {(TablePMap, "__repr__"), (Algebra, "__repr__")}
 PMAPS = {ZeroPMap, RightPowerPMap, MatrixPowerPMap, TablePMap, BasisJacobsonPMap,
          TensorFormulaPMap}
 
@@ -54,7 +59,7 @@ def _rlk_classes():
 def test_every_pmap_and_value_class_is_a_frozen_dataclass() -> None:
     """Every class in rlk with an apply_batch, and every value class, is a
     frozen dataclass: none of its __init__, __eq__, __hash__ and __repr__ is
-    written in rlk's source, except TablePMap's short __repr__."""
+    written in rlk's source, except the short reprs of TablePMap and Algebra."""
     classes = set(_rlk_classes())
     pmaps = {cls for cls in classes if hasattr(cls, "apply_batch")}
     assert pmaps == PMAPS
@@ -63,7 +68,7 @@ def test_every_pmap_and_value_class_is_a_frozen_dataclass() -> None:
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
         for name in ("__init__", "__eq__", "__hash__", "__repr__"):
             fn = cls.__dict__.get(name)
-            if inspect.isfunction(fn) and (cls, name) != (TablePMap, "__repr__"):
+            if inspect.isfunction(fn) and (cls, name) not in OWN_REPRS:
                 assert fn.__code__.co_filename != sys.modules[cls.__module__].__file__, (
                     cls, name)
 
@@ -151,3 +156,76 @@ def test_module_and_presentation_compare_by_identity() -> None:
     assert pres == pres
     assert pres != dataclasses.replace(pres, projection=pres.projection.copy())
     assert len({M, M, pres, pres}) == 2
+
+
+def test_an_algebra_and_its_report_refuse_writes() -> None:
+    """A verified algebra keeps the modulus, reports and ops it was checked
+    with, and only rlk's own constructions set reports."""
+    h = dleib(as_dialgebra(truncated_poly(3, 2)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.p = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.reports = ()
+    with pytest.raises(TypeError):
+        h.ops["x"] = h.structure("left")
+    with pytest.raises(ValueError, match="read-only"):
+        h.structure("bracket")[0, 0, 0] = 1
+    assert h.p == 3 and [rep.status for rep in h.reports] == ["pass", "pass"]
+    with pytest.raises(TypeError):
+        Algebra(3, 1, {}, reports=h.reports)
+    doc = ReportDocument("0", "check", (), 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.wall_ms = 1.0
+    assert repr(h) == "Algebra(p=3, dim=2, ops=['bracket', 'left', 'right'] 'dleib(F3[t]/t^2)')"
+    assert h == h and h != dleib(as_dialgebra(truncated_poly(3, 2))) and len({h, h}) == 1
+
+
+def test_read_only_reduced_tensors_are_shared_and_others_copied() -> None:
+    """A read-only, reduced tensor that is no view is kept as handed over; any
+    other is reduced into a copy, and a caller's writable array stays its own."""
+    A = parse_algebra("p=3 dim=2\nop assoc:\n0 0 0 1\n0 1 1 1\n1 0 1 1\n")
+    c = A.structure("assoc")
+    assert as_dialgebra(A).structure("left") is c
+    assert as_dialgebra(A).structure("right") is c
+    ext = A.extended(label="x")
+    assert ext.structure("assoc") is c and type(ext) is Algebra and ext.reports == ()
+
+    unreduced = np.array(c)
+    unreduced[0, 0, 0] = 4
+    unreduced.flags.writeable = False
+    view = c[:]
+    writable = np.array(c)
+    for tensor in (unreduced, view, writable):
+        kept = Algebra(3, 2, {"assoc": tensor}).structure("assoc")
+        assert kept is not tensor and kept.base is None and not kept.flags.writeable
+        assert np.array_equal(kept, c)
+    assert writable.flags.writeable
+    writable[0, 0, 0] = 2
+    assert Algebra(3, 2, {"assoc": writable}).structure("assoc")[0, 0, 0] == 2
+
+
+def _with_function(node, fn=None):
+    """Every node under `node`, with the name of the innermost function
+    around it (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, fn
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        yield from _with_function(child, inner)
+
+
+def test_only_freeze_writes_into_a_built_value() -> None:
+    """object.__setattr__ appears only in scalars._freeze, and _freeze is
+    used only in __post_init__ methods and Algebra._with_pmaps, so no value
+    is written after its construction has run its checks."""
+    setattrs, freezes = [], []
+    for info in pkgutil.iter_modules(rlk.__path__):
+        with open(f"{rlk.__path__[0]}/{info.name}.py", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node, fn in _with_function(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__":
+                setattrs.append((info.name, fn))
+            elif isinstance(node, ast.Name) and node.id == "_freeze":
+                freezes.append((info.name, fn))
+    assert setattrs == [("scalars", "_freeze")]
+    assert freezes and {fn for _, fn in freezes} == {"__post_init__", "_with_pmaps"}
+    assert [m for m, fn in freezes if fn == "_with_pmaps"] == ["algebra_core"]
