@@ -316,9 +316,9 @@ class Algebra:
             t = np.asarray(tensor, dtype=np.int64)
             if t.shape != (dim, dim, dim):
                 raise UsageError(f"op {name!r} has shape {t.shape}, expected {(dim, dim, dim)}")
-            # kept as handed over only if _freeze would keep it and it is reduced
+            # kept if _freeze would keep it and reduced (a negative reads as >= 2**63 in uint64)
             if t.flags.writeable or t.base is not None or t.size and not (
-                    t.min() >= 0 and int(t.max()) < p):
+                    int(np.maximum.reduce(t.view(np.uint64), axis=None)) < p):
                 t = t % p
                 t.flags.writeable = False
             ops[name] = t
