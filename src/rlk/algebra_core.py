@@ -10,8 +10,8 @@ Arithmetic is exact: every contraction sums dim terms of products of two
 reduced residues, and construction rejects moduli large enough for that to
 overflow int64.  Every summed contraction runs through `_matmul_mod`, which
 takes its route from the shapes and the modulus it is given: float BLAS where
-that is exact and repays the casts (float32 while the sums stay below 2**24,
-float64 below 2**53), reduced mod p before the one cast back, else int64.
+that is exact and repays the casts (`_residue_dtype`), reduced mod p before
+the one cast back, else int64; float operands come back in their own dtype.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import UsageError
-from .scalars import _freeze, inv_mod, validate_prime
+from .scalars import _freeze, _seal, _sealed, inv_mod, validate_prime
 
 DEFAULT_CAP = 1 << 16
 # Largest carrier dimension given a dense (dim, dim, dim) structure tensor
@@ -34,6 +34,8 @@ DEFAULT_CAP = 1 << 16
 DENSE_DIM_BOUND = 160
 # entries one chunk of a batched kernel may stack at once
 _CHUNK_ENTRIES = 1 << 21
+# entries one block of a blocked kernel computes at once, sized to stay in cache
+_BLOCK_ENTRIES = 1 << 15
 # multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
 _SMALL_PRODUCT = 1 << 12
 # powers right_power_batch takes as mat-vecs; past it stack_mat_pow is faster
@@ -72,21 +74,27 @@ def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
 
 def _check_modulus_bound(p: int, dim: int) -> None:
     # one contracted index at a time: sums of dim products of reduced residues
-    # must fit int64; _matmul_mod uses float32 below 2**24 and float64 below 2**53
+    # must fit int64; _residue_dtype takes float32 below 2**24, float64 below 2**53
     if dim and dim * (p - 1) * (p - 1) >= 1 << 62:
         raise UsageError(f"modulus {p} too large for exact int64 kernels at dim {dim}")
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """np.matmul(A, B) % p as reduced int64, for reduced int64 operands whose
-    sums stay below _check_modulus_bound's 2**62.
+def _residue_dtype(k: int, p: int, work: int):
+    """The dtype of products that sum k products of residues mod p, `work`
+    multiply-adds in all: float32 while k * (p - 1)**2 < 2**24, float64 below
+    2**53, else int64, which also takes work below _SMALL_PRODUCT."""
+    bound = k * (p - 1) ** 2 if work >= _SMALL_PRODUCT else 1 << 53
+    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
 
-    int64, reduced in place, takes mat-vecs (their casts touch as many
-    entries as the product multiplies), products below _SMALL_PRODUCT
-    multiply-adds, and A.shape[-1] * (p - 1)**2 >= 2**53, as do object
-    operands (Python ints) past p = 2**27.  The rest runs in float
-    BLAS: float32 while that bound is below 2**24, else float64, each operand
-    cast once.  The product is reduced in the float dtype and cast back once.
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """np.matmul(A, B) % p for reduced operands whose sums stay below
+    _check_modulus_bound's 2**62, in A's dtype: int64, or a float dtype that
+    _residue_dtype gave for contractions at least this long.
+
+    For int64 A, int64 (reduced in place) takes mat-vecs and what
+    _residue_dtype keeps in int64, as do object operands past p = 2**27;
+    the rest is cast once to float BLAS.
 
     Exact: with m = 24 or 53 significand bits, every partial sum is an
     integer below 2**m, so no summation order, FMA or thread split can round
@@ -94,21 +102,22 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     floor(x/p) + 1, and half an ulp of x/p is at most (x/p) / 2**m < 1/p, so
     fl(x/p) (true division, not a multiply by 1/p) has the same floor; the
     product and difference that follow are integers below 2**m, exact too."""
-    bound = A.shape[-1] * (p - 1) ** 2
-    if B.shape[-1] == 1 or A.size * B.shape[-1] < _SMALL_PRODUCT or bound >= 1 << 53:
+    if A.dtype.kind == "f":
+        dtype = A.dtype.type
+    elif B.shape[-1] == 1 or (
+            dtype := _residue_dtype(A.shape[-1], p, A.size * B.shape[-1])) is np.int64:
         res = np.matmul(A, B)
         res %= p
         return res
-    dtype = np.float32 if bound < 1 << 24 else np.float64
-    Af = A.astype(dtype)
-    out = np.matmul(Af, Af if B is A else B.astype(dtype))
+    Af = A.astype(dtype, copy=False)
+    out = np.matmul(Af, Af if B is A else B.astype(dtype, copy=False))
     del Af
     q = out / p
     np.floor(q, out=q)
     q *= p
     out -= q
     del q
-    return out.astype(np.int64)
+    return out if A.dtype.type is dtype else out.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -192,9 +201,8 @@ class TablePMap:
                 present[slots] = True
                 table = np.zeros((present.size, len(values[0])), dtype=np.int64)
                 table[slots] = values
-        present.flags.writeable = table.flags.writeable = False  # fresh, so not copied
         _freeze(self, mapping=MappingProxyType(mapping), _radix=radix, _width=width,
-                _present=present, _values=table)
+                _present=_seal(present), _values=_seal(table))
 
     @staticmethod
     def _slots(X: np.ndarray, radix: int, width: int) -> np.ndarray:
@@ -316,11 +324,10 @@ class Algebra:
             t = np.asarray(tensor, dtype=np.int64)
             if t.shape != (dim, dim, dim):
                 raise UsageError(f"op {name!r} has shape {t.shape}, expected {(dim, dim, dim)}")
-            # kept if _freeze would keep it and reduced (a negative reads as >= 2**63 in uint64)
-            if t.flags.writeable or t.base is not None or t.size and not (
+            # kept if sealed and reduced (a negative reads as >= 2**63 in uint64)
+            if not _sealed(t) or t.size and not (
                     int(np.maximum.reduce(t.view(np.uint64), axis=None)) < p):
-                t = t % p
-                t.flags.writeable = False
+                t = _seal(t % p)
             ops[name] = t
         _freeze(self, ops=MappingProxyType(ops),
                 pmaps=MappingProxyType(dict(self.pmaps or {})))
@@ -394,12 +401,12 @@ class Algebra:
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
         """Row-wise n-fold right powers (((x*x)*x)...*x) = r_x**(n-1) x, n >= 1,
-        of an (N, dim) coefficient array, r_x built once for each chunk of
-        _CHUNK_ENTRIES // dim**2 rows: n - 1 mat-vecs, or past _MATVEC_POWERS
-        one mat-vec by r_x**(n-1) from stack_mat_pow (under 2 log2(n) products)."""
+        of an (N, dim) array, r_x built once for each block of _BLOCK_ENTRIES:
+        n - 1 int64 mat-vecs, or past _MATVEC_POWERS one mat-vec by
+        r_x**(n-1) from stack_mat_pow (under 2 log2(n) products)."""
         V = X % self.p
         out = np.empty_like(V)
-        block = max(1, _CHUNK_ENTRIES // max(1, self.dim ** 2))
+        block = max(1, min(_CHUNK_ENTRIES, _BLOCK_ENTRIES) // max(1, self.dim ** 2))
         for lo in range(0, len(V), block):
             v = V[lo:lo + block]
             if n > 1:
@@ -512,8 +519,8 @@ class Algebra:
 
 
 def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Batched matrix power of a reduced (N, d, d) stack mod p; n = 1
-    returns the stack itself."""
+    """Batched matrix power of a reduced (N, d, d) stack mod p, in the
+    stack's dtype; n = 1 returns the stack itself."""
     if n < 0:
         raise UsageError("negative matrix power")
     N, d, _ = stack.shape
@@ -526,7 +533,7 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
         if n:
             base = _matmul_mod(base, base, p)
     if out is None:
-        return np.broadcast_to(np.eye(d, dtype=np.int64), (N, d, d)).copy()
+        return np.broadcast_to(np.eye(d, dtype=stack.dtype), (N, d, d)).copy()
     return out
 
 

@@ -44,7 +44,7 @@ from .algebra_core import (
     ZeroPMap,
 )
 from .errors import UsageError
-from .scalars import MODULUS_BOUND
+from .scalars import MODULUS_BOUND, _seal
 
 _HEADER = re.compile(r"^p=(\d+)\s+dim=(\d+)$")
 _DIGITS = re.compile(r"[+-]?\d+")
@@ -88,8 +88,7 @@ def _op_tensor(name: str, body: list, dim: int, p: int) -> np.ndarray:
             _fail(n, f"op {name!r} duplicates entry ({i}, {j}, {k})")
         seen.add((i, j, k))
         c[i, j, k] = v % p
-    c.flags.writeable = False  # reduced, so Algebra keeps it
-    return c
+    return _seal(c)  # reduced, so Algebra keeps it
 
 
 def _pmap(n: int, head: str, body: list, end: int, dim: int, p: int):

@@ -32,7 +32,7 @@ from .identities import (
     check_dias,
     check_leibniz,
 )
-from .scalars import _freeze
+from .scalars import _freeze, _seal
 
 MATRIX_DIM_BOUND = 96
 
@@ -77,7 +77,7 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
     """
     cl = D.structure("left")
     cr = D.structure("right")
-    bracket = (cl - cr.transpose(1, 0, 2)) % D.p
+    bracket = _seal((cl - cr.transpose(1, 0, 2)) % D.p)
     out = Algebra(D.p, D.dim, {"bracket": bracket, "left": cl, "right": cr},
                   {"frobenius": RightPowerPMap("right")},
                   label=f"dleib({D.label})" if D.label else "dleib")
@@ -152,8 +152,8 @@ def matrix_dialgebra(D: Algebra, n: int) -> Dialgebra:
     if dim > MATRIX_DIM_BOUND:
         raise UsageError(f"gl_{n} carrier has dim {dim} > bound {MATRIX_DIM_BOUND}")
     E = np.eye(n, dtype=np.int64)
-    ops = {name: np.einsum("im,jk,lq,abc->ijaklbmqc", E, E, E, D.structure(name))
-           .reshape(dim, dim, dim) for name in ("left", "right")}
+    ops = {name: _seal(np.einsum("im,jk,lq,abc->ijaklbmqc", E, E, E, D.structure(name))
+                       .reshape(dim, dim, dim)) for name in ("left", "right")}
     label = f"gl_{n}({D.label})" if D.label else f"gl_{n}"
     return Dialgebra(D.p, dim, ops, label=label)
 
@@ -196,7 +196,7 @@ def dialgebra_from_operator(A: Algebra, Dop, label=None) -> Dialgebra:
     return Dialgebra(
         p,
         A.dim,
-        {"left": cl, "right": cr},
+        {"left": _seal(cl), "right": _seal(cr)},
         label=(A.label + "+op" if A.label else "operator") if label is None else label,
     )
 

@@ -10,7 +10,7 @@ right action by x.
 Both checks run on stacks of matrices.  The identities are evaluated on
 every basis pair at once, with [e_i, e_j] read from the structure tensor;
 the p-power condition is the operator sweep that restricted algebras use
-(`identities._operator_failures`), fed with the module's `right_stack`.
+(`identities._operator_failures`), fed with the module's `right_action` stack.
 Module matrix products sum mdim terms, so the module dimension is bounded
 by the modulus as an algebra's dimension is.
 
@@ -62,7 +62,7 @@ from .identities import (
     check_leibniz,
     check_restricted_leibniz,
 )
-from .scalars import _freeze
+from .scalars import _freeze, _seal
 
 MODULE_AXIOMS = ("m_first", "m_middle", "m_last")
 
@@ -91,8 +91,7 @@ class LeibnizModule:
                 raise UsageError(
                     f"{name} must have shape {shape}, got {mats.shape}"
                 )
-            mats.flags.writeable = False  # fresh from % p, so not copied
-            _freeze(self, **{name: mats})
+            _freeze(self, **{name: _seal(mats)})  # fresh from % p, so not copied
 
     def right_stack(self, X: np.ndarray) -> np.ndarray:
         """(N, mdim, mdim) stack of the matrices of m -> [m, x], one per row x
@@ -160,8 +159,7 @@ def check_restricted_module(g: Algebra, M: LeibnizModule, pmap: str = "frobenius
     order are kept."""
     _require(check_module_axioms(g, M), "module identities fail")
     X, coverage = _grid(g, cap, seed, samples)
-    failures, found = _operator_failures(M.right_stack, M.mdim, g.p, X,
-                                         g.apply_pmap_batch(pmap, X))
+    failures, found = _operator_failures(M.right_action, g.p, X, g.apply_pmap_batch(pmap, X))
     witnesses = []
     _keep(witnesses, [(w.inputs, w.rhs, w.lhs) for w in found], Witness)
     return _report("restricted_module", witnesses, failures, coverage)

@@ -49,7 +49,7 @@ from .identities import (
     check_restricted_leibniz,
 )
 from .linalg import RowReducer
-from .scalars import _freeze, validate_prime
+from .scalars import _freeze, _seal, validate_prime
 
 BASIS_SIZE_BOUND = 20000
 
@@ -503,9 +503,8 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
         for k, c in row.items():
             projection[k, pc] = -c % p
         projection[pc, pc] = 0
-    projection.flags.writeable = False  # handed on read-only, so not copied
     return QuotientPresentation(
-        F, tuple(dense_rels), normal, projection, rr.rank, tuple(notes)
+        F, tuple(dense_rels), normal, _seal(projection), rr.rank, tuple(notes)
     )
 
 

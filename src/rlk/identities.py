@@ -18,10 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra_core import (
+    _BLOCK_ENTRIES,
     _CHUNK_ENTRIES,
     Algebra,
     Element,
     _basis_triples,
+    _matmul_mod,
+    _residue_dtype,
     _tup,
     jacobson_terms_batch,
     lie_basis_violation,
@@ -290,19 +293,26 @@ def _grid(alg: Algebra, cap, seed, samples):
     return X, Coverage("sampled", samples, seed)
 
 
-def _operator_failures(right_stack, m, p, X, PX, tag=()):
-    """(count, witnesses) of the rows x with r_x ** p != r_{f(x)}, f(x) the
-    same row of PX, where right_stack maps (N, dim) rows to their (N, m, m)
-    right operators; each witness's inputs are `tag` followed by x, and each
-    chunk keeps its first WITNESS_LIMIT failures in row order."""
-    witnesses, failures = [], 0
-    block = max(1, _CHUNK_ENTRIES // max(1, m * m))
-    for lo in range(0, X.shape[0], block):
-        Rp = stack_mat_pow(right_stack(X[lo:lo + block]), p, p)
-        Rf = right_stack(PX[lo:lo + block])
-        bad = np.argwhere((Rp != Rf).any(axis=(1, 2)))
-        failures += _keep(witnesses, bad, lambda n: Witness(
-            tag + (_tup(X[lo + n]),), Rp[n], Rf[n]), WITNESS_LIMIT)
+def _operator_failures(ops, p, X, PX, tag=()):
+    """(count, witnesses) of the rows x of X with r_x ** p != r_{f(x)}, f(x) the
+    row of PX (both reduced), r_x = sum_j x_j ops[j] for a reduced (k, m, m)
+    stack, run in _residue_dtype(max(k, m), p, N m**3) and _BLOCK_ENTRIES blocks.
+    Witnesses (tag + (x,), int64 sides): each _CHUNK_ENTRIES chunk's first 16."""
+    m, dtype = ops.shape[-1], _residue_dtype(max(ops.shape), p, len(X) * ops.shape[-1] ** 3)
+    T, witnesses, failures = ops.reshape(len(ops), m * m).astype(dtype), [], 0
+    chunk = max(1, _CHUNK_ENTRIES // max(1, m * m))
+    block = min(chunk, max(1, _BLOCK_ENTRIES // max(1, m * m)))
+    for start in range(0, X.shape[0], chunk):
+        kept, stop = len(witnesses), min(start + chunk, X.shape[0])
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            Rp, Rf = (_matmul_mod(V[lo:hi].astype(dtype), T, p).reshape(hi - lo, m, m)
+                      for V in (X, PX))
+            Rp = stack_mat_pow(Rp, p, p)
+            bad = np.argwhere((Rp != Rf).any(axis=(1, 2)))
+            failures += _keep(witnesses, bad, lambda n: Witness(
+                tag + (_tup(X[lo + n]),), Rp[n].astype(np.int64), Rf[n].astype(np.int64)),
+                WITNESS_LIMIT - (len(witnesses) - kept))
     return failures, witnesses
 
 
@@ -310,8 +320,7 @@ def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
     """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
     X, coverage = _grid(alg, cap, seed, samples)
     failures, witnesses = _operator_failures(
-        lambda rows: alg.right_mult_stack(op, rows), alg.dim, alg.p, X,
-        alg.apply_pmap_batch(pmap, X))
+        alg.structure(op).transpose(1, 2, 0), alg.p, X, alg.apply_pmap_batch(pmap, X))
     return _report(identity, witnesses, failures, coverage)
 
 
@@ -366,8 +375,8 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
                                             _tup(expect[n])), WITNESS_LIMIT)
 
     # axiom 2: operator condition
-    count, found = _operator_failures(lambda rows: alg.right_mult_stack(bracket, rows),
-                                      alg.dim, p, X, PX, ("axiom2",))
+    count, found = _operator_failures(alg.structure(bracket).transpose(1, 2, 0), p, X, PX,
+                                      ("axiom2",))
     failures += count
     witnesses += found
 

@@ -59,6 +59,7 @@ from .identities import (
     Coverage,
     Witness,
     _keep,
+    _operator_failures,
     _report,
     _require,
     check_leibniz,
@@ -66,7 +67,7 @@ from .identities import (
     check_restricted_lie,
     check_zinbiel,
 )
-from .scalars import inv_mod
+from .scalars import _seal, inv_mod
 
 import random
 
@@ -202,8 +203,8 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
     p = g.p
     cg = g.structure("bracket")
     cr = R.structure("zinbiel")
-    prelie = np.einsum("ikm,jln->ijklmn", cg, cr).reshape(pdim, pdim, pdim) % p
-    lie = (prelie - prelie.transpose(1, 0, 2)) % p
+    prelie = _seal(np.einsum("ikm,jln->ijklmn", cg, cr).reshape(pdim, pdim, pdim) % p)
+    lie = _seal((prelie - prelie.transpose(1, 0, 2)) % p)
     product = Algebra(
         p, pdim, {"prelie": prelie, "lie": lie},
         label=f"tensor({g.label},{R.label})",
@@ -280,9 +281,10 @@ def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
         ("power_factor", i, j), _tup(W[j]), R.zero()))
 
     X = A.sample_array(samples, random.Random(seed))
-    Rps = stack_mat_pow(A.right_mult_stack("prelie", X), p, p)
-    failures += _keep(witnesses, np.argwhere(Rps.any(axis=(1, 2))), lambda n: Witness(
-        ("sampled_operator", _tup(X[n])), Rps[n], np.zeros_like(Rps[n])))
+    failed, found = _operator_failures(A.structure("prelie").transpose(1, 2, 0), p, X,
+                                       np.zeros_like(X), ("sampled_operator",))
+    failures += failed
+    _keep(witnesses, [(w.inputs, w.lhs, w.rhs) for w in found], Witness)
     count = g.dim ** 3 + g.dim ** 2 + A.dim + g.dim * R.dim + samples
 
     notes = (

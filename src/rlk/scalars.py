@@ -12,6 +12,7 @@ lambda_poly_bracket stay only because perfbench/tracer.py patches them by name.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,14 +21,29 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 
+# id -> weakref of each array _seal made; numpy cannot tell if views are writable
+_SEALED = {}
+
+
+def _seal(a: np.ndarray) -> np.ndarray:
+    """`a` (copied if a view) read-only and marked: no writable alias exists."""
+    a = a if a.base is None else a.copy()
+    a.flags.writeable = False
+    _SEALED[id(a)] = weakref.ref(a, lambda _, key=id(a): _SEALED.pop(key, None))
+    return a
+
+
+def _sealed(a: np.ndarray) -> bool:
+    return (ref := _SEALED.get(id(a))) is not None and ref() is a and not a.flags.writeable
+
+
 def _freeze(obj, **fields) -> None:
     """Set fields of a frozen dataclass from its __post_init__.  An array is
-    stored read-only, copied first if writable or a view, so no caller keeps a
+    stored sealed, copied first unless _seal made it, so no caller keeps a
     writable alias.  It lives below algebra_core, so no import makes a cycle."""
     for name, value in fields.items():
-        if isinstance(value, np.ndarray) and (value.flags.writeable or value.base is not None):
-            value = value.copy()
-            value.flags.writeable = False
+        if isinstance(value, np.ndarray) and not _sealed(value):
+            value = _seal(value.copy())
         object.__setattr__(obj, name, value)
 
 

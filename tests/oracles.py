@@ -340,3 +340,36 @@ def rewrite_words_fixed_point(words, rules):
         if not dead:
             normal.add(current)
     return normal
+
+
+def operator_sweep_report(identity, ops, p, rows, values, chunk_rows, coverage,
+                          tag=(), swap=False, limit=16):
+    """CheckReport.to_dict() of an operator sweep, by loops.  A row x fails
+    when r_x**p differs from r_{f(x)}, where f(x) is the same row of `values`
+    and r_x = sum_j x_j ops[j] for m x m matrices ops[j].  Each chunk of
+    `chunk_rows` rows keeps its first `limit` failing rows in row order as
+    witnesses (tag + (x,), r_x**p, r_{f(x)}), the two sides exchanged when
+    `swap`; the report sorts them by the repr of their inputs and keeps
+    `limit`.  `coverage` is the coverage dict the report must carry."""
+    m = len(ops[0]) if ops else 0
+
+    def operator(x):
+        return [[sum(a * ops[j][r][s] for j, a in enumerate(x)) % p for s in range(m)]
+                for r in range(m)]
+
+    failures, kept = 0, []
+    for start in range(0, len(rows), chunk_rows):
+        found = 0
+        for x, fx in zip(rows[start:start + chunk_rows], values[start:start + chunk_rows]):
+            lhs, rhs = square_multiply_mat_pow(operator(x), p, p), operator(fx)
+            if lhs != rhs:
+                failures += 1
+                found += 1
+                if found <= limit:
+                    kept.append((tuple(tag) + (tuple(x),), *((rhs, lhs) if swap else (lhs, rhs))))
+    kept.sort(key=lambda w: tuple(repr(part) for part in w[0]))
+    witnesses = [{"inputs": [list(part) if isinstance(part, tuple) else part for part in inputs],
+                  "lhs": lhs, "rhs": rhs} for inputs, lhs, rhs in kept[:limit]]
+    return {"identity": identity, "status": "fail" if failures else "pass",
+            "failure_count": failures, "witnesses": witnesses, "coverage": coverage,
+            "notes": []}

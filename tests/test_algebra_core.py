@@ -23,15 +23,19 @@ from rlk.algebra_core import (
     stack_mat_pow,
 )
 from rlk.dialgebra import as_dialgebra, dialgebra_from_operator, dleib, sweep_lemdias
-from rlk.envelope import LeibnizModule, adjoint_module, check_module_axioms
+from rlk import identities
+from rlk.envelope import (LeibnizModule, adjoint_module, check_module_axioms,
+                          check_restricted_module)
 from rlk.errors import UsageError
 from rlk.free_structures import free_zinbiel
-from rlk.identities import WITNESS_LIMIT, Witness, check_dias, check_leibniz
+from rlk.identities import (WITNESS_LIMIT, Witness, check_dias, check_leibniz,
+                            check_restricted_leibniz)
 from rlk.prelie_tensor import TensorAlgebraHandle, check_tensor_restricted, tensor_prelie
 
 from helpers import all_elements, l2, matrix_assoc, random_structure, truncated_poly
 from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
-                     naive_trilinear_sides, square_multiply_mat_pow, trial_division_is_prime)
+                     naive_trilinear_sides, operator_sweep_report, square_multiply_mat_pow,
+                     trial_division_is_prime)
 
 
 def test_l2_multiply_example() -> None:
@@ -847,6 +851,103 @@ def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch)
         with pytest.raises(UsageError) as err:
             dialgebra_from_operator(A, np.array(Dop))
         assert str(err.value) == _naive_operator_rejection(assoc, Dop, p)
+
+
+class _NearTopPMap:
+    """x -> (p - 1 - x_j % 8)_j: p-map values next to p - 1 whatever x is."""
+
+    def apply_batch(self, alg, X):
+        return alg.p - 1 - X % 8
+
+    def validate(self, alg):
+        pass
+
+
+def _restricted_sweep_inputs(dim, p, rng):
+    """[(algebra, {pmap name: (p-map, its value on a list x)})] for the
+    operator-sweep exactness test: the commutator of an associative algebra
+    in a dense random basis (the row of 2x2 matrices at dim 2, M_2 at dim 4),
+    restricted with x -> x**p and failing with x -> x*x; and the Leibniz
+    bracket [x, y] = s(x) s(y) v with s the coordinate sum and
+    v = (p - 1, ..., p - 1, dim - 1), so s(v) = 0 and r_x**2 = 0, whose
+    structure constants sit at p - 1: restricted with the zero map and
+    failing with p-map values next to p - 1, so its sums reach the bound."""
+    if dim == 2:
+        assoc0 = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]  # E11 E11 = E11, E11 E12 = E12
+    else:
+        assoc0 = matrix_assoc(2, 2).structure("assoc").tolist()
+    P, Q = _dense_basis(dim, p, rng)
+    assoc = _in_basis(assoc0, P, Q, p)
+    lie = [[[(a - b) % p for a, b in zip(assoc[i][j], assoc[j][i])] for j in range(dim)]
+           for i in range(dim)]
+
+    def power(x):
+        R = [[sum(x[j] * assoc[i][j][k] for j in range(dim)) % p for i in range(dim)]
+             for k in range(dim)]
+        return [sum(a * b for a, b in zip(row, x)) % p
+                for row in square_multiply_mat_pow(R, p - 1, p)]
+
+    v = [p - 1] * (dim - 1) + [dim - 1]
+    rank_one = [[list(v) for _ in range(dim)] for _ in range(dim)]
+    return [
+        (Algebra(p, dim, {"bracket": np.array(lie), "assoc": np.array(assoc)}),
+         {"frobenius": (MatrixPowerPMap(), power),
+          "square": (RightPowerPMap("assoc", 2),
+                     lambda x: list(naive_multiply(assoc, x, x, p)))}),
+        (Algebra(p, dim, {"bracket": np.array(rank_one)}),
+         {"zero": (ZeroPMap(), lambda x: [0] * dim),
+          "near_top": (_NearTopPMap(), lambda x: [p - 1 - a % 8 for a in x])}),
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
+    """check_restricted_leibniz, check_restricted_module on the adjoint
+    module, and the axiom-2 sweep of check_restricted_lie against loops, at
+    the primes of the kernel test: the largest prime the modulus bound
+    admits, and the primes on both sides of 2**53 and of 2**24, where the
+    sweep's residues change dtype.  Every report must be the loop oracle's,
+    passing on the restricted p-maps and failing on the others.  The axiom-2
+    sweep is called as check_restricted_lie calls it, since the whole check
+    takes p - 1 rounds per scalar and per Jacobson term.  A float32 product
+    past 2**24 (or float64 past 2**53) gets some of them wrong.  Sweeps this
+    small stay in int64 under the small-product cut, so the cut is set to 0
+    here, as in the kernel test."""
+    monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
+    rng = random.Random(f"operator-bound-{dim}")
+    samples, seed = 6, 3
+    for p in _bound_primes(dim, rng):
+        draw = random.Random(seed)
+        rows = [[draw.randrange(p) for _ in range(dim)] for _ in range(samples)]
+        coverage = {"kind": "sampled", "count": samples, "seed": seed}
+        for g, pmaps in _restricted_sweep_inputs(dim, p, rng):
+            g = g.extended(pmaps={name: pm for name, (pm, _) in pmaps.items()})
+            c = g.structure("bracket").tolist()
+            ops = [[[c[i][j][k] for i in range(dim)] for k in range(dim)] for j in range(dim)]
+            statuses = []
+            for name, (_, value) in pmaps.items():
+                values = [value(x) for x in rows]
+                want = operator_sweep_report("restricted_leibniz", ops, p, rows, values,
+                                             samples, coverage)
+                rep = check_restricted_leibniz(g, name, seed=seed, samples=samples)
+                assert rep.to_dict() == want, (p, name)
+                statuses.append(rep.status)
+                rep = check_restricted_module(g, adjoint_module(g), name, seed=seed,
+                                              samples=samples)
+                assert rep.to_dict() == operator_sweep_report(
+                    "restricted_module", ops, p, rows, values, samples, coverage,
+                    swap=True), (p, name)
+                if "assoc" in g.ops:  # a Lie bracket
+                    X = np.array(rows, dtype=np.int64)
+                    count, found = identities._operator_failures(
+                        g.structure("bracket").transpose(1, 2, 0), p, X,
+                        g.apply_pmap_batch(name, X), ("axiom2",))
+                    got = identities._report("restricted_leibniz", found, count,
+                                             identities.Coverage("sampled", samples, seed))
+                    assert got.to_dict() == operator_sweep_report(
+                        "restricted_leibniz", ops, p, rows, values, samples, coverage,
+                        ("axiom2",)), (p, name)
+            assert statuses == ["pass", "fail"], p
 
 
 def _naive_tensor_restricted(T, p, seed, samples):

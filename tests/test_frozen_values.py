@@ -204,6 +204,31 @@ def test_read_only_reduced_tensors_are_shared_and_others_copied() -> None:
     assert Algebra(3, 2, {"assoc": writable}).structure("assoc")[0, 0, 0] == 2
 
 
+def test_a_writable_view_taken_before_read_only_does_not_reach_a_value() -> None:
+    """A read-only array that rlk did not make itself may have writable views
+    taken before it was made read-only, so a value copies it: writing
+    through such a view leaves the checked algebra and the presentation as
+    they were.  Tensors rlk builds and reduces itself are kept as they are."""
+    a = np.zeros((2, 2, 2), dtype=np.int64)
+    v = a[:]
+    a.flags.writeable = False
+    alg = Algebra(3, 2, {"x": a})
+    v[0, 0, 0] = 7
+    assert alg.structure("x") is not a and alg.structure("x")[0, 0, 0] == 0
+
+    pres = ulp_truncated(l2(2), d=2)
+    b = pres.projection.copy()
+    w = b[:]
+    b.flags.writeable = False
+    replaced = dataclasses.replace(pres, projection=b)
+    w[0, 0] = 5
+    assert replaced.projection[0, 0] == pres.projection[0, 0] != 5
+
+    h = dleib(as_dialgebra(truncated_poly(3, 2)))
+    assert Algebra(3, 2, dict(h.ops)).structure("bracket") is h.structure("bracket")
+    assert h.extended().structure("left") is h.structure("left")
+
+
 def _with_function(node, fn=None):
     """Every node under `node`, with the name of the innermost function
     around it (None at module level)."""

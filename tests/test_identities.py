@@ -3,11 +3,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rlk import algebra_core, identities
 from rlk.algebra_core import Algebra, MatrixPowerPMap, RightPowerPMap, TablePMap, ZeroPMap
+from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
 from rlk.errors import UsageError
 from rlk.identities import (
     check_dias,
@@ -27,9 +30,12 @@ from helpers import (
     associative_suite,
     commutator_tensor,
     l2,
+    l2_dialgebra,
     matrix_assoc,
     truncated_poly,
+    upper_triangular2,
 )
+from oracles import operator_sweep_report
 
 
 def as_dialgebra_ops(alg, op="assoc"):
@@ -304,3 +310,83 @@ def test_dleib_jacobson_single_and_sweep() -> None:
             rep = sweep_dleib_jacobson(D, samples=150, seed=11)
             assert rep.ok()
             assert rep.coverage.count == 150
+
+
+def _planted(alg, seed):
+    """alg with a TablePMap "planted" of random values, which fails the
+    operator condition on most elements."""
+    rng = random.Random(seed)
+    table = {x: tuple(rng.randrange(alg.p) for _ in x)
+             for x in itertools.product(range(alg.p), repeat=alg.dim)}
+    return alg.extended(pmaps={"planted": TablePMap(table)}), table
+
+
+@pytest.mark.parametrize("kind", ["exhaustive", "sampled"])
+def test_operator_sweep_report_does_not_depend_on_the_block_split(kind, monkeypatch) -> None:
+    """check_restricted_leibniz with a planted p-map, on all 81 elements of
+    dleib(M_2(F_3)) and on 160 sampled elements of dleib(ut_2(F_11)), where
+    the repr order of the witnesses is not their row order, so which rows a
+    chunk keeps shows in the report.  With the default constants the grid
+    is one chunk; with chunks of 20 rows the whole report is the loop
+    oracle's for that rule (more than 16 failing rows) whether a compute
+    block holds 7 rows, 1 row, or more rows than the grid, which the chunk
+    then bounds.  Witness sides are int64, so the JSON holds no float."""
+    if kind == "exhaustive":
+        base, seed, samples, cap = dleib(as_dialgebra(matrix_assoc(3, 2))), 0, 0, None
+    else:
+        base, seed, samples, cap = dleib(as_dialgebra(upper_triangular2(11))), 5, 160, 100
+    alg, table = _planted(base, f"planted-{kind}")
+    p, d = alg.p, alg.dim
+    if kind == "exhaustive":
+        rows = [list(x) for x in itertools.product(range(p), repeat=d)]
+        coverage = {"kind": "exhaustive", "count": len(rows)}
+    else:
+        rng = random.Random(seed)
+        rows = [[rng.randrange(p) for _ in range(d)] for _ in range(samples)]
+        coverage = {"kind": "sampled", "count": samples, "seed": seed}
+    c = alg.structure("bracket").tolist()
+    ops = [[[c[i][j][k] for i in range(d)] for k in range(d)] for j in range(d)]
+    values = [table[tuple(x)] for x in rows]
+    assert identities._residue_dtype(d, p, len(rows) * d ** 3) is np.float32  # the float path
+
+    def report():
+        rep = check_restricted_leibniz(alg, "planted", cap=cap, seed=seed, samples=samples)
+        assert all(w.lhs.dtype == w.rhs.dtype == np.int64 for w in rep.witnesses)
+        assert "." not in json.dumps(rep.to_dict()["witnesses"])
+        return rep.to_dict()
+
+    whole = operator_sweep_report("restricted_leibniz", ops, p, rows, values, len(rows),
+                                  coverage)
+    assert report() == whole
+    monkeypatch.setattr(identities, "_CHUNK_ENTRIES", 20 * d * d)
+    want = operator_sweep_report("restricted_leibniz", ops, p, rows, values, 20, coverage)
+    assert want["failure_count"] > 16
+    # on the sampled grid a later chunk's witness sorts first by repr; on the
+    # exhaustive grid repr order is row order, so the chunks keep the same 16
+    assert (want != whole) == (kind == "sampled")
+    for block in (7 * d * d, 1, 2 * len(rows) * d * d):
+        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", block)
+        assert report() == want, block
+
+
+@pytest.mark.parametrize("make", [lambda: matrix_dialgebra(l2_dialgebra(3), 2),
+                                  lambda: matrix_dialgebra(as_dialgebra(upper_triangular2(2)), 2)],
+                         ids=["gl2(l2dias)/F3", "gl2(ut2)/F2"])
+def test_restricted_sweep_memory_fits_grid_values_and_blocks(make) -> None:
+    """What check_restricted_leibniz holds at its peak on dleib of a dim-8
+    and a dim-12 matrix dialgebra (6,561 and 4,096 elements) fits four
+    (N, dim) int64 arrays (the grid, the p-map values and the two reduced
+    copies the p-map makes of the grid), sixteen blocks of _BLOCK_ENTRIES
+    int64 entries and a fixed allowance.  Holding a whole chunk of
+    _CHUNK_ENTRIES operators at once overshoots that twice over."""
+    alg = dleib(make())
+    grid = alg.element_count() * alg.dim * 8
+    bound = 4 * grid + 16 * 8 * algebra_core._BLOCK_ENTRIES + (1 << 16)
+    tracemalloc.start()
+    try:
+        rep = check_restricted_leibniz(alg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok() and rep.coverage.count == alg.element_count()
+    assert peak - held <= bound, (peak - held, bound)
