@@ -87,6 +87,21 @@ def _residue_dtype(k: int, p: int, work: int):
     return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
 
 
+def _blocks(m: int, table: int) -> tuple:
+    """(chunk, block): rows of m x m operators that fit _CHUNK_ENTRIES and _BLOCK_ENTRIES,
+    but a block is the chunk if the operator table of `table` entries overflows a block."""
+    size = max(1, m * m)
+    chunk = max(1, _CHUNK_ENTRIES // size)
+    return chunk, chunk if table > _BLOCK_ENTRIES else max(1, min(chunk, _BLOCK_ENTRIES // size))
+
+
+def operator_stack(ops: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
+    """(N, m, m) stack of sum_j x_j ops[j] mod p, one per row x of a reduced
+    (N, k) array X, for a reduced (k, m, m) stack ops; in X's dtype if float."""
+    k, m, _ = ops.shape
+    return _matmul_mod(X, ops.reshape(k, m * m), p).reshape(len(X), m, m)
+
+
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """np.matmul(A, B) % p for reduced operands whose sums stay below
     _check_modulus_bound's 2**62, in A's dtype: int64, or a float dtype that
@@ -102,10 +117,9 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     floor(x/p) + 1, and half an ulp of x/p is at most (x/p) / 2**m < 1/p, so
     fl(x/p) (true division, not a multiply by 1/p) has the same floor; the
     product and difference that follow are integers below 2**m, exact too."""
-    if A.dtype.kind == "f":
-        dtype = A.dtype.type
-    elif B.shape[-1] == 1 or (
-            dtype := _residue_dtype(A.shape[-1], p, A.size * B.shape[-1])) is np.int64:
+    dtype = (A.dtype.type if A.dtype.kind == "f" else np.int64 if B.shape[-1] == 1
+             else _residue_dtype(A.shape[-1], p, A.size * B.shape[-1]))
+    if dtype is np.int64:
         res = np.matmul(A, B)
         res %= p
         return res
@@ -400,23 +414,20 @@ class Algebra:
         return _matmul_mod(R, (X % self.p)[..., None], self.p)[..., 0]
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
-        """Row-wise n-fold right powers (((x*x)*x)...*x) = r_x**(n-1) x, n >= 1,
-        of an (N, dim) array, r_x built once for each block of _BLOCK_ENTRIES:
-        n - 1 int64 mat-vecs, or past _MATVEC_POWERS one mat-vec by
-        r_x**(n-1) from stack_mat_pow (under 2 log2(n) products)."""
-        V = X % self.p
-        out = np.empty_like(V)
-        block = max(1, min(_CHUNK_ENTRIES, _BLOCK_ENTRIES) // max(1, self.dim ** 2))
-        for lo in range(0, len(V), block):
+        """Row-wise n-fold right powers r_x**(n-1) x, n >= 1, of an (N, dim) array, per _blocks
+        block: n - 1 int64 mat-vecs, or past _MATVEC_POWERS one by stack_mat_pow's r_x**(n-1)."""
+        p, d, V = self.p, self.dim, X % self.p
+        block = _blocks(d, d ** 3)[1]
+        T = self.right_ops(op).astype(_residue_dtype(d, p, min(len(V), block) * d ** 3), order="C")
+        for lo in range(0, len(V) if n > 1 else 0, block):
             v = V[lo:lo + block]
-            if n > 1:
-                R, steps = self.right_mult_stack(op, v), n - 1
-                if steps > _MATVEC_POWERS:
-                    R, steps = stack_mat_pow(R, steps, self.p), 1
-                for _ in range(steps):
-                    v = _matmul_mod(R, v[..., None], self.p)[..., 0]
-            out[lo:lo + block] = v
-        return out
+            R, steps = operator_stack(T, v.astype(T.dtype), p).astype(np.int64), n - 1
+            if steps > _MATVEC_POWERS:
+                R, steps = stack_mat_pow(R, steps, p), 1
+            for _ in range(steps):
+                v = _matmul_mod(R, v[..., None], p)[..., 0]
+            V[lo:lo + block] = v
+        return V
 
     def right_mult_matrix(self, op: str, x: Element) -> np.ndarray:
         """Matrix of y -> y * x; column i is e_i * x."""
@@ -426,16 +437,16 @@ class Algebra:
         """Matrix of y -> x * y; column j is x * e_j."""
         return self._one_row(self.left_mult_stack, op, x)
 
+    def right_ops(self, op: str) -> np.ndarray:
+        """Read-only (dim, dim, dim) stack of the r_{e_j}: r_x = sum_j x_j right_ops[j]."""
+        return self.structure(op).transpose(1, 2, 0)  # [j, k, i] = c_ij^k
+
     def right_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
         """(N, dim, dim) stack of right-multiplication matrices."""
-        p, d = self.p, self.dim
-        c = self.structure(op).transpose(1, 2, 0).reshape(d, d * d)  # (j, ki)
-        return _matmul_mod(X % p, c, p).reshape(len(X), d, d)
+        return operator_stack(self.right_ops(op), X % self.p, self.p)
 
     def left_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
-        p, d = self.p, self.dim
-        c = self.structure(op).transpose(0, 2, 1).reshape(d, d * d)  # (i, kj)
-        return _matmul_mod(X % p, c, p).reshape(len(X), d, d)
+        return operator_stack(self.structure(op).transpose(0, 2, 1), X % self.p, self.p)
 
     # -- p-maps -------------------------------------------------------------
 

@@ -119,9 +119,7 @@ def sweep_lemdias(D: Algebra, nmax=None) -> CheckReport:
     if nmax is None:
         nmax = D.p + 1
     p, d = D.p, D.dim
-    eye = np.eye(d, dtype=np.int64)
-    VL = eye.copy()
-    VR = eye.copy()
+    VL = VR = eye = np.eye(d, dtype=np.int64)
     witnesses, failures = [], 0
     for n in range(1, nmax + 1):
         if n > 1:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Algebra, _check_modulus_bound, _matmul_mod, _tup
+from .algebra_core import Algebra, _check_modulus_bound, _matmul_mod, _tup, operator_stack
 from .errors import UsageError
 from .free_structures import (
     QuotientPresentation,
@@ -94,19 +94,14 @@ class LeibnizModule:
             _freeze(self, **{name: _seal(mats)})  # fresh from % p, so not copied
 
     def right_stack(self, X: np.ndarray) -> np.ndarray:
-        """(N, mdim, mdim) stack of the matrices of m -> [m, x], one per row x
-        of the (N, dim) coefficient array X."""
-        p, m = self.over.p, self.mdim
-        A = self.right_action.reshape(self.over.dim, m * m)
-        return _matmul_mod(X % p, A, p).reshape(len(X), m, m)
+        """(N, mdim, mdim) stack of the matrices of m -> [m, x], one per row x of X."""
+        return operator_stack(self.right_action, X % self.over.p, self.over.p)
 
 
 def adjoint_module(g: Algebra) -> LeibnizModule:
     """g acting on itself: left_action[i] = [e_i, -], right_action[i] = [-, e_i]."""
-    c = g.structure("bracket")
-    left = np.transpose(c, (0, 2, 1)) % g.p
-    right = np.transpose(c, (1, 2, 0)) % g.p
-    return LeibnizModule(g, g.dim, left, right, label=f"adjoint({g.label})")
+    left = g.structure("bracket").transpose(0, 2, 1)
+    return LeibnizModule(g, g.dim, left, g.right_ops("bracket"), label=f"adjoint({g.label})")
 
 
 def zero_module(g: Algebra, mdim: int) -> LeibnizModule:
@@ -134,7 +129,7 @@ def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
     for lo in range(0, n * n, block):
         I, J = np.divmod(np.arange(lo, min(lo + block, n * n)), n)
         br = brackets[lo:lo + block]
-        Lbr = _matmul_mod(br, L.reshape(n, M.mdim ** 2), p).reshape(len(br), M.mdim, M.mdim)
+        Lbr = operator_stack(L, br, p)
         Rbr = M.right_stack(br)
         Li, Ri, Lj, Rj = L[I], R[I], L[J], R[J]
         RjLi = _matmul_mod(Rj, Li, p)

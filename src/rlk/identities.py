@@ -18,16 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra_core import (
-    _BLOCK_ENTRIES,
     _CHUNK_ENTRIES,
     Algebra,
     Element,
     _basis_triples,
-    _matmul_mod,
+    _blocks,
     _residue_dtype,
     _tup,
     jacobson_terms_batch,
     lie_basis_violation,
+    operator_stack,
     stack_mat_pow,
 )
 from .errors import UsageError
@@ -294,19 +294,17 @@ def _grid(alg: Algebra, cap, seed, samples):
 
 
 def _operator_failures(ops, p, X, PX, tag=()):
-    """(count, witnesses) of the rows x of X with r_x ** p != r_{f(x)}, f(x) the
-    row of PX (both reduced), r_x = sum_j x_j ops[j] for a reduced (k, m, m)
-    stack, run in _residue_dtype(max(k, m), p, N m**3) and _BLOCK_ENTRIES blocks.
-    Witnesses (tag + (x,), int64 sides): each _CHUNK_ENTRIES chunk's first 16."""
-    m, dtype = ops.shape[-1], _residue_dtype(max(ops.shape), p, len(X) * ops.shape[-1] ** 3)
-    T, witnesses, failures = ops.reshape(len(ops), m * m).astype(dtype), [], 0
-    chunk = max(1, _CHUNK_ENTRIES // max(1, m * m))
-    block = min(chunk, max(1, _BLOCK_ENTRIES // max(1, m * m)))
+    """(count, witnesses) of rows x of X with r_x**p != r_{f(x)}, f(x) the row of PX and r_x =
+    sum_j x_j ops[j] for a reduced (k, m, m) stack, each _blocks block reduced as it is cast to
+    _residue_dtype(max(k, m), p, N m**3); a chunk keeps its first 16 witnesses, int64 sides."""
+    k, m, _ = ops.shape
+    T = ops.astype(_residue_dtype(max(k, m), p, len(X) * m ** 3), order="C")
+    (chunk, block), witnesses, failures = _blocks(m, T.size), [], 0
     for start in range(0, X.shape[0], chunk):
         kept, stop = len(witnesses), min(start + chunk, X.shape[0])
         for lo in range(start, stop, block):
             hi = min(lo + block, stop)
-            Rp, Rf = (_matmul_mod(V[lo:hi].astype(dtype), T, p).reshape(hi - lo, m, m)
+            Rp, Rf = (operator_stack(T, (V[lo:hi] % p).astype(T.dtype, copy=False), p)
                       for V in (X, PX))
             Rp = stack_mat_pow(Rp, p, p)
             bad = np.argwhere((Rp != Rf).any(axis=(1, 2)))
@@ -320,7 +318,7 @@ def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
     """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
     X, coverage = _grid(alg, cap, seed, samples)
     failures, witnesses = _operator_failures(
-        alg.structure(op).transpose(1, 2, 0), alg.p, X, alg.apply_pmap_batch(pmap, X))
+        alg.right_ops(op), alg.p, X, alg.apply_pmap_batch(pmap, X))
     return _report(identity, witnesses, failures, coverage)
 
 
@@ -375,8 +373,7 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
                                             _tup(expect[n])), WITNESS_LIMIT)
 
     # axiom 2: operator condition
-    count, found = _operator_failures(alg.structure(bracket).transpose(1, 2, 0), p, X, PX,
-                                      ("axiom2",))
+    count, found = _operator_failures(alg.right_ops(bracket), p, X, PX, ("axiom2",))
     failures += count
     witnesses += found
 

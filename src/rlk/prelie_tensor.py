@@ -270,7 +270,7 @@ def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
     failures += _keep(witnesses, np.argwhere(sq.any(axis=2)), lambda k, i: Witness(
         ("inner_square", int(k), int(i)), _tup(sq[k, i]), g.zero()))
 
-    Rp = stack_mat_pow(A.right_mult_stack("prelie", np.eye(A.dim, dtype=np.int64)), p, p)
+    Rp = stack_mat_pow(A.right_ops("prelie"), p, p)  # r_{e_u}**p
     failures += _keep(witnesses, np.argwhere(Rp.any(axis=(1, 2))), lambda u: Witness(
         ("basis_operator", int(u)), Rp[u], np.zeros_like(Rp[u])))
 
@@ -281,8 +281,8 @@ def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
         ("power_factor", i, j), _tup(W[j]), R.zero()))
 
     X = A.sample_array(samples, random.Random(seed))
-    failed, found = _operator_failures(A.structure("prelie").transpose(1, 2, 0), p, X,
-                                       np.zeros_like(X), ("sampled_operator",))
+    failed, found = _operator_failures(A.right_ops("prelie"), p, X, np.zeros_like(X),
+                                       ("sampled_operator",))
     failures += failed
     _keep(witnesses, [(w.inputs, w.lhs, w.rhs) for w in found], Witness)
     count = g.dim ** 3 + g.dim ** 2 + A.dim + g.dim * R.dim + samples

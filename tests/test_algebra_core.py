@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import math
 import random
@@ -863,6 +864,19 @@ class _NearTopPMap:
         pass
 
 
+@dataclasses.dataclass(frozen=True)
+class _ShiftedPMap:
+    """The values of `pmap` plus p, in [p, 2p): the same residues, unreduced."""
+
+    pmap: object
+
+    def apply_batch(self, alg, X):
+        return self.pmap.apply_batch(alg, X) + alg.p
+
+    def validate(self, alg):
+        self.pmap.validate(alg)
+
+
 def _restricted_sweep_inputs(dim, p, rng):
     """[(algebra, {pmap name: (p-map, its value on a list x)})] for the
     operator-sweep exactness test: the commutator of an associative algebra
@@ -907,7 +921,8 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
     the primes of the kernel test: the largest prime the modulus bound
     admits, and the primes on both sides of 2**53 and of 2**24, where the
     sweep's residues change dtype.  Every report must be the loop oracle's,
-    passing on the restricted p-maps and failing on the others.  The axiom-2
+    passing on the restricted p-maps and failing on the others, also when p
+    is added to every p-map value, which the sweep must reduce.  The axiom-2
     sweep is called as check_restricted_lie calls it, since the whole check
     takes p - 1 rounds per scalar and per Jacobson term.  A float32 product
     past 2**24 (or float64 past 2**53) gets some of them wrong.  Sweeps this
@@ -921,6 +936,8 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
         rows = [[draw.randrange(p) for _ in range(dim)] for _ in range(samples)]
         coverage = {"kind": "sampled", "count": samples, "seed": seed}
         for g, pmaps in _restricted_sweep_inputs(dim, p, rng):
+            pmaps.update({f"{name}+p": (_ShiftedPMap(pm), value)
+                          for name, (pm, value) in list(pmaps.items())})
             g = g.extended(pmaps={name: pm for name, (pm, _) in pmaps.items()})
             c = g.structure("bracket").tolist()
             ops = [[[c[i][j][k] for i in range(dim)] for k in range(dim)] for j in range(dim)]
@@ -940,14 +957,13 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
                 if "assoc" in g.ops:  # a Lie bracket
                     X = np.array(rows, dtype=np.int64)
                     count, found = identities._operator_failures(
-                        g.structure("bracket").transpose(1, 2, 0), p, X,
-                        g.apply_pmap_batch(name, X), ("axiom2",))
+                        g.right_ops("bracket"), p, X, g.apply_pmap_batch(name, X), ("axiom2",))
                     got = identities._report("restricted_leibniz", found, count,
                                              identities.Coverage("sampled", samples, seed))
                     assert got.to_dict() == operator_sweep_report(
                         "restricted_leibniz", ops, p, rows, values, samples, coverage,
                         ("axiom2",)), (p, name)
-            assert statuses == ["pass", "fail"], p
+            assert statuses == ["pass", "fail", "pass", "fail"], p
 
 
 def _naive_tensor_restricted(T, p, seed, samples):

@@ -32,6 +32,7 @@ from helpers import (
     l2,
     l2_dialgebra,
     matrix_assoc,
+    random_structure,
     truncated_poly,
     upper_triangular2,
 )
@@ -329,8 +330,10 @@ def test_operator_sweep_report_does_not_depend_on_the_block_split(kind, monkeypa
     chunk keeps shows in the report.  With the default constants the grid
     is one chunk; with chunks of 20 rows the whole report is the loop
     oracle's for that rule (more than 16 failing rows) whether a compute
-    block holds 7 rows, 1 row, or more rows than the grid, which the chunk
-    then bounds.  Witness sides are int64, so the JSON holds no float."""
+    block holds 7 rows, dim rows (the operator table just fits the budget),
+    the whole chunk (a budget of 1 entry, which the table overflows), or more
+    rows than the grid, which the chunk then bounds.  Witness sides are
+    int64, so the JSON holds no float."""
     if kind == "exhaustive":
         base, seed, samples, cap = dleib(as_dialgebra(matrix_assoc(3, 2))), 0, 0, None
     else:
@@ -358,15 +361,41 @@ def test_operator_sweep_report_does_not_depend_on_the_block_split(kind, monkeypa
     whole = operator_sweep_report("restricted_leibniz", ops, p, rows, values, len(rows),
                                   coverage)
     assert report() == whole
-    monkeypatch.setattr(identities, "_CHUNK_ENTRIES", 20 * d * d)
+    monkeypatch.setattr(algebra_core, "_CHUNK_ENTRIES", 20 * d * d)
     want = operator_sweep_report("restricted_leibniz", ops, p, rows, values, 20, coverage)
     assert want["failure_count"] > 16
     # on the sampled grid a later chunk's witness sorts first by repr; on the
     # exhaustive grid repr order is row order, so the chunks keep the same 16
     assert (want != whole) == (kind == "sampled")
-    for block in (7 * d * d, 1, 2 * len(rows) * d * d):
-        monkeypatch.setattr(identities, "_BLOCK_ENTRIES", block)
+    for block in (7 * d * d, d ** 3, 1, 2 * len(rows) * d * d):
+        monkeypatch.setattr(algebra_core, "_BLOCK_ENTRIES", block)
         assert report() == want, block
+
+
+@pytest.mark.parametrize("dim, rows, block", [(8, 6561, 512), (40, 100, 100)])
+def test_operator_blocks_span_the_chunk_once_the_table_overflows_a_block(
+        dim, rows, block, monkeypatch) -> None:
+    """The p-map values (right_power_batch) and the operator sweep build r_x
+    once per compute block.  At dim 8 the (8, 8, 8) operator table fits
+    _BLOCK_ENTRIES, so the 6,561 elements go in blocks of 2**15 // 8**2 = 512
+    rows.  At dim 40 the table (64,000 entries) overflows it, so a block is
+    the whole chunk and the table is read once for 100 sampled rows, not
+    once for each block of 2**15 // 40**2 = 20 rows."""
+    rng = random.Random(f"blocks-{dim}")
+    alg = Algebra(3, dim, {"bracket": random_structure(3, dim, rng)},
+                  {"frobenius": RightPowerPMap("bracket")})
+    built, real = [], algebra_core.operator_stack
+
+    def counted(ops, X, p):
+        built.append(len(X))
+        return real(ops, X, p)
+
+    monkeypatch.setattr(algebra_core, "operator_stack", counted)
+    monkeypatch.setattr(identities, "operator_stack", counted)
+    rep = identities._operator_condition_sweep(alg, "bracket", "frobenius",
+                                               "restricted_leibniz", None, 0, rows)
+    assert rep.coverage.count == rows
+    assert max(built) == block and sum(built) == 3 * rows  # the p-map, then r_x and r_{f(x)}
 
 
 @pytest.mark.parametrize("make", [lambda: matrix_dialgebra(l2_dialgebra(3), 2),
