@@ -41,7 +41,6 @@ from .dialgebra import (
 )
 from .free_structures import (
     GradedBasisAlgebra,
-    OverflowProbe,
     QuotientPresentation,
     check_dias_free,
     check_ud_unit,

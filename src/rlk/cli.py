@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .algebra_core import enumeration_cap
@@ -33,7 +33,7 @@ from .dialgebra import (
 )
 from .envelope import ulp_truncated
 from .errors import DomainError, UsageError
-from .free_structures import ud_p
+from .free_structures import QuotientPresentation, ud_p
 from .identities import (
     check_dias,
     check_leibniz,
@@ -55,22 +55,24 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """Deterministic run report: inputs, per-check results, tables."""
+    """Deterministic run report: inputs, per-check results, tables.  It holds
+    frozen values (the CheckReports and the envelope presentation) and makes
+    their dicts only in to_dict, so what it reports is what was checked."""
 
     version: str
     command: str
     inputs: tuple  # ((path, sha256-hex), ...)
     seed: int
-    checks: tuple = ()  # CheckReport dicts, in execution order
-    tables: dict = field(default_factory=dict)
+    checks: tuple = ()  # CheckReports, in execution order
+    envelope: QuotientPresentation | None = None  # the table "envelope"
     notes: tuple = ()
     wall_ms: float | None = None  # excluded from canonical bytes when None
 
     @property
     def status(self) -> str:
-        if any(c["status"] == "fail" for c in self.checks):
+        if any(c.status == "fail" for c in self.checks):
             return "fail"
-        if any(c["status"] == "inconclusive" for c in self.checks):
+        if any(c.status == "inconclusive" for c in self.checks):
             return "inconclusive"
         return "pass"
 
@@ -86,8 +88,8 @@ class ReportDocument:
             "inputs": [{"path": p, "sha256": h} for p, h in self.inputs],
             "seed": self.seed,
             "status": self.status,
-            "checks": list(self.checks),
-            "tables": self.tables,
+            "checks": [c.to_dict() for c in self.checks],
+            "tables": {} if self.envelope is None else {"envelope": self.envelope.to_dict()},
             "notes": list(self.notes),
         }
         if self.wall_ms is not None:
@@ -98,11 +100,12 @@ class ReportDocument:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
+        d = self.to_dict()
         lines = [f"rlk {self.version} {self.command}"]
         for path, digest in self.inputs:
             lines.append(f"input {path} sha256={digest}")
         lines.append(f"seed {self.seed}")
-        for c in self.checks:
+        for c in d["checks"]:
             cov = c["coverage"]
             cov_s = f"{cov['kind']}({cov['count']})"
             lines.append(
@@ -115,13 +118,13 @@ class ReportDocument:
                 lines.append(
                     f"  witness inputs={w['inputs']} lhs={w['lhs']} rhs={w['rhs']}"
                 )
-        for name, table in sorted(self.tables.items()):
+        for name, table in sorted(d["tables"].items()):
             lines.append(f"table {name}:")
             for key in sorted(table):
                 lines.append(f"  {key}: {table[key]}")
         for note in self.notes:
             lines.append(f"note: {note}")
-        lines.append(f"result: {self.status}")
+        lines.append(f"result: {d['status']}")
         if self.wall_ms is not None:
             lines.append(f"wall_ms {self.wall_ms:.1f}")
         return "\n".join(lines) + "\n"
@@ -221,7 +224,7 @@ def _run(args, paths, build) -> int:
 
 
 def _build_check(args, alg):
-    checks = tuple(_RUNNERS[name](alg, args).to_dict() for name in args.identities)
+    checks = tuple(_RUNNERS[name](alg, args) for name in args.identities)
     return "check " + " ".join(args.identities), None, {"checks": checks}
 
 
@@ -289,8 +292,7 @@ def _build_derive(args, alg, *rest):
     else:  # antisymmetrize
         derived = prelie_to_lie(alg, args.op)
         reports = derived.reports
-    return (f"derive {args.construction}", derived,
-            {"checks": tuple(r.to_dict() for r in reports)})
+    return f"derive {args.construction}", derived, {"checks": reports}
 
 
 def cmd_derive(args) -> int:
@@ -309,8 +311,7 @@ def _build_envelope(args, alg):
     envelope = ud_p if args.which == "ud" else ulp_truncated
     pres = envelope(alg, pmap=_resolve_pmap(alg, args.pmap), d=d,
                     cap=_effective_cap(alg, args), seed=args.seed, samples=args.samples)
-    return (f"envelope {args.which} d={d}", None,
-            {"tables": {"envelope": pres.to_dict()}})
+    return f"envelope {args.which} d={d}", None, {"envelope": pres}
 
 
 def cmd_envelope(args) -> int:

@@ -257,12 +257,7 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
     for _tag, _key, words in terms:
         rel = {}
         for word, coeff in words:
-            k = W.index[word]
-            v = (rel.get(k, 0) + coeff) % g.p
-            if v:
-                rel[k] = v
-            else:
-                rel.pop(k, None)
+            rel = W.add(rel, {W.index[word]: coeff})
         if rel:
             rels.append(rel)
     notes = (

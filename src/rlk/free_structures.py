@@ -10,14 +10,17 @@ Three monomial families share one sparse carrier class:
 - zinbiel: nonempty words under the half-shuffle
   u < v = first(u) . (rest(u) shuffled with v).
 
-Products whose combined degree exceeds the cap return zero and set a sticky
-overflow flag; checks probe the flag and report "inconclusive" rather than
-"pass" whenever truncation touched their inputs.  Elements are sparse
+Products whose combined degree exceeds the cap return zero and add one to
+the ambient's monotone `overflows` count (a cached product counts again);
+a check reads the count before and after its own products and reports
+"inconclusive" rather than "pass" whenever it moved.  Elements are sparse
 {basis index: coefficient} dicts over F_p.
 
 `truncated_ideal_quotient` spans the two-sided ideal of a relation list by
 closing under all degree-one multiplications (the compatibility axioms make
-those generate every sandwich), row-reduces exactly over F_p, and returns
+those generate every sandwich), row-reduces exactly over F_p (a
+`RowReducer.add` that grows the rank returns the new normalized row, which
+joins the closure's frontier; one that does not returns None), and returns
 the surviving monomial basis with an idempotent projection.  `ud_p` and
 `das_quotient` instantiate the enveloping-diassociative and
 both-products-identified quotients on top of it.
@@ -118,9 +121,9 @@ class GradedBasisAlgebra:
         self.p = p
         self.unital = unital
         self.label = label
-        self.overflow = False
+        self.overflows = 0  # products truncated by the cap, cache hits included
         basis_size(kind, ngen, degree_cap, unital)
-        self.basis = list(self._enumerate_basis())
+        self.basis = tuple(self._enumerate_basis())
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.degrees = tuple(_mono_degree(kind, m) for m in self.basis)
         self._product_cache = {}
@@ -204,13 +207,13 @@ class GradedBasisAlgebra:
         hit = self._product_cache.get(key)
         if hit is not None:
             if hit == () and self.degrees[i] + self.degrees[j] > self.degree_cap:
-                self.overflow = True
+                self.overflows += 1
             return hit
         if op not in self.op_names:
             raise UsageError(f"unknown op {op!r} for {self.kind} monomials")
         mi, mj = self.basis[i], self.basis[j]
         if self.degrees[i] + self.degrees[j] > self.degree_cap:
-            self.overflow = True
+            self.overflows += 1
             self._product_cache[key] = ()
             return ()
         if self.kind == "dias":
@@ -280,28 +283,6 @@ class GradedBasisAlgebra:
         )
 
 
-class OverflowProbe:
-    """Scoped view of the sticky overflow flag.
-
-    Inside the scope the flag starts clear so `triggered` reflects only the
-    guarded computation; on exit the sticky flag keeps any prior state.
-    """
-
-    def __init__(self, F: GradedBasisAlgebra):
-        self.F = F
-        self.triggered = False
-
-    def __enter__(self):
-        self._prior = self.F.overflow
-        self.F.overflow = False
-        return self
-
-    def __exit__(self, *exc):
-        self.triggered = self.F.overflow
-        self.F.overflow = self.F.overflow or self._prior
-        return False
-
-
 def free_dias(ngen: int, degree_cap: int, p: int) -> GradedBasisAlgebra:
     """Free diassociative algebra truncated above degree_cap."""
     return GradedBasisAlgebra(
@@ -361,7 +342,7 @@ def _inrange_sweep(F: GradedBasisAlgebra, kind: str, ops: dict) -> CheckReport:
         return total
 
     witnesses, failures, count = [], 0, 0
-    # no overflow to probe: no bracketing of a triple with a + b + c <= cap overflows
+    # no overflow to count: no bracketing of a triple with a + b + c <= cap overflows
     for i, j, k in _inrange_triples(F):
         xyz = (F.basis_elt(i), F.basis_elt(j), F.basis_elt(k))
         count += 1
@@ -394,17 +375,16 @@ def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
     and vanishes outright when n equals the characteristic."""
     if n < 1:
         raise UsageError(f"power must be >= 1, got {n}")
-    op = "zinbiel"
-    with OverflowProbe(F) as probe:
-        lhs = F.product(op, a, b)
-        for _ in range(n - 1):
-            lhs = F.product(op, lhs, b)
-        nest = b
-        for _ in range(n - 1):
-            nest = F.product(op, b, nest)
-        rhs = F.scale(math.factorial(n) % F.p, F.product(op, a, nest))
+    op, before = "zinbiel", F.overflows
+    lhs = F.product(op, a, b)
+    for _ in range(n - 1):
+        lhs = F.product(op, lhs, b)
+    nest = b
+    for _ in range(n - 1):
+        nest = F.product(op, b, nest)
+    rhs = F.scale(math.factorial(n) % F.p, F.product(op, a, nest))
     witnesses, failures = [], 0
-    if probe.triggered:
+    if F.overflows != before:
         return _report(
             "zinbiel_factorial", [], 0, Coverage("exhaustive", 1),
             (f"truncation above degree {F.degree_cap} touched the inputs",),
@@ -487,16 +467,16 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
     for r in relations:
         v = r if isinstance(r, dict) else F.from_dense(r)
         dense_rels.append(tuple(F.dense(v).tolist()))
-        if rr.add(v):
-            frontier.append(rr.rows[-1])
+        if row := rr.add(v):
+            frontier.append(row)
     gens = [F.generator(i) for i in range(F.ngen)]
     while frontier:
         x = frontier.popleft()
         for op in F.op_names:
             for g in gens:
                 for prod in (F.product(op, g, x), F.product(op, x, g)):
-                    if prod and rr.add(prod):
-                        frontier.append(rr.rows[-1])
+                    if prod and (row := rr.add(prod)):
+                        frontier.append(row)
     normal = tuple(i for i in range(dim) if i not in rr.pivot_of_col)
     projection = np.eye(dim, dtype=np.int64)
     for pc, row in rr.reduced_rows().items():
@@ -556,10 +536,10 @@ def _ud_presentation(g: Algebra, pmap: str, d: int, cap, seed, samples):
     _require(check_restricted_leibniz(g, pmap, cap=cap, seed=seed),
              "input is not restricted Leibniz")
     F = free_dias(g.dim, d, g.p)
-    with OverflowProbe(F) as probe:
-        pairs, note = _ud_pairs(F, g, pmap, cap, seed, samples)
+    pairs, note = _ud_pairs(F, g, pmap, cap, seed, samples)
+    touched = F.overflows > 0  # F is new, so every overflow so far is the pairs'
     rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
-    return truncated_ideal_quotient(F, rels, notes=(note,)), pairs, probe.triggered
+    return truncated_ideal_quotient(F, rels, notes=(note,)), pairs, touched
 
 
 def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None, seed: int = 0,
@@ -623,22 +603,22 @@ def das_quotient(F: GradedBasisAlgebra, nfold=None):
                 rels.append(rel)
     pres = truncated_ideal_quotient(F, rels, notes=("identify -| with |-",))
     x = F.generator(0)
-    images = []
-    with OverflowProbe(F) as probe:
-        for pattern in itertools.product(("left", "right"), repeat=n - 1):
-            v = x
-            for op in pattern:
-                v = F.product(op, v, x)
-            images.append((pattern, pres.project(v)))
+    images, before = [], F.overflows
+    for pattern in itertools.product(("left", "right"), repeat=n - 1):
+        v = x
+        for op in pattern:
+            v = F.product(op, v, x)
+        images.append((pattern, pres.project(v)))
+    touched = F.overflows != before
     witnesses = []
     base = images[0][1]
     failures = _keep(witnesses, [(pattern, img) for pattern, img in images[1:]
                                  if not np.array_equal(img, base)],
                      lambda pattern, img: Witness((pattern,), _tup(img), _tup(base)))
     notes = (f"{len(images)} patterns of {n} factors",)
-    if probe.triggered:
+    if touched:
         notes += ("power exceeded the degree cap",)
     report = _report("das_mixed_powers", witnesses, failures,
                      Coverage("exhaustive", len(images)), notes,
-                     inconclusive=probe.triggered)
+                     inconclusive=touched)
     return pres, report

@@ -48,11 +48,19 @@ def _jsonable(v):
     return v
 
 
+def _frozen(side):
+    """A witness side with every list in it turned into a tuple (_freeze seals arrays)."""
+    return tuple(map(_frozen, side)) if isinstance(side, (list, tuple)) else side
+
+
 @dataclass(frozen=True)
 class Witness:
     inputs: tuple
     lhs: object
     rhs: object
+
+    def __post_init__(self):
+        _freeze(self, lhs=_frozen(self.lhs), rhs=_frozen(self.rhs))
 
     def to_dict(self):
         return {

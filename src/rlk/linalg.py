@@ -47,19 +47,19 @@ class RowReducer:
 
     Rows are {column: coefficient} dicts whose lead (lowest column) is
     normalized to 1, eliminated against all earlier pivots on insertion;
-    pivot_of_col maps each lead column to its row.  rref() back-substitutes
-    so every pivot column is zero outside its own row.
+    pivot_of_col maps each lead column to its row, in insertion order, and
+    holds the only copy of each.  rref() back-substitutes so every pivot
+    column is zero outside its own row.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.rows: list[dict] = []
         self.pivot_of_col: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_of_col)
 
     def reduce(self, vec) -> dict:
         """vec (a {column: coeff} dict or a dense row) eliminated against the
@@ -76,16 +76,16 @@ class RowReducer:
         v = {c: int(a) % self.p for c, a in vec.items() if int(a) % self.p}
         return _eliminate(v, self.pivot_of_col, self.p)
 
-    def add(self, vec) -> bool:
-        """Insert a row; returns True when the rank grew."""
+    def add(self, vec) -> dict | None:
+        """Insert a row; returns the new normalized pivot row when the rank
+        grew, else None."""
         v = self.reduce(vec)
         if not v:
-            return False
+            return None
         lead = min(v)
         inv = pow(v[lead], -1, self.p)
-        self.pivot_of_col[lead] = {c: (a * inv) % self.p for c, a in v.items()}
-        self.rows.append(self.pivot_of_col[lead])
-        return True
+        row = self.pivot_of_col[lead] = {c: (a * inv) % self.p for c, a in v.items()}
+        return row
 
     def reduced_rows(self) -> dict:
         """Fully reduced sparse rows by pivot column, in increasing order."""

@@ -13,7 +13,6 @@ from rlk.envelope import ulp_truncated
 from rlk.errors import UsageError
 from rlk.free_structures import (
     GradedBasisAlgebra,
-    OverflowProbe,
     basis_size,
     check_dias_free,
     check_ud_unit,
@@ -157,29 +156,34 @@ def test_unknown_op_rejected():
 def test_power_stops_at_zero(monkeypatch):
     """Once a power is 0, later factors keep it 0 and touch no product, so a
     power to a large exponent takes only the products before it vanishes
-    and sets the overflow flag as the full loop would."""
+    and counts the one overflow the full loop would meet first."""
     calls = []
     product = GradedBasisAlgebra.product
     monkeypatch.setattr(GradedBasisAlgebra, "product",
                         lambda F, *args: calls.append(1) or product(F, *args))
     F = free_dias(1, 3, 1_000_003)
-    with OverflowProbe(F) as probe:
-        assert F.power("right", F.generator(0), 1_000_003) == {}
-    assert probe.triggered and len(calls) == 3
+    assert F.power("right", F.generator(0), 1_000_003) == {}
+    assert F.overflows == 1 and len(calls) == 3
     assert F.power("left", F.generator(0), 3) == {F.index[((), 0, (0, 0))]: 1}
+    assert F.overflows == 1
 
 
 # -- overflow bookkeeping ------------------------------------------------------
 
 
-def test_overflow_flag_sticky_and_replayed_from_cache():
+def test_overflow_count_grows_on_every_product_and_cache_hit():
+    """Each truncated monomial product adds one, also when it comes from the
+    product cache, and an in-range product adds nothing."""
     F = free_dias(1, 3, 2)
     deg2 = F.basis_elt(F.index[((), 0, (0,))])
+    assert F.overflows == 0
     assert F.product("left", deg2, deg2) == {}
-    assert F.overflow is True
-    F.overflow = False
+    assert F.overflows == 1
+    assert ("left",) + 2 * (F.index[((), 0, (0,))],) in F._product_cache
     assert F.product("left", deg2, deg2) == {}
-    assert F.overflow is True
+    assert F.overflows == 2
+    F.product("left", F.generator(0), deg2)
+    assert F.overflows == 2
 
 
 def test_vanishing_coefficient_is_not_overflow():
@@ -187,23 +191,50 @@ def test_vanishing_coefficient_is_not_overflow():
     x, y = F.generator(0), F.generator(1)
     xy = F.product("zinbiel", x, y)
     assert F.product("zinbiel", xy, y) == {}
-    assert F.overflow is False
+    assert F.overflows == 0
     F.product("zinbiel", xy, y)
-    assert F.overflow is False
+    assert F.overflows == 0
 
 
-def test_overflow_probe_scopes_the_sticky_flag():
+def test_overflow_count_before_and_after_scopes_a_computation():
+    """A computation whose products fit leaves the count where it was, even
+    after earlier overflows; one that truncates moves it."""
     F = free_dias(1, 2, 2)
     deg2 = F.basis_elt(F.index[((), 0, (0,))])
     F.product("left", deg2, deg2)
-    assert F.overflow is True
-    with OverflowProbe(F) as probe:
-        F.product("left", F.generator(0), F.generator(0))
-    assert probe.triggered is False
-    assert F.overflow is True
-    with OverflowProbe(F) as probe:
-        F.product("left", deg2, deg2)
-    assert probe.triggered is True
+    before = F.overflows
+    assert before == 1
+    F.product("left", F.generator(0), F.generator(0))
+    assert F.overflows == before
+    F.product("left", deg2, deg2)
+    assert F.overflows == before + 1
+
+
+def test_earlier_overflows_leave_later_checks_conclusive():
+    """A check reads only the overflows of its own products: an ambient that
+    overflowed elsewhere first does not make das_quotient or
+    check_zinbiel_factorial inconclusive when theirs fit, and an overflowing
+    pair the check finds in the product cache (das_quotient's relation build
+    cached every basis pair) still counts."""
+    F = free_dias(1, 3, 2)
+    deg2 = F.basis_elt(F.index[((), 0, (0,))])
+    F.product("left", deg2, deg2)
+    F.product("right", deg2, deg2)
+    assert F.overflows == 2
+    _, rep = das_quotient(F, nfold=2)
+    assert rep.status == "pass" and rep.notes == ("2 patterns of 2 factors",)
+    _, rep = das_quotient(F, nfold=4)
+    assert rep.status == "inconclusive" and "power exceeded the degree cap" in rep.notes
+
+    Z = free_zinbiel(1, 3, 7)
+    x = Z.generator(0)
+    assert check_zinbiel_factorial(Z, x, x, 3).status == "inconclusive"
+    counted = Z.overflows
+    assert counted > 0
+    assert check_zinbiel_factorial(Z, x, x, 2).status == "pass"
+    assert Z.overflows == counted
+    again = check_zinbiel_factorial(Z, x, x, 3)  # every product now a cache hit
+    assert again.status == "inconclusive" and Z.overflows > counted
 
 
 # -- half-shuffle products ----------------------------------------------------
@@ -277,7 +308,7 @@ def test_p_fold_iterate_vanishes_in_characteristic_p(p):
     for _ in range(p - 1):
         lhs = F.product("zinbiel", lhs, x)
     assert lhs == {}
-    assert F.overflow is False
+    assert F.overflows == 0
 
 
 def test_factorial_check_inconclusive_past_the_cap():

@@ -34,7 +34,8 @@ from rlk.cli import ReportDocument
 from rlk.dialgebra import Dialgebra, as_dialgebra, dleib
 from rlk.envelope import LeibnizModule, adjoint_module, ulp_truncated
 from rlk.free_structures import QuotientPresentation
-from rlk.identities import CheckReport, Coverage, Witness, check_leibniz
+from rlk.identities import (CheckReport, Coverage, Witness, check_leibniz,
+                            check_restricted_leibniz)
 from rlk.prelie_tensor import TensorAlgebraHandle, TensorFormulaPMap
 from rlk.scalars import LambdaPoly
 
@@ -86,6 +87,62 @@ def test_a_verified_pmap_and_report_cannot_be_changed() -> None:
     assert [rep.status for rep in h.reports] == ["pass", "pass"]
     assert isinstance(h.reports[0].witnesses, tuple)
     assert check_leibniz(l2(3)).witnesses == ()
+
+
+def _failing_report() -> CheckReport:
+    """check_restricted_leibniz of L2 over F_2 with the zero p-map, which
+    fails the operator condition with matrix witnesses."""
+    g = l2(2).extended(pmaps={"zero": ZeroPMap()})
+    rep = check_restricted_leibniz(g, "zero")
+    assert rep.status == "fail" and isinstance(rep.witnesses[0].lhs, np.ndarray)
+    return rep
+
+
+def test_witness_sides_refuse_writes() -> None:
+    """A witness seals the arrays it is given, as copies, and turns lists into
+    tuples, so its report reads the same after any attempt to edit it."""
+    rep = _failing_report()
+    before = rep.to_dict()
+    with pytest.raises(ValueError, match="read-only"):
+        rep.witnesses[0].lhs[1, 1] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        rep.witnesses[0].rhs[0, 0] = 1
+    assert rep.to_dict() == before
+
+    side = np.zeros(2, dtype=np.int64)
+    w = Witness((0,), side, [[1, 2], (3, [4])])
+    side[0] = 5
+    assert side.flags.writeable and w.lhs[0] == 0
+    assert w.rhs == ((1, 2), (3, (4,)))
+    assert w.to_dict() == {"inputs": [0], "lhs": [[0, 0]], "rhs": [[1, 2], [3, [4]]]}
+
+
+def test_report_document_holds_frozen_reports_and_presentation() -> None:
+    """A failing document keeps failing: its checks are CheckReports, not
+    dicts, and its envelope table is made from the presentation (whose
+    ambient monomials are a tuple) each time, so neither edits through the
+    document nor edits of a dict it handed out change its status, exit code
+    or bytes."""
+    doc = ReportDocument("0", "check", (), 0, checks=(_failing_report(),))
+    text, payload = doc.to_text(), doc.to_json()
+    with pytest.raises(TypeError):
+        doc.checks[0]["status"] = "pass"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.checks[0].status = "pass"
+    doc.to_dict()["checks"][0]["status"] = "pass"
+    assert doc.status == "fail" and doc.exit_code == 1
+    assert (doc.to_text(), doc.to_json()) == (text, payload)
+
+    env = ReportDocument("0", "envelope ul d=2", (), 0,
+                         envelope=ulp_truncated(l2(2), d=2))
+    payload = env.to_json()
+    env.to_dict()["tables"]["envelope"]["dimension"] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        env.envelope.ideal_rank = 0
+    with pytest.raises(TypeError):
+        env.envelope.ambient.basis[0] = ()
+    assert env.to_json() == payload and env.exit_code == 0
+    assert '"dimension": 0' not in payload
 
 
 def test_table_pmap_mapping_and_index_refuse_writes() -> None:

@@ -90,13 +90,13 @@ def test_dict_and_dense_rows_match_gauss_oracles(p) -> None:
 def test_reducer_keeps_normalized_sparse_rows() -> None:
     red = RowReducer(3, 5)
     row = {1: -1, 3: np.int64(4)}
-    assert red.add(row)
+    added = red.add(row)
     assert row == {1: -1, 3: 4}
-    assert red.rows == [{1: 1, 3: 2}]
-    assert red.pivot_of_col == {1: red.rows[0]}
+    assert added == {1: 1, 3: 2} and red.rank == 1
+    assert red.pivot_of_col == {1: added} and red.pivot_of_col[1] is added
     assert red.reduce({1: 1, 3: 2}) == {}
     assert red.reduce(np.array([0, 2, 0, 1, 1])) == {4: 1}
-    assert not red.add({1: 2, 3: 1})
+    assert red.add({1: 2, 3: 1}) is None and red.rank == 1
     assert red.reduced_rows() == {1: {1: 1, 3: 2}}
 
 
