@@ -41,6 +41,9 @@ _SMALL_PRODUCT = 1 << 12
 # powers right_power_batch takes as mat-vecs; past it stack_mat_pow is faster
 # (measured crossover: 2-32 at dims 2-16 and 1-8,192 rows, BENCH_17.json)
 _MATVEC_POWERS = 32
+# words dim**p below which BasisJacobsonPMap compiles its bracket's Jacobson polynomial;
+# past it the build outweighs a first call's polarizations (README "Performance")
+_JACOBSON_WORDS = 1 << 12
 
 Element = tuple
 
@@ -65,6 +68,24 @@ def enumeration_cap(explicit=None) -> int:
 
 def _tup(row) -> tuple:
     return tuple(int(v) for v in row)
+
+
+def _randrange_array(rng: random.Random, bound: int, n: int) -> np.ndarray:
+    """n int64 draws of rng.randrange(bound), 0 < bound < 2**32 unless n is 0,
+    leaving rng as the one-at-a-time loop leaves it.
+
+    randrange(bound) takes the top bound.bit_length() bits of Mersenne Twister
+    words until one is below bound.  getrandbits(32 m) hands out the next m
+    words little-endian first, so the words still needed are drawn at once and
+    the rejected ones dropped, until every draw is in."""
+    assert not n or 0 < bound < 1 << 32, bound
+    shift, parts, got = 32 - bound.bit_length(), [np.zeros(0, dtype=np.uint32)], 0
+    while got < n:
+        raw = rng.getrandbits(32 * (n - got)).to_bytes(4 * (n - got), "little")
+        words = np.frombuffer(raw, dtype="<u4") >> shift
+        parts.append(words[words < bound])
+        got += parts[-1].size
+    return np.concatenate(parts).astype(np.int64)
 
 
 def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
@@ -126,12 +147,18 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     Af = A.astype(dtype, copy=False)
     out = np.matmul(Af, Af if B is A else B.astype(dtype, copy=False))
     del Af
-    q = out / p
+    _float_mod(out, p)
+    return out if A.dtype.type is dtype else out.astype(np.int64)
+
+
+def _float_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a % p in place for a float array of nonnegative integers below 2**24 (float32)
+    or 2**53 (float64), exact by _matmul_mod's proof, and faster than numpy's %."""
+    q = a / p
     np.floor(q, out=q)
     q *= p
-    out -= q
-    del q
-    return out if A.dtype.type is dtype else out.astype(np.int64)
+    a -= q
+    return a
 
 
 @dataclass(frozen=True)
@@ -259,9 +286,9 @@ class BasisJacobsonPMap:
     """p-map determined by its values on basis elements of a Lie bracket.
 
     Extension rule: (a x)^[p] = a**p x^[p] and
-    (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y), recursing over the basis
-    expansion in index order.  Only valid on brackets passing the Lie checks,
-    which is enforced when the map is attached to an algebra.
+    (x + y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y) over the basis expansion in
+    index order, compiled into one polynomial (`_jacobson_table`) on small
+    brackets.  Only valid on Lie brackets, checked when the map is attached.
     """
 
     variant = "basisjacobson"
@@ -275,20 +302,33 @@ class BasisJacobsonPMap:
     apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
-        """One basis coordinate i at a time across all rows: add a**p e_i^[p]
-        for the coefficient a of e_i (a**p == a in F_p), then the Jacobson
-        terms s_k(a e_i, rest) on the rows whose rest past i is nonzero."""
-        p = alg.p
+        """x^[p] = sum_i a_i e_i^[p] + sum_i sum_k s_k(a_i e_i, sum_{j>i} a_j e_j) on the
+        rows x = sum_i a_i e_i of X (a**p == a in F_p).  While 2 <= dim and dim**p <
+        _JACOBSON_WORDS, a block of rows at a time is [x, mono(x)] [values; G] for the
+        compiled table (idx, G) of Algebra.jacobson_table: a float64 gather of the p
+        factors, their product reduced mod p, one GEMM.  Past it, one coordinate i at
+        a time: the Jacobson terms on the rows whose rest past i is nonzero."""
+        p, d = alg.p, alg.dim
         rest = np.array(X, dtype=np.int64) % p
+        values = np.array(self.values, dtype=np.int64).reshape(d, d)
+        if d >= 2 and d ** min(p, 64) < _JACOBSON_WORDS:
+            idx, G = alg.jacobson_table(self.bracket)
+            xf = rest.astype(np.float64)
+            coeffs, chunk = np.concatenate([values, G]), max(1, _BLOCK_ENTRIES // idx.size)
+            for lo in range(0, len(xf), chunk):
+                x = xf[lo:lo + chunk]
+                # p factors below p: (p-1)**p < 2**53, as p <= 11 under the cut
+                mono = _float_mod(x[:, idx.T].prod(axis=1), p)
+                rest[lo:lo + chunk] = _matmul_mod(np.concatenate([x, mono], axis=1), coeffs, p)
+            return rest
         acc = np.zeros_like(rest)
-        values = np.array(self.values, dtype=np.int64).reshape(alg.dim, alg.dim)
-        for i in range(alg.dim):
+        for i in range(d):
             a = rest[:, i].copy()
             rest[:, i] = 0
             acc += a[:, None] * values[i]
             rows = np.flatnonzero((a != 0) & rest.any(axis=1))
             if rows.size:
-                head = np.zeros((rows.size, alg.dim), dtype=np.int64)
+                head = np.zeros((rows.size, d), dtype=np.int64)
                 head[:, i] = a[rows]
                 acc[rows] += sum(jacobson_terms_batch(
                     p, head, rest[rows],
@@ -344,7 +384,7 @@ class Algebra:
                 t = _seal(t % p)
             ops[name] = t
         _freeze(self, ops=MappingProxyType(ops),
-                pmaps=MappingProxyType(dict(self.pmaps or {})))
+                pmaps=MappingProxyType(dict(self.pmaps or {})), _tables={})
         for name, pm in self.pmaps.items():
             if not name:
                 raise UsageError("empty pmap name")
@@ -448,6 +488,13 @@ class Algebra:
     def left_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
         return operator_stack(self.structure(op).transpose(0, 2, 1), X % self.p, self.p)
 
+    def jacobson_table(self, op: str) -> tuple:
+        """_jacobson_table of the named bracket, built on first use and kept,
+        read-only, for this algebra and the _with_pmaps copies that share its ops."""
+        if op not in self._tables:
+            self._tables[op] = _jacobson_table(self.structure(op), self.p)
+        return self._tables[op]
+
     # -- p-maps -------------------------------------------------------------
 
     def pmap(self, name: str):
@@ -493,20 +540,8 @@ class Algebra:
 
     def sample_array(self, n: int, rng: random.Random) -> np.ndarray:
         """(n, dim) coefficients drawn row by row as rng.randrange(p) would
-        draw them one at a time, leaving rng in the same state.
-
-        randrange(p) takes the top p.bit_length() bits of Mersenne Twister
-        words until one is below p.  getrandbits(32 m) hands out the next m
-        words little-endian first, so the words still needed are drawn at
-        once and the rejected ones dropped, until every coefficient is in."""
-        need, shift = n * self.dim, 32 - self.p.bit_length()
-        parts, got = [np.zeros(0, dtype=np.uint32)], 0
-        while got < need:
-            raw = rng.getrandbits(32 * (need - got)).to_bytes(4 * (need - got), "little")
-            words = np.frombuffer(raw, dtype="<u4") >> shift
-            parts.append(words[words < self.p])
-            got += parts[-1].size
-        return np.concatenate(parts).astype(np.int64).reshape(n, self.dim)
+        draw them one at a time, leaving rng in the same state."""
+        return _randrange_array(rng, self.p, n * self.dim).reshape(n, self.dim)
 
     # -- derived copies ------------------------------------------------------
 
@@ -576,6 +611,30 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, right_stack) -> l
         for i in range(1, p):
             out[i - 1][lo:lo + n] = (inv_mod(i, p) * P[i - 1]) % p
     return out
+
+
+def _jacobson_table(c: np.ndarray, p: int) -> tuple:
+    """(idx, G), read-only: sum_i sum_k s_k(a_i e_i, sum_{j>i} a_j e_j) = mono(x) G
+    for the bracket of a reduced (d, d, d) tensor c, where mono(x) holds, per row
+    of the (M, p) array idx, the product of the coordinates that row names.
+
+    The (p-1)-fold right bracketing of a_i e_i by lambda a_i e_i + tail sums,
+    over the words w in {i, ..., d-1}**(p-1), (c(w)+1)**-1 a_i a_w1...a_w(p-1)
+    [[e_i, e_w1], ..., e_w(p-1)], c(w) the count of i in w; c(w) = p - 1 goes
+    with lambda**(p-1), which no s_k takes.  Words of one sorted multiset share a row."""
+    d = c.shape[0]
+    B = np.eye(d, dtype=np.int64)
+    for _ in range(p - 1):  # row (i, w_1, ..., w_t) in C order is [[e_i, e_w1], ..., e_wt]
+        B = _matmul_mod(B, c.reshape(d, d * d), p).reshape(-1, d)
+    W = np.indices((d,) * p).reshape(p, -1)
+    count = (W[1:] == W[0]).sum(axis=0)
+    keep = np.flatnonzero((W[1:] >= W[0]).all(axis=0) & (count < p - 1))
+    inverse = np.array([0] + [inv_mod(k, p) for k in range(1, p)], dtype=np.int64)
+    key = np.ravel_multi_index(np.sort(W[:, keep], axis=0), (d,) * p)
+    G = np.zeros((d ** p, d), dtype=np.int64)
+    np.add.at(G, key, inverse[count[keep] + 1, None] * B[keep])
+    rows = np.flatnonzero(np.bincount(key, minlength=d ** p))
+    return _seal(np.stack(np.unravel_index(rows, (d,) * p), axis=1)), _seal(G[rows] % p)
 
 
 def _basis_triples(ca: np.ndarray, cb: np.ndarray, p: int, form: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from .algebra_core import (
     Element,
     _basis_triples,
     _blocks,
+    _randrange_array,
     _residue_dtype,
     _tup,
     jacobson_terms_batch,
@@ -392,7 +393,7 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     else:
         rng = random.Random(seed + 1)
         npairs = min(PAIR_BUDGET, max(samples, 1))
-        I, J = np.array([(rng.randrange(N), rng.randrange(N)) for _ in range(npairs)]).T
+        I, J = _randrange_array(rng, N, 2 * npairs).reshape(npairs, 2).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
     S = alg.apply_pmap_batch(pmap, X[I] + X[J])
     terms = jacobson_terms_batch(p, X[I], X[J], lambda V: alg.right_mult_stack(bracket, V))

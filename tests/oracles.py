@@ -151,6 +151,23 @@ def naive_jacobson_terms(bracket, x, y, p):
     ]
 
 
+def naive_basis_jacobson(bracket, values, x, p):
+    """x^[p] of the p-map with basis values `values`, extended one coordinate
+    at a time by (a e_i + tail)^[p] = a**p e_i^[p] + tail^[p] +
+    sum_k s_k(a e_i, tail), tail the coordinates past i, with the s_k from
+    naive_jacobson_terms."""
+    dim = len(x)
+    out = (0,) * dim
+    for i in range(dim):
+        a = x[i] % p
+        head = tuple(a if j == i else 0 for j in range(dim))
+        tail = tuple(x[j] % p if j > i else 0 for j in range(dim))
+        for v in [tuple(pow(a, p, p) * c for c in values[i])] + naive_jacobson_terms(
+                bracket, head, tail, p):
+            out = tuple((u + c) % p for u, c in zip(out, v))
+    return out
+
+
 def gauss_rank(rows, p):
     """Row-echelon rank over F_p on plain lists."""
     m = [list(r) for r in rows]

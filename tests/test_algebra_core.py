@@ -231,6 +231,58 @@ def test_basisjacobson_on_abelian_is_semilinear() -> None:
             assert alg.apply_pmap("bj", (a, b)) == expect
 
 
+def _gl2_sum(p, copies):
+    """gl_2 + ... + gl_2 (`copies` blocks of dim 4): the commutator bracket,
+    the block-diagonal associative product, and the basis values e_i^p."""
+    d, c = 4 * copies, matrix_assoc(p, 2).structure("assoc")
+    assoc = np.zeros((d, d, d), dtype=np.int64)
+    for b in range(0, d, 4):
+        assoc[b:b + 4, b:b + 4, b:b + 4] = c
+    alg = Algebra(p, d, {"assoc": assoc})
+    values = [tuple(int(v) for v in row)
+              for row in alg.right_power_batch("assoc", np.eye(d, dtype=np.int64), p)]
+    return (assoc - assoc.transpose(1, 0, 2)) % p, assoc, values
+
+
+def test_basis_jacobson_past_the_cut_builds_no_table(monkeypatch) -> None:
+    """dim 40 at p = 3 has 64,000 words, past _JACOBSON_WORDS, so apply_batch
+    takes the per-coordinate route without building a table; its values are
+    still x^p in gl_2 + ... + gl_2."""
+    p = 3
+    comm, assoc, values = _gl2_sum(p, 10)
+    assert 40 ** p > algebra_core._JACOBSON_WORDS
+    alg = Algebra(p, 40, {"bracket": comm, "assoc": assoc},
+                  {"jac": BasisJacobsonPMap("bracket", values)})
+
+    def refuse(c, p):
+        raise AssertionError("a Jacobson table was built past the cut")
+
+    monkeypatch.setattr(algebra_core, "_jacobson_table", refuse)
+    X = alg.sample_array(6, random.Random(1))
+    assert np.array_equal(alg.apply_pmap_batch("jac", X), alg.right_power_batch("assoc", X, p))
+    assert alg._tables == {}
+
+
+def test_jacobson_table_is_read_only_and_kept_per_algebra() -> None:
+    """The compiled table is sealed, kept by the algebra out of its repr and
+    reports, and shared with a _with_pmaps copy; a new algebra, from
+    `extended` or the constructor, builds its own."""
+    comm, _, values = _gl2_sum(3, 1)
+    alg = Algebra(3, 4, {"bracket": comm}, {"jac": BasisJacobsonPMap("bracket", values)})
+    before = repr(alg)
+    idx, G = alg.jacobson_table("bracket")
+    for table in (idx, G):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    assert alg.jacobson_table("bracket")[1] is G
+    assert repr(alg) == before and alg.reports == () and alg == alg
+    assert alg._with_pmaps(alg.pmaps).jacobson_table("bracket")[1] is G
+    other = alg.extended(ops={"bracket": np.zeros((4, 4, 4), dtype=np.int64)})
+    assert other.jacobson_table("bracket")[1] is not G
+    assert not other.jacobson_table("bracket")[1].any()
+    assert Algebra(3, 4, dict(alg.ops)).jacobson_table("bracket")[1] is not G
+
+
 def test_lie_basis_violation_witnesses() -> None:
     assert lie_basis_violation(l2(3), "bracket") == ("antisymmetry", 0, 1)
     c = np.zeros((1, 1, 1), dtype=np.int64)
@@ -1080,6 +1132,26 @@ def test_sample_array_draws_as_randrange_does(p) -> None:
         assert got.dtype == np.int64 and got.shape == (n, dim)
         assert got.tolist() == want
         assert fast.getstate() == slow.getstate()
+
+
+_BOUNDS = sorted({1, 2, 3, 4, 5} | {(1 << k) + e for k in range(1, 17) for e in (-1, 0, 1)})
+
+
+def test_randrange_array_draws_as_randrange_does() -> None:
+    """The array draw returns what one rng.randrange(bound) call per entry
+    returns, and leaves the generator in the same state, for bounds 1 to
+    2**16 + 1 around every power of two; a bound of 2**32 is refused unless
+    nothing is drawn (a dim-0 algebra may have any prime below 2**64)."""
+    for bound in _BOUNDS:
+        for n in (0, 1, 300):
+            fast, slow = random.Random(f"rr-{bound}-{n}"), random.Random(f"rr-{bound}-{n}")
+            got = algebra_core._randrange_array(fast, bound, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == [slow.randrange(bound) for _ in range(n)]
+            assert fast.getstate() == slow.getstate()
+    with pytest.raises(AssertionError):
+        algebra_core._randrange_array(random.Random(0), 1 << 32, 1)
+    assert algebra_core._randrange_array(random.Random(0), (1 << 61) - 1, 0).shape == (0,)
 
 
 # -- one kernel per operation ----------------------------------------------------

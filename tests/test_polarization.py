@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from rlk import algebra_core
 from rlk.algebra_core import Algebra, BasisJacobsonPMap, TablePMap
 from rlk.dialgebra import dleib, matrix_dialgebra
 from rlk.identities import (
@@ -27,7 +28,8 @@ from helpers import (
     random_structure,
     upper_triangular2,
 )
-from oracles import gauss_echelon_rows, naive_jacobson_terms, naive_multiply
+from oracles import (gauss_echelon_rows, naive_basis_jacobson, naive_jacobson_terms,
+                     naive_multiply)
 
 
 def _random_basis(c, p, rng):
@@ -124,6 +126,55 @@ def test_basis_jacobson_batch_single_and_power_agree_on_gl2(p):
     batch = pm.apply_batch(alg, np.array(elements, dtype=np.int64))
     for x, row in zip(elements, batch):
         assert tuple(row.tolist()) == pm.apply(alg, x) == _power(C, x, p), x
+
+
+# a cut no word count reaches, and one every word count passes
+_ROUTES = {"compiled": 1 << 62, "pair": 0}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_basis_jacobson_routes_match_the_coordinate_oracle(p, monkeypatch):
+    """On random alternating brackets of dims 1-6, with rows holding zeros,
+    the compiled table, the per-coordinate polarizations and the plain-Python
+    extension give the same values (dim 1 takes the per-coordinate route)."""
+    rng = random.Random(p)
+    for dim in range(1, 7):
+        c = random_structure(p, dim, rng)
+        c = (c - c.transpose(1, 0, 2)) % p
+        values = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim)]
+        pm = BasisJacobsonPMap("bracket", values)
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(dim)]
+                for _ in range(8)] + [[0] * dim, [p - 1] * dim]
+        got = {}
+        for route, cut in _ROUTES.items():
+            monkeypatch.setattr(algebra_core, "_JACOBSON_WORDS", cut)
+            alg = Algebra(p, dim, {"bracket": c})
+            got[route] = pm.apply_batch(alg, np.array(rows, dtype=np.int64)).tolist()
+            assert alg._tables.keys() == ({"bracket"} if route == "compiled" and dim > 1
+                                          else set())
+        C = c.tolist()
+        want = [list(naive_basis_jacobson(lambda u, v: naive_multiply(C, u, v, p), values,
+                                          tuple(x), p)) for x in rows]
+        assert got["compiled"] == got["pair"] == want, (p, dim)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_planted_basis_value_fails_alike_on_both_routes(p, monkeypatch):
+    """gl_2 with e_i^[p] = e_i^p except one shifted basis value: check_restricted_lie
+    counts the same failures and keeps the same witnesses on either route
+    (exhaustive axiom-3 pairs at p = 2, sampled ones at p = 3 and 5)."""
+    A = matrix_assoc(p, 2)
+    C = A.structure("assoc").tolist()
+    values = [_power(C, A.basis(i), p) for i in range(A.dim)]
+    values[1] = tuple((v + 1) % p for v in values[1])
+    reports = {}
+    for route, cut in _ROUTES.items():
+        monkeypatch.setattr(algebra_core, "_JACOBSON_WORDS", cut)
+        alg = Algebra(p, A.dim, {"bracket": commutator_tensor(A)},
+                      {"jac": BasisJacobsonPMap("bracket", values)})
+        reports[route] = check_restricted_lie(alg, "bracket", "jac", seed=3).to_dict()
+    assert reports["compiled"]["failure_count"] > 0
+    assert reports["compiled"] == reports["pair"]
 
 
 def _naive_dleib_sweep(cl, cr, p, samples, seed):
