@@ -306,8 +306,8 @@ class BasisJacobsonPMap:
         rows x = sum_i a_i e_i of X (a**p == a in F_p).  While 2 <= dim and dim**p <
         _JACOBSON_WORDS, a block of rows at a time is [x, mono(x)] [values; G] for the
         compiled table (idx, G) of Algebra.jacobson_table: a float64 gather of the p
-        factors, their product reduced mod p, one GEMM.  Past it, one coordinate i at
-        a time: the Jacobson terms on the rows whose rest past i is nonzero."""
+        factors, their product reduced mod p, one GEMM.  Past it, one _matmul_mod and
+        one jacobson_terms_batch call over every (row, i) with a_i and its tail nonzero."""
         p, d = alg.p, alg.dim
         rest = np.array(X, dtype=np.int64) % p
         values = np.array(self.values, dtype=np.int64).reshape(d, d)
@@ -321,20 +321,16 @@ class BasisJacobsonPMap:
                 mono = _float_mod(x[:, idx.T].prod(axis=1), p)
                 rest[lo:lo + chunk] = _matmul_mod(np.concatenate([x, mono], axis=1), coeffs, p)
             return rest
-        acc = np.zeros_like(rest)
-        for i in range(d):
-            a = rest[:, i].copy()
-            rest[:, i] = 0
-            acc += a[:, None] * values[i]
-            rows = np.flatnonzero((a != 0) & rest.any(axis=1))
-            if rows.size:
-                head = np.zeros((rows.size, d), dtype=np.int64)
-                head[:, i] = a[rows]
-                acc[rows] += sum(jacobson_terms_batch(
-                    p, head, rest[rows],
-                    lambda V: alg.right_mult_stack(self.bracket, V)))
-            acc %= p
-        return acc
+        nz = rest != 0
+        tail = np.zeros_like(nz)  # tail[n, i]: some coordinate of row n past i is nonzero
+        tail[:, :-1] = np.logical_or.accumulate(nz[:, :0:-1], axis=1)[:, ::-1]
+        rows, cols = np.nonzero(nz & tail)
+        at = np.arange(d) - cols[:, None]  # 0 at the pair's coordinate i, > 0 past it
+        terms = jacobson_terms_batch(p, np.where(at == 0, rest[rows], 0),
+                                     np.where(at > 0, rest[rows], 0), alg.right_ops(self.bracket))
+        out = _matmul_mod(rest, values, p)
+        np.add.at(out, rows, sum(terms))
+        return out % p
 
     def validate(self, alg: "Algebra") -> None:
         if len(self.values) != alg.dim:
@@ -583,24 +579,24 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
-def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, right_stack) -> list:
+def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) -> list:
     """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, each
     as an (N, dim) array: i*s_i is the coefficient of lambda**(i-1) in the
     (p-1)-fold right bracketing of x by (lambda x + y).
 
-    `right_stack(V)` maps (M, dim) rows v to the (M, dim, dim) reduced
-    operators u -> [u, v].  Each chunk of rows takes r_y and r_x from one
-    call; each round then updates the coefficients P_k of lambda**k by
-    batched mat-vecs, P'_k = r_y P_k + r_x P_{k-1}, each product reduced mod
-    p before the sum, so no entry passes dim*(p-1)**2 + p.  A chunk stacks
-    at most _CHUNK_ENTRIES // (2 p dim**2) rows."""
+    `ops` is the bracket's reduced (dim, dim, dim) right-operator table, laid
+    out like Algebra.right_ops: r_v = sum_j v_j ops[j] is u -> [u, v].  Each
+    _blocks block of rows, counting the r_y and the r_x stack, builds both
+    with one operator_stack; each round then updates the coefficients P_k of
+    lambda**k by batched mat-vecs, P'_k = r_y P_k + r_x P_{k-1}, each product
+    reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p."""
     N, d = X.shape
     out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
-    block = max(1, _CHUNK_ENTRIES // max(1, 2 * p * d * d))
+    block = max(1, _blocks(d, ops.size)[1] // 2)
     for lo in range(0, N, block):
         x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
         n = x.shape[0]
-        R = right_stack(np.concatenate([y, x])).reshape(2, 1, n, d, d)
+        R = operator_stack(ops, np.concatenate([y, x]), p).reshape(2, 1, n, d, d)
         P = x[None]  # P[k] is the coefficient of lambda**k
         for _ in range(p - 1):
             B = _matmul_mod(R, P[None, ..., None], p)[..., 0]  # (2, k, n, d)

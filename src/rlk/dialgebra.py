@@ -25,6 +25,7 @@ from .identities import (
     Coverage,
     WITNESS_LIMIT,
     Witness,
+    _derived_bracket,
     _grid,
     _keep,
     _operator_condition_sweep,
@@ -75,10 +76,8 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
     condition r_x**p = r_{x^[p]} are each checked once before returning, and
     their passing reports are its `reports` (leibniz, restricted_leibniz).
     """
-    cl = D.structure("left")
-    cr = D.structure("right")
-    bracket = _seal((cl - cr.transpose(1, 0, 2)) % D.p)
-    out = Algebra(D.p, D.dim, {"bracket": bracket, "left": cl, "right": cr},
+    out = Algebra(D.p, D.dim, {"bracket": _derived_bracket(D), "left": D.structure("left"),
+                               "right": D.structure("right")},
                   {"frobenius": RightPowerPMap("right")},
                   label=f"dleib({D.label})" if D.label else "dleib")
     leib = check_leibniz(out)

@@ -23,6 +23,7 @@ from .algebra_core import (
     Element,
     _basis_triples,
     _blocks,
+    _matmul_mod,
     _randrange_array,
     _residue_dtype,
     _tup,
@@ -32,7 +33,7 @@ from .algebra_core import (
     stack_mat_pow,
 )
 from .errors import UsageError
-from .scalars import _freeze
+from .scalars import _freeze, _seal
 
 WITNESS_LIMIT = 16
 # axiom-3 pairs of check_restricted_lie: all of them up to this many, else sampled
@@ -285,7 +286,7 @@ def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
 def jacobson_si(alg: Algebra, bracket: str, x: Element, y: Element) -> list:
     """Polarization coefficients s_1..s_{p-1} of the named bracket."""
     X, Y = (np.array([alg.element(v)], dtype=np.int64) for v in (x, y))
-    terms = jacobson_terms_batch(alg.p, X, Y, lambda V: alg.right_mult_stack(bracket, V))
+    terms = jacobson_terms_batch(alg.p, X, Y, alg.right_ops(bracket))
     return [_tup(s[0]) for s in terms]
 
 
@@ -396,8 +397,7 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         I, J = _randrange_array(rng, N, 2 * npairs).reshape(npairs, 2).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
     S = alg.apply_pmap_batch(pmap, X[I] + X[J])
-    terms = jacobson_terms_batch(p, X[I], X[J], lambda V: alg.right_mult_stack(bracket, V))
-    rhs = (PX[I] + PX[J] + sum(terms)) % p
+    rhs = (PX[I] + PX[J] + sum(jacobson_terms_batch(p, X[I], X[J], alg.right_ops(bracket)))) % p
     failures += _keep(witnesses, np.argwhere((S != rhs).any(axis=1)), lambda n: Witness(
         ("axiom3", _tup(X[I[n]]), _tup(X[J[n]])), _tup(S[n]), _tup(rhs[n])),
         3 * WITNESS_LIMIT - len(witnesses))
@@ -417,16 +417,21 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
 # -- derived-bracket Jacobson proposition --------------------------------------
 
 
-def _dleib_jacobson_sides(D: Algebra, Z, X, Y):
+def _derived_bracket(D: Algebra) -> np.ndarray:
+    """Sealed, reduced table of D's derived bracket [a, b] = a -| b - b |- a."""
+    return _seal((D.structure("left") - D.structure("right").transpose(1, 0, 2)) % D.p)
+
+
+def _dleib_jacobson_sides(D: Algebra, c: np.ndarray, T: np.ndarray):
     """Both sides of [z,(x+y)^[p]] = [z,x^[p]] + [z,y^[p]] + [z, sum_i s_i(x,y)]
-    for (N, dim) rows z, x, y, with the derived bracket a -| b - b |- a and the
-    p-fold right-product power as p-map."""
-    p, N, cr = D.p, X.shape[0], D.structure("right")
-    g = Algebra(p, D.dim, {"bracket": (D.structure("left") - cr.transpose(1, 0, 2)) % p})
+    for the reduced (N, 3, dim) triples (z, x, y) of T, the derived bracket's
+    table c and the p-fold right-product power as p-map; [z, .] is l_z."""
+    p, (Z, X, Y) = D.p, T.swapaxes(0, 1)
     power = D.right_power_batch("right", np.concatenate([X + Y, X, Y]), p)
-    s_sum = sum(jacobson_terms_batch(p, X, Y, lambda V: g.right_mult_stack("bracket", V))) % p
-    B = g.multiply_batch("bracket", np.tile(Z, (4, 1)), np.concatenate([power, s_sum]))
-    return B[:N], (B[N:2 * N] + B[2 * N:3 * N] + B[3 * N:]) % p
+    s_sum = sum(jacobson_terms_batch(p, X, Y, c.transpose(1, 2, 0))) % p
+    V = np.stack([*np.split(power, 3), s_sum], axis=2)  # (N, dim, 4): the four v
+    B = _matmul_mod(operator_stack(c.transpose(0, 2, 1), Z, p), V, p)
+    return B[..., 0], B[..., 1:].sum(axis=2) % p
 
 
 def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element,
@@ -435,8 +440,7 @@ def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element,
     derived bracket structure of a diassociative algebra, where the p-map is
     the p-fold right-product power."""
     z, x, y = D.element(z), D.element(x), D.element(y)
-    rows = (np.array([v], dtype=np.int64) for v in (z, x, y))
-    lhs, rhs = _dleib_jacobson_sides(D, *rows)
+    lhs, rhs = _dleib_jacobson_sides(D, _derived_bracket(D), np.array([[z, x, y]], dtype=np.int64))
     lhs, rhs = _tup(lhs[0]), _tup(rhs[0])
     witnesses = [] if lhs == rhs else [Witness((z, x, y), lhs, rhs)]
     return _report("dleib_jacobson_bracket", witnesses, len(witnesses),
@@ -445,14 +449,14 @@ def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element,
 
 def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0) -> CheckReport:
     """check_dleib_jacobson_bracket on seeded random triples, drawn z, x, y
-    one coefficient at a time and evaluated a chunk of triples at once."""
+    one coefficient at a time and evaluated a _blocks block of triples at once."""
     rng = random.Random(seed)
-    d = D.dim
-    block = max(1, _CHUNK_ENTRIES // max(1, 4 * d * d))
+    d, c = D.dim, _derived_bracket(D)
+    block = _blocks(d, c.size)[1]
     witnesses, failures = [], 0
     for lo in range(0, samples, block):
         T = D.sample_array(3 * min(block, samples - lo), rng).reshape(-1, 3, d)
-        lhs, rhs = _dleib_jacobson_sides(D, T[:, 0], T[:, 1], T[:, 2])
+        lhs, rhs = _dleib_jacobson_sides(D, c, T)
         failures += _keep(witnesses, np.argwhere((lhs != rhs).any(axis=1)), lambda n: Witness(
             tuple(_tup(v) for v in T[n]), _tup(lhs[n]), _tup(rhs[n])))
     return _report(

@@ -5,9 +5,9 @@ go through pow(a, -1, p), and nothing ever touches floating point.  LambdaPoly
 is a polynomial whose coefficients live in an arbitrary bilinear carrier
 (vectors, scalars), multiplied by convolution through a caller-supplied
 bracket.  The Jacobson polarization coefficients are computed by
-`algebra_core.jacobson_terms_batch(p, X, Y, right_stack)`, which applies the
-right-bracket operators of x and y to the coefficient vectors; LambdaPoly and
-lambda_poly_bracket stay only because perfbench/tracer.py patches them by name.
+`algebra_core.jacobson_terms_batch(p, X, Y, ops)` from the bracket's
+right-operator table; LambdaPoly and lambda_poly_bracket stay only because
+perfbench/tracer.py patches them by name.
 """
 
 from __future__ import annotations

@@ -71,6 +71,8 @@ def test_multiply_matches_naive_oracle() -> None:
                 x = tuple(rng.randrange(p) for _ in range(dim))
                 y = tuple(rng.randrange(p) for _ in range(dim))
                 assert alg.multiply("mul", x, y) == naive_multiply(c.tolist(), x, y, p)
+                assert alg.sub(x, y) == tuple((a - b) % p for a, b in zip(x, y))
+                assert alg.add(alg.sub(x, y), y) == x
 
 
 def _naive_mult_matrices(c, x, p):

@@ -21,7 +21,8 @@ from rlk.algfile import format_algebra, parse_algebra
 from rlk.cli import main
 from rlk.dialgebra import dialgebra_from_operator, dleib as dleib_build
 from rlk.errors import DomainError
-from rlk.free_structures import free_zinbiel, ud_p
+from rlk.free_structures import check_zinbiel_factorial, free_zinbiel, ud_p
+from rlk.identities import check_leibniz
 
 from helpers import (abelian, counting, diagonal_assoc, l2, l2_dialgebra,
                      truncated_poly, upper_triangular2)
@@ -819,3 +820,24 @@ def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):
             digest.update(part.encode() + b"\0")
     assert digest.hexdigest() == (
         "6c09fad83e0f13fa9dff626ee5dbe5df3ced2c670015c696b979c52386a99c69")
+
+
+def test_inconclusive_report_document_prints_its_notes():
+    """A document whose worst check is inconclusive reports "inconclusive",
+    exits 1 and prints the check's notes and its own "note:" lines; a failing
+    check still outranks it."""
+    F = free_zinbiel(1, 3, 7)
+    x = F.generator(0)
+    maybe = check_zinbiel_factorial(F, x, x, 3)
+    ok = check_zinbiel_factorial(F, x, x, 2)
+    doc = rlk.cli.ReportDocument("0.1.0", "check", (), 0, checks=(ok, maybe),
+                                 notes=("one", "two"))
+    assert (maybe.status, ok.status) == ("inconclusive", "pass")
+    assert doc.status == "inconclusive" and doc.exit_code == 1
+    lines = doc.to_text().splitlines()
+    assert lines[-4:] == ["  note: truncation above degree 3 touched the inputs",
+                          "note: one", "note: two", "result: inconclusive"]
+    assert json.loads(doc.to_json())["notes"] == ["one", "two"]
+    failing = rlk.cli.ReportDocument("0.1.0", "check", (), 0,
+                                     checks=(maybe, check_leibniz(broken_bracket())))
+    assert failing.status == "fail"

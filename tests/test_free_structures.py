@@ -277,6 +277,81 @@ def test_half_shuffle_identity_on_in_range_triples():
     assert rep.coverage.count == 4
 
 
+def _in_range_triples(F):
+    n = len(F.basis)
+    return [(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+            if F.degrees[i] + F.degrees[j] + F.degrees[k] <= F.degree_cap]
+
+
+def test_planted_products_fail_the_in_range_sweeps_with_the_plain_count():
+    """A wrong cached monomial product (mono_product reads the cache first)
+    fails check_zinbiel_free and check_dias_free; the failure counts and the
+    first witnesses match a plain loop over the in-range triples."""
+    Z = free_zinbiel(2, 3, 3)
+    Z._product_cache["zinbiel", 0, 1] = ((Z.index[(1, 0)], 1),)  # x < y is xy
+
+    def z(u, v):
+        return Z.product("zinbiel", u, v)
+
+    want = []
+    for i, j, k in _in_range_triples(Z):
+        a, b, c = Z.basis_elt(i), Z.basis_elt(j), Z.basis_elt(k)
+        lhs, rhs = z(z(a, b), c), Z.add(z(a, z(b, c)), z(a, z(c, b)))
+        if lhs != rhs:
+            want.append(((i, j, k), sorted(lhs.items()), sorted(rhs.items())))
+    rep = check_zinbiel_free(Z)
+    assert rep.status == "fail" and rep.failure_count == len(want) > 0
+    assert [(w.inputs, list(w.lhs), list(w.rhs)) for w in rep.witnesses] == [
+        (inputs, [tuple(t) for t in lhs], [tuple(t) for t in rhs])
+        for inputs, lhs, rhs in sorted(want, key=lambda w: tuple(map(repr, w[0])))]
+
+    D = free_dias(2, 3, 2)
+    x, y = D.index[((), 0, ())], D.index[((), 1, ())]
+    D._product_cache["left", x, y] = ((D.index[((), 1, (0,))], 1),)  # x -| y is ((), x, (y,))
+
+    def m(op, u, v):
+        return D.product("left" if op == "l" else "right", u, v)
+
+    axioms = {  # name: lhs products and form, rhs products and form, as in identities._AXIOMS
+        "assoc_left": ("ll", "(xy)z", "ll", "x(yz)"),
+        "assoc_right": ("rr", "(xy)z", "rr", "x(yz)"),
+        "left_bar": ("ll", "x(yz)", "lr", "x(yz)"),
+        "middle": ("rl", "(xy)z", "rl", "x(yz)"),
+        "right_bar": ("lr", "(xy)z", "rr", "(xy)z"),
+    }
+
+    def side(ops, form, a, b, c):
+        first, second = ops
+        return m(second, m(first, a, b), c) if form == "(xy)z" else m(first, a, m(second, b, c))
+
+    count = 0
+    for i, j, k in _in_range_triples(D):
+        a, b, c = D.basis_elt(i), D.basis_elt(j), D.basis_elt(k)
+        for lops, lform, rops, rform in axioms.values():
+            count += side(lops, lform, a, b, c) != side(rops, rform, a, b, c)
+    rep = check_dias_free(D)
+    assert rep.status == "fail" and rep.failure_count == count > 0
+    assert all(w.inputs[0] in axioms and len(w.inputs) == 4 for w in rep.witnesses)
+
+
+def test_planted_product_gives_the_fold_and_vanishing_witnesses():
+    """With xxx < x planted as xxxx, the iterate ((x<x)<x)<x at p = 3 is 2 xxxx: it
+    neither equals 3! times the nested product (zero) nor vanishes, two failures."""
+    F = free_zinbiel(1, 4, 3)
+    x = F.generator(0)
+    F._product_cache["zinbiel", F.index[(0, 0, 0)], 0] = ((F.index[(0, 0, 0, 0)], 1),)
+    lhs = F.product("zinbiel", F.product("zinbiel", F.product("zinbiel", x, x), x), x)
+    nest = F.product("zinbiel", x, F.product("zinbiel", x, x))
+    rhs = F.scale(6, F.product("zinbiel", x, nest))
+    rep = check_zinbiel_factorial(F, x, x, 3)
+    assert rep.status == "fail"
+    assert rep.failure_count == (lhs != rhs) + (lhs != {}) == 2
+    assert [w.to_dict() for w in rep.witnesses] == [
+        {"inputs": ["fold", 3], "lhs": [[3, 2]], "rhs": []},
+        {"inputs": ["vanishing", 3], "lhs": [[3, 2]], "rhs": []},
+    ]
+
+
 def test_kind_mismatch_rejected_by_free_checks():
     with pytest.raises(UsageError, match="expected dias"):
         check_dias_free(free_zinbiel(1, 2, 2))

@@ -23,6 +23,7 @@ from rlk.identities import (
 from helpers import (
     all_elements,
     commutator_tensor,
+    counting,
     l2_dialgebra,
     matrix_assoc,
     random_structure,
@@ -83,7 +84,7 @@ def test_jacobson_terms_batch_rows_match_oracle(p, n):
         d = c.shape[0]
         alg = Algebra(p, d, {"b": c})
         X, Y = _random_rows(rng, p, n, d), _random_rows(rng, p, n, d)
-        got = jacobson_terms_batch(p, X, Y, lambda V: alg.right_mult_stack("b", V))
+        got = jacobson_terms_batch(p, X, Y, alg.right_ops("b"))
         C = c.tolist()
         _assert_rows_match_oracle(got, p, X, Y, lambda u, v: naive_multiply(C, u, v, p), kind)
 
@@ -94,10 +95,9 @@ def test_jacobson_terms_batch_on_the_derived_bracket_of_a_non_dias_pair(p):
     not diassociative, so the derived bracket is not even Leibniz."""
     rng = random.Random(f"derived-{p}")
     cl, cr = random_structure(p, 3, rng), random_structure(p, 3, rng)
-    D = Algebra(p, 3, {"left": cl, "right": cr})
     X, Y = _random_rows(rng, p, 41, 3), _random_rows(rng, p, 41, 3)
-    got = jacobson_terms_batch(p, X, Y, lambda V: (
-        D.right_mult_stack("left", V) - D.left_mult_stack("right", V)) % p)
+    # [u, v] = u -| v - v |- u, laid out as right operators r_v
+    got = jacobson_terms_batch(p, X, Y, ((cl - cr.transpose(1, 0, 2)) % p).transpose(1, 2, 0))
     L, R = cl.tolist(), cr.tolist()
 
     def bracket(u, v):
@@ -158,6 +158,68 @@ def test_basis_jacobson_routes_match_the_coordinate_oracle(p, monkeypatch):
         assert got["compiled"] == got["pair"] == want, (p, dim)
 
 
+def _count_kernel_rows(monkeypatch):
+    """The row count of every jacobson_terms_batch call BasisJacobsonPMap makes from here on."""
+    calls, kernel = [], algebra_core.jacobson_terms_batch
+
+    def wrapper(p, X, Y, ops):
+        calls.append(len(X))
+        return kernel(p, X, Y, ops)
+
+    monkeypatch.setattr(algebra_core, "jacobson_terms_batch", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_basis_jacobson_edges_without_pairs_match_the_oracle(p, monkeypatch):
+    """Dims 0 and 1 (which only the one-call route serves), no rows at all,
+    the zero row and rows whose only nonzero entry is the last coordinate
+    give no (row, coordinate) pair: the one-call route makes one kernel call
+    on no rows, and its values match the compiled route where dim >= 2 and
+    the plain-Python extension everywhere."""
+    rng = random.Random(f"edges-{p}")
+    calls = _count_kernel_rows(monkeypatch)
+    for dim in range(4):
+        c = random_structure(p, dim, rng).reshape(dim, dim, dim)
+        c = (c - c.transpose(1, 0, 2)) % p
+        values = [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim)]
+        pm = BasisJacobsonPMap("bracket", values)
+        lone = [[0] * dim] + [[0] * (dim - 1) + [a] for a in range(1, p)] if dim else [[]]
+        C = c.tolist()
+        for rows in ([], lone):
+            X = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+            got = {}
+            for route, cut in _ROUTES.items():
+                monkeypatch.setattr(algebra_core, "_JACOBSON_WORDS", cut)
+                calls.clear()
+                got[route] = pm.apply_batch(Algebra(p, dim, {"bracket": c}), X).tolist()
+                assert calls == ([] if route == "compiled" and dim >= 2 else [0]), (route, dim)
+            want = [list(naive_basis_jacobson(lambda u, v: naive_multiply(C, u, v, p), values,
+                                              tuple(x), p)) for x in rows]
+            assert got["compiled"] == got["pair"] == want, (p, dim, rows)
+
+
+def test_one_kernel_call_per_apply_past_the_cut(monkeypatch):
+    """Past the cut, apply_batch polarizes every (row, coordinate) pair with
+    a_i and the tail past i nonzero in one jacobson_terms_batch call."""
+    calls = _count_kernel_rows(monkeypatch)
+    monkeypatch.setattr(algebra_core, "_JACOBSON_WORDS", _ROUTES["pair"])
+    p = 3
+    A = matrix_assoc(p, 2)
+    C = A.structure("assoc").tolist()
+    values = [_power(C, A.basis(i), p) for i in range(A.dim)]
+    alg = Algebra(p, A.dim, {"bracket": commutator_tensor(A)},
+                  {"jac": BasisJacobsonPMap("bracket", values)})
+    X = np.array(all_elements(p, A.dim), dtype=np.int64)
+    pairs = sum(int(x[i] != 0 and x[i + 1:].any()) for x in X for i in range(A.dim))
+    calls.clear()
+    got = alg.apply_pmap_batch("jac", X)
+    assert calls == [pairs]
+    assert [tuple(r) for r in got.tolist()] == [_power(C, tuple(x), p) for x in X.tolist()]
+    assert alg.apply_pmap("jac", (1, 2, 0, 1)) == _power(C, (1, 2, 0, 1), p)
+    assert calls == [pairs, 2]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_planted_basis_value_fails_alike_on_both_routes(p, monkeypatch):
     """gl_2 with e_i^[p] = e_i^p except one shifted basis value: check_restricted_lie
@@ -209,19 +271,27 @@ def _naive_dleib_sweep(cl, cr, p, samples, seed):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_sweep_dleib_jacobson_matches_scalar_recomputation(p):
+def test_sweep_dleib_jacobson_matches_scalar_recomputation(p, monkeypatch):
+    """Also with blocks of a few rows, in the sweep and in the kernel; and
+    neither check builds an Algebra for the derived bracket."""
     rng = random.Random(p)
     cl, cr = random_structure(p, 3, rng), random_structure(p, 3, rng)
     D = Algebra(p, 3, {"left": cl, "right": cr})
-    rep = sweep_dleib_jacobson(D, samples=120, seed=9)
     failures, witnesses = _naive_dleib_sweep(cl, cr, p, 120, 9)
     assert failures > WITNESS_LIMIT
-    assert rep.failure_count == failures
-    assert [(w.inputs, w.lhs, w.rhs) for w in rep.witnesses] == witnesses
+    builds = {"algebra": 0}
+    monkeypatch.setattr(Algebra, "__post_init__",
+                        counting(builds, "algebra", Algebra.__post_init__))
+    for block_entries in (algebra_core._BLOCK_ENTRIES, 64):
+        monkeypatch.setattr(algebra_core, "_BLOCK_ENTRIES", block_entries)
+        rep = sweep_dleib_jacobson(D, samples=120, seed=9)
+        assert rep.failure_count == failures
+        assert [(w.inputs, w.lhs, w.rhs) for w in rep.witnesses] == witnesses
     for inputs, lhs, rhs in witnesses[:3]:
         single = check_dleib_jacobson_bracket(D, *inputs)
         assert single.failure_count == 1
         assert (single.witnesses[0].lhs, single.witnesses[0].rhs) == (lhs, rhs)
+    assert builds["algebra"] == 0
 
 
 def _perturbed_power_table(A, x0, delta):

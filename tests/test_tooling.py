@@ -3,10 +3,13 @@ wraps must exist in rlk."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer(monkeypatch):
@@ -39,3 +42,12 @@ def test_every_tracer_target_resolves_in_rlk(monkeypatch):
         if not found:
             missing.append(target)
     assert missing == []
+
+
+def test_module_entry_point_prints_the_version():
+    """`python -m rlk --version` runs rlk/__main__.py, prints the version and exits 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-m", "rlk", "--version"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "rlk 0.1.0\n", "")
