@@ -589,10 +589,12 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) 
     _blocks block of rows, counting the r_y and the r_x stack, builds both
     with one operator_stack; each round then updates the coefficients P_k of
     lambda**k by batched mat-vecs, P'_k = r_y P_k + r_x P_{k-1}, each product
-    reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p."""
+    reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p.  A block
+    also fits its operator and lambda stacks, with their casts, in _CHUNK_ENTRIES:
+    4*dim*(dim + 2p) entries a row, which binds below dim 33 only past p = 15*dim."""
     N, d = X.shape
     out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
-    block = max(1, _blocks(d, ops.size)[1] // 2)
+    block = max(1, min(_blocks(d, ops.size)[1] // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
     for lo in range(0, N, block):
         x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
         n = x.shape[0]

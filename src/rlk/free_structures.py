@@ -18,12 +18,11 @@ a check reads the count before and after its own products and reports
 
 `truncated_ideal_quotient` spans the two-sided ideal of a relation list by
 closing under all degree-one multiplications (the compatibility axioms make
-those generate every sandwich), row-reduces exactly over F_p (a
-`RowReducer.add` that grows the rank returns the new normalized row, which
-joins the closure's frontier; one that does not returns None), and returns
-the surviving monomial basis with an idempotent projection.  `ud_p` and
-`das_quotient` instantiate the enveloping-diassociative and
-both-products-identified quotients on top of it.
+those generate every sandwich) through lazily filled per-generator product
+tables, row-reduces exactly over F_p (new pivot rows from `RowReducer.insert`
+join the closure's frontier), and returns the surviving monomial basis with
+an idempotent projection.  `ud_p` and `das_quotient` instantiate the
+enveloping-diassociative and both-products-identified quotients on top of it.
 """
 
 from __future__ import annotations
@@ -211,11 +210,14 @@ class GradedBasisAlgebra:
             return hit
         if op not in self.op_names:
             raise UsageError(f"unknown op {op!r} for {self.kind} monomials")
+        over = self.degrees[i] + self.degrees[j] > self.degree_cap
+        self.overflows += over
+        out = self._product_cache[key] = () if over else self._mono_terms(op, i, j)
+        return out
+
+    def _mono_terms(self, op: str, i: int, j: int) -> tuple:
+        """The monomial product rule, for a valid op within the cap; uncached, uncounted."""
         mi, mj = self.basis[i], self.basis[j]
-        if self.degrees[i] + self.degrees[j] > self.degree_cap:
-            self.overflows += 1
-            self._product_cache[key] = ()
-            return ()
         if self.kind == "dias":
             ul, uc, ur = mi
             vl, vc, vr = mj
@@ -223,19 +225,16 @@ class GradedBasisAlgebra:
                 mono = (ul, uc, ur + vl + (vc,) + vr)
             else:
                 mono = (ul + (uc,) + ur + vl, vc, vr)
-            out = ((self.index[mono], 1),)
-        elif self.kind == "assoc":
-            out = ((self.index[mi + mj], 1),)
-        else:
-            head, tail = mi[0], mi[1:]
-            terms = {}
-            for w, m in _shuffle(tail, mj):
-                c = m % self.p
-                if c:
-                    terms[self.index[(head,) + w]] = c
-            out = tuple(sorted(terms.items()))
-        self._product_cache[key] = out
-        return out
+            return ((self.index[mono], 1),)
+        if self.kind == "assoc":
+            return ((self.index[mi + mj], 1),)
+        head, tail = mi[0], mi[1:]
+        terms = {}
+        for w, m in _shuffle(tail, mj):
+            c = m % self.p
+            if c:
+                terms[self.index[(head,) + w]] = c
+        return tuple(sorted(terms.items()))
 
     def product(self, op: str, x: dict, y: dict) -> dict:
         out = {}
@@ -458,7 +457,10 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
     The span is closed under multiplication by degree-one monomials on both
     sides of every product; the compatibility axioms of each monomial family
     reduce arbitrary sandwiches to such compositions, so the closure is the
-    full truncated ideal.
+    full truncated ideal.  A frontier row x is multiplied, for each op and
+    generator g, as g x then x g, through a table per (op, g, side) of the
+    terms of g j (or j g), filled by _mono_terms when basis index j is first
+    reached; each term of x at the cap's degree overflows once per table.
     """
     p, dim = F.p, F.dim
     rr = RowReducer(p, dim)
@@ -469,14 +471,26 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
         dense_rels.append(tuple(F.dense(v).tolist()))
         if row := rr.add(v):
             frontier.append(row)
-    gens = [F.generator(i) for i in range(F.ngen)]
+    # (op, generator, left side?, table of j -> terms of g op j or j op g)
+    tables = [(op, g, left, {}) for op in F.op_names
+              for g in map(F.generator_index, range(F.ngen)) for left in (True, False)]
+    cap, degrees, overflows = F.degree_cap, F.degrees, 0
     while frontier:
         x = frontier.popleft()
-        for op in F.op_names:
-            for g in gens:
-                for prod in (F.product(op, g, x), F.product(op, x, g)):
-                    if prod and (row := rr.add(prod)):
-                        frontier.append(row)
+        inside = [(j, c) for j, c in x.items() if degrees[j] < cap]
+        overflows += (len(x) - len(inside)) * len(tables)
+        for op, g, left, table in tables if inside else ():
+            prod = {}
+            for j, c in inside:
+                terms = table.get(j)
+                if terms is None:
+                    terms = table[j] = F._mono_terms(op, g, j) if left else F._mono_terms(op, j, g)
+                for k, m in terms:
+                    prod[k] = prod.get(k, 0) + c * m
+            prod = {k: v % p for k, v in prod.items() if v % p}
+            if prod and (row := rr.insert(prod)):
+                frontier.append(row)
+    F.overflows += overflows
     normal = tuple(i for i in range(dim) if i not in rr.pivot_of_col)
     projection = np.eye(dim, dtype=np.int64)
     for pc, row in rr.reduced_rows().items():

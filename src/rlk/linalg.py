@@ -61,25 +61,28 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivot_of_col)
 
-    def reduce(self, vec) -> dict:
-        """vec (a {column: coeff} dict or a dense row) eliminated against the
-        current pivot rows, as a new sparse row."""
+    def _checked(self, vec) -> dict:
+        """vec (a {column: coeff} dict or a dense row), checked, as a new sparse row."""
         if not isinstance(vec, dict):
             dense = mat_mod(vec, self.p)
             if dense.shape != (self.width,):
-                raise UsageError(
-                    f"row of width {dense.shape} in reducer of width {self.width}"
-                )
+                raise UsageError(f"row of width {dense.shape} in reducer of width {self.width}")
             vec = dict(enumerate(dense.tolist()))
         elif any(not 0 <= c < self.width for c in vec):
             raise UsageError(f"row columns outside reducer width {self.width}")
-        v = {c: int(a) % self.p for c, a in vec.items() if int(a) % self.p}
-        return _eliminate(v, self.pivot_of_col, self.p)
+        return {c: int(a) % self.p for c, a in vec.items() if int(a) % self.p}
+
+    def reduce(self, vec) -> dict:
+        """vec eliminated against the current pivot rows, as a new sparse row."""
+        return _eliminate(self._checked(vec), self.pivot_of_col, self.p)
 
     def add(self, vec) -> dict | None:
-        """Insert a row; returns the new normalized pivot row when the rank
-        grew, else None."""
-        v = self.reduce(vec)
+        """Insert a row; returns the new normalized pivot row if the rank grew, else None."""
+        return self.insert(self._checked(vec))
+
+    def insert(self, v: dict) -> dict | None:
+        """add without its checks, for a new sparse row of nonzero residues inside the width."""
+        v = _eliminate(v, self.pivot_of_col, self.p)
         if not v:
             return None
         lead = min(v)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rlk import free_structures
+from rlk.dialgebra import dleib
 from rlk.envelope import ulp_truncated
 from rlk.errors import UsageError
 from rlk.free_structures import (
@@ -26,9 +27,9 @@ from rlk.free_structures import (
     word_ambient,
 )
 
-from helpers import abelian, l2
-from oracles import (ideal_rank_fixed_point, naive_multiply, naive_shuffle,
-                     naive_word_tables, trial_division_is_prime)
+from helpers import abelian, l2, l2_dialgebra
+from oracles import (gauss_echelon_rows, gauss_nonpivot_columns, ideal_rank_fixed_point,
+                     naive_multiply, naive_shuffle, naive_word_tables, trial_division_is_prime)
 
 
 # -- naive three-slot monomial arithmetic for the oracle side ----------------
@@ -835,6 +836,172 @@ def test_homogeneous_ideal_rank_matches_fixed_point_oracle(p):
                 rows.append(row)
             pres = truncated_ideal_quotient(ambient, rels)
             assert pres.ideal_rank == ideal_rank_fixed_point(tables, rows, p)
+
+
+# -- the closure's product tables --------------------------------------------------
+
+
+def _naive_products(F, op, a, b):
+    """{monomial: multiplicity} of a op b by the naive formulas; {} past the cap."""
+    if F.kind == "dias":
+        m = naive_dias_product(op, a, b, F.degree_cap)
+        return {} if m is None else {m: 1}
+    if len(a) + len(b) > F.degree_cap:
+        return {}
+    if F.kind == "assoc":
+        return {a + b: 1}
+    return {(a[0],) + w: m for w, m in naive_shuffle(a[1:], b).items()}
+
+
+def _naive_tables(F):
+    """One dense [i][j][k] table per product of F, in F's basis order."""
+    idx = {m: i for i, m in enumerate(F.basis)}
+    tables = []
+    for op in F.op_names:
+        c = [[[0] * F.dim for _ in range(F.dim)] for _ in range(F.dim)]
+        for i, a in enumerate(F.basis):
+            for j, b in enumerate(F.basis):
+                for m, k in _naive_products(F, op, a, b).items():
+                    c[i][j][idx[m]] = (c[i][j][idx[m]] + k) % F.p
+        tables.append(c)
+    return tables
+
+
+def _plain_closure(F, tables, rows):
+    """Reduced echelon rows of the span of `rows` closed under products with
+    the degree-one generators on both sides, through the dense tables."""
+    p, n = F.p, F.dim
+    gens = [i for i, deg in enumerate(F.degrees) if deg == 1]
+    rows = gauss_echelon_rows(rows, p)
+    while True:
+        grown = list(rows)
+        for c in tables:
+            for r in rows:
+                for g in gens:
+                    grown.append([sum(c[g][j][k] * r[j] for j in range(n)) % p for k in range(n)])
+                    grown.append([sum(r[j] * c[j][g][k] for j in range(n)) % p for k in range(n)])
+        grown = gauss_echelon_rows(grown, p)
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+CLOSURE_AMBIENTS = {
+    "words": lambda p: word_ambient(2, 4, p),
+    "nonunital words": lambda p: word_ambient(2, 3, p, unital=False),
+    "dias": lambda p: free_dias(2, 3, p),
+    "zinbiel": lambda p: free_zinbiel(2, 4, p),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", sorted(CLOSURE_AMBIENTS))
+def test_closure_matches_a_plain_dense_closure(kind, p):
+    """Random sparse relation sets, each with a term at the top degree (whose
+    products all overflow): the rank, normal indices and projection are those
+    of the plain closure's echelon rows, and for words and dialgebras the rank
+    is the oracle's fixed point under every basis product (for half-shuffles
+    it need not be, see the next test)."""
+    rng = random.Random(f"closure-{kind}-{p}")
+    F = CLOSURE_AMBIENTS[kind](p)
+    tables = _naive_tables(F)
+    top = [i for i, deg in enumerate(F.degrees) if deg == F.degree_cap]
+    for _ in range(3):
+        rels = []
+        for _ in range(rng.randrange(1, 4)):
+            terms = rng.sample(range(F.dim), rng.randrange(1, 3)) + [rng.choice(top)]
+            rels.append({i: rng.randrange(1, p) for i in terms})
+        rows = [[rel.get(i, 0) for i in range(F.dim)] for rel in rels]
+        before = F.overflows
+        pres = truncated_ideal_quotient(F, rels)
+        assert F.overflows > before
+        closed = _plain_closure(F, tables, rows)
+        assert pres.ideal_rank == len(closed)
+        if kind != "zinbiel":
+            assert len(closed) == ideal_rank_fixed_point(tables, rows, p)
+        assert pres.normal_indices == tuple(
+            gauss_nonpivot_columns(closed or [[0] * F.dim], p))
+        want = np.eye(F.dim, dtype=np.int64)
+        for r in closed:
+            lead = next(k for k, v in enumerate(r) if v)
+            want[:, lead] = [-v % p for v in r]
+            want[lead, lead] = 0
+        assert np.array_equal(pres.projection, want)
+
+
+@pytest.mark.xfail(strict=True, reason="closing under degree-one products on both sides "
+                   "does not give the two-sided ideal of half-shuffle monomials")
+def test_zinbiel_quotient_kills_every_product_of_a_relation():
+    """x < (y < z) = xyz lies in the ideal of x, but the generator closure
+    holds only (x < y) < z = xyz + xzy of it."""
+    Z = free_zinbiel(3, 3, 3)
+    x, y, z = (Z.generator(i) for i in range(3))
+    pres = truncated_ideal_quotient(Z, [x])
+    assert not pres.project(Z.product("zinbiel", x, Z.product("zinbiel", y, z))).any()
+
+
+def _zinbiel_commutator():
+    Z = free_zinbiel(2, 4, 3)
+    x, y = Z.generator(0), Z.generator(1)
+    pres = truncated_ideal_quotient(
+        Z, [Z.sub(Z.product("zinbiel", x, y), Z.product("zinbiel", y, x))])
+    return Z.dim, pres.dimension, Z.overflows
+
+
+def _das():
+    F = free_dias(1, 4, 3)
+    pres, rep = das_quotient(F)
+    return pres.dimension, rep.status, F.overflows
+
+
+def _ambient_counts(pres):
+    return pres.ambient.dim, pres.dimension, pres.ambient.overflows
+
+
+# the ambient's overflow count after each construction, with the two sizes
+OVERFLOW_PINS = {
+    "ulp_truncated(L2/F2, d=3)": (lambda: _ambient_counts(ulp_truncated(l2(2), d=3)),
+                                  (85, 2, 1104)),
+    "ulp_truncated(L2/F2, d=5)": (lambda: _ambient_counts(ulp_truncated(l2(2), d=5)),
+                                  (1365, 2, 16400)),
+    "ulp_truncated(L2/F3, d=4)": (lambda: _ambient_counts(ulp_truncated(l2(3), d=4)),
+                                  (341, 2, 5024)),
+    "ud_p(dleib(L2 dialgebra/F2), d=3)": (
+        lambda: _ambient_counts(ud_p(dleib(l2_dialgebra(2)), d=3)), (34, 0, 400)),
+    "ud_p(dleib(L2 dialgebra/F3), d=3)": (
+        lambda: _ambient_counts(ud_p(dleib(l2_dialgebra(3)), d=3)), (34, 0, 488)),
+    "das_quotient(free_dias(1, 4, 3))": (_das, (4, "pass", 194)),
+    "zinbiel x<y - y<x": (_zinbiel_commutator, (30, 17, 64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_PINS))
+def test_quotient_overflow_counts_are_pinned(name):
+    """One per truncated product term, as when the closure multiplied through
+    GradedBasisAlgebra.product."""
+    build, want = OVERFLOW_PINS[name]
+    assert build() == want
+
+
+def _raise(*args):
+    raise AssertionError("the closure called a GradedBasisAlgebra product")
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSURE_AMBIENTS))
+def test_closure_makes_no_product_or_mono_product_call(kind, monkeypatch):
+    F = CLOSURE_AMBIENTS[kind](3)
+    g0, g1 = F.generator(0), F.generator(1)
+    op = F.op_names[-1]
+    rels = [F.sub(F.product(op, g0, g1), F.product(op, g1, g0)),
+            F.add(F.product(op, g0, F.product(op, g0, g0)), g1)]
+    want = truncated_ideal_quotient(CLOSURE_AMBIENTS[kind](3), rels)
+    monkeypatch.setattr(GradedBasisAlgebra, "product", _raise)
+    monkeypatch.setattr(GradedBasisAlgebra, "mono_product", _raise)
+    before = F.overflows
+    pres = truncated_ideal_quotient(F, rels)
+    assert (pres.normal_indices, pres.ideal_rank) == (want.normal_indices, want.ideal_rank)
+    assert np.array_equal(pres.projection, want.projection)
+    assert F.overflows - before == want.ambient.overflows > 0
 
 
 # -- basis sizes before enumeration ----------------------------------------------

@@ -106,3 +106,19 @@ def test_reducer_rejects_dict_columns_outside_the_width() -> None:
         with pytest.raises(UsageError):
             red.add(bad)
     assert red.rank == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_insert_and_add_build_the_same_pivot_rows(p) -> None:
+    """insert is add without its checks: on rows of nonzero residues inside
+    the width both return the same rows and leave equal pivot_of_col."""
+    rng = random.Random(200 + p)
+    for _ in range(30):
+        width = rng.randrange(1, 10)
+        rows = [{c: rng.randrange(1, p) for c in rng.sample(range(width), rng.randrange(1, width + 1))}
+                for _ in range(rng.randrange(1, 9))]
+        checked, unchecked = RowReducer(p, width), RowReducer(p, width)
+        for row in rows:
+            assert checked.add(row) == unchecked.insert(dict(row))
+        assert checked.pivot_of_col == unchecked.pivot_of_col
+        assert list(checked.pivot_of_col) == list(unchecked.pivot_of_col)

@@ -5,6 +5,7 @@ implementation they replaced."""
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,34 @@ def test_jacobson_terms_batch_rows_match_oracle(p, n):
         got = jacobson_terms_batch(p, X, Y, alg.right_ops("b"))
         C = c.tolist()
         _assert_rows_match_oracle(got, p, X, Y, lambda u, v: naive_multiply(C, u, v, p), kind)
+
+
+@pytest.mark.parametrize("p, dim", [(3, 3), (5, 2), (7, 3)])
+def test_jacobson_blocks_keep_the_lambda_stacks_in_the_entry_budget(p, dim, monkeypatch):
+    """With the entry budget patched down, a small-p call spans several blocks
+    whose operator and lambda stacks fit the budget: the terms equal the
+    one-block result, and the traced peak past the output arrays stays within
+    the budget's int64 bytes (blocks of the _blocks rows alone overrun it)."""
+    rng = random.Random(f"jacobson-blocks-{p}")
+    ops = Algebra(p, dim, {"b": random_structure(p, dim, rng)}).right_ops("b")
+    n = 600
+    X, Y = _random_rows(rng, p, n, dim), _random_rows(rng, p, n, dim)
+    blocks, stack = [], algebra_core.operator_stack
+    monkeypatch.setattr(algebra_core, "operator_stack",
+                        lambda *args: blocks.append(1) or stack(*args))
+    want = jacobson_terms_batch(p, X, Y, ops)
+    assert len(blocks) == 1
+    budget = 1 << 14
+    monkeypatch.setattr(algebra_core, "_CHUNK_ENTRIES", budget)
+    tracemalloc.start()
+    try:
+        got = jacobson_terms_batch(p, X, Y, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert peak - (p - 1) * n * dim * 8 <= budget * 8
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
