@@ -88,7 +88,7 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
             f"{w.lhs} != {w.rhs}"
         )
     rep = _operator_condition_sweep(out, "bracket", "frobenius", "restricted_leibniz",
-                                    cap, seed, samples)
+                                    cap, seed, samples)[0]
     if not rep.ok():
         w = rep.witnesses[0]
         raise UsageError(

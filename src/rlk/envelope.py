@@ -10,7 +10,7 @@ right action by x.
 Both checks run on stacks of matrices.  The identities are evaluated on
 every basis pair at once, with [e_i, e_j] read from the structure tensor;
 the p-power condition is the operator sweep that restricted algebras use
-(`identities._operator_failures`), fed with the module's `right_action` stack.
+(`identities._restricted_pass`), fed with the module's `right_action` stack.
 Module matrix products sum mdim terms, so the module dimension is bounded
 by the modulus as an algebra's dimension is.
 
@@ -54,13 +54,12 @@ from .identities import (
     Coverage,
     CheckReport,
     Witness,
-    _grid,
     _keep,
-    _operator_failures,
     _report,
     _require,
-    check_leibniz,
-    check_restricted_leibniz,
+    _require_leibniz,
+    _restricted_leibniz,
+    _restricted_pass,
 )
 from .scalars import _freeze, _seal
 
@@ -120,7 +119,7 @@ def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
     """
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    _require(check_leibniz(g), "underlying bracket fails its identity")
+    _require_leibniz(g, "underlying bracket fails its identity")
     p, n, L, R = g.p, g.dim, M.left_action, M.right_action
     brackets = g.structure("bracket").reshape(n * n, n)
     witnesses, failures = [], 0
@@ -152,22 +151,26 @@ def check_restricted_module(g: Algebra, M: LeibnizModule, pmap: str = "frobenius
     p-map is not linear, so basis pairs do not suffice).  Each witness is
     (x,) with lhs r_{x^[p]} and rhs r_x^p; the first 16 failures in element
     order are kept."""
+    return _restricted_module(g, M, pmap, cap, seed, samples)[0]
+
+
+def _restricted_module(g: Algebra, M: LeibnizModule, pmap: str, cap, seed, samples=400):
+    """check_restricted_module's report, with the grid and p-map values it swept."""
     _require(check_module_axioms(g, M), "module identities fail")
-    X, coverage = _grid(g, cap, seed, samples)
-    failures, found = _operator_failures(M.right_action, g.p, X, g.apply_pmap_batch(pmap, X))
+    X, PX, cov, failures, found = _restricted_pass(g, M.right_action, pmap, cap, seed, samples)
     witnesses = []
     _keep(witnesses, [(w.inputs, w.rhs, w.lhs) for w in found], Witness)
-    return _report("restricted_module", witnesses, failures, coverage)
+    return _report("restricted_module", witnesses, failures, cov), X, PX
 
 
 # -- relation words ------------------------------------------------------------
 
 
-def _relation_terms(g: Algebra, pmap: str, cap, seed, samples):
+def _relation_terms(g: Algebra, instances, values):
     """The four relation families as (tag, key, [(word, coeff), ...]) triples,
     in letter convention: letter i = left action of e_i, letter n+i = right.
     Bilinear families are instantiated on basis pairs, the p-power family on
-    enumerated or sampled elements of g."""
+    the given elements of g with their p-map values."""
     p, n = g.p, g.dim
     brackets = g.structure("bracket").tolist()
     out = []
@@ -178,7 +181,6 @@ def _relation_terms(g: Algebra, pmap: str, cap, seed, samples):
                 ("l_bracket", (i, j), [((k,), c) for k, c in br]
                  + [((i, n + j), -1), ((n + j, i), 1)]),
                 ("l_kills_symmetrized", (i, j), [((n + j, i), 1), ((j, i), 1)])]
-    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
     for x, fx in zip(instances, values):
         x = tuple(x)
         terms = [((n + k,), c % p) for k, c in enumerate(fx) if c % p]
@@ -186,7 +188,7 @@ def _relation_terms(g: Algebra, pmap: str, cap, seed, samples):
         terms += [(tuple(k for k, _ in f), -math.prod(v for _, v in f) % p)
                   for f in itertools.product(support, repeat=p)]
         out.append(("r_power", (x,), terms))
-    return out, note
+    return out
 
 
 def _word_action(M: LeibnizModule, terms) -> dict:
@@ -232,7 +234,8 @@ def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     operators on the module and asserted zero."""
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    terms, note = _relation_terms(g, pmap, cap, seed, samples)
+    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
+    terms = _relation_terms(g, instances, values)
     failures, witnesses = _relation_failures(_word_action(M, terms), terms, (), g.p)
     notes = ("derived signs", note)
     return _report("ulp_relations", witnesses, failures,
@@ -243,16 +246,17 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
                   seed: int = 0, samples: int = 64) -> QuotientPresentation:
     """Degree-truncated word envelope: the free unital word algebra on
     2·dim(g) letters divided by the two-sided ideal of the four relation
-    families (derived signs)."""
+    families (derived signs).  An oversized ambient is refused before the sweep."""
     d = g.p if d is None else d
     if d < g.p:
         raise UsageError(
             f"degree cap {d} is below the characteristic {g.p}"
         )
-    _require(check_restricted_leibniz(g, pmap, cap=cap, seed=seed),
-             "input is not restricted Leibniz")
     W = word_ambient(2 * g.dim, d, g.p, label=f"ul_words({g.label})")
-    terms, note = _relation_terms(g, pmap, cap, seed, samples)
+    gate = _restricted_leibniz(g, pmap, cap, seed)
+    _require(gate[0], "input is not restricted Leibniz")
+    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
+    terms = _relation_terms(g, instances, values)
     rels = []
     for _tag, _key, words in terms:
         rel = {}
@@ -274,10 +278,11 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     left_action[i] and letter n+i to right_action[i], composed in reading
     order; every relation word must act as the zero operator, and the
     single-letter words must read the original module back bit-exactly."""
-    _require(check_restricted_module(g, M, pmap, cap=cap, seed=seed),
-             "module is not restricted")
+    gate = _restricted_module(g, M, pmap, cap, seed)
+    _require(gate[0], "module is not restricted")
     p, n = g.p, g.dim
-    terms, note = _relation_terms(g, pmap, cap, seed, samples)
+    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
+    terms = _relation_terms(g, instances, values)
     table = _word_action(M, terms)
     failures, witnesses = _relation_failures(table, terms, ("relation",), p)
     readback = [(tag, i, table[letter], original % p)

@@ -324,30 +324,47 @@ def _operator_failures(ops, p, X, PX, tag=()):
     return failures, witnesses
 
 
-def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
-    """r_{f(x)} == r_x ** p as operator matrices, swept over elements."""
+def _restricted_pass(alg: Algebra, ops, pmap, cap, seed, samples, tag=()):
+    """(X, PX, coverage, failure count, witnesses) of the one restricted pass: the _grid X
+    of alg, its p-map values from one batch, and _operator_failures of the stack ops."""
     X, coverage = _grid(alg, cap, seed, samples)
-    failures, witnesses = _operator_failures(
-        alg.right_ops(op), alg.p, X, alg.apply_pmap_batch(pmap, X))
-    return _report(identity, witnesses, failures, coverage)
+    PX = alg.apply_pmap_batch(pmap, X)
+    return (X, PX, coverage) + _operator_failures(ops, alg.p, X, PX, tag)
+
+
+def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
+    """r_{f(x)} == r_x ** p swept over elements: (report, grid, p-map values)."""
+    X, PX, coverage, failures, witnesses = _restricted_pass(
+        alg, alg.right_ops(op), pmap, cap, seed, samples)
+    return _report(identity, witnesses, failures, coverage), X, PX
+
+
+def _require_leibniz(alg: Algebra, what: str) -> CheckReport:
+    """The leibniz report alg holds (dleib makes one; check_leibniz reads op "bracket",
+    which no copy keeping the reports changes), else check_leibniz(alg), required to pass."""
+    held = next((rep for rep in alg.reports if rep.identity == "leibniz"), None)
+    return _require(held or check_leibniz(alg), what)
+
+
+def _restricted_leibniz(alg: Algebra, pmap: str, cap, seed, samples=400):
+    """check_restricted_leibniz's report, with the grid and p-map values it swept."""
+    _require_leibniz(alg, "bracket 'bracket' is not Leibniz")
+    return _operator_condition_sweep(alg, "bracket", pmap, "restricted_leibniz",
+                                     cap, seed, samples)
 
 
 def check_restricted_leibniz(alg: Algebra, pmap: str = "frobenius", cap=None,
                              seed: int = 0, samples: int = 400) -> CheckReport:
     """Right multiplications satisfy r_x**p = r_{x^[p]}; "bracket" must be Leibniz."""
-    _require(check_leibniz(alg), "bracket 'bracket' is not Leibniz")
-    return _operator_condition_sweep(
-        alg, "bracket", pmap, "restricted_leibniz", cap, seed, samples
-    )
+    return _restricted_leibniz(alg, pmap, cap, seed, samples)[0]
 
 
 def check_restricted_prelie(alg: Algebra, pmap: str = "zero", cap=None,
                             seed: int = 0, samples: int = 400) -> CheckReport:
     """R_a**p = R_{a^{p}} for right multiplications of the pre-Lie op "prelie"."""
     _require(check_prelie(alg), "op 'prelie' is not pre-Lie")
-    return _operator_condition_sweep(
-        alg, "prelie", pmap, "restricted_prelie", cap, seed, samples
-    )
+    return _operator_condition_sweep(alg, "prelie", pmap, "restricted_prelie",
+                                     cap, seed, samples)[0]
 
 
 def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pmap",
@@ -365,10 +382,10 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     if bad is not None:
         raise UsageError(f"bracket {bracket!r} is not Lie: {bad[0]} fails at {bad[1:]}")
     p = alg.p
-    X, coverage = _grid(alg, cap, seed, samples)
+    # axiom 2, the operator condition, is the pass's own sweep
+    X, PX, coverage, failures, witnesses = _restricted_pass(
+        alg, alg.right_ops(bracket), pmap, cap, seed, samples, ("axiom2",))
     N = X.shape[0]
-    PX = alg.apply_pmap_batch(pmap, X)
-    witnesses, failures = [], 0
 
     # axiom 1: semilinearity in scalars; 0^[p] is shared by every row of the grid
     got0 = alg.apply_pmap(pmap, alg.zero())
@@ -381,11 +398,6 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         failures += _keep(witnesses, np.argwhere(((got - expect) % p).any(axis=1)),
                           lambda n: Witness(("axiom1", a, _tup(X[n])), _tup(got[n]),
                                             _tup(expect[n])), WITNESS_LIMIT)
-
-    # axiom 2: operator condition
-    count, found = _operator_failures(alg.right_ops(bracket), p, X, PX, ("axiom2",))
-    failures += count
-    witnesses += found
 
     # axiom 3: Jacobson sum over pairs
     if N * N <= PAIR_BUDGET:
@@ -405,12 +417,10 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         f"elements {coverage.kind}({coverage.count})",
         f"axiom3 pairs {pair_cov.kind}({pair_cov.count})",
     )
-    total = Coverage(
-        "exhaustive" if coverage.kind == "exhaustive" and pair_cov.kind == "exhaustive"
-        else "sampled",
-        coverage.count * p + coverage.count + pair_cov.count,
-        None if coverage.kind == "exhaustive" and pair_cov.kind == "exhaustive" else seed,
-    )
+    exhaustive = coverage.kind == pair_cov.kind == "exhaustive"
+    total = Coverage("exhaustive" if exhaustive else "sampled",
+                     coverage.count * p + coverage.count + pair_cov.count,
+                     None if exhaustive else seed)
     return _report("restricted_lie", witnesses, failures, total, notes)
 
 

@@ -13,10 +13,6 @@ import numpy as np
 from .errors import UsageError
 
 
-def mat_mod(m, p: int):
-    return np.asarray(m, dtype=np.int64) % p
-
-
 def _eliminate(v: dict, lead_rows: dict, p: int) -> dict:
     """Clear, in place, every column of the sparse row v that leads a row of
     lead_rows (lead column -> row with lead coefficient 1 and every other
@@ -61,24 +57,17 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivot_of_col)
 
-    def _checked(self, vec) -> dict:
-        """vec (a {column: coeff} dict or a dense row), checked, as a new sparse row."""
+    def add(self, vec) -> dict | None:
+        """Insert a row, a {column: coeff} dict or a dense row, checked and copied; returns
+        the new normalized pivot row if the rank grew, else None."""
         if not isinstance(vec, dict):
-            dense = mat_mod(vec, self.p)
+            dense = np.asarray(vec, dtype=np.int64) % self.p
             if dense.shape != (self.width,):
                 raise UsageError(f"row of width {dense.shape} in reducer of width {self.width}")
             vec = dict(enumerate(dense.tolist()))
         elif any(not 0 <= c < self.width for c in vec):
             raise UsageError(f"row columns outside reducer width {self.width}")
-        return {c: int(a) % self.p for c, a in vec.items() if int(a) % self.p}
-
-    def reduce(self, vec) -> dict:
-        """vec eliminated against the current pivot rows, as a new sparse row."""
-        return _eliminate(self._checked(vec), self.pivot_of_col, self.p)
-
-    def add(self, vec) -> dict | None:
-        """Insert a row; returns the new normalized pivot row if the rank grew, else None."""
-        return self.insert(self._checked(vec))
+        return self.insert({c: int(a) % self.p for c, a in vec.items() if int(a) % self.p})
 
     def insert(self, v: dict) -> dict | None:
         """add without its checks, for a new sparse row of nonzero residues inside the width."""
@@ -104,14 +93,3 @@ class RowReducer:
         for i, row in enumerate(self.reduced_rows().values()):
             out[i, list(row)] = list(row.values())
         return out
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.pivot_of_col)
-
-
-def rank_mod(matrix, p: int) -> int:
-    matrix = np.atleast_2d(mat_mod(matrix, p))
-    red = RowReducer(p, matrix.shape[1])
-    for row in matrix:
-        red.add(row)
-    return red.rank

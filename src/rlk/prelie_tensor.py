@@ -62,7 +62,7 @@ from .identities import (
     _operator_failures,
     _report,
     _require,
-    check_leibniz,
+    _require_leibniz,
     check_prelie,
     check_restricted_lie,
     check_zinbiel,
@@ -198,7 +198,7 @@ def tensor_prelie(g: Algebra, R) -> TensorAlgebraHandle:
         raise UsageError(
             f"product dimension {g.dim}*{R.dim} = {pdim} exceeds bound {PRODUCT_DIM_BOUND}"
         )
-    _require(check_leibniz(g), "first factor is not Leibniz")
+    _require_leibniz(g, "first factor is not Leibniz")
     _require(check_zinbiel(R), "second factor is not Zinbiel")
     p = g.p
     cg = g.structure("bracket")

@@ -1,10 +1,14 @@
 """Two-sided modules, their operator relations, and the word envelope."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+import rlk
+from rlk import identities
 from rlk.algebra_core import Algebra, ZeroPMap
 from rlk.dialgebra import as_dialgebra, dleib
 from rlk.envelope import (
@@ -18,10 +22,11 @@ from rlk.envelope import (
     zero_module,
 )
 from rlk.errors import UsageError
-from rlk.free_structures import ud_p
+from rlk.free_structures import BASIS_SIZE_BOUND, check_ud_unit, ud_p
 from rlk.identities import check_leibniz
 
-from helpers import abelian, l2, l2_dialgebra, truncated_poly, upper_triangular2
+from helpers import (abelian, counting, l2, l2_dialgebra, truncated_poly, upper_triangular2,
+                     zinbiel_zero)
 from oracles import (
     ideal_rank_fixed_point,
     naive_mat_mul,
@@ -361,3 +366,99 @@ def test_precondition_errors_name_the_witness_inputs_on_one_line():
         with pytest.raises(UsageError) as err:
             run()
         assert str(err.value) == message
+
+
+# -- one restricted pass: gate, p-relations and held reports -------------------------
+
+
+def test_oversized_envelopes_are_refused_before_the_restricted_sweep(monkeypatch):
+    """The ambient is built before the gate: a non-restricted input whose
+    ambient passes BASIS_SIZE_BOUND gets the bound error, and no element is
+    swept.  Words on 4 letters up to degree 10, dialgebra monomials on 2
+    generators up to degree 11 (degree 10 is 18,434, inside the bound)."""
+    calls = {"_operator_failures": 0}
+    monkeypatch.setattr(identities, "_operator_failures",
+                        counting(calls, "_operator_failures", identities._operator_failures))
+    g = with_zero_pmap(l2(2))
+    for run in (lambda: ulp_truncated(g, pmap="zero", d=10),
+                lambda: ud_p(g, pmap="zero", d=11)):
+        with pytest.raises(UsageError, match=str(BASIS_SIZE_BOUND)):
+            run()
+    assert calls == {"_operator_failures": 0}
+
+
+def _pmap_rows(monkeypatch):
+    """Row counts of every Algebra.apply_pmap_batch call from here on."""
+    rows, real = [], Algebra.apply_pmap_batch
+
+    def counted(self, name, X):
+        rows.append(len(X))
+        return real(self, name, X)
+
+    monkeypatch.setattr(Algebra, "apply_pmap_batch", counted)
+    return rows
+
+
+def test_exhaustive_gates_hand_their_pmap_values_to_the_relations(monkeypatch):
+    """An exhaustive gate's grid and p-map values are the p-relations' own:
+    each construction evaluates the p-map once on every element."""
+    ut2 = dleib(as_dialgebra(upper_triangular2(3)))
+    ab = abelian(3, 2, with_pmap=True)
+    rows = _pmap_rows(monkeypatch)
+    for run, count in ((lambda: ulp_truncated(l2(3), d=3), 9),
+                       (lambda: ud_p(ab, pmap="zero", d=3), 9),
+                       (lambda: check_ud_unit(ab, pmap="zero", d=3), 9),
+                       (lambda: module_roundtrip(ut2, adjoint_module(ut2)), 27)):
+        rows.clear()
+        run()
+        assert rows == [count]
+
+
+def test_gates_read_the_leibniz_report_dleib_holds(monkeypatch):
+    """A dleib output holds its passing leibniz report, so no gate checks the
+    bracket again; an extended() copy holds no reports and is checked once."""
+    calls = {"check_leibniz": 0}
+    monkeypatch.setattr(identities, "check_leibniz",
+                        counting(calls, "check_leibniz", identities.check_leibniz))
+    derived = dleib(as_dialgebra(upper_triangular2(3)))
+    R = zinbiel_zero(3, 2)
+    for g, count in ((derived, 0), (derived.extended(), 1)):
+        for run in (lambda: ud_p(g, d=2),
+                    lambda: module_roundtrip(g, adjoint_module(g)),
+                    lambda: check_module_axioms(g, adjoint_module(g)),
+                    lambda: rlk.tensor_prelie(g, R)):
+            calls["check_leibniz"] = 0
+            run()
+            assert calls == {"check_leibniz": count}
+
+
+def _digest(out) -> str:
+    h = hashlib.sha256(json.dumps(out.to_dict(), sort_keys=True).encode())
+    if hasattr(out, "projection"):
+        h.update(out.projection.tobytes())
+        h.update(repr(out.relations).encode())
+    return h.hexdigest()
+
+
+# computed before the gates handed their grids on; a sampled gate (cap=1)
+# hands nothing on, so the p-relations draw the basis and their own sample
+SAMPLED_DIGESTS = {
+    "ulp_truncated": "d1f0ac784a75b543893b2101f11e3036d0a5d522a6551a35fb1aed71e5900c55",
+    "ud_p": "9104df1f123561c503f8a327d7bce9ff4c264df1ec6e21d75f7f1c82fbd6b686",
+    "check_ud_unit": "e6b5ab5f8f1faf9b504c3bc373565c0ceea07bb019221caf58b78003eaec9a98",
+    "module_roundtrip": "f7b1490d654d7467ed7364f2c58666aee2971a543074402a22ab0bf38e619561",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_DIGESTS))
+def test_sampled_gates_leave_the_pmap_relations_as_they_were(name):
+    ut2 = dleib(as_dialgebra(upper_triangular2(3)))
+    run = {
+        "ulp_truncated": lambda: ulp_truncated(l2(3), d=3, cap=1),
+        "ud_p": lambda: ud_p(ut2, d=3, cap=1),
+        "check_ud_unit": lambda: check_ud_unit(ut2, d=3, cap=1),
+        "module_roundtrip": lambda: module_roundtrip(ut2, adjoint_module(ut2), cap=1),
+    }[name]
+    out = run()
+    assert any("sampled" in note for note in out.notes)
+    assert _digest(out) == SAMPLED_DIGESTS[name]

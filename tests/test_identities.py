@@ -393,7 +393,7 @@ def test_operator_blocks_span_the_chunk_once_the_table_overflows_a_block(
     monkeypatch.setattr(algebra_core, "operator_stack", counted)
     monkeypatch.setattr(identities, "operator_stack", counted)
     rep = identities._operator_condition_sweep(alg, "bracket", "frobenius",
-                                               "restricted_leibniz", None, 0, rows)
+                                               "restricted_leibniz", None, 0, rows)[0]
     assert rep.coverage.count == rows
     assert max(built) == block and sum(built) == 3 * rows  # the p-map, then r_x and r_{f(x)}
 

@@ -6,19 +6,9 @@ import numpy as np
 import pytest
 
 from rlk.errors import UsageError
-from rlk.linalg import RowReducer, rank_mod
+from rlk.linalg import RowReducer
 
 from oracles import gauss_echelon_rows, gauss_nonpivot_columns, gauss_rank
-
-
-def test_rank_matches_oracle_random() -> None:
-    rng = random.Random(5)
-    for p in (2, 3, 5):
-        for _ in range(60):
-            rows = rng.randrange(1, 7)
-            cols = rng.randrange(1, 7)
-            m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            assert rank_mod(m, p) == gauss_rank(m, p)
 
 
 def test_incremental_matches_batch() -> None:
@@ -39,7 +29,7 @@ def test_rref_pivots_and_idempotence() -> None:
     for row in ([1, 2, 3, 4], [2, 4, 1, 3], [3, 1, 4, 2]):
         red.add(row)
     r = red.rref()
-    piv = red.pivot_columns()
+    piv = sorted(red.pivot_of_col)
     assert len(piv) == red.rank
     for i, col in enumerate(piv):
         assert r[i][col] == 1
@@ -59,7 +49,7 @@ def test_nonpivot_columns_match_oracle() -> None:
         red = RowReducer(p, 6)
         for row in rows:
             red.add(row)
-        mine = [c for c in range(6) if c not in red.pivot_columns()]
+        mine = [c for c in range(6) if c not in sorted(red.pivot_of_col)]
         assert mine == gauss_nonpivot_columns(rows, p)
 
 
@@ -81,7 +71,7 @@ def test_dict_and_dense_rows_match_gauss_oracles(p) -> None:
             assert dense.add(row) == sparse.add({c: a for c, a in enumerate(row) if a})
         for red in (dense, sparse):
             assert red.rank == gauss_rank(rows, p)
-            assert [c for c in range(width) if c not in red.pivot_columns()] == \
+            assert [c for c in range(width) if c not in sorted(red.pivot_of_col)] == \
                 gauss_nonpivot_columns(rows, p)
             assert red.rref().tolist() == gauss_echelon_rows(rows, p)
             assert red.rref().shape == (red.rank, width)
@@ -94,8 +84,6 @@ def test_reducer_keeps_normalized_sparse_rows() -> None:
     assert row == {1: -1, 3: 4}
     assert added == {1: 1, 3: 2} and red.rank == 1
     assert red.pivot_of_col == {1: added} and red.pivot_of_col[1] is added
-    assert red.reduce({1: 1, 3: 2}) == {}
-    assert red.reduce(np.array([0, 2, 0, 1, 1])) == {4: 1}
     assert red.add({1: 2, 3: 1}) is None and red.rank == 1
     assert red.reduced_rows() == {1: {1: 1, 3: 2}}
 

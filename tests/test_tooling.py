@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps rlk functions by name, so every name it
 wraps must exist in rlk."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "rlk"
 
 
 def _load_tracer(monkeypatch):
@@ -51,3 +53,31 @@ def test_module_entry_point_prints_the_version():
     run = subprocess.run([sys.executable, "-m", "rlk", "--version"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "rlk 0.1.0\n", "")
+
+
+def _calls(name):
+    """(module, enclosing function) of every call of `name` in rlk's sources."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.stem, fn.name, node) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == name]
+    return found
+
+
+def test_one_restricted_pass_draws_the_element_grids():
+    """_grid is called by the restricted pass every gate runs, by
+    _pmap_instances (for sampled gates and for ulp_relations_check, which has
+    no gate) and by check_commutative_diagram, and nowhere else; and no
+    Leibniz gate runs check_leibniz past a report the algebra holds."""
+    assert sorted((mod, fn) for mod, fn, _ in _calls("_grid")) == [
+        ("dialgebra", "check_commutative_diagram"),
+        ("free_structures", "_pmap_instances"),
+        ("identities", "_restricted_pass"),
+    ]
+    assert [(mod, fn) for mod, fn, call in _calls("_require") if call.args
+            and isinstance(call.args[0], ast.Call)
+            and getattr(call.args[0].func, "id", None) == "check_leibniz"] == []
