@@ -27,9 +27,9 @@ The first two signs are derived from the module identities; subtracting
 both composites instead gives a genuinely different relation, which fails
 on L2 in odd characteristic and agrees with these mod 2.  `ulp_truncated`
 divides the degree-truncated word algebra by the two-sided ideal these
-relations span; `module_roundtrip` turns a module into a word action,
-confirms every relation acts as zero, and reads the module back
-bit-exactly, both reading one table of word operators.
+relations span; `module_roundtrip` and `ulp_relations_check` confirm that
+each acts as zero on a module, the bracket families through a table of word
+operators and the p-power family as the operator sweep of `right_action`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .identities import (
     CheckReport,
     Witness,
     _keep,
+    _operator_failures,
     _report,
     _require,
     _require_leibniz,
@@ -166,11 +167,9 @@ def _restricted_module(g: Algebra, M: LeibnizModule, pmap: str, cap, seed, sampl
 # -- relation words ------------------------------------------------------------
 
 
-def _relation_terms(g: Algebra, instances, values):
-    """The four relation families as (tag, key, [(word, coeff), ...]) triples,
-    in letter convention: letter i = left action of e_i, letter n+i = right.
-    Bilinear families are instantiated on basis pairs, the p-power family on
-    the given elements of g with their p-map values."""
+def _bracket_terms(g: Algebra):
+    """The three bracket families on basis pairs as (tag, key, [(word, coeff),
+    ...]) triples; letter i acts as e_i on the left, letter n+i on the right."""
     p, n = g.p, g.dim
     brackets = g.structure("bracket").tolist()
     out = []
@@ -181,24 +180,27 @@ def _relation_terms(g: Algebra, instances, values):
                 ("l_bracket", (i, j), [((k,), c) for k, c in br]
                  + [((i, n + j), -1), ((n + j, i), 1)]),
                 ("l_kills_symmetrized", (i, j), [((n + j, i), 1), ((j, i), 1)])]
-    for x, fx in zip(instances, values):
-        x = tuple(x)
-        terms = [((n + k,), c % p) for k, c in enumerate(fx) if c % p]
-        support = [(n + k, v % p) for k, v in enumerate(x) if v % p]
-        terms += [(tuple(k for k, _ in f), -math.prod(v for _, v in f) % p)
-                  for f in itertools.product(support, repeat=p)]
-        out.append(("r_power", (x,), terms))
     return out
+
+
+def _power_terms(g: Algebra, X, PX):
+    """r_{x^[p]} - r_x^p on the rows x of X (p-map values PX), r_x^p expanded
+    into its |supp x|**p words: generators of ulp_truncated's ideal alone."""
+    p, n = g.p, g.dim
+    for x, fx in zip(map(tuple, X.tolist()), PX.tolist()):
+        support = [(n + k, v % p) for k, v in enumerate(x) if v % p]
+        yield ("r_power", (x,), [((n + k,), c % p) for k, c in enumerate(fx) if c % p]
+               + [(tuple(k for k, _ in f), -math.prod(v for _, v in f) % p)
+                  for f in itertools.product(support, repeat=p)])
 
 
 def _word_action(M: LeibnizModule, terms) -> dict:
     """Word -> operator on M for 1, every letter and every relation word:
     letter i acts by left_action[i], letter n+i by right_action[i], composed
-    in reading order.  Each word length is one stacked product, in chunks of
-    last letters with prefixes; a prefix no relation names is dropped once
-    used.  Up to dim**p operators are kept.  A chunk holds its two int64
-    operand stacks, their float copies, the product and the int64 result at
-    once, six operators per word, and all of them fit _CHUNK_ENTRIES."""
+    in reading order a word length at a time, in chunks fitting _CHUNK_ENTRIES
+    at six operators a word (int64 operands, float copies, product, result).
+    A prefix no relation names is dropped once used.  Bracket-family words
+    have length <= 2: at most 4·dim**2 + 2·dim + 1 operators are kept."""
     mats = np.concatenate([M.left_action, M.right_action])
     keep = {w for _tag, _key, ws in terms for w, _c in ws} | {(i,) for i in range(len(mats))}
     words = keep | {w[:k] for w in keep for k in range(1, len(w))}
@@ -228,18 +230,33 @@ def _relation_failures(table, terms, key_prefix, p):
     return failures, witnesses
 
 
+def _module_relations(g, M, pmap, cap, seed, samples, key_prefix=(), gate=None):
+    """(failure count, witnesses keyed key_prefix + (tag,) + key, relation
+    count, _word_action table, note) of the four relation families on M.  The
+    p-power words sum to r_{x^[p]} - r_x^p on M: that family is the operator
+    sweep of M.right_action (witness lhs r_{x^[p]} - r_x^p, rhs zero), or the
+    passing gate's own sweep when it swept the same, exhaustive, rows."""
+    X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
+    terms = _bracket_terms(g)
+    table = _word_action(M, terms)
+    failures, witnesses = _relation_failures(table, terms, key_prefix, g.p)
+    if gate is None or gate[0].coverage.kind != "exhaustive":
+        found, kept = _operator_failures(M.right_action, g.p, X, PX, key_prefix + ("r_power",))
+        witnesses += [Witness(w.inputs, (w.rhs - w.lhs) % g.p, np.zeros_like(w.lhs))
+                      for w in kept[:WITNESS_LIMIT - len(witnesses)]]
+        failures += found
+    return failures, witnesses, len(terms) + len(X), table, note
+
+
 def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
                         cap=None, seed: int = 0, samples: int = 400) -> CheckReport:
     """Each relation word family, with the derived signs, evaluated as
     operators on the module and asserted zero."""
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples)
-    terms = _relation_terms(g, instances, values)
-    failures, witnesses = _relation_failures(_word_action(M, terms), terms, (), g.p)
-    notes = ("derived signs", note)
+    failures, witnesses, count, _table, note = _module_relations(g, M, pmap, cap, seed, samples)
     return _report("ulp_relations", witnesses, failures,
-                   Coverage("exhaustive", len(terms)), notes)
+                   Coverage("exhaustive", count), ("derived signs", note))
 
 
 def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
@@ -255,8 +272,8 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
     W = word_ambient(2 * g.dim, d, g.p, label=f"ul_words({g.label})")
     gate = _restricted_leibniz(g, pmap, cap, seed)
     _require(gate[0], "input is not restricted Leibniz")
-    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    terms = _relation_terms(g, instances, values)
+    X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
+    terms = _bracket_terms(g) + list(_power_terms(g, X, PX))
     rels = []
     for _tag, _key, words in terms:
         rel = {}
@@ -280,16 +297,11 @@ def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     single-letter words must read the original module back bit-exactly."""
     gate = _restricted_module(g, M, pmap, cap, seed)
     _require(gate[0], "module is not restricted")
-    p, n = g.p, g.dim
-    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    terms = _relation_terms(g, instances, values)
-    table = _word_action(M, terms)
-    failures, witnesses = _relation_failures(table, terms, ("relation",), p)
-    readback = [(tag, i, table[letter], original % p)
-                for i in range(n)
+    failures, witnesses, count, table, note = _module_relations(
+        g, M, pmap, cap, seed, samples, ("relation",), gate)
+    readback = [(("readback", tag, i), table[letter], original) for i in range(g.dim)
                 for tag, original, letter in (("left", M.left_action[i], (i,)),
-                                              ("right", M.right_action[i], (n + i,)))]
-    failures += _keep(witnesses, [r for r in readback if not np.array_equal(r[2], r[3])],
-                      lambda tag, i, back, original: Witness(("readback", tag, i), back, original))
+                                              ("right", M.right_action[i], (g.dim + i,)))]
+    failures += _keep(witnesses, [r for r in readback if not np.array_equal(*r[1:])], Witness)
     return _report("module_roundtrip", witnesses, failures,
-                   Coverage("exhaustive", len(terms) + 2 * n), (note,))
+                   Coverage("exhaustive", count + 2 * g.dim), (note,))

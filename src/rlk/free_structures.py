@@ -514,10 +514,10 @@ def _hat(F: GradedBasisAlgebra, x) -> dict:
 
 
 def _pmap_instances(g: Algebra, pmap: str, cap, seed, samples, gate=None):
-    """Element set for p-power relations: everything if enumerable, else
+    """Element rows X for p-power relations: everything if enumerable, else
     basis vectors plus a seeded sample (p-maps are not linear); returned with
-    the p-map values of those elements, from one batch call, and a note.  A
-    restricted gate's (report, grid, values) with exhaustive coverage is used as it is."""
+    their p-map values PX, from one batch call, and a note.  A restricted
+    gate's (report, grid, values) with exhaustive coverage is used as it is."""
     swept = gate is not None and gate[0].coverage.kind == "exhaustive"
     X, coverage = (gate[1], gate[0].coverage) if swept else _grid(g, cap, seed, samples)
     if coverage.kind == "exhaustive":
@@ -528,12 +528,12 @@ def _pmap_instances(g: Algebra, pmap: str, cap, seed, samples, gate=None):
         X = np.array(rows, dtype=np.int64).reshape(len(rows), g.dim)
         note = f"p-relations sampled on {len(rows)} elements (seed {seed})"
     PX = gate[2] if swept else g.apply_pmap_batch(pmap, X)
-    return X.tolist(), PX.tolist(), note
+    return X, PX, note
 
 
-def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, instances, values):
+def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, X, PX):
     """(key, embedded value, its image under the derived operations) for the
-    bracket on basis pairs and the p-map on `instances`, with their `values`."""
+    bracket on basis pairs and the p-map on the rows of X, with their values PX."""
     brackets = g.structure("bracket").tolist()
     pairs = []
     for i in range(g.dim):
@@ -542,7 +542,7 @@ def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, instances, values):
             gj = F.generator(j)
             pairs.append((("bracket", i, j), _hat(F, brackets[i][j]),
                           F.sub(F.product("left", gi, gj), F.product("right", gj, gi))))
-    for x, fx in zip(instances, values):
+    for x, fx in zip(X.tolist(), PX.tolist()):
         xh = _hat(F, x)
         pairs.append((("pmap", tuple(x)), _hat(F, fx),
                       F.power("right", xh, g.p) if xh else F.zero()))
@@ -555,8 +555,8 @@ def _ud_presentation(g: Algebra, pmap: str, d: int, cap, seed, samples):
     F = free_dias(g.dim, d, g.p)  # refuses an oversized ambient before the sweep
     gate = _restricted_leibniz(g, pmap, cap, seed)
     _require(gate[0], "input is not restricted Leibniz")
-    instances, values, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    pairs = _ud_pairs(F, g, instances, values)
+    X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
+    pairs = _ud_pairs(F, g, X, PX)
     touched = F.overflows > 0  # F is new, so every overflow so far is the pairs'
     rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
     return truncated_ideal_quotient(F, rels, notes=(note,)), pairs, touched

@@ -128,6 +128,58 @@ def square_multiply_mat_pow(mat, n, p):
     return out
 
 
+def naive_module_relations(c, L, R, mdim, p, rows, values, key_prefix=(), limit=16):
+    """The four relation families of the word envelope acting on a module,
+    every relation a sum of words evaluated one word at a time.  Letter k
+    acts by L[k] and letter n+k by R[k]; a word's operator composes its
+    letters in reading order, the last letter's matrix leftmost; r_x^p is
+    expanded into its |supp x|**p words of length p.  The relations are, on
+    each basis pair (i, j) of the bracket with constants c, r_bracket,
+    l_bracket and l_kills_symmetrized, then r_{f(x)} - r_x^p for each row x
+    with its value f(x) in `values`.  Returns the number of relations not
+    acting as zero and (key_prefix + (tag,) + key, operator, zero matrix)
+    for the first `limit` of them, in that order."""
+    n, mats = len(L), list(L) + list(R)
+    zero = [[0] * mdim for _ in range(mdim)]
+
+    def word(w):
+        out = [[int(r == s) for s in range(mdim)] for r in range(mdim)]
+        for letter in w if mdim else ():  # naive_mat_mul takes no 0 x 0 matrices
+            out = naive_mat_mul(mats[letter], out, p)
+        return out
+
+    def total(terms):
+        op = zero
+        for w, coeff in terms:
+            op = [[(a + coeff * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(op, word(w))]
+        return op
+
+    relations = []
+    for i, j in itertools.product(range(n), repeat=2):
+        br = list(enumerate(c[i][j]))
+        relations += [
+            (("r_bracket", i, j), [((n + k,), a) for k, a in br]
+             + [((n + i, n + j), -1), ((n + j, n + i), 1)]),
+            (("l_bracket", i, j), [((k,), a) for k, a in br]
+             + [((i, n + j), -1), ((n + j, i), 1)]),
+            (("l_kills_symmetrized", i, j), [((n + j, i), 1), ((j, i), 1)]),
+        ]
+    for x, fx in zip(rows, values):
+        # product() holds p copies of its pool even when the pool is empty
+        support = [k for k in range(n) if x[k] % p]
+        relations.append((("r_power", tuple(x)), [((n + k,), a) for k, a in enumerate(fx)] + [
+            (tuple(n + k for k in w), -math.prod(x[k] for k in w))
+            for w in (itertools.product(support, repeat=p) if support else ())]))
+    failures, kept = 0, []
+    for key, terms in relations:
+        op = total(terms)
+        if any(map(any, op)):
+            failures += 1
+            if len(kept) < limit:
+                kept.append((tuple(key_prefix) + key, op, zero))
+    return failures, kept
+
+
 def naive_jacobson_terms(bracket, x, y, p):
     """s_1..s_{p-1} of a bilinear `bracket` on plain tuples: expand the
     (p-1)-fold right bracketing of x by lambda*x + y one bracketing at a

@@ -3,14 +3,15 @@
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
 import rlk
-from rlk import identities
-from rlk.algebra_core import Algebra, ZeroPMap
-from rlk.dialgebra import as_dialgebra, dleib
+from rlk import envelope, identities
+from rlk.algebra_core import Algebra, TablePMap, ZeroPMap
+from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
 from rlk.envelope import (
     LeibnizModule,
     adjoint_module,
@@ -25,11 +26,12 @@ from rlk.errors import UsageError
 from rlk.free_structures import BASIS_SIZE_BOUND, check_ud_unit, ud_p
 from rlk.identities import check_leibniz
 
-from helpers import (abelian, counting, l2, l2_dialgebra, truncated_poly, upper_triangular2,
-                     zinbiel_zero)
+from helpers import (abelian, counting, l2, l2_dialgebra, matrix_assoc, truncated_poly,
+                     upper_triangular2, zinbiel_zero)
 from oracles import (
     ideal_rank_fixed_point,
     naive_mat_mul,
+    naive_module_relations,
     naive_word_tables,
     rewrite_words_fixed_point,
     word_rows,
@@ -44,6 +46,15 @@ def swapped_adjoint(g):
 
 def with_zero_pmap(g):
     return g.extended(pmaps={"zero": ZeroPMap()})
+
+
+def random_module(g, mdim, seed):
+    """Seeded random left and right actions; no module identity need hold."""
+    rng = random.Random(seed)
+    left, right = (np.array([[[rng.randrange(g.p) for _ in range(mdim)] for _ in range(mdim)]
+                             for _ in range(g.dim)], dtype=np.int64).reshape(g.dim, mdim, mdim)
+                   for _ in range(2))
+    return LeibnizModule(g, mdim, left, right, label=f"random{mdim}({g.label})")
 
 
 # -- module carrier ------------------------------------------------------------
@@ -223,6 +234,74 @@ def test_relation_verdicts_match_the_module_checks():
             conjunction = False
         rep = ulp_relations_check(g, M, pmap=pmap)
         assert rep.ok() == conjunction, (g.label, M.label, rep.to_dict())
+
+
+def _relations_and_oracle(g, M, pmap, cap, samples):
+    """_module_relations's (failure count, witnesses) with no gate, and the
+    word-expanded oracle's on the same instance rows, both as plain lists."""
+    failures, witnesses, count, _table, _note = envelope._module_relations(
+        g, M, pmap, cap, 0, samples, ("relation",))
+    X, PX, _ = envelope._pmap_instances(g, pmap, cap, 0, samples)
+    assert count == 3 * g.dim ** 2 + len(X)
+    expected = naive_module_relations(
+        g.structure("bracket").tolist(), M.left_action.tolist(), M.right_action.tolist(),
+        M.mdim, g.p, X.tolist(), PX.tolist(), ("relation",))
+    got = (failures, [(w.inputs, w.lhs.tolist(), w.rhs.tolist()) for w in witnesses])
+    return got, expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_power_family_sweep_matches_the_word_expanded_oracle(p):
+    """The p-power family read off the operator sweep gives the failure count
+    and the witness list (inputs, lhs, rhs), in order, of expanding r_x^p
+    into its words: on L2 with its passing table p-map, the failing zero
+    p-map and the table p-map with its values moved one row on; on the
+    adjoint, swapped, random and zero (mdim 0 and 2) modules; exhaustive and
+    with cap=1.  Every grid holds x = 0; some cases fail only in the power
+    family and some run past WITNESS_LIMIT."""
+    keys = list(itertools.product(range(p), repeat=2))
+    moved = TablePMap({k: (0, keys[(t + 1) % len(keys)][1]) for t, k in enumerate(keys)})
+    g = l2(p).extended(pmaps={"zero": ZeroPMap(), "moved": moved})
+    cases = [(g, M, pmap) for M in (adjoint_module(g), swapped_adjoint(g), random_module(g, 2, p),
+                                    zero_module(g, 0), zero_module(g, 2))
+             for pmap in ("frobenius", "zero", "moved")]
+    if p < 5:
+        t3 = dleib(as_dialgebra(truncated_poly(p, 3)))
+        cases += [(t3, adjoint_module(t3), "frobenius"), (t3, random_module(t3, 2, p), "frobenius")]
+    seen = set()
+    for (h, M, pmap), cap in itertools.product(cases, (None, 1)):
+        got, expected = _relations_and_oracle(h, M, pmap, cap, 6)
+        assert got == expected, (h.label, M.label, pmap, cap)
+        power = sum(w[0][1] == "r_power" for w in expected[1])
+        seen.add(("power fails" if power else "power passes",
+                  "bracket passes" if power == len(expected[1]) else "bracket fails"))
+        seen.add(expected[0] > len(expected[1]))
+    assert seen == {("power fails", "bracket passes"), ("power passes", "bracket passes"),
+                    ("power fails", "bracket fails"), ("power passes", "bracket fails"),
+                    True, False}
+
+
+def test_power_family_sweep_matches_the_oracle_past_2_24(monkeypatch):
+    """At the first prime past 2**24, on x = 0 rows whose p-map values are
+    planted residues near p (r_0^p is zero, so a value fails unless r_{f(0)}
+    is zero).  Only x = 0 rows: the oracle would compose any other row's
+    r_x^p one letter at a time, p letters a word."""
+    P = 16777259
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0] = 1
+    g = Algebra(P, 2, {"bracket": c})
+    rng = random.Random("past-2-24")
+    X = np.zeros((6, 2), dtype=np.int64)
+    PX = np.array([[0, 0], [1, 0], [P - 1, P - 2], [0, P - 1],
+                   [rng.randrange(P), rng.randrange(P)], [P - 3, 1]], dtype=np.int64)
+    monkeypatch.setattr(envelope, "_pmap_instances", lambda *args: (X, PX, "planted"))
+    near_top = np.array([P - 1 - rng.randrange(8) for _ in range(16)], dtype=np.int64)
+    modules = [adjoint_module(g), zero_module(g, 0), zero_module(g, 2),
+               LeibnizModule(g, 2, near_top[:8].reshape(2, 2, 2), near_top[8:].reshape(2, 2, 2))]
+    for M in modules:
+        got, expected = _relations_and_oracle(g, M, "planted", None, 0)
+        assert got == expected, M.label
+    assert expected[0] > 0
 
 
 # -- truncated word envelope --------------------------------------------------------
@@ -414,6 +493,39 @@ def test_exhaustive_gates_hand_their_pmap_values_to_the_relations(monkeypatch):
         assert rows == [count]
 
 
+def test_module_roundtrip_sweeps_the_power_family_once(monkeypatch):
+    """An exhaustive gate's passing sweep is the p-power family's: module_roundtrip
+    makes one _operator_failures call, the gate's.  A sampled gate (cap=1)
+    swept other rows, so the relations' own sample is swept once more."""
+    ut2 = dleib(as_dialgebra(upper_triangular2(3)))
+    calls = {"_operator_failures": 0}
+    counted = counting(calls, "_operator_failures", identities._operator_failures)
+    for module in (identities, envelope):
+        monkeypatch.setattr(module, "_operator_failures", counted)
+    for cap, count in ((None, 1), (1, 2)):
+        calls["_operator_failures"] = 0
+        assert module_roundtrip(ut2, adjoint_module(ut2), cap=cap).ok()
+        assert calls == {"_operator_failures": count}
+
+
+def test_module_checks_compose_no_word_longer_than_two(monkeypatch):
+    """The module checks hand _word_action the bracket families only: no
+    r_x^p word (length p) is composed, at p = 2, 3 and 5, passing or not."""
+    lengths, real = set(), envelope._word_action
+
+    def recorded(M, terms):
+        lengths.update(len(w) for _tag, _key, words in terms for w, _c in words)
+        return real(M, terms)
+
+    monkeypatch.setattr(envelope, "_word_action", recorded)
+    for g in (l2(2), l2(3), l2(5), dleib(as_dialgebra(upper_triangular2(3)))):
+        for M in (adjoint_module(g), swapped_adjoint(g), random_module(g, 2, 0)):
+            ulp_relations_check(g, M)
+        module_roundtrip(g, adjoint_module(g))
+        module_roundtrip(g, adjoint_module(g), cap=1)
+    assert lengths == {1, 2}
+
+
 def test_gates_read_the_leibniz_report_dleib_holds(monkeypatch):
     """A dleib output holds its passing leibniz report, so no gate checks the
     bracket again; an extended() copy holds no reports and is checked once."""
@@ -462,3 +574,32 @@ def test_sampled_gates_leave_the_pmap_relations_as_they_were(name):
     out = run()
     assert any("sampled" in note for note in out.notes)
     assert _digest(out) == SAMPLED_DIGESTS[name]
+
+
+# computed before the p-power family was read off the operator sweep: two
+# adjoint roundtrips (625 exhaustive power relations; a sampled dim-12 case)
+# and two ulp_relations_check failures with r_power witnesses
+MODULE_RELATION_DIGESTS = {
+    "roundtrip_mat2_F5": "a5940ef551c0747532614f8b7b581173791d2af82f039d78fdad15986005aa44",
+    "roundtrip_gl2_ut2_F3": "8511606e46a20dbd3620a2685164ad42f2998e9dab1cdae723a6ea13b5e08bba",
+    "relations_l2_F3_zero_pmap": "8b7b5c25fa679ec24776bd0a759f9816ee1170684575932c0c8154a9983b2556",
+    "relations_l2_F5_random3": "b338333ab73da97acf2dc7b1120f1f2fd5b94d6e1c64abe1a77010499518969a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_RELATION_DIGESTS))
+def test_module_relation_reports_are_as_they_were(name):
+    def roundtrip(g):
+        return module_roundtrip(g, adjoint_module(g))
+
+    gz, g5 = with_zero_pmap(l2(3)), l2(5)
+    run = {
+        "roundtrip_mat2_F5": lambda: roundtrip(dleib(as_dialgebra(matrix_assoc(5, 2)))),
+        "roundtrip_gl2_ut2_F3": lambda: roundtrip(
+            dleib(matrix_dialgebra(as_dialgebra(upper_triangular2(3)), 2))),
+        "relations_l2_F3_zero_pmap": lambda: ulp_relations_check(gz, adjoint_module(gz),
+                                                                 pmap="zero"),
+        "relations_l2_F5_random3": lambda: ulp_relations_check(g5, random_module(g5, 3, 26)),
+    }[name]
+    out = run()
+    assert _digest(out) == MODULE_RELATION_DIGESTS[name]

@@ -81,3 +81,12 @@ def test_one_restricted_pass_draws_the_element_grids():
     assert [(mod, fn) for mod, fn, call in _calls("_require") if call.args
             and isinstance(call.args[0], ast.Call)
             and getattr(call.args[0].func, "id", None) == "check_leibniz"] == []
+
+
+def test_only_ulp_truncated_expands_power_words():
+    """r_x^p's |supp x|**p words are built by _power_terms for ulp_truncated's
+    ideal alone; the module checks read the p-power family off the operator
+    sweep, through the one evaluator that composes word operators."""
+    assert [(mod, fn) for mod, fn, _ in _calls("_power_terms")] == [("envelope", "ulp_truncated")]
+    assert [(mod, fn) for mod, fn, _ in _calls("_word_action")] == [
+        ("envelope", "_module_relations")]
