@@ -8,11 +8,10 @@ module additionally satisfies: acting by x^[p] on the right equals the p-fold
 right action by x.
 
 Both checks run on stacks of matrices.  The identities are evaluated on
-every basis pair at once, with [e_i, e_j] read from the structure tensor;
-the p-power condition is the operator sweep that restricted algebras use
-(`identities._restricted_pass`), fed with the module's `right_action` stack.
-Module matrix products sum mdim terms, so the module dimension is bounded
-by the modulus as an algebra's dimension is.
+every basis pair at once (`_module_sides`); the p-power condition is the
+operator sweep that restricted algebras use (`identities._restricted_pass`),
+fed with the module's `right_action` stack.  Module matrix products sum mdim
+terms, so the module dimension is bounded by the modulus as an algebra's is.
 
 The same conditions can be phrased as operator identities in the free unital
 word algebra on 2·dim(g) letters (letter i acts as [e_i, -], letter dim+i as
@@ -27,9 +26,8 @@ The first two signs are derived from the module identities; subtracting
 both composites instead gives a genuinely different relation, which fails
 on L2 in odd characteristic and agrees with these mod 2.  `ulp_truncated`
 divides the degree-truncated word algebra by the two-sided ideal these
-relations span; `module_roundtrip` and `ulp_relations_check` confirm that
-each acts as zero on a module, the bracket families through a table of word
-operators and the p-power family as the operator sweep of `right_action`.
+relations span.  On a module they are the module identities regrouped and
+the p-power sweep, which `ulp_relations_check` and `module_roundtrip` read.
 """
 
 from __future__ import annotations
@@ -65,6 +63,7 @@ from .identities import (
 from .scalars import _freeze, _seal
 
 MODULE_AXIOMS = ("m_first", "m_middle", "m_last")
+_BRACKET_FAMILIES = ("r_bracket", "l_bracket", "l_kills_symmetrized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +104,33 @@ def adjoint_module(g: Algebra) -> LeibnizModule:
 
 
 def zero_module(g: Algebra, mdim: int) -> LeibnizModule:
+    if mdim < 0:
+        raise UsageError(f"module dimension must be >= 0, got {mdim}")
     zeros = np.zeros((g.dim, mdim, mdim), dtype=np.int64)
     return LeibnizModule(g, mdim, zeros, zeros.copy(),
                          label=f"zero{mdim}({g.label})")
+
+
+def _module_sides(g: Algebra, M: LeibnizModule):
+    """(I, J, sides) per chunk of basis pairs (e_I[b], e_J[b]): the reduced
+    (lhs, rhs) stacks of the MODULE_AXIOMS identities, column m at basis vector m."""
+    p, n, L, R = g.p, g.dim, M.left_action, M.right_action
+    brackets = g.structure("bracket").reshape(n * n, n)
+    # about 22 (pairs, mdim, mdim) arrays are alive at once: a chunk's 12 stacks and
+    # the sides and 3 relation stacks _module_relations holds of the last chunk
+    block = max(1, _CHUNK_ENTRIES // max(1, 22 * M.mdim ** 2))
+    for lo in range(0, n * n, block):
+        I, J = np.divmod(np.arange(lo, min(lo + block, n * n)), n)
+        br = brackets[lo:lo + block]
+        Lbr = operator_stack(L, br, p)
+        Rbr = M.right_stack(br)
+        Li, Ri, Lj, Rj = L[I], R[I], L[J], R[J]
+        RjLi = _matmul_mod(Rj, Li, p)
+        yield I, J, [  # in MODULE_AXIOMS order
+            (Rbr, (_matmul_mod(Rj, Ri, p) - _matmul_mod(Ri, Rj, p)) % p),
+            (_matmul_mod(Li, Rj, p), (RjLi - Lbr) % p),
+            (_matmul_mod(Li, Lj, p), (Lbr - RjLi) % p),
+        ]
 
 
 def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
@@ -121,29 +144,14 @@ def check_module_axioms(g: Algebra, M: LeibnizModule) -> CheckReport:
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
     _require_leibniz(g, "underlying bracket fails its identity")
-    p, n, L, R = g.p, g.dim, M.left_action, M.right_action
-    brackets = g.structure("bracket").reshape(n * n, n)
     witnesses, failures = [], 0
-    # about 16 (pairs, mdim, mdim) arrays are alive at once in a chunk
-    block = max(1, _CHUNK_ENTRIES // max(1, 16 * M.mdim ** 2))
-    for lo in range(0, n * n, block):
-        I, J = np.divmod(np.arange(lo, min(lo + block, n * n)), n)
-        br = brackets[lo:lo + block]
-        Lbr = operator_stack(L, br, p)
-        Rbr = M.right_stack(br)
-        Li, Ri, Lj, Rj = L[I], R[I], L[J], R[J]
-        RjLi = _matmul_mod(Rj, Li, p)
-        sides = [  # in MODULE_AXIOMS order
-            (Rbr, (_matmul_mod(Rj, Ri, p) - _matmul_mod(Ri, Rj, p)) % p),
-            (_matmul_mod(Li, Rj, p), (RjLi - Lbr) % p),
-            (_matmul_mod(Li, Lj, p), (Lbr - RjLi) % p),
-        ]
-        bad = np.stack([((lhs - rhs) % p).any(axis=1) for lhs, rhs in sides], axis=1)
+    for I, J, sides in _module_sides(g, M):
+        bad = np.stack([((lhs - rhs) % g.p).any(axis=1) for lhs, rhs in sides], axis=1)
         failures += _keep(witnesses, np.argwhere(bad), lambda b, a, m: Witness(
             (MODULE_AXIOMS[a], int(I[b]), int(J[b]), int(m)),
             _tup(sides[a][0][b, :, m]), _tup(sides[a][1][b, :, m])))
     return _report("module_axioms", witnesses, failures,
-                   Coverage("exhaustive", n * n * len(MODULE_AXIOMS) * M.mdim))
+                   Coverage("exhaustive", g.dim ** 2 * len(MODULE_AXIOMS) * M.mdim))
 
 
 def check_restricted_module(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
@@ -194,58 +202,34 @@ def _power_terms(g: Algebra, X, PX):
                   for f in itertools.product(support, repeat=p)])
 
 
-def _word_action(M: LeibnizModule, terms) -> dict:
-    """Word -> operator on M for 1, every letter and every relation word:
-    letter i acts by left_action[i], letter n+i by right_action[i], composed
-    in reading order a word length at a time, in chunks fitting _CHUNK_ENTRIES
-    at six operators a word (int64 operands, float copies, product, result).
-    A prefix no relation names is dropped once used.  Bracket-family words
-    have length <= 2: at most 4·dim**2 + 2·dim + 1 operators are kept."""
-    mats = np.concatenate([M.left_action, M.right_action])
-    keep = {w for _tag, _key, ws in terms for w, _c in ws} | {(i,) for i in range(len(mats))}
-    words = keep | {w[:k] for w in keep for k in range(1, len(w))}
-    table = {(): np.eye(M.mdim, dtype=np.int64)}
-    step = max(1, _CHUNK_ENTRIES // max(1, 6 * M.mdim ** 2))
-    for k in range(1, max(map(len, words), default=0) + 1):
-        ws = [w for w in words if len(w) == k]
-        for chunk in (ws[c:c + step] for c in range(0, len(ws), step)):
-            table.update(zip(chunk, _matmul_mod(mats[[w[-1] for w in chunk]], np.stack(
-                [table[w[:-1]] for w in chunk]), M.over.p)))
-        for w in {w[:-1] for w in ws} - keep - {()}:
-            del table[w]
-    return table
-
-
-def _relation_failures(table, terms, key_prefix, p):
-    """Failure count of the relations (sums of coeff * table[word]) and
-    witnesses keyed key_prefix + (tag,) + key for the first WITNESS_LIMIT."""
-    failures, witnesses = 0, []
-    for tag, key, words in terms:
-        op = np.zeros_like(table[()])
-        for word, coeff in words:
-            op = (op + coeff * table[word]) % p
-        failures += bool(op.any())
-        if op.any() and len(witnesses) < WITNESS_LIMIT:
-            witnesses.append(Witness(key_prefix + (tag,) + key, op, np.zeros_like(op)))
-    return failures, witnesses
-
-
 def _module_relations(g, M, pmap, cap, seed, samples, key_prefix=(), gate=None):
-    """(failure count, witnesses keyed key_prefix + (tag,) + key, relation
-    count, _word_action table, note) of the four relation families on M.  The
-    p-power words sum to r_{x^[p]} - r_x^p on M: that family is the operator
-    sweep of M.right_action (witness lhs r_{x^[p]} - r_x^p, rhs zero), or the
-    passing gate's own sweep when it swept the same, exhaustive, rows."""
+    """(failure count, witnesses keyed key_prefix + (tag,) + key, relation count,
+    note) of the four relation families on M; a witness is (key, operator, zero).
+    On a module the bracket families are the identities of _module_sides, as
+    lhs - rhs, in (pair, family) order; for x = e_i, y = e_j:
+
+    - r_bracket = r_[x,y] - r_x r_y + r_y r_x: m first's
+    - l_bracket = l_[x,y] - l_x r_y + r_y l_x: m middle's
+    - l_kills_symmetrized = (r_y + l_y) l_x: m middle's plus m last's
+
+    r_{x^[p]} - r_x^p is the operator sweep of M.right_action on the
+    _pmap_instances rows.  A passing gate has proved the bracket families,
+    and the power family too when it swept the same, exhaustive, rows."""
     X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    terms = _bracket_terms(g)
-    table = _word_action(M, terms)
-    failures, witnesses = _relation_failures(table, terms, key_prefix, g.p)
+    failures, witnesses = 0, []
+    for I, J, sides in _module_sides(g, M) if gate is None else ():
+        ops = np.stack([lhs - rhs for lhs, rhs in sides], axis=1)
+        ops[:, 2] += ops[:, 1]
+        ops %= g.p
+        failures += _keep(witnesses, np.argwhere(ops.any(axis=(2, 3))), lambda b, t: Witness(
+            key_prefix + (_BRACKET_FAMILIES[t], int(I[b]), int(J[b])), ops[b, t],
+            np.zeros_like(ops[b, t])))
     if gate is None or gate[0].coverage.kind != "exhaustive":
         found, kept = _operator_failures(M.right_action, g.p, X, PX, key_prefix + ("r_power",))
         witnesses += [Witness(w.inputs, (w.rhs - w.lhs) % g.p, np.zeros_like(w.lhs))
                       for w in kept[:WITNESS_LIMIT - len(witnesses)]]
         failures += found
-    return failures, witnesses, len(terms) + len(X), table, note
+    return failures, witnesses, len(_BRACKET_FAMILIES) * g.dim ** 2 + len(X), note
 
 
 def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
@@ -254,7 +238,7 @@ def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
     operators on the module and asserted zero."""
     if M.over is not g:
         raise UsageError("module is attached to a different algebra")
-    failures, witnesses, count, _table, note = _module_relations(g, M, pmap, cap, seed, samples)
+    failures, witnesses, count, note = _module_relations(g, M, pmap, cap, seed, samples)
     return _report("ulp_relations", witnesses, failures,
                    Coverage("exhaustive", count), ("derived signs", note))
 
@@ -291,17 +275,16 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
 
 def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
                      cap=None, seed: int = 0, samples: int = 64) -> CheckReport:
-    """Module -> word action -> module.  The word action sends letter i to
-    left_action[i] and letter n+i to right_action[i], composed in reading
-    order; every relation word must act as the zero operator, and the
-    single-letter words must read the original module back bit-exactly."""
+    """Module -> word action -> module: every relation word must act as zero,
+    and letter i (n+i) must read left_action[i] (right_action[i]) back.  The
+    gate, check_restricted_module, proves all 3·dim**2 + |X| + 2·dim counted
+    items: a bracket relation is m first's or m middle's identity, or the sum
+    of m middle's and m last's, on a basis pair; a letter acts by the module's
+    own matrix; r_{x^[p]} - r_x^p is the restricted condition at x, swept
+    again only when a sampled gate swept other rows."""
     gate = _restricted_module(g, M, pmap, cap, seed)
     _require(gate[0], "module is not restricted")
-    failures, witnesses, count, table, note = _module_relations(
+    failures, witnesses, count, note = _module_relations(
         g, M, pmap, cap, seed, samples, ("relation",), gate)
-    readback = [(("readback", tag, i), table[letter], original) for i in range(g.dim)
-                for tag, original, letter in (("left", M.left_action[i], (i,)),
-                                              ("right", M.right_action[i], (g.dim + i,)))]
-    failures += _keep(witnesses, [r for r in readback if not np.array_equal(*r[1:])], Witness)
     return _report("module_roundtrip", witnesses, failures,
                    Coverage("exhaustive", count + 2 * g.dim), (note,))

@@ -1,11 +1,14 @@
 """Fixture builders shared across test modules."""
 
 import itertools
+import math
 
 import numpy as np
 
 from rlk.algebra_core import Algebra, TablePMap, ZeroPMap
 from rlk.dialgebra import Dialgebra, as_dialgebra, dialgebra_from_operator, dleib, matrix_dialgebra
+
+from oracles import trial_division_is_prime
 
 
 def l2(p, with_pmap=True):
@@ -195,3 +198,23 @@ def count_per_element_calls(monkeypatch):
     for cls in (ZeroPMap, RightPowerPMap, TablePMap, BasisJacobsonPMap, TensorFormulaPMap):
         monkeypatch.setattr(cls, "apply", counting(calls, "apply", cls.apply))
     return calls
+
+
+def primes_at_the_bound(bound, dim):
+    """(p, q): p the largest prime and q the smallest prime with
+    dim * (p - 1)**2 < bound <= dim * (q - 1)**2."""
+    top = 1 + math.isqrt((bound - 1) // dim)  # largest p under the bound
+    p, q = top, top + 1
+    while not trial_division_is_prime(p):
+        p -= 1
+    while not trial_division_is_prime(q):
+        q += 1
+    return p, q
+
+
+def residues_near_the_top(p, shape, rng):
+    """Residues within 8 of p - 1, odd and even: a contraction of them sums
+    dim products next to (p - 1)**2, so at the prime just past a float
+    switch many of its totals are odd integers past 2**24 or 2**53."""
+    return np.array([p - 1 - rng.randrange(8) for _ in range(math.prod(shape))],
+                    dtype=np.int64).reshape(shape)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import dataclasses
 import itertools
-import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -33,7 +32,8 @@ from rlk.identities import (WITNESS_LIMIT, Witness, check_dias, check_leibniz,
                             check_restricted_leibniz)
 from rlk.prelie_tensor import TensorAlgebraHandle, check_tensor_restricted, tensor_prelie
 
-from helpers import all_elements, l2, matrix_assoc, random_structure, truncated_poly
+from helpers import (all_elements, l2, matrix_assoc, primes_at_the_bound, random_structure,
+                     residues_near_the_top, truncated_poly)
 from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
                      naive_trilinear_sides, operator_sweep_report, square_multiply_mat_pow,
                      trial_division_is_prime)
@@ -465,18 +465,6 @@ def test_lie_basis_violation_exact_near_modulus_bound() -> None:
     assert found[0] is None and "jacobi" in found
 
 
-def _primes_at_the_bound(bound, dim):
-    """(p, q): p the largest prime and q the smallest prime with
-    dim * (p - 1)**2 < bound <= dim * (q - 1)**2."""
-    top = 1 + math.isqrt((bound - 1) // dim)  # largest p under the bound
-    p, q = top, top + 1
-    while not trial_division_is_prime(p):
-        p -= 1
-    while not trial_division_is_prime(q):
-        q += 1
-    return p, q
-
-
 def _random_prime_below(top, rng):
     p = top - rng.randrange(1 << 20)
     while not trial_division_is_prime(p):
@@ -484,22 +472,14 @@ def _random_prime_below(top, rng):
     return p
 
 
-def _residues_near_the_top(p, shape, rng):
-    """Residues within 8 of p - 1, odd and even: a contraction of them sums
-    dim products next to (p - 1)**2, so at the prime just past a float
-    switch many of its totals are odd integers past 2**24 or 2**53."""
-    return np.array([p - 1 - rng.randrange(8) for _ in range(math.prod(shape))],
-                    dtype=np.int64).reshape(shape)
-
-
 def _bound_primes(dim, rng):
     """The primes of the modulus-bound tests at this dim, after checking
     that _check_modulus_bound refuses the prime past its bound."""
-    top, above = _primes_at_the_bound(1 << 62, dim)
+    top, above = primes_at_the_bound(1 << 62, dim)
     with pytest.raises(UsageError, match="too large"):
         Algebra(above, dim, {})
-    switch, past = _primes_at_the_bound(1 << 53, dim)
-    return ([top, switch, past, *_primes_at_the_bound(1 << 24, dim)]
+    switch, past = primes_at_the_bound(1 << 53, dim)
+    return ([top, switch, past, *primes_at_the_bound(1 << 24, dim)]
             + [_random_prime_below(top, rng) for _ in range(2)])
 
 
@@ -525,10 +505,10 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
     rng = random.Random(f"modulus-bound-{dim}")
     for p in _bound_primes(dim, rng):
-        c = _residues_near_the_top(p, (dim, dim, dim), rng)
+        c = residues_near_the_top(p, (dim, dim, dim), rng)
         alg = Algebra(p, dim, {"mul": c})
-        X = np.concatenate([alg.sample_array(4, rng), _residues_near_the_top(p, (4, dim), rng)])
-        Y = np.concatenate([alg.sample_array(4, rng), _residues_near_the_top(p, (4, dim), rng)])
+        X = np.concatenate([alg.sample_array(4, rng), residues_near_the_top(p, (4, dim), rng)])
+        Y = np.concatenate([alg.sample_array(4, rng), residues_near_the_top(p, (4, dim), rng)])
         C = c.tolist()
         got = alg.multiply_batch("mul", X, Y)
         assert got.dtype == np.int64
@@ -540,11 +520,11 @@ def test_kernels_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch
         assert alg.left_mult_stack("mul", X).tolist() == [left for _, left in naive]
         mats = np.concatenate([stack, np.array(
             [[[rng.randrange(p) for _ in range(dim)] for _ in range(dim)] for _ in range(4)],
-            dtype=np.int64), _residues_near_the_top(p, (4, dim, dim), rng)])
+            dtype=np.int64), residues_near_the_top(p, (4, dim, dim), rng)])
         assert stack_mat_pow(mats, p, p).tolist() == [
             square_multiply_mat_pow(m, p, p) for m in mats.tolist()]
         mdim = dim  # the module bound is the algebra's
-        right = _residues_near_the_top(p, (dim, mdim, mdim), rng)
+        right = residues_near_the_top(p, (dim, mdim, mdim), rng)
         M = LeibnizModule(alg, mdim, np.zeros_like(right), right)
         A = right.tolist()
         assert M.right_stack(X).tolist() == [
@@ -581,7 +561,7 @@ def test_float_reduction_exact_next_to_multiples_of_p(bits, monkeypatch) -> None
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
     rng = random.Random(f"float-reduction-{bits}")
     for k_dim in (16, 64, 256):
-        for p in _primes_at_the_bound(1 << bits, k_dim):
+        for p in primes_at_the_bound(1 << bits, k_dim):
             top = (k_dim - 1) * (p - 1) ** 2 - 1
             ks = {top // p - 1 - i for i in range(16)}
             ks |= {rng.randrange(top // (2 * p), top // p) for _ in range(48)}
@@ -609,10 +589,10 @@ def test_right_power_batch_matches_python_loop(dim, monkeypatch) -> None:
                         lambda *args: calls.append(1) or matmul_mod(*args))
     rng = random.Random(f"right-power-{dim}")
     for p in [2, 3, 5, 7, *_bound_primes(dim, rng)]:
-        c = _residues_near_the_top(p, (dim, dim, dim), rng) % p
+        c = residues_near_the_top(p, (dim, dim, dim), rng) % p
         alg = Algebra(p, dim, {"mul": c})
         X = np.concatenate([alg.sample_array(6, rng),
-                            _residues_near_the_top(p, (4, dim), rng) % p])
+                            residues_near_the_top(p, (4, dim), rng) % p])
         for n in ((1, 2, p) if p < 8 else (1, 2, 5, p)):
             if n < 8:
                 want = [list(_naive_right_power(c.tolist(), tuple(x), n, p)) for x in X.tolist()]
@@ -638,7 +618,7 @@ def test_right_power_batch_takes_stack_mat_pow_past_the_matvec_cut(p, monkeypatc
                         lambda *args: pows.append(args[1]) or mat_pow(*args))
     rng = random.Random(f"matvec-cut-{p}")
     for dim in (2, 3):
-        c = _residues_near_the_top(p, (dim, dim, dim), rng) % p
+        c = residues_near_the_top(p, (dim, dim, dim), rng) % p
         alg = Algebra(p, dim, {"mul": c})
         X = alg.sample_array(5, rng)
         for n in (algebra_core._MATVEC_POWERS + 1, algebra_core._MATVEC_POWERS + 2):
@@ -675,92 +655,6 @@ def test_right_power_batch_chunk_fits_its_entry_budget(p, monkeypatch) -> None:
     assert peak - held <= X.nbytes + 16 * 8 * algebra_core._CHUNK_ENTRIES + (1 << 16)
 
 
-def test_word_action_table_matches_per_word_composition(monkeypatch) -> None:
-    """envelope._word_action against a plain-Python composition of each word,
-    on random modules at p = 2, 3, 5 and at the primes of the modulus-bound
-    tests.  The words share prefixes and repeat letters; the table must hold
-    exactly the relation words, every single letter and the empty word.  Each
-    module is run with the default cuts and twice with the small-product cut
-    at 0, in chunks of one word and in chunks of two words, so that the
-    stacks also take the float routes below 2**24 and 2**53 and prefixes
-    cross chunks; the one-word floor, and a full chunk of two words, must
-    run there.
-    _relation_failures must count every nonzero relation and keep the first
-    WITNESS_LIMIT."""
-    from rlk import envelope
-    from rlk.envelope import _relation_failures, _word_action
-
-    rng = random.Random("word-action")
-    n, mdim = 2, 3
-    primes = [2, 3, 5, *_primes_at_the_bound(1 << 62, mdim)[:1],
-              *_primes_at_the_bound(1 << 53, mdim), *_primes_at_the_bound(1 << 24, mdim)]
-    cuts = [(algebra_core._SMALL_PRODUCT, envelope._CHUNK_ENTRIES), (0, 2 * mdim * mdim),
-            (0, 12 * mdim * mdim)]
-    chunk_words, matmul_mod = [], envelope._matmul_mod
-    monkeypatch.setattr(envelope, "_matmul_mod",
-                        lambda A, B, p: chunk_words.append(len(A)) or matmul_mod(A, B, p))
-    for p, (small_product, chunk) in itertools.product(primes, cuts):
-        monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", small_product)
-        monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", chunk)
-        chunk_words.clear()
-        g = Algebra(p, n, {})
-        left, right = (_residues_near_the_top(p, (n, mdim, mdim), rng) for _ in range(2))
-        M = LeibnizModule(g, mdim, left, right)
-        stem = [rng.randrange(2 * n) for _ in range(3)]
-        words = [tuple(stem[:k]) + tuple(rng.randrange(2 * n) for _ in range(extra))
-                 for k in range(4) for extra in (0, 1, 2, 4)]
-        words += [(0,) * 5, (2 * n - 1,) * 3, (1, 1, 2, 1, 1)]
-        terms = [("t", (i,), [(w, rng.randrange(1, p)) for w in words[i % 7::7]])
-                 for i in range(WITNESS_LIMIT + 4)]
-        table = _word_action(M, terms)
-        if small_product == 0:  # the one-word floor, or a full two-word chunk, ran
-            assert max(chunk_words) == {2 * mdim * mdim: 1, 12 * mdim * mdim: 2}[chunk], p
-        mats = left.tolist() + right.tolist()
-        kept = {(), *words, *((i,) for i in range(2 * n))}
-        composed = {(): [[int(r == c) for c in range(mdim)] for r in range(mdim)]}
-        for w in sorted({w[:k] for w in kept for k in range(1, len(w) + 1)}, key=len):
-            composed[w] = naive_mat_mul(mats[w[-1]], composed[w[:-1]], p)
-        assert {w: op.tolist() for w, op in table.items()} == {
-            w: m for w, m in composed.items() if w in kept}, p
-        values = [[[sum(c * composed[w][r][s] for w, c in ws) % p for s in range(mdim)]
-                   for r in range(mdim)] for _tag, _key, ws in terms]
-        failing = [(key, v) for (_tag, key, _ws), v in zip(terms, values) if any(map(any, v))]
-        failures, witnesses = _relation_failures(table, terms, ("x",), p)
-        assert failures == len(failing) > WITNESS_LIMIT, p
-        assert [(w.inputs, w.lhs.tolist()) for w in witnesses] == [
-            (("x", "t") + key, v) for key, v in failing[:WITNESS_LIMIT]]
-
-
-@pytest.mark.parametrize("p", [5, 1_000_003])
-def test_word_action_chunk_fits_its_entry_budget(p, monkeypatch) -> None:
-    """Everything one chunk of _word_action holds besides the table it
-    returns (two int64 operand stacks, their float32 or float64 copies, the
-    product and its result) fits _CHUNK_ENTRIES int64 entries, plus a fixed
-    allowance for the Python lists and tuples of one word length.  Every
-    word up to length 5 on 4 letters names a relation, so no operator is
-    dropped and the table at the end holds every operator ever computed;
-    sizing the chunk by one operand stack overshoots the budget two to
-    four times over."""
-    from rlk import envelope
-
-    monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", 1 << 16)
-    rng = random.Random(f"word-chunk-{p}")
-    n, mdim = 2, 10
-    left, right = (np.array([[[rng.randrange(p) for _ in range(mdim)] for _ in range(mdim)]
-                             for _ in range(n)], dtype=np.int64) for _ in range(2))
-    M = LeibnizModule(Algebra(p, n, {}), mdim, left, right)
-    words = [w for k in range(1, 6) for w in itertools.product(range(2 * n), repeat=k)]
-    terms = [("t", (i,), [(w, 1)]) for i, w in enumerate(words)]
-    tracemalloc.start()
-    try:
-        table = envelope._word_action(M, terms)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table) == len(words) + 1
-    assert peak - held <= 8 * envelope._CHUNK_ENTRIES + (1 << 16)
-
-
 DIAS_AXIOMS = ("assoc_left", "assoc_right", "left_bar", "middle", "right_bar")
 
 
@@ -787,7 +681,7 @@ def _dense_basis(dim, p, rng):
     inverse; the basis f_a = sum_i P[i][a] e_i spreads 0/1 structure
     constants into residues of every size."""
     while True:
-        P = _residues_near_the_top(p, (dim, dim), rng).tolist()
+        P = residues_near_the_top(p, (dim, dim), rng).tolist()
         Q = _inverse_mod(P, p)
         if Q is not None:
             return P, Q
@@ -845,7 +739,7 @@ def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch)
     for p in _bound_primes(dim, rng):
         P, Q = _dense_basis(dim, p, rng)
         lie, assoc = _in_basis(lie0, P, Q, p), _in_basis(assoc0, P, Q, p)
-        big = [_residues_near_the_top(p, (dim, dim, dim), rng).tolist() for _ in range(2)]
+        big = [residues_near_the_top(p, (dim, dim, dim), rng).tolist() for _ in range(2)]
 
         g = Algebra(p, dim, {"bracket": np.array(lie)})
         assert lie_basis_violation(g, "bracket") is None
@@ -868,7 +762,7 @@ def test_sweeps_exact_at_random_primes_under_the_modulus_bound(dim, monkeypatch)
                 "dias", ops, p, basis[i], basis[j], basis[k]), triples))
 
         assert check_module_axioms(g, adjoint_module(g)).failure_count == 0
-        L, R = (_residues_near_the_top(p, (dim, dim, dim), rng).tolist() for _ in range(2))
+        L, R = (residues_near_the_top(p, (dim, dim, dim), rng).tolist() for _ in range(2))
         failures = {}
         for i, j in itertools.product(range(dim), repeat=2):
             sides = naive_module_sides(lie, L, R, p, i, j)
@@ -1088,7 +982,7 @@ def test_check_tensor_restricted_exact_at_random_primes_under_the_modulus_bound(
         rep = check_tensor_restricted(tensor_prelie(g, R), seed=p % 97)
         assert rep.ok() and rep.coverage.count == 8 + 4 + 4 + 4 + 400, p
     for p in _bound_primes(6, rng):
-        g, R, A = (_residues_near_the_top(p, (d, d, d), rng) for d in (3, 2, 6))
+        g, R, A = (residues_near_the_top(p, (d, d, d), rng) for d in (3, 2, 6))
         # the zero bracket passes both bracket facts, which leaves the
         # witnesses to the operator powers and the power factors
         for cg in (g, np.zeros_like(g)):

@@ -4,12 +4,13 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rlk
-from rlk import envelope, identities
+from rlk import algebra_core, envelope, identities
 from rlk.algebra_core import Algebra, TablePMap, ZeroPMap
 from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
 from rlk.envelope import (
@@ -26,8 +27,9 @@ from rlk.errors import UsageError
 from rlk.free_structures import BASIS_SIZE_BOUND, check_ud_unit, ud_p
 from rlk.identities import check_leibniz
 
-from helpers import (abelian, counting, l2, l2_dialgebra, matrix_assoc, truncated_poly,
-                     upper_triangular2, zinbiel_zero)
+from helpers import (abelian, counting, l2, l2_dialgebra, matrix_assoc, primes_at_the_bound,
+                     random_structure, residues_near_the_top, truncated_poly, upper_triangular2,
+                     zinbiel_zero)
 from oracles import (
     ideal_rank_fixed_point,
     naive_mat_mul,
@@ -88,6 +90,13 @@ def test_module_shape_validation():
         LeibnizModule(g, 2, np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(UsageError, match="dimension"):
         LeibnizModule(g, -1, np.zeros((2, 0, 0)), np.zeros((2, 0, 0)))
+
+
+def test_zero_module_refuses_a_negative_dimension():
+    """The carrier's error, raised before numpy is asked for the matrices."""
+    with pytest.raises(UsageError, match=r"^module dimension must be >= 0, got -1$"):
+        zero_module(l2(2), -1)
+    assert zero_module(l2(2), 0).left_action.shape == (2, 0, 0)
 
 
 def test_module_dimension_is_bounded_by_the_modulus():
@@ -239,7 +248,7 @@ def test_relation_verdicts_match_the_module_checks():
 def _relations_and_oracle(g, M, pmap, cap, samples):
     """_module_relations's (failure count, witnesses) with no gate, and the
     word-expanded oracle's on the same instance rows, both as plain lists."""
-    failures, witnesses, count, _table, _note = envelope._module_relations(
+    failures, witnesses, count, _note = envelope._module_relations(
         g, M, pmap, cap, 0, samples, ("relation",))
     X, PX, _ = envelope._pmap_instances(g, pmap, cap, 0, samples)
     assert count == 3 * g.dim ** 2 + len(X)
@@ -302,6 +311,64 @@ def test_power_family_sweep_matches_the_oracle_past_2_24(monkeypatch):
         got, expected = _relations_and_oracle(g, M, "planted", None, 0)
         assert got == expected, M.label
     assert expected[0] > 0
+
+
+def test_bracket_families_match_the_oracle_at_the_float_switches(monkeypatch):
+    """The bracket families read off _module_sides against the word-expanded
+    oracle, on random brackets and modules with residues next to p - 1: at
+    the largest prime that the 2**62 modulus bound admits for the module
+    dimension, and at the primes on either side of the 2**53 and 2**24 float
+    switches.  Each prime runs with the default cuts, and with the
+    small-product cut at 0 and one basis pair a chunk, so that the stacks
+    take the float routes and witnesses are kept across chunks; more than
+    WITNESS_LIMIT relations fail.  The p-power rows are x = 0 with planted
+    values: the oracle would compose any other r_x^p one letter at a time."""
+    n, mdim = 3, 3
+    rng = random.Random("sides-near-the-top")
+    primes = [primes_at_the_bound(1 << 62, mdim)[0], *primes_at_the_bound(1 << 53, mdim),
+              *primes_at_the_bound(1 << 24, mdim)]
+    cuts = [(algebra_core._SMALL_PRODUCT, envelope._CHUNK_ENTRIES), (0, 1)]
+    pairs, matmul_mod = [], envelope._matmul_mod
+    monkeypatch.setattr(envelope, "_matmul_mod",
+                        lambda A, B, p: pairs.append(len(A)) or matmul_mod(A, B, p))
+    for p, (small_product, chunk) in itertools.product(primes, cuts):
+        monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", small_product)
+        monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", chunk)
+        g = Algebra(p, n, {"bracket": residues_near_the_top(p, (n, n, n), rng)})
+        M = LeibnizModule(g, mdim, *(residues_near_the_top(p, (n, mdim, mdim), rng)
+                                     for _ in range(2)))
+        X = np.zeros((2, n), dtype=np.int64)
+        PX = np.stack([np.zeros(n, dtype=np.int64), residues_near_the_top(p, (n,), rng)])
+        monkeypatch.setattr(envelope, "_pmap_instances", lambda *args: (X, PX, "planted"))
+        pairs.clear()
+        got, expected = _relations_and_oracle(g, M, "planted", None, 0)
+        assert got == expected, p
+        assert max(pairs) == (1 if chunk == 1 else n * n), p
+        assert expected[0] > identities.WITNESS_LIMIT, p
+
+
+@pytest.mark.parametrize("p", [5, 1_000_003])
+def test_module_sides_chunk_and_relation_stacks_fit_the_entry_budget(p, monkeypatch):
+    """Everything _module_relations holds at once besides the witnesses it
+    returns (a _module_sides chunk with its products' float copies, the
+    relation stacks built from it, and what is still held of the chunk
+    before) fits _CHUNK_ENTRIES int64 entries, plus a fixed allowance for
+    index arrays and witnesses.  289 basis pairs at mdim 10 make three
+    chunks, two of them full; no p-power row is swept."""
+    monkeypatch.setattr(envelope, "_CHUNK_ENTRIES", 1 << 18)
+    n, mdim = 17, 10
+    g = Algebra(p, n, {"bracket": random_structure(p, n, random.Random(p))})
+    M = random_module(g, mdim, p)
+    none = np.zeros((0, n), dtype=np.int64)
+    monkeypatch.setattr(envelope, "_pmap_instances", lambda *args: (none, none, "none"))
+    tracemalloc.start()
+    try:
+        failures, *_ = envelope._module_relations(g, M, "none", None, 0, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert failures == 3 * n * n
+    assert peak - held <= 8 * envelope._CHUNK_ENTRIES + (1 << 16)
 
 
 # -- truncated word envelope --------------------------------------------------------
@@ -496,34 +563,45 @@ def test_exhaustive_gates_hand_their_pmap_values_to_the_relations(monkeypatch):
 def test_module_roundtrip_sweeps_the_power_family_once(monkeypatch):
     """An exhaustive gate's passing sweep is the p-power family's: module_roundtrip
     makes one _operator_failures call, the gate's.  A sampled gate (cap=1)
-    swept other rows, so the relations' own sample is swept once more."""
+    swept other rows, so the relations' own sample is swept once more.  The
+    gate's module axioms prove the bracket families: either way the one
+    _module_sides pass is the gate's."""
     ut2 = dleib(as_dialgebra(upper_triangular2(3)))
-    calls = {"_operator_failures": 0}
+    calls = {"_module_sides": 0, "_operator_failures": 0}
+    monkeypatch.setattr(envelope, "_module_sides",
+                        counting(calls, "_module_sides", envelope._module_sides))
     counted = counting(calls, "_operator_failures", identities._operator_failures)
     for module in (identities, envelope):
         monkeypatch.setattr(module, "_operator_failures", counted)
     for cap, count in ((None, 1), (1, 2)):
-        calls["_operator_failures"] = 0
+        calls.update(_module_sides=0, _operator_failures=0)
         assert module_roundtrip(ut2, adjoint_module(ut2), cap=cap).ok()
-        assert calls == {"_operator_failures": count}
+        assert calls == {"_module_sides": 1, "_operator_failures": count}
 
 
 def test_module_checks_compose_no_word_longer_than_two(monkeypatch):
-    """The module checks hand _word_action the bracket families only: no
-    r_x^p word (length p) is composed, at p = 2, 3 and 5, passing or not."""
-    lengths, real = set(), envelope._word_action
+    """Every operator product the module checks take multiplies two letters
+    (a row of left_action or right_action): no r_x^p word (length p) and no
+    product of products is composed, at p = 2, 3 and 5, passing or not."""
+    operands, real = [], envelope._matmul_mod
 
-    def recorded(M, terms):
-        lengths.update(len(w) for _tag, _key, words in terms for w, _c in words)
-        return real(M, terms)
+    def recorded(A, B, p):
+        operands.extend((A, B))
+        return real(A, B, p)
 
-    monkeypatch.setattr(envelope, "_word_action", recorded)
+    monkeypatch.setattr(envelope, "_matmul_mod", recorded)
     for g in (l2(2), l2(3), l2(5), dleib(as_dialgebra(upper_triangular2(3)))):
-        for M in (adjoint_module(g), swapped_adjoint(g), random_module(g, 2, 0)):
-            ulp_relations_check(g, M)
-        module_roundtrip(g, adjoint_module(g))
-        module_roundtrip(g, adjoint_module(g), cap=1)
-    assert lengths == {1, 2}
+        runs = [(M, lambda M=M: ulp_relations_check(g, M))
+                for M in (adjoint_module(g), swapped_adjoint(g), random_module(g, 2, 0))]
+        ad = adjoint_module(g)
+        runs += [(ad, lambda: module_roundtrip(g, ad)),
+                 (ad, lambda: module_roundtrip(g, ad, cap=1))]
+        for M, run in runs:
+            letters = {a.tobytes() for a in np.concatenate([M.left_action, M.right_action])}
+            operands.clear()
+            run()
+            assert operands
+            assert all(a.tobytes() in letters for A in operands for a in A)
 
 
 def test_gates_read_the_leibniz_report_dleib_holds(monkeypatch):

@@ -86,7 +86,8 @@ def test_one_restricted_pass_draws_the_element_grids():
 def test_only_ulp_truncated_expands_power_words():
     """r_x^p's |supp x|**p words are built by _power_terms for ulp_truncated's
     ideal alone; the module checks read the p-power family off the operator
-    sweep, through the one evaluator that composes word operators."""
+    sweep, and the bracket families off the one evaluator of the module
+    identities, which check_module_axioms and _module_relations share."""
     assert [(mod, fn) for mod, fn, _ in _calls("_power_terms")] == [("envelope", "ulp_truncated")]
-    assert [(mod, fn) for mod, fn, _ in _calls("_word_action")] == [
-        ("envelope", "_module_relations")]
+    assert sorted((mod, fn) for mod, fn, _ in _calls("_module_sides")) == [
+        ("envelope", "_module_relations"), ("envelope", "check_module_axioms")]
