@@ -305,16 +305,15 @@ class BasisJacobsonPMap:
         """x^[p] = sum_i a_i e_i^[p] + sum_i sum_k s_k(a_i e_i, sum_{j>i} a_j e_j) on the
         rows x = sum_i a_i e_i of X (a**p == a in F_p).  While 2 <= dim and dim**p <
         _JACOBSON_WORDS, a block of rows at a time is [x, mono(x)] [values; G] for the
-        compiled table (idx, G) of Algebra.jacobson_table: a float64 gather of the p
-        factors, their product reduced mod p, one GEMM.  Past it, one _matmul_mod and
-        one jacobson_terms_batch call over every (row, i) with a_i and its tail nonzero."""
+        compiled table (idx, G), with the float64 [values; G] Algebra.jacobson_table keeps:
+        a float64 gather of the p factors, their product reduced mod p, one GEMM.  Past it,
+        one _matmul_mod and one jacobson_terms_batch call over every (row, i) with a_i and
+        its tail nonzero."""
         p, d = alg.p, alg.dim
         rest = np.array(X, dtype=np.int64) % p
-        values = np.array(self.values, dtype=np.int64).reshape(d, d)
         if d >= 2 and d ** min(p, 64) < _JACOBSON_WORDS:
-            idx, G = alg.jacobson_table(self.bracket)
-            xf = rest.astype(np.float64)
-            coeffs, chunk = np.concatenate([values, G]), max(1, _BLOCK_ENTRIES // idx.size)
+            idx, coeffs = alg.jacobson_table(self.bracket, self.values)
+            xf, chunk = rest.astype(np.float64), max(1, _BLOCK_ENTRIES // idx.size)
             for lo in range(0, len(xf), chunk):
                 x = xf[lo:lo + chunk]
                 # p factors below p: (p-1)**p < 2**53, as p <= 11 under the cut
@@ -328,8 +327,8 @@ class BasisJacobsonPMap:
         at = np.arange(d) - cols[:, None]  # 0 at the pair's coordinate i, > 0 past it
         terms = jacobson_terms_batch(p, np.where(at == 0, rest[rows], 0),
                                      np.where(at > 0, rest[rows], 0), alg.right_ops(self.bracket))
-        out = _matmul_mod(rest, values, p)
-        np.add.at(out, rows, sum(terms))
+        out = _matmul_mod(rest, np.array(self.values, dtype=np.int64).reshape(d, d), p)
+        np.add.at(out, rows, terms.sum(axis=0))
         return out % p
 
     def validate(self, alg: "Algebra") -> None:
@@ -484,12 +483,19 @@ class Algebra:
     def left_mult_stack(self, op: str, X: np.ndarray) -> np.ndarray:
         return operator_stack(self.structure(op).transpose(0, 2, 1), X % self.p, self.p)
 
-    def jacobson_table(self, op: str) -> tuple:
-        """_jacobson_table of the named bracket, built on first use and kept,
-        read-only, for this algebra and the _with_pmaps copies that share its ops."""
+    def jacobson_table(self, op: str, values=None) -> tuple:
+        """_jacobson_table (idx, G) of the named bracket, built on first use and kept,
+        read-only, for this algebra and the _with_pmaps copies that share its ops.
+        Given the basis values of a p-map, (idx, [values; G]) in float64, also
+        built once and kept in that bracket's entry."""
         if op not in self._tables:
-            self._tables[op] = _jacobson_table(self.structure(op), self.p)
-        return self._tables[op]
+            self._tables[op] = (*_jacobson_table(self.structure(op), self.p), {})
+        idx, G, coeffs = self._tables[op]
+        if values is None:
+            return idx, G
+        if values not in coeffs:
+            coeffs[values] = _seal(np.concatenate([values, G], dtype=np.float64))
+        return idx, coeffs[values]
 
     # -- p-maps -------------------------------------------------------------
 
@@ -579,35 +585,38 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
-def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) -> list:
-    """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, each
-    as an (N, dim) array: i*s_i is the coefficient of lambda**(i-1) in the
-    (p-1)-fold right bracketing of x by (lambda x + y).
+def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, as one
+    (p-1, N, dim) int64 array: i*s_i is the coefficient of lambda**(i-1) in
+    the (p-1)-fold right bracketing of x by (lambda x + y).
 
     `ops` is the bracket's reduced (dim, dim, dim) right-operator table, laid
     out like Algebra.right_ops: r_v = sum_j v_j ops[j] is u -> [u, v].  Each
     _blocks block of rows, counting the r_y and the r_x stack, builds both
-    with one operator_stack; each round then updates the coefficients P_k of
-    lambda**k by batched mat-vecs, P'_k = r_y P_k + r_x P_{k-1}, each product
-    reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p.  A block
-    also fits its operator and lambda stacks, with their casts, in _CHUNK_ENTRIES:
-    4*dim*(dim + 2p) entries a row, which binds below dim 33 only past p = 15*dim."""
+    with one operator_stack and keeps the coefficients P_k of lambda**k in one
+    (p, n, dim, 1) buffer.  Round t is one _matmul_mod of the stacked (r_y, r_x)
+    against P[:t], then in place P'_k = r_y P_k + r_x P_{k-1} and one % p: each
+    product is reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p.
+    The 1/i scaling is one broadcast multiply at the end.  A block also fits its
+    operator and lambda stacks, with their casts, in _CHUNK_ENTRIES: 4*dim*(dim + 2p)
+    entries a row, which binds below dim 33 only past p = 15*dim."""
     N, d = X.shape
-    out = [np.zeros((N, d), dtype=np.int64) for _ in range(p - 1)]
+    out = np.zeros((p - 1, N, d), dtype=np.int64)
     block = max(1, min(_blocks(d, ops.size)[1] // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
+    inverse = np.array([inv_mod(i, p) for i in range(1, p)] if N else [], dtype=np.int64)
     for lo in range(0, N, block):
-        x, y = X[lo:lo + block] % p, Y[lo:lo + block] % p
-        n = x.shape[0]
-        R = operator_stack(ops, np.concatenate([y, x]), p).reshape(2, 1, n, d, d)
-        P = x[None]  # P[k] is the coefficient of lambda**k
-        for _ in range(p - 1):
-            B = _matmul_mod(R, P[None, ..., None], p)[..., 0]  # (2, k, n, d)
-            nxt = np.zeros((P.shape[0] + 1, n, d), dtype=np.int64)
-            nxt[:-1] += B[0]
-            nxt[1:] += B[1]
-            P = nxt % p
-        for i in range(1, p):
-            out[i - 1][lo:lo + n] = (inv_mod(i, p) * P[i - 1]) % p
+        V = np.concatenate([Y[lo:lo + block], X[lo:lo + block]]) % p  # the y rows, then the x
+        n = len(V) // 2
+        R = operator_stack(ops, V, p).reshape(2, 1, n, d, d)
+        P = np.zeros((p, n, d, 1), dtype=np.int64)  # P[k] is the coefficient of lambda**k
+        P[0, ..., 0] = V[n:]
+        for t in range(1, p):
+            B = _matmul_mod(R, P[:t], p)  # (2, t, n, d, 1)
+            P[:t] = B[0]
+            P[1:t + 1] += B[1]
+            P[1:t] %= p
+        np.multiply(P[:-1, ..., 0], inverse[:, None, None], out=out[:, lo:lo + n])
+        out[:, lo:lo + n] %= p
     return out
 
 

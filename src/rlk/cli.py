@@ -224,8 +224,12 @@ def _run(args, paths, build) -> int:
 
 
 def _build_check(args, alg):
-    checks = tuple(_RUNNERS[name](alg, args) for name in args.identities)
-    return "check " + " ".join(args.identities), None, {"checks": checks}
+    checks = []  # a passing basis sweep of "leibniz" is the Leibniz gate of those after it
+    for name in args.identities:
+        checks.append(rep := _RUNNERS[name](alg, args))
+        if name == "leibniz" and rep.ok() and rep.coverage.kind == "exhaustive":
+            alg = alg._with_pmaps(alg.pmaps, alg.reports + (rep,))
+    return "check " + " ".join(args.identities), None, {"checks": tuple(checks)}
 
 
 def cmd_check(args) -> int:

@@ -17,11 +17,12 @@ a check reads the count before and after its own products and reports
 {basis index: coefficient} dicts over F_p.
 
 `truncated_ideal_quotient` closes a relation list under all degree-one
-multiplications (which generate every sandwich for words and dialgebras,
-but not for half-shuffle monomials; see its docstring) through lazily
-filled per-generator product tables, row-reduces exactly over F_p (new
-pivot rows from `RowReducer.insert` join the closure's frontier), and
-returns the surviving monomial basis with an idempotent projection.
+multiplications (which generate every sandwich for words and dialgebras;
+half-shuffle monomials also take right products by longer monomials, see
+its docstring) through lazily filled per-multiplier product tables,
+row-reduces exactly over F_p (new pivot rows from `RowReducer.insert` join
+the closure's frontier), and returns the surviving monomial basis with an
+idempotent projection.
 `ud_p` and `das_quotient` instantiate the enveloping-diassociative and
 both-products-identified quotients on top of it.
 """
@@ -458,13 +459,14 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
     The span is closed under multiplication by degree-one monomials on both
     sides of every product.  For words and dialgebras the compatibility
     axioms reduce arbitrary sandwiches to such compositions, so the closure
-    is the full truncated ideal.  For half-shuffle monomials it is not:
-    x < (y < z) lies in the ideal of x but outside this closure, as the
-    strict xfail test_zinbiel_quotient_kills_every_product_of_a_relation
-    pins.  A frontier row x is multiplied, for each op and
-    generator g, as g x then x g, through a table per (op, g, side) of the
-    terms of g j (or j g), filled by _mono_terms when basis index j is first
-    reached; each term of x at the cap's degree overflows once per table.
+    is the full truncated ideal.  Half-shuffles give L_{a<b} = L_a (L_b + R_b),
+    but of the right products only R_c R_b = R_{b<c} + R_{c<b}, so there the
+    span is also closed under R_m for every monomial m below the cap's degree
+    (x < (y < z) is in the ideal of x).  A frontier row x is multiplied, for
+    each op and multiplier m, as m x or x m, through a table per (op, m, side)
+    of the terms of m j (or j m), filled by _mono_terms when basis index j is
+    first reached; each term of x whose degree plus m's passes the cap
+    overflows once per table.
     """
     p, dim = F.p, F.dim
     rr = RowReducer(p, dim)
@@ -475,25 +477,32 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
         dense_rels.append(tuple(F.dense(v).tolist()))
         if row := rr.add(v):
             frontier.append(row)
-    # (op, generator, left side?, table of j -> terms of g op j or j op g)
-    tables = [(op, g, left, {}) for op in F.op_names
-              for g in map(F.generator_index, range(F.ngen)) for left in (True, False)]
     cap, degrees, overflows = F.degree_cap, F.degrees, 0
+    gens = list(map(F.generator_index, range(F.ngen)))
+    # (room, tables): a table (op, m, left side?, j -> terms of m op j or j op m) serves
+    # the terms j of degree at most room, the most for which m j and j m fit the cap
+    rooms = [(cap - 1, [(op, g, left, {}) for op in F.op_names for g in gens
+                        for left in (True, False)])]
+    if F.kind == "zinbiel":
+        rooms += [(cap - k, [(op, m, False, {}) for op in F.op_names for m in range(dim)
+                             if degrees[m] == k]) for k in range(2, cap)]
     while frontier:
         x = frontier.popleft()
-        inside = [(j, c) for j, c in x.items() if degrees[j] < cap]
-        overflows += (len(x) - len(inside)) * len(tables)
-        for op, g, left, table in tables if inside else ():
-            prod = {}
-            for j, c in inside:
-                terms = table.get(j)
-                if terms is None:
-                    terms = table[j] = F._mono_terms(op, g, j) if left else F._mono_terms(op, j, g)
-                for k, m in terms:
-                    prod[k] = prod.get(k, 0) + c * m
-            prod = {k: v % p for k, v in prod.items() if v % p}
-            if prod and (row := rr.insert(prod)):
-                frontier.append(row)
+        for room, group in rooms:
+            inside = [(j, c) for j, c in x.items() if degrees[j] <= room]
+            overflows += (len(x) - len(inside)) * len(group)
+            for op, m, left, table in group if inside else ():
+                prod = {}
+                for j, c in inside:
+                    terms = table.get(j)
+                    if terms is None:
+                        terms = table[j] = (F._mono_terms(op, m, j) if left
+                                            else F._mono_terms(op, j, m))
+                    for k, t in terms:
+                        prod[k] = prod.get(k, 0) + c * t
+                prod = {k: v % p for k, v in prod.items() if v % p}
+                if prod and (row := rr.insert(prod)):
+                    frontier.append(row)
     F.overflows += overflows
     normal = tuple(i for i in range(dim) if i not in rr.pivot_of_col)
     projection = np.eye(dim, dtype=np.int64)

@@ -285,9 +285,9 @@ def check_prelie(alg: Algebra, op: str = "prelie", mode: str = "basis",
 
 def jacobson_si(alg: Algebra, bracket: str, x: Element, y: Element) -> list:
     """Polarization coefficients s_1..s_{p-1} of the named bracket."""
-    X, Y = (np.array([alg.element(v)], dtype=np.int64) for v in (x, y))
-    terms = jacobson_terms_batch(alg.p, X, Y, alg.right_ops(bracket))
-    return [_tup(s[0]) for s in terms]
+    XY = np.array([alg.element(x), alg.element(y)], dtype=np.int64)
+    terms = jacobson_terms_batch(alg.p, XY[:1], XY[1:], alg.right_ops(bracket))
+    return list(map(tuple, terms[:, 0].tolist()))
 
 
 # -- restrictedness sweeps -----------------------------------------------------
@@ -376,25 +376,32 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
        right bracketing of x by y for every x);
     3. (x+y)^[p] = x^[p] + y^[p] + sum_i s_i(x, y).
     Pairs for axiom 3 are enumerated when their number fits PAIR_BUDGET,
-    otherwise sampled with the given seed.
+    otherwise sampled with the given seed.  On an exhaustive grid (every element,
+    in lexicographic order) the p-map's values at 0, a x and x + y are rows of the
+    restricted pass's one batch, found by np.ravel_multi_index; else one batch each.
     """
     bad = lie_basis_violation(alg, bracket)
     if bad is not None:
         raise UsageError(f"bracket {bracket!r} is not Lie: {bad[0]} fails at {bad[1:]}")
-    p = alg.p
+    p, d = alg.p, alg.dim
     # axiom 2, the operator condition, is the pass's own sweep
     X, PX, coverage, failures, witnesses = _restricted_pass(
         alg, alg.right_ops(bracket), pmap, cap, seed, samples, ("axiom2",))
     N = X.shape[0]
 
+    def pmap_at(V):  # the p-map at the reduced rows V
+        if coverage.kind == "sampled":
+            return alg.apply_pmap_batch(pmap, V)
+        return PX[np.ravel_multi_index(V.T, (p,) * d) if d else np.zeros(len(V), dtype=int)]
+
     # axiom 1: semilinearity in scalars; 0^[p] is shared by every row of the grid
-    got0 = alg.apply_pmap(pmap, alg.zero())
+    got0 = _tup(pmap_at(np.zeros((1, d), dtype=np.int64))[0])
     if any(got0):
         failures += N
         witnesses.append(Witness(("axiom1", 0, alg.zero()), got0, alg.zero()))
     for a in range(2, p):
         expect = (pow(a, p, p) * PX) % p
-        got = alg.apply_pmap_batch(pmap, (a * X) % p)
+        got = pmap_at((a * X) % p)
         failures += _keep(witnesses, np.argwhere(((got - expect) % p).any(axis=1)),
                           lambda n: Witness(("axiom1", a, _tup(X[n])), _tup(got[n]),
                                             _tup(expect[n])), WITNESS_LIMIT)
@@ -408,8 +415,9 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         npairs = min(PAIR_BUDGET, max(samples, 1))
         I, J = _randrange_array(rng, N, 2 * npairs).reshape(npairs, 2).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
-    S = alg.apply_pmap_batch(pmap, X[I] + X[J])
-    rhs = (PX[I] + PX[J] + sum(jacobson_terms_batch(p, X[I], X[J], alg.right_ops(bracket)))) % p
+    S = pmap_at((X[I] + X[J]) % p)
+    terms = jacobson_terms_batch(p, X[I], X[J], alg.right_ops(bracket))
+    rhs = (PX[I] + PX[J] + terms.sum(axis=0)) % p
     failures += _keep(witnesses, np.argwhere((S != rhs).any(axis=1)), lambda n: Witness(
         ("axiom3", _tup(X[I[n]]), _tup(X[J[n]])), _tup(S[n]), _tup(rhs[n])),
         3 * WITNESS_LIMIT - len(witnesses))
@@ -438,7 +446,7 @@ def _dleib_jacobson_sides(D: Algebra, c: np.ndarray, T: np.ndarray):
     table c and the p-fold right-product power as p-map; [z, .] is l_z."""
     p, (Z, X, Y) = D.p, T.swapaxes(0, 1)
     power = D.right_power_batch("right", np.concatenate([X + Y, X, Y]), p)
-    s_sum = sum(jacobson_terms_batch(p, X, Y, c.transpose(1, 2, 0))) % p
+    s_sum = jacobson_terms_batch(p, X, Y, c.transpose(1, 2, 0)).sum(axis=0) % p
     V = np.stack([*np.split(power, 3), s_sum], axis=2)  # (N, dim, 4): the four v
     B = _matmul_mod(operator_stack(c.transpose(0, 2, 1), Z, p), V, p)
     return B[..., 0], B[..., 1:].sum(axis=2) % p

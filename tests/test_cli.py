@@ -529,6 +529,27 @@ def test_derive_dleib_exhaustive_past_the_cap_sweeps_nothing(tmp_path, capsys, c
     assert calls["_operator_failures"] == 0
 
 
+
+@pytest.mark.parametrize("mode, sweeps", [(None, 1), ("sample", 2)])
+def test_check_leibniz_then_restricted_sweeps_leibniz_once(tmp_path, capsys, monkeypatch,
+                                                           mode, sweeps):
+    """A passing basis sweep of `leibniz` is the gate of a later
+    `restricted-leibniz` in the same call; a sampled one is not, so the gate
+    runs its own basis sweep.  The reports are those of separate checks."""
+    path = write(tmp_path, "l2.alg", l2(3))
+    flags = ["--format", "json", "--samples", "30"] + (["--mode", mode] if mode else [])
+    want = []
+    for name in ("leibniz", "restricted-leibniz"):
+        assert main(["check", path, name, *flags]) == 0
+        want += json.loads(capsys.readouterr().out)["checks"]
+    calls = {"sweep": 0}
+    monkeypatch.setattr(rlk.identities, "_trilinear_sweep",
+                        counting(calls, "sweep", rlk.identities._trilinear_sweep))
+    assert main(["check", path, "leibniz", "restricted-leibniz", *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == want
+    assert calls["sweep"] == sweeps
+
+
 # ---------------------------------------------------------- determinism
 
 

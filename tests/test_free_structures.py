@@ -869,9 +869,11 @@ def _naive_tables(F):
 
 def _plain_closure(F, tables, rows):
     """Reduced echelon rows of the span of `rows` closed under products with
-    the degree-one generators on both sides, through the dense tables."""
+    the degree-one generators on both sides, and for half-shuffles with every
+    basis monomial on the right, through the dense tables."""
     p, n = F.p, F.dim
     gens = [i for i, deg in enumerate(F.degrees) if deg == 1]
+    rights = range(n) if F.kind == "zinbiel" else gens
     rows = gauss_echelon_rows(rows, p)
     while True:
         grown = list(rows)
@@ -879,6 +881,7 @@ def _plain_closure(F, tables, rows):
             for r in rows:
                 for g in gens:
                     grown.append([sum(c[g][j][k] * r[j] for j in range(n)) % p for k in range(n)])
+                for g in rights:
                     grown.append([sum(r[j] * c[j][g][k] for j in range(n)) % p for k in range(n)])
         grown = gauss_echelon_rows(grown, p)
         if len(grown) == len(rows):
@@ -899,9 +902,8 @@ CLOSURE_AMBIENTS = {
 def test_closure_matches_a_plain_dense_closure(kind, p):
     """Random sparse relation sets, each with a term at the top degree (whose
     products all overflow): the rank, normal indices and projection are those
-    of the plain closure's echelon rows, and for words and dialgebras the rank
-    is the oracle's fixed point under every basis product (for half-shuffles
-    it need not be, see the next test)."""
+    of the plain closure's echelon rows, and the rank is the oracle's fixed
+    point under every basis product."""
     rng = random.Random(f"closure-{kind}-{p}")
     F = CLOSURE_AMBIENTS[kind](p)
     tables = _naive_tables(F)
@@ -916,9 +918,7 @@ def test_closure_matches_a_plain_dense_closure(kind, p):
         pres = truncated_ideal_quotient(F, rels)
         assert F.overflows > before
         closed = _plain_closure(F, tables, rows)
-        assert pres.ideal_rank == len(closed)
-        if kind != "zinbiel":
-            assert len(closed) == ideal_rank_fixed_point(tables, rows, p)
+        assert pres.ideal_rank == len(closed) == ideal_rank_fixed_point(tables, rows, p)
         assert pres.normal_indices == tuple(
             gauss_nonpivot_columns(closed or [[0] * F.dim], p))
         want = np.eye(F.dim, dtype=np.int64)
@@ -929,11 +929,26 @@ def test_closure_matches_a_plain_dense_closure(kind, p):
         assert np.array_equal(pres.projection, want)
 
 
-@pytest.mark.xfail(strict=True, reason="closing under degree-one products on both sides "
-                   "does not give the two-sided ideal of half-shuffle monomials")
+@pytest.mark.parametrize("ngen, cap, p", [(2, 3, 2), (2, 3, 3), (3, 3, 3), (2, 4, 2),
+                                          (2, 4, 3), (3, 3, 5), (2, 5, 2)])
+def test_zinbiel_closure_ranks_are_the_fixed_point(ngen, cap, p):
+    """On seeded sparse relation sets the half-shuffle closure's rank is the
+    oracle's fixed point under every basis product on both sides, which a
+    closure under generators alone misses (x < (y < z) is not reached)."""
+    rng = random.Random(f"zinbiel-closure-{ngen}-{cap}-{p}")
+    F = free_zinbiel(ngen, cap, p)
+    tables = _naive_tables(F)
+    for _ in range(6):
+        rels = [{i: rng.randrange(1, p) for i in rng.sample(range(F.dim), rng.randrange(1, 3))}
+                for _ in range(rng.randrange(1, 3))]
+        rows = [[rel.get(i, 0) for i in range(F.dim)] for rel in rels]
+        assert truncated_ideal_quotient(F, rels).ideal_rank == ideal_rank_fixed_point(
+            tables, rows, p), rels
+
+
 def test_zinbiel_quotient_kills_every_product_of_a_relation():
-    """x < (y < z) = xyz lies in the ideal of x, but the generator closure
-    holds only (x < y) < z = xyz + xzy of it."""
+    """x < (y < z) = xyz lies in the ideal of x; a closure under generators
+    alone holds only (x < y) < z = xyz + xzy of it."""
     Z = free_zinbiel(3, 3, 3)
     x, y, z = (Z.generator(i) for i in range(3))
     pres = truncated_ideal_quotient(Z, [x])
@@ -971,7 +986,9 @@ OVERFLOW_PINS = {
     "ud_p(dleib(L2 dialgebra/F3), d=3)": (
         lambda: _ambient_counts(ud_p(dleib(l2_dialgebra(3)), d=3)), (34, 0, 488)),
     "das_quotient(free_dias(1, 4, 3))": (_das, (4, "pass", 194)),
-    "zinbiel x<y - y<x": (_zinbiel_commutator, (30, 17, 64)),
+    # 64 under generators alone; the right products by the 12 monomials of degrees
+    # 2 and 3 add 400, as many as GradedBasisAlgebra.product counts for them
+    "zinbiel x<y - y<x": (_zinbiel_commutator, (30, 17, 464)),
 }
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rlk import algebra_core
-from rlk.algebra_core import Algebra, BasisJacobsonPMap, TablePMap
+from rlk.algebra_core import Algebra, BasisJacobsonPMap, TablePMap, ZeroPMap
 from rlk.dialgebra import dleib, matrix_dialgebra
 from rlk.identities import (
     WITNESS_LIMIT,
@@ -31,7 +31,7 @@ from helpers import (
     upper_triangular2,
 )
 from oracles import (gauss_echelon_rows, naive_basis_jacobson, naive_jacobson_terms,
-                     naive_multiply)
+                     naive_multiply, trial_division_is_prime)
 
 
 def _random_basis(c, p, rng):
@@ -372,3 +372,177 @@ def test_restricted_lie_broken_table_pmap_matches_seed_sampled_pairs():
         "lhs": [1, 2, 1, 1], "rhs": [0, 2, 1, 0],
     }
     assert _digest(rep) == "e8754f8e92484c52b63bef8b992d4ef5b42fe6d237dbd1bcedbcc31de7f36d85"
+
+
+# -- check_restricted_lie on exhaustive grids ---------------------------------------
+
+
+def _lie_l2(p):
+    """The Lie bracket [e0, e1] = e0 = -[e1, e0]."""
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0], c[1, 0, 0] = 1, p - 1
+    return c
+
+
+def _power_table(A):
+    """x -> x**p on every element of the associative algebra A."""
+    p, C = A.p, A.structure("assoc").tolist()
+    return {x: _power(C, x, p) for x in all_elements(p, A.dim)}
+
+
+def _not_semilinear(table, p):
+    """table shifted by the last basis vector wherever the first nonzero
+    coordinate of the key is 1, so (a x)^[p] != a**p x^[p] at such x, a > 1."""
+    return {x: tuple((u + (next((c for c in x if c), 0) == 1) * (k == len(x) - 1)) % p
+                     for k, u in enumerate(v)) for x, v in table.items()}
+
+
+def _moved(table):
+    """table with the first nonzero value swapped with the next different one."""
+    keys = sorted(table)
+    k0 = next(k for k in keys if any(table[k]))
+    k1 = next(k for k in keys if k > k0 and table[k] != table[k0])
+    return {**table, k0: table[k1], k1: table[k0]}
+
+
+def _grid_cases():
+    """(name, algebra with bracket "bracket" and p-map "f"): every element
+    grid is exhaustive; axiom-3 pairs are too, except on gl_2 over F_3."""
+    cases = {}
+    ut2, gl2 = upper_triangular2(3), matrix_assoc(3, 2)
+    for name, A, table in (("ut2-f3-axiom1", ut2, _not_semilinear(_power_table(ut2), 3)),
+                           ("ut2-f3-moved", ut2, _moved(_power_table(ut2))),
+                           ("gl2-f3-moved", gl2, _moved(_power_table(gl2)))):
+        cases[name] = Algebra(3, A.dim, {"bracket": commutator_tensor(A)},
+                              {"f": TablePMap(table)})
+    for p in (5, 7):
+        table = {(a, b): (0, b) for a in range(p) for b in range(p)}
+        for kind, pm in (("jacobson", BasisJacobsonPMap("bracket", [(0, 0), (0, 1)])),
+                         ("axiom1", TablePMap(_not_semilinear(table, p))),
+                         ("moved", TablePMap(_moved(table)))):
+            cases[f"l2-f{p}-{kind}"] = Algebra(p, 2, {"bracket": _lie_l2(p)}, {"f": pm})
+    zero1 = np.zeros((1, 1, 1), dtype=np.int64)
+    cases["dim1-f5-jacobson"] = Algebra(5, 1, {"bracket": zero1},
+                                        {"f": BasisJacobsonPMap("bracket", [(2,)])})
+    cases["dim1-f5-axiom1"] = Algebra(5, 1, {"bracket": zero1},
+                                      {"f": TablePMap({(a,): (a * a % 5,) for a in range(5)})})
+    cases["dim0-f3-zero"] = Algebra(3, 0, {"bracket": np.zeros((0, 0, 0), dtype=np.int64)},
+                                    {"f": ZeroPMap()})
+    return cases
+
+
+# (failure count, witness kinds kept, digest), computed when every axiom
+# evaluated the p-map on its own batch of elements
+_GRID_PINS = {
+    "ut2-f3-axiom1": (481, ["axiom1"],
+                      "7f66427b40b9eca3c2bfc54200076baf06c842ea99e6e9e32c01fcbb22e2cd05"),
+    "ut2-f3-moved": (146, ["axiom2", "axiom3"],
+                     "21e14e393cbaff8f42e5f2b0b3f5a2cb095d3e8599068d03b6d6124c18146267"),
+    "gl2-f3-moved": (17, ["axiom2", "axiom3"],
+                     "96f5a343094e67617721e681cbbec94722e5484126cf473320651ab784265480"),
+    "l2-f5-jacobson": (0, [], "ff19faaaaddd0e531a5607c085d38c11980c4ec16d1d19b7f598bc74350e18b8"),
+    "l2-f5-axiom1": (466, ["axiom1"],
+                     "f1b4b82146deca5d6a4ffae5aade0a3dff05975c3b20335dface2d5bf5fb35c2"),
+    "l2-f5-moved": (353, ["axiom1", "axiom2"],
+                    "ab337ed24bc335aa8bff421787f9efe22647b23b79ce2f2fada9cfa91a15d522"),
+    "l2-f7-jacobson": (0, [], "dc4d97fc5a8f16672d5f191c6e26e0268c3e33e9422284fd0390c12c84542261"),
+    "l2-f7-axiom1": (1468, ["axiom1"],
+                     "6bb13a8ffa770d291df420bd23441e194f3d12521b5e5a513bfaa4646fcf2505"),
+    "l2-f7-moved": (1017, ["axiom1"],
+                    "30b75f1b07a89f5f318c211782b25192bbfefd8abf856dd97c1494412a11de16"),
+    "dim1-f5-jacobson": (0, [],
+                         "266818abd5a231a0c1cb5d7ab2d91e4bf5bd1bfe119a824d381418f7b7cbcade"),
+    "dim1-f5-axiom1": (28, ["axiom1", "axiom3"],
+                       "f1e8db10d5612ff556224dd68567b050cd471b2dfa95168ada82575f74149c45"),
+    "dim0-f3-zero": (0, [], "1d29d8974429b8d4b0951e04a2b87bf21bf36210ec7d1984574461f9a9e3f65f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_PINS))
+def test_restricted_lie_on_exhaustive_grids_is_pinned(name):
+    rep = check_restricted_lie(_grid_cases()[name], "bracket", "f", seed=11)
+    kinds = sorted({w.inputs[0] for w in rep.witnesses})
+    assert (rep.failure_count, kinds, _digest(rep)) == _GRID_PINS[name]
+
+
+def _count_pmap_batches(monkeypatch):
+    """Rows of every apply_batch call of a table or Jacobson p-map from here on."""
+    calls = []
+    for cls in (TablePMap, BasisJacobsonPMap):
+        def wrapper(self, alg, X, _apply=cls.apply_batch):
+            calls.append(len(X))
+            return _apply(self, alg, X)
+        monkeypatch.setattr(cls, "apply_batch", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ut2-f3-moved", "gl2-f3-moved", "l2-f7-jacobson",
+                                  "dim1-f5-axiom1"])
+def test_restricted_lie_on_an_exhaustive_grid_makes_one_pmap_batch(name, monkeypatch):
+    """Every element the axioms evaluate the p-map at is a grid row, so the
+    one batch over the grid serves axioms 1, 2 and 3; a sampled grid still
+    evaluates 0, each a x and each x + y through the p-map."""
+    alg = _grid_cases()[name]
+    calls = _count_pmap_batches(monkeypatch)
+    check_restricted_lie(alg, "bracket", "f", seed=11)
+    assert calls == [alg.element_count()]
+    calls.clear()
+    rep = check_restricted_lie(alg, "bracket", "f", cap=1, seed=11, samples=20)
+    assert rep.coverage.kind == "sampled"
+    assert calls == [20, 1] + [20] * (alg.p - 2) + [20 * 20]
+
+
+# -- the kernel against the plain expansion ----------------------------------------
+
+
+def _kernel_block(p, ops, monkeypatch):
+    """Rows per block of jacobson_terms_batch: the rows of its first
+    operator_stack call (which stacks y and x) on a long input."""
+    rows, stack = [], algebra_core.operator_stack
+    Z = np.zeros((1 << 12, ops.shape[0]), dtype=np.int64)
+    with monkeypatch.context() as m:
+        m.setattr(algebra_core, "operator_stack",
+                  lambda o, V, q: rows.append(len(V) // 2) or stack(o, V, q))
+        jacobson_terms_batch(p, Z, Z, ops)
+    assert len(rows) > 1
+    return rows[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_jacobson_kernel_matches_the_plain_expansion(p, monkeypatch):
+    """s_1..s_{p-1} as one (p - 1, N, dim) array, for N of 0, 1, one block
+    and one block plus a row, at dims 1-6, on random brackets and rows that
+    hold zeros (a zero row of x, of y, and zeros scattered through both).
+    The block budget is patched down so that a block and one more row stay
+    small enough for the plain expansion."""
+    monkeypatch.setattr(algebra_core, "_BLOCK_ENTRIES", 1 << 8)
+    rng = random.Random(f"kernel-{p}")
+    for dim in range(1, 7):
+        c = random_structure(p, dim, rng)
+        c[rng.randrange(dim)] = 0
+        ops = Algebra(p, dim, {"b": c}).right_ops("b")
+        C = c.tolist()
+        block = _kernel_block(p, ops, monkeypatch)
+        for n in (0, 1, block, block + 1):
+            X, Y = (np.array([[rng.randrange(p) if rng.random() < 0.7 else 0
+                               for _ in range(dim)] for _ in range(n)],
+                             dtype=np.int64).reshape(n, dim) for _ in range(2))
+            X[:1], Y[1:2] = 0, 0
+            got = jacobson_terms_batch(p, X, Y, ops)
+            assert isinstance(got, np.ndarray) and got.shape == (p - 1, n, dim)
+            assert got.dtype == np.int64
+            for r in range(n):
+                want = naive_jacobson_terms(lambda u, v: naive_multiply(C, u, v, p),
+                                            tuple(X[r].tolist()), tuple(Y[r].tolist()), p)
+                assert [tuple(s) for s in got[:, r].tolist()] == want, (dim, n, r)
+
+
+def test_jacobson_kernel_past_2_24_takes_no_rows_at_no_cost():
+    """At p = 2**24 + 43 the kernel runs p - 1 rounds a row, so only the empty
+    batch is in reach: it is a (p - 1, 0, dim) array, made without a round."""
+    p = (1 << 24) + 43
+    assert trial_division_is_prime(p)
+    ops = np.zeros((3, 3, 3), dtype=np.int64)
+    got = jacobson_terms_batch(p, np.zeros((0, 3), dtype=np.int64),
+                               np.zeros((0, 3), dtype=np.int64), ops)
+    assert got.shape == (p - 1, 0, 3)
