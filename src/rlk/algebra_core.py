@@ -585,6 +585,14 @@ def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
+def _check_jacobson_row(p: int, d: int) -> None:
+    """UsageError unless one row of jacobson_terms_batch, 4*dim*(dim + 2p) entries of
+    operator and lambda stacks, fits _CHUNK_ENTRIES (p - 1 rounds a row follow)."""
+    if 4 * d * (d + 2 * p) > _CHUNK_ENTRIES:
+        raise UsageError(f"Jacobson terms at p = {p}, dim {d} need "
+                         f"{4 * d * (d + 2 * p)} entries a row, past the budget {_CHUNK_ENTRIES}")
+
+
 def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, as one
     (p-1, N, dim) int64 array: i*s_i is the coefficient of lambda**(i-1) in
@@ -599,8 +607,11 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) 
     product is reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p.
     The 1/i scaling is one broadcast multiply at the end.  A block also fits its
     operator and lambda stacks, with their casts, in _CHUNK_ENTRIES: 4*dim*(dim + 2p)
-    entries a row, which binds below dim 33 only past p = 15*dim."""
+    entries a row, which binds below dim 33 only past p = 15*dim; a batch with a row
+    past it is refused (_check_jacobson_row) before anything is allocated."""
     N, d = X.shape
+    if N:
+        _check_jacobson_row(p, d)
     out = np.zeros((p - 1, N, d), dtype=np.int64)
     block = max(1, min(_blocks(d, ops.size)[1] // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
     inverse = np.array([inv_mod(i, p) for i in range(1, p)] if N else [], dtype=np.int64)

@@ -23,22 +23,22 @@ word algebra on 2·dim(g) letters (letter i acts as [e_i, -], letter dim+i as
 - r_{x^[p]} = r_x^p                    (p-power compatibility)
 
 The first two signs are derived from the module identities; subtracting
-both composites instead gives a genuinely different relation, which fails
-on L2 in odd characteristic and agrees with these mod 2.  `ulp_truncated`
-divides the degree-truncated word algebra by the two-sided ideal these
-relations span.  On a module they are the module identities regrouped and
-the p-power sweep, which `ulp_relations_check` and `module_roundtrip` read.
+both composites instead gives a genuinely different relation, which fails on
+L2 in odd characteristic and agrees with these mod 2.  `ulp_truncated` divides
+the truncated word algebra by the ideal they span, from 3·dim² + 2·dim at most.
+On a module they are the module identities regrouped and the p-power sweep,
+which `ulp_relations_check` and `module_roundtrip` read.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra_core import Algebra, _check_modulus_bound, _matmul_mod, _tup, operator_stack
+from .algebra_core import (Algebra, BasisJacobsonPMap, _check_modulus_bound, _matmul_mod, _tup,
+                           operator_stack)
 from .errors import UsageError
 from .free_structures import (
     QuotientPresentation,
@@ -60,6 +60,7 @@ from .identities import (
     _restricted_leibniz,
     _restricted_pass,
 )
+from .linalg import RowReducer
 from .scalars import _freeze, _seal
 
 MODULE_AXIOMS = ("m_first", "m_middle", "m_last")
@@ -175,31 +176,35 @@ def _restricted_module(g: Algebra, M: LeibnizModule, pmap: str, cap, seed, sampl
 # -- relation words ------------------------------------------------------------
 
 
-def _bracket_terms(g: Algebra):
-    """The three bracket families on basis pairs as (tag, key, [(word, coeff),
-    ...]) triples; letter i acts as e_i on the left, letter n+i on the right."""
+def _ulp_relations(g: Algebra, W, X, PX):
+    """ulp_truncated's generators as sparse rows of W, letter i acting as e_i on the
+    left and n+i on the right: the bracket families on basis pairs, r_{e_i^[p]} -
+    r_{e_i}^p per basis vector, and letters spanning delta(x) = x^[p] - J(x) on the
+    rows x of X (p-map values PX), J the BasisJacobsonPMap of the basis p-values."""
     p, n = g.p, g.dim
+
+    def row(terms):  # summed mod p, as the same word can occur twice
+        out = {}
+        for word, c in terms:
+            out = W.add(out, {W.index[word]: c})
+        return out
+
     brackets = g.structure("bracket").tolist()
-    out = []
     for i, j in itertools.product(range(n), repeat=2):
-        br = [(k, c % p) for k, c in enumerate(brackets[i][j]) if c % p]
-        out += [("r_bracket", (i, j), [((n + k,), c) for k, c in br]
-                 + [((n + i, n + j), -1), ((n + j, n + i), 1)]),
-                ("l_bracket", (i, j), [((k,), c) for k, c in br]
-                 + [((i, n + j), -1), ((n + j, i), 1)]),
-                ("l_kills_symmetrized", (i, j), [((n + j, i), 1), ((j, i), 1)])]
-    return out
-
-
-def _power_terms(g: Algebra, X, PX):
-    """r_{x^[p]} - r_x^p on the rows x of X (p-map values PX), r_x^p expanded
-    into its |supp x|**p words: generators of ulp_truncated's ideal alone."""
-    p, n = g.p, g.dim
-    for x, fx in zip(map(tuple, X.tolist()), PX.tolist()):
-        support = [(n + k, v % p) for k, v in enumerate(x) if v % p]
-        yield ("r_power", (x,), [((n + k,), c % p) for k, c in enumerate(fx) if c % p]
-               + [(tuple(k for k, _ in f), -math.prod(v for _, v in f) % p)
-                  for f in itertools.product(support, repeat=p)])
+        br = [(k, c) for k, c in enumerate(brackets[i][j]) if c]
+        yield row([((n + k,), c) for k, c in br] + [((n + i, n + j), -1), ((n + j, n + i), 1)])
+        yield row([((k,), c) for k, c in br] + [((i, n + j), -1), ((n + j, i), 1)])
+        yield row([((n + j, i), 1), ((j, i), 1)])
+    values = PX[[np.flatnonzero((X == e).all(axis=1))[0] for e in np.eye(n, dtype=int)]].tolist()
+    for i, v in enumerate(values):
+        yield row([((n + k,), c) for k, c in enumerate(v) if c] + [((n + i,) * p, -1)])
+    delta = (PX - BasisJacobsonPMap("bracket", values).apply_batch(g, X)) % p
+    span = RowReducer(p, n)
+    for v in delta[delta.any(axis=1)]:
+        if new := span.add(v):
+            yield row([((n + k,), c) for k, c in new.items()])
+        if span.rank == n:
+            break
 
 
 def _module_relations(g, M, pmap, cap, seed, samples, key_prefix=(), gate=None):
@@ -245,9 +250,17 @@ def ulp_relations_check(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",
 
 def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
                   seed: int = 0, samples: int = 64) -> QuotientPresentation:
-    """Degree-truncated word envelope: the free unital word algebra on
-    2·dim(g) letters divided by the two-sided ideal of the four relation
-    families (derived signs).  An oversized ambient is refused before the sweep."""
+    """Degree-truncated word envelope: the free unital word algebra on 2·dim(g)
+    letters divided by the two-sided ideal of the four relation families (derived
+    signs), from the generators of _ulp_relations.  For d >= p that is the ideal of
+    the bracket families and every r_{x^[p]} - r_x^p: in the word algebra Jacobson's
+    formula gives r_x^p = sum x_i r_{e_i}^p + Lie words in the r_{e_i}, each a letter
+    modulo bracket relations sandwiched to length <= p <= d, which truncation leaves
+    whole, so r_{x^[p]} - r_x^p = r_{delta(x)} + sum x_i (r_{e_i^[p]} - r_{e_i}^p)
+    and each set lies in the other's truncated ideal.  J nests brackets to the right,
+    the formula to the left; they differ by span{[y, y]}, whose letters are the
+    (i, i) r_bracket rows and the (i, j) plus (j, i) ones.  An oversized ambient is
+    refused before the sweep."""
     d = g.p if d is None else d
     if d < g.p:
         raise UsageError(
@@ -257,14 +270,7 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
     gate = _restricted_leibniz(g, pmap, cap, seed)
     _require(gate[0], "input is not restricted Leibniz")
     X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    terms = _bracket_terms(g) + list(_power_terms(g, X, PX))
-    rels = []
-    for _tag, _key, words in terms:
-        rel = {}
-        for word, coeff in words:
-            rel = W.add(rel, {W.index[word]: coeff})
-        if rel:
-            rels.append(rel)
+    rels = [rel for rel in _ulp_relations(g, W, X, PX) if rel]
     notes = (
         f"letters 0..{g.dim - 1} act on the left, "
         f"{g.dim}..{2 * g.dim - 1} on the right",

@@ -23,6 +23,7 @@ from .algebra_core import (
     Element,
     _basis_triples,
     _blocks,
+    _check_jacobson_row,
     _matmul_mod,
     _randrange_array,
     _residue_dtype,
@@ -384,6 +385,7 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     if bad is not None:
         raise UsageError(f"bracket {bracket!r} is not Lie: {bad[0]} fails at {bad[1:]}")
     p, d = alg.p, alg.dim
+    _check_jacobson_row(p, d)  # axiom 3's rows, refused before axiom 1's p - 2 passes
     # axiom 2, the operator condition, is the pass's own sweep
     X, PX, coverage, failures, witnesses = _restricted_pass(
         alg, alg.right_ops(bracket), pmap, cap, seed, samples, ("axiom2",))

@@ -442,3 +442,37 @@ def operator_sweep_report(identity, ops, p, rows, values, chunk_rows, coverage,
     return {"identity": identity, "status": "fail" if failures else "pass",
             "failure_count": failures, "witnesses": witnesses, "coverage": coverage,
             "notes": []}
+
+
+def naive_ulp_relations(c, n, p, rows, values):
+    """The word envelope's relations spelled out, one p-relation per row:
+    letter i is l_{e_i} and letter n + i is r_{e_i}; for every basis pair
+    x = e_i, y = e_j the three bracket families
+    r_[x,y] - r_x r_y + r_y r_x, l_[x,y] - l_x r_y + r_y l_x and (r_y + l_y) l_x,
+    then r_{x^[p]} - r_x^p for each x of rows, x^[p] the matching row of
+    values, with r_x^p expanded into the n**p words of its p-fold product.  Dicts word -> nonzero
+    coefficient mod p, zero relations dropped; c is the nested-list bracket."""
+    def relation(terms):
+        rel = {}
+        for word, coeff in terms:
+            rel[word] = (rel.get(word, 0) + coeff) % p
+        return {w: a for w, a in rel.items() if a}
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            br = [(k, c[i][j][k]) for k in range(n)]
+            out.append(relation([((n + k,), a) for k, a in br]
+                                + [((n + i, n + j), -1), ((n + j, n + i), 1)]))
+            out.append(relation([((k,), a) for k, a in br]
+                                + [((i, n + j), -1), ((n + j, i), 1)]))
+            out.append(relation([((n + j, i), 1), ((j, i), 1)]))
+    for x, fx in zip(rows, values):
+        terms = [((n + k,), fx[k]) for k in range(n)]
+        for word in itertools.product(range(n), repeat=p):
+            coeff = 1
+            for k in word:
+                coeff *= x[k]
+            terms.append((tuple(n + k for k in word), -coeff))
+        out.append(relation(terms))
+    return [rel for rel in out if rel]

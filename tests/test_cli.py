@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rlk.cli
-from rlk.algebra_core import Algebra, RightPowerPMap, ZeroPMap
+from rlk.algebra_core import Algebra, BasisJacobsonPMap, RightPowerPMap, ZeroPMap
 from rlk.algfile import format_algebra, parse_algebra
 from rlk.cli import main
 from rlk.dialgebra import dialgebra_from_operator, dleib as dleib_build
@@ -662,6 +662,29 @@ def test_oversized_file_header_exit2_under_a_memory_limit(tmp_path):
     )
     assert run.returncode == 2, run.stderr
     assert run.stderr == "error: line 1: dim 3000 exceeds the dense bound 160\n"
+
+
+def test_jacobson_rows_at_a_huge_prime_exit2_under_a_memory_limit(tmp_path):
+    # a basisjacobson p-map at p = 1,000,000,007 needs p - 1 rounds and about
+    # 16·10**9 stack entries a row: refused, not a numpy allocation error
+    p = 1_000_000_007
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0], c[1, 0, 0] = 1, p - 1
+    alg = Algebra(p, 2, {"bracket": c}, {"f": BasisJacobsonPMap("bracket", [(0, 0), (0, 1)])})
+    path = write(tmp_path, "bigp.alg", alg)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for identity in ("restricted-leibniz", "restricted-lie"):
+        run = subprocess.run(
+            [sys.executable, "-m", "rlk", "check", path, identity, "--pmap", "f"],
+            capture_output=True, text=True, preexec_fn=limit, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == (f"error: Jacobson terms at p = {p}, dim 2 need 16000000128 "
+                              "entries a row, past the budget 2097152\n")
 
 
 def test_exhaustive_mode_past_the_cap_exit2_at_once(tmp_path, capsys, monkeypatch):

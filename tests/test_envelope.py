@@ -12,6 +12,8 @@ import pytest
 import rlk
 from rlk import algebra_core, envelope, identities
 from rlk.algebra_core import Algebra, TablePMap, ZeroPMap
+from rlk.algfile import format_algebra
+from rlk.cli import main
 from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
 from rlk.envelope import (
     LeibnizModule,
@@ -24,16 +26,21 @@ from rlk.envelope import (
     zero_module,
 )
 from rlk.errors import UsageError
-from rlk.free_structures import BASIS_SIZE_BOUND, check_ud_unit, ud_p
+from rlk.free_structures import (BASIS_SIZE_BOUND, _pmap_instances, check_ud_unit,
+                                 truncated_ideal_quotient, ud_p, word_ambient)
 from rlk.identities import check_leibniz
 
 from helpers import (abelian, counting, l2, l2_dialgebra, matrix_assoc, primes_at_the_bound,
                      random_structure, residues_near_the_top, truncated_poly, upper_triangular2,
                      zinbiel_zero)
 from oracles import (
+    gauss_rank,
     ideal_rank_fixed_point,
+    naive_basis_jacobson,
     naive_mat_mul,
     naive_module_relations,
+    naive_multiply,
+    naive_ulp_relations,
     naive_word_tables,
     rewrite_words_fixed_point,
     word_rows,
@@ -630,10 +637,11 @@ def _digest(out) -> str:
     return h.hexdigest()
 
 
-# computed before the gates handed their grids on; a sampled gate (cap=1)
-# hands nothing on, so the p-relations draw the basis and their own sample
+# computed before the gates handed their grids on (ulp_truncated's since its
+# relations became envelope._ulp_relations); a sampled gate (cap=1) hands
+# nothing on, so the p-relations draw the basis and their own sample
 SAMPLED_DIGESTS = {
-    "ulp_truncated": "d1f0ac784a75b543893b2101f11e3036d0a5d522a6551a35fb1aed71e5900c55",
+    "ulp_truncated": "1a1929a5d3d0e14365cc0fee07baa2272c94872dcc59fb38d849ac058bf3cef8",
     "ud_p": "9104df1f123561c503f8a327d7bce9ff4c264df1ec6e21d75f7f1c82fbd6b686",
     "check_ud_unit": "e6b5ab5f8f1faf9b504c3bc373565c0ceea07bb019221caf58b78003eaec9a98",
     "module_roundtrip": "f7b1490d654d7467ed7364f2c58666aee2971a543074402a22ab0bf38e619561",
@@ -681,3 +689,194 @@ def test_module_relation_reports_are_as_they_were(name):
     }[name]
     out = run()
     assert _digest(out) == MODULE_RELATION_DIGESTS[name]
+
+
+# -- ulp_truncated: pins that leave the relation list out ------------------------
+
+
+def _ulp_files():
+    """(name, algebra) of the `rlk envelope F ul` corpus: L2 at p = 2, 3, 5 and
+    dleib outputs of the dialgebra suite."""
+    return [(f"l2f{p}", l2(p)) for p in (2, 3, 5)] + [
+        ("dleib-tp2-f2", dleib(as_dialgebra(truncated_poly(2, 2)))),
+        ("dleib-ut2-f2", dleib(as_dialgebra(upper_triangular2(2)))),
+        ("dleib-l2dias-f3", dleib(l2_dialgebra(3))),
+        ("dleib-l2dias-f5", dleib(l2_dialgebra(5))),
+    ]
+
+
+# sha256 of (exit code, stdout with the path replaced, stderr) per run, taken
+# when ulp_truncated still wrote one p-relation per element
+ULP_CLI_DIGESTS = {
+    "dleib-l2dias-f3 --format json":
+        "57be1d45aa191e8348dcb4f71007962032b7dc130fea3fc0c08a6999fb96622f",
+    "dleib-l2dias-f3 --mode sample --samples 5 --seed 2":
+        "87ef5b07bd117bd3d0ea151cd03d6dce131b55b97427ea4e9786caf8cce01bd3",
+    "dleib-l2dias-f3":
+        "343a9af6f31d318990be909a07689e69c6f912d08e836052581034b890cf9a5d",
+    "dleib-l2dias-f5 --format json":
+        "f5707235d0c3c2b7631d831da3b9e35e8d6d9e1e11707dafec3a58b1cba60701",
+    "dleib-l2dias-f5 --mode sample --samples 5 --seed 2":
+        "c12bd578ca37550c04d0c49cd41ad29bfea246cbf9ea3df51e2a8e623da2c207",
+    "dleib-l2dias-f5":
+        "0234f2e62f02574fb6e813466354c29b5d015d164e1b31ea06ff9c143edd5d79",
+    "dleib-tp2-f2 --degree 3 --format json":
+        "5fa2fedc0aa3610bcdad84d7fc18f4f8ff705c5329fd8e6e3b2dde1a4b9be817",
+    "dleib-tp2-f2 --format json":
+        "6f7eeddf9255e856e872e46a1bdd4776ecf4ac308e44463d8f2b2bd7f659502e",
+    "dleib-tp2-f2 --mode sample --samples 5 --seed 2":
+        "02778d094fce1cfcadaf70b59f2126ae8eb9d0470196dcaba53da98d10054dcb",
+    "dleib-tp2-f2":
+        "8d46c20677b6d7553d6f9081d30f7ed7754e1929d0f252f36c589f33de90e019",
+    "dleib-ut2-f2 --format json":
+        "329c915077f21207d8526198cd71c682fd3a29a9303e1393b6896e122ab08f13",
+    "dleib-ut2-f2 --mode sample --samples 5 --seed 2":
+        "ad5e1d462b83b83c19aa79c0c40d4acd1d181b410fe7b49a4e4be12ad3ba252e",
+    "dleib-ut2-f2":
+        "a3ccc59c5a96b32848e5e58d53a01a1fff9501f618be25b39194fec7d20589b1",
+    "l2f2 --degree 3 --format json":
+        "48acca50f6791e17cb3bd77604c2f67d36efb2098335cb4ba09840f51856e517",
+    "l2f2 --format json":
+        "3c59d5df76e97414dabb13b9f8744ebbc64a743f58cc3150642182a1f02bb447",
+    "l2f2 --mode sample --samples 5 --seed 2":
+        "31a98e4ccf138c7213406c78ef0c19907db8dc8cfdefc3984c35342cc7037bd7",
+    "l2f2":
+        "745802164c357d5dad4b3c455f16ac4dd1088c342f6ee00f7282056910cb75c1",
+    "l2f3 --degree 4":
+        "f7c5f09dfbe49eb143b6e138d1e5d1b35bd5476debfaf6928e3ec3e1251ba2c8",
+    "l2f3 --format json":
+        "c286de6afe052d551519ebe98e35d1187cbf7bdfdb285b961eb959f7247616cc",
+    "l2f3 --mode sample --samples 5 --seed 2":
+        "bfc9bf7e6ee8130cb09acc2bad5f391ebed8dea7932807231aa93ed7aeb054b7",
+    "l2f3":
+        "a6db8c26e418e41943bc50b9160959bfa05d6fa4211201039b88f958db81e85c",
+    "l2f5 --format json":
+        "310454654929c2adb88845dd6ffbb0ecc44e1f2bdd192a6425a4a27dc401c7a4",
+    "l2f5 --mode sample --samples 5 --seed 2":
+        "3aa0cbc817bddb2c1d1d36d2f0dacc3fdc3bc6dce82a3b079109bb657f60cb05",
+    "l2f5":
+        "bf220d5c8305ed8d8bd14d3d544cd8c2d2799b15ecc13d2a75d55801f885991f",
+}
+
+
+def test_ulp_cli_reports_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RLK_CAP", raising=False)
+    paths = {}
+    for name, g in _ulp_files():
+        paths[name] = tmp_path / f"{name}.alg"
+        paths[name].write_text(format_algebra(g), encoding="utf-8")
+    got = {}
+    for run in ULP_CLI_DIGESTS:
+        name, *flags = run.split()
+        code = main(["envelope", str(paths[name]), "ul", *flags])
+        captured = capsys.readouterr()
+        parts = (str(code), captured.out.replace(str(paths[name]), "FILE"), captured.err)
+        got[run] = hashlib.sha256("\0".join(parts).encode()).hexdigest()
+    assert got == ULP_CLI_DIGESTS
+
+
+def _presentation_digest(pres) -> str:
+    """sha256 of to_dict() and the projection bytes: everything but the relations."""
+    h = hashlib.sha256(json.dumps(pres.to_dict(), sort_keys=True).encode())
+    h.update(pres.projection.tobytes())
+    return h.hexdigest()
+
+
+def _ulp_pinned_cases():
+    """The ulp_truncated calls whose other pins hash the relation list too."""
+    return {
+        "l2_2_3": lambda: ulp_truncated(l2(2), d=3),
+        "l2_2_5": lambda: ulp_truncated(l2(2), d=5),
+        "l2_3_4": lambda: ulp_truncated(l2(3), d=4),
+        "ab_2_2_3": lambda: ulp_truncated(abelian(2, 2, with_pmap=True), pmap="zero", d=3),
+        "ab_3_1_4": lambda: ulp_truncated(abelian(3, 1, with_pmap=True), pmap="zero", d=4),
+        "l2_3_3_sampled": lambda: ulp_truncated(l2(3), d=3, cap=1),
+        "l2_2_2": lambda: ulp_truncated(l2(2)),
+        "l2_2_3_sampled": lambda: ulp_truncated(l2(2), d=3, cap=1, seed=1, samples=5),
+        "zero_dim": lambda: ulp_truncated(abelian(2, 0, with_pmap=True), pmap="zero", d=3),
+    }
+
+
+# taken when ulp_truncated still wrote one p-relation per element
+ULP_PRESENTATION_DIGESTS = {
+    "ab_2_2_3": "d67b487f17dbab06ea22ae067e351b962a9551e9daac176aabb12b396848bea8",
+    "ab_3_1_4": "7527a59f162ed854884ff512fe3fdcb0427c4468db6ccc202d5602ff2ab8b130",
+    "l2_2_2": "2861b5a1bfb97a95f4edf6d2814bc5b8cba9a019824b8a74a1b2d50685e0a3bc",
+    "l2_2_3": "03ec5b2e8e85a68fe398af3aa9570ca611caecda44fd832aaac4914af24f8227",
+    "l2_2_3_sampled": "38987308f325b8306ff560f8f19ea8305d970e04bd54d91510c9d097185ecf58",
+    "l2_2_5": "08476af88e68ccd2a677c06ab6f3e329f19ff97b842bf8a832c3e149cbe1b409",
+    "l2_3_3_sampled": "857c71899f3b7eb9983b91b1f70f05688438370294261d8ddbf261d3fad3b734",
+    "l2_3_4": "5065e3e67a1c6eac4db1077927817fdbda130ee2c6b9c6937bfb96ae9e904bdc",
+    "zero_dim": "2f56eee403b85a83666cb94c9045b4ae5faf90f1f664badadcf36ddc8db914b5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ULP_PRESENTATION_DIGESTS))
+def test_ulp_presentations_are_pinned_without_their_relations(name):
+    pres = _ulp_pinned_cases()[name]()
+    assert _presentation_digest(pres) == ULP_PRESENTATION_DIGESTS[name]
+
+
+def _oracle_presentation(g, pmap, d, cap, seed=0, samples=64):
+    """truncated_ideal_quotient by naive_ulp_relations on ulp_truncated's rows."""
+    X, PX, _ = _pmap_instances(g, pmap, cap, seed, samples)
+    W = word_ambient(2 * g.dim, d, g.p)
+    rels = naive_ulp_relations(g.structure("bracket").tolist(), g.dim, g.p,
+                               X.tolist(), PX.tolist())
+    return truncated_ideal_quotient(W, [{W.index[w]: a for w, a in r.items()} for r in rels])
+
+
+def _planted(g, seed, pmap="frobenius"):
+    """g with a TablePMap "planted": its `pmap` values, each shifted by a
+    seeded random v with [u, v] = 0 for every u, so r_v = 0 and the operator
+    condition the gate checks still holds."""
+    p, n, c = g.p, g.dim, g.structure("bracket").tolist()
+    rng = random.Random(seed)
+    center = [v for v in itertools.product(range(p), repeat=n)
+              if not any(sum(c[i][j][k] * v[j] for j in range(n)) % p
+                         for i in range(n) for k in range(n))]
+    X = g.elements_array()
+    table = {tuple(x): tuple((a + b) % p for a, b in zip(fx, rng.choice(center)))
+             for x, fx in zip(X.tolist(), g.apply_pmap_batch(pmap, X).tolist())}
+    return g.extended(pmaps={"planted": TablePMap(table)})
+
+
+def _ulp_oracle_cases():
+    """(id, algebra, p-map): p**dim <= 729; planted maps with nonzero span delta,
+    which on abelian2/F3 has dimension 2 and both letters change the quotient."""
+    ut2 = dleib(as_dialgebra(upper_triangular2(2)))
+    return [(f"l2f{p}", l2(p), "frobenius") for p in (2, 3, 5)] + [
+        ("dleib-ut2-f2", ut2, "frobenius"),
+        ("dleib-l2dias-f3", dleib(l2_dialgebra(3)), "frobenius"),
+        ("dleib-tp2-f3", dleib(as_dialgebra(truncated_poly(3, 2))), "frobenius"),
+        ("dleib-mat2-f2", dleib(as_dialgebra(matrix_assoc(2, 2))), "frobenius"),
+        ("zero-dim", abelian(3, 0, with_pmap=True), "zero"),
+        ("abelian3-f3", abelian(3, 3, with_pmap=True), "zero"),
+    ] + [(f"planted-{name}-{seed}", _planted(g, seed), "planted")
+         for name, g, seeds in (("l2f3", l2(3), (1, 2)), ("l2f5", l2(5), (1,)),
+                                ("ut2-f2", ut2, (1, 2)))
+         for seed in seeds] + [("planted-abelian2-f3-1", _planted(
+             abelian(3, 2, with_pmap=True), 1, "zero"), "planted")]
+
+
+ULP_ORACLE_CASES = _ulp_oracle_cases()
+
+
+@pytest.mark.parametrize("name, g, pmap", ULP_ORACLE_CASES,
+                         ids=[case[0] for case in ULP_ORACLE_CASES])
+def test_ulp_truncated_matches_the_all_element_oracle(name, g, pmap):
+    """Bracket families, one p-th power per basis letter and the letters of
+    span delta give the same quotient as the bracket families and one
+    word-expanded p-relation per row, at d = p and p + 1, exhaustive and
+    sampled (cap=1)."""
+    for d, cap in itertools.product((g.p, g.p + 1), (None, 1)):
+        got, want = ulp_truncated(g, pmap, d=d, cap=cap), _oracle_presentation(g, pmap, d, cap)
+        assert (got.normal_indices, got.ideal_rank) == (want.normal_indices, want.ideal_rank)
+        assert np.array_equal(got.projection, want.projection)
+    if name.startswith("planted"):
+        p, c = g.p, g.structure("bracket").tolist()
+        values = [g.apply_pmap(pmap, g.basis(i)) for i in range(g.dim)]
+        delta = [[(a - b) % p for a, b in zip(g.apply_pmap(pmap, x), naive_basis_jacobson(
+            lambda u, v: naive_multiply(c, u, v, p), values, x, p))]
+                 for x in itertools.product(range(p), repeat=g.dim)]
+        assert gauss_rank(delta, p) == (2 if "abelian" in name else 1)

@@ -745,7 +745,8 @@ def _quotient_cases():
 
 
 # ambient dim, normal indices, ideal rank, sha256 of projection.tobytes() and
-# of repr(relations), as computed by the dense reducer this kernel replaced
+# of repr(relations), as computed by the dense reducer this kernel replaced; the
+# ul_* relation hashes are of the small generating set of envelope._ulp_relations
 QUOTIENT_PINS = {
     "dias": (34, (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 14, 16, 17, 18, 20, 21, 22, 24,
      25, 26, 27, 30, 31, 32, 33), 9,
@@ -765,31 +766,31 @@ QUOTIENT_PINS = {
         "84e0fd1c1c1771bd800cdd2a96480957d1b7d2be26d58b9012e648bea111883c"),
     "ul_l2_2_3": (85, (0, 2), 83,
         "af48fdbb3987f10c0b3c7a1bdea3de14027b4577c5edd20421d61dac305a1d7b",
-        "81cd403fcf8b18663fb7d1de97cecd90740413d7bfbf98f4a9cb60f82daae086"),
+        "885b638ce84b0f5cfd3dce06762190cd0de17800f62360aa9e19080d1981ac44"),
     "ud_l2_2_5": (258, (), 258,
         "efa8c451990027b24861eef36328a9b967a8323de5a7a6663ecf3507c2a40612",
         "960f30a7562cebdab54dead2a88eaed930081207110379a2a8818dde8ceb181d"),
     "ul_l2_2_5": (1365, (0, 2), 1363,
         "4930dde51c05bb4fe020b33b1652fa97f8c453efb04a2e25833681836f40f8f0",
-        "a01a52a7cae711620ffe94dc849832373ebcb18c33d854d07cb572d134aad61a"),
+        "10f85df03f58edb90cc7596d328ec667fba91785c693027afef6ece45e75f029"),
     "ud_l2_3_4": (98, (), 98,
         "86301fb6703395768b44b61adf51efb9dfd0771b27d5357276f43b0b32649914",
         "994a2c1b87bc077bc60b2401fae6aaba8538e86101cc2c74284754a77facdfb1"),
     "ul_l2_3_4": (341, (0, 2), 339,
         "17e1b4f342ca19d04a7df02fe9781d85d14cbea71d6877c6f8cf8c63e3b5df79",
-        "46488d2c0dc4a21d01f0742c95a553081bae738170ca284b16037139f24f52ad"),
+        "2652bbc842f30734dc80f6b87845b94fcf5d95d28ef78dd8d0f1c19ce36f2252"),
     "ud_ab_2_2_3": (34, (0, 1, 8), 31,
         "f848b5dfc89035d5f5226eddf2cb05c906643d7f9b035826250af8f1fc4b9215",
         "c026f0a21640846bfa81f5df69ace6a1308bbc4125720188b8fb810f0cdd8535"),
     "ul_ab_2_2_3": (85, (0, 1, 2, 3, 4, 13, 14, 17, 18, 19, 77, 78), 73,
         "da8f2a6f75fa7435027a0da7ec74dddc11b6967f505a0e759dac2b3811bf3932",
-        "7832e065679327d9418b16d17fc4d4928115ba18e627cf8235a1fa0aacb2196e"),
+        "1a3754dab4b51d41b7030dac3cd393277a3d507ac6d124b75017272e27afeddb"),
     "ud_ab_3_1_4": (10, (0, 2), 8,
         "717a6c65c6d12c3df9a8d82d3af1ca84e927b629c822189a8e7671738b82fdb9",
         "76514d2a6cbd2c57e59dc39e839887e7f74c971f1113b13aa7e71835ec296621"),
     "ul_ab_3_1_4": (31, (0, 1, 2, 5, 6, 13), 25,
         "da7044b7df6671608f19bd65c1a4e80f460f1656da01c2ab2cf16baf2fad2375",
-        "7022c481ed512f85a98ceea14c29ee4a7c19c92e56e1d1a24f192c8c66b26dff"),
+        "c5d19086cf5e9be06d120a2fdef09d56e6d47884a883242cadba5a534fc43b81"),
 }
 
 
@@ -980,7 +981,7 @@ OVERFLOW_PINS = {
     "ulp_truncated(L2/F2, d=5)": (lambda: _ambient_counts(ulp_truncated(l2(2), d=5)),
                                   (1365, 2, 16400)),
     "ulp_truncated(L2/F3, d=4)": (lambda: _ambient_counts(ulp_truncated(l2(3), d=4)),
-                                  (341, 2, 5024)),
+                                  (341, 2, 4888)),
     "ud_p(dleib(L2 dialgebra/F2), d=3)": (
         lambda: _ambient_counts(ud_p(dleib(l2_dialgebra(2)), d=3)), (34, 0, 400)),
     "ud_p(dleib(L2 dialgebra/F3), d=3)": (

@@ -293,8 +293,8 @@ PINNED = {
     "ud-unit-sampled": "1b3cef58831391a144247eaef63e72aa66df1c63dd791874770afe351d2aaadf",
     "ud-p-ut2-f2": "eb3a73237e9cf9b6902916d3e9838d68f85e6ea904ff54a654daf2640ec29e8c",
     "ud-p-zero-dim": "4d8e917d55f9edbddae181706688ceef7d645878a60bb16d3d9463a964c522f3",
-    "ulp-l2-f2": "f1c673dbdd647f3bcdbea21d8c5794edc3832f7960947f4552292a701c70b2d1",
-    "ulp-sampled": "5112fadcab423b01f7aa5bb32803268cd5127f13f763bce4181a52a42fde9a0b",
+    "ulp-l2-f2": "26653dcd30d0891821d57624e09c75f0795588acb098a7476fa9970c99e08638",
+    "ulp-sampled": "346a49bd240851fcece369aa19c536c53a9ce2a81461ce323e5c74c9b9c41868",
     "ulp-zero-dim": "845f6d4b3b619c3bf87952d0e4b09fa9e4b8dde9c50f4238b4048f8df12e4d8b",
     "lemdias-fail-dim3": "05388c6a851fd3b9f64768d7f8a4432cc236cc2d47d9c566efc9c11d219f676b",
     "lemdias-fail-dim6": "cfa0e5165b492e8fd6be31d662e248667cf9b556a1c64d7519473f5f8dd4eac1",

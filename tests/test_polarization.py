@@ -10,13 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rlk import algebra_core
+from rlk import algebra_core, identities
 from rlk.algebra_core import Algebra, BasisJacobsonPMap, TablePMap, ZeroPMap
 from rlk.dialgebra import dleib, matrix_dialgebra
+from rlk.errors import UsageError
 from rlk.identities import (
     WITNESS_LIMIT,
     check_dleib_jacobson_bracket,
     check_restricted_lie,
+    jacobson_si,
     jacobson_terms_batch,
     sweep_dleib_jacobson,
 )
@@ -546,3 +548,28 @@ def test_jacobson_kernel_past_2_24_takes_no_rows_at_no_cost():
     got = jacobson_terms_batch(p, np.zeros((0, 3), dtype=np.int64),
                                np.zeros((0, 3), dtype=np.int64), ops)
     assert got.shape == (p - 1, 0, 3)
+
+
+def test_jacobson_rows_past_the_entry_budget_are_refused(monkeypatch):
+    """A row at p = 2**24 + 43 needs 4·dim·(dim + 2p) entries of stacks and p - 1
+    rounds: the kernel refuses it before allocating, and check_restricted_lie
+    refuses it before its restricted pass and axiom 1's p - 2 scalar passes.
+    At p = 2,003 a row fits, and jacobson_si still runs: s(e_0, e_1) for
+    [e_0, e_1] = e_0 is e_0 in s_1 alone."""
+    p = (1 << 24) + 43
+    ops = np.zeros((1, 1, 1), dtype=np.int64)
+    with pytest.raises(UsageError, match="entries a row, past the budget"):
+        jacobson_terms_batch(p, np.ones((1, 1), dtype=np.int64),
+                             np.ones((1, 1), dtype=np.int64), ops)
+    passes = {"_restricted_pass": 0}
+    monkeypatch.setattr(identities, "_restricted_pass", counting(
+        passes, "_restricted_pass", identities._restricted_pass))
+    g = Algebra(p, 1, {"bracket": ops}, {"pmap": ZeroPMap()})
+    with pytest.raises(UsageError, match="entries a row, past the budget"):
+        check_restricted_lie(g)
+    assert passes == {"_restricted_pass": 0}
+    p = 2003
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0], c[1, 0, 0] = 1, p - 1
+    got = jacobson_si(Algebra(p, 2, {"bracket": c}), "bracket", (1, 0), (0, 1))
+    assert got == [(1, 0)] + [(0, 0)] * (p - 2)

@@ -9,6 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
+from rlk.envelope import ulp_truncated
+
+from helpers import upper_triangular2
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 SRC = ROOT / "src" / "rlk"
@@ -84,10 +89,12 @@ def test_one_restricted_pass_draws_the_element_grids():
 
 
 def test_only_ulp_truncated_expands_power_words():
-    """r_x^p's |supp x|**p words are built by _power_terms for ulp_truncated's
-    ideal alone; the module checks read the p-power family off the operator
-    sweep, and the bracket families off the one evaluator of the module
-    identities, which check_module_axioms and _module_relations share."""
-    assert [(mod, fn) for mod, fn, _ in _calls("_power_terms")] == [("envelope", "ulp_truncated")]
+    """ulp_truncated builds power words for its ideal alone, one r_{e_i}^p per
+    basis letter, so its relations number at most 3·dim² + 2·dim; the module
+    checks read the p-power family off the operator sweep, and the bracket
+    families off the one evaluator of the module identities, which
+    check_module_axioms and _module_relations share."""
+    g = dleib(matrix_dialgebra(as_dialgebra(upper_triangular2(2)), 2))
+    assert len(ulp_truncated(g, d=2).relations) <= 3 * g.dim ** 2 + 2 * g.dim
     assert sorted((mod, fn) for mod, fn, _ in _calls("_module_sides")) == [
         ("envelope", "_module_relations"), ("envelope", "check_module_axioms")]
