@@ -21,8 +21,8 @@ multiplications (which generate every sandwich for words and dialgebras;
 half-shuffle monomials also take right products by longer monomials, see
 its docstring) through lazily filled per-multiplier product tables,
 row-reduces exactly over F_p (new pivot rows from `RowReducer.insert` join
-the closure's frontier), and returns the surviving monomial basis with an
-idempotent projection.
+the closure's frontier), and returns the surviving monomial basis with the
+fully reduced ideal rows and an idempotent projection.
 `ud_p` and `das_quotient` instantiate the enveloping-diassociative and
 both-products-identified quotients on top of it.
 """
@@ -32,12 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .algebra_core import DENSE_DIM_BOUND, Algebra, _matmul_mod, _tup, enumeration_cap
+from .algebra_core import DENSE_DIM_BOUND, Algebra, _tup, enumeration_cap
 from .errors import UsageError
 from .identities import (
     _AXIOMS,
@@ -405,18 +406,22 @@ def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
 
 @dataclass(frozen=True, eq=False)
 class QuotientPresentation:
-    """F divided by an ideal: the normal-form basis indices of F and the
-    read-only idempotent projection onto their span."""
+    """F divided by an ideal: the normal-form basis indices of F, the read-only
+    idempotent projection onto their span and the relation rows, both in the
+    narrowest unsigned dtype that holds p - 1 (cast before doing arithmetic with
+    them), and the fully reduced ideal rows, pivot column -> {column: coeff}."""
 
     ambient: GradedBasisAlgebra
     relations: tuple
     normal_indices: tuple
     projection: np.ndarray
     ideal_rank: int
+    reduced_rows: MappingProxyType = field(repr=False)
     notes: tuple = ()
 
     def __post_init__(self):
-        _freeze(self, projection=np.asarray(self.projection))
+        _freeze(self, projection=np.asarray(self.projection), reduced_rows=MappingProxyType(
+            {c: MappingProxyType(dict(row)) for c, row in self.reduced_rows.items()}))
 
     @property
     def dimension(self) -> int:
@@ -430,16 +435,17 @@ class QuotientPresentation:
         return dict(Counter(self.ambient.degrees[i] for i in self.normal_indices))
 
     def project(self, x) -> np.ndarray:
-        """Canonical representative (ambient coordinates on the normal basis), summed in
-        column blocks that fit int64 (dim is unbounded), in Python ints past p = 2**31."""
-        p, P = self.ambient.p, self.projection
-        v = (x if isinstance(x, np.ndarray) else self.ambient.dense(x))[:, None] % p
-        if (p - 1) ** 2 >= 1 << 62:
-            return _matmul_mod(P.astype(object), v.astype(object), p)[:, 0].astype(np.int64)
-        step, out = ((1 << 62) - 1) // (p - 1) ** 2, np.zeros(len(P), dtype=np.int64)
-        for s in range(0, len(v), step):
-            out = (out + _matmul_mod(P[:, s:s + step], v[s:s + step], p)[:, 0]) % p
-        return out
+        """Canonical representative (ambient coordinates on the normal basis): x minus
+        x_c times the reduced row of each pivot c, one pass over the support of x in
+        Python ints mod p; int64, or uint64 past p = 2**63."""
+        p, rows, out = self.ambient.p, self.reduced_rows, [0] * self.ambient.dim
+        for j, c in x.items() if isinstance(x, dict) else enumerate(x.tolist()):
+            c = int(c) % p
+            out[j] += c
+            if c and j in rows:
+                for k, a in rows[j].items():
+                    out[k] -= c * a
+        return np.array([c % p for c in out], dtype=np.int64 if p < 1 << 63 else np.uint64)
 
     def to_dict(self) -> dict:
         return {
@@ -471,10 +477,8 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
     p, dim = F.p, F.dim
     rr = RowReducer(p, dim)
     frontier = deque()
-    dense_rels = []
-    for r in relations:
-        v = r if isinstance(r, dict) else F.from_dense(r)
-        dense_rels.append(tuple(F.dense(v).tolist()))
+    rels = [r if isinstance(r, dict) else F.from_dense(r) for r in relations]
+    for v in rels:
         if row := rr.add(v):
             frontier.append(row)
     cap, degrees, overflows = F.degree_cap, F.degrees, 0
@@ -504,15 +508,20 @@ def truncated_ideal_quotient(F: GradedBasisAlgebra, relations,
                 if prod and (row := rr.insert(prod)):
                     frontier.append(row)
     F.overflows += overflows
-    normal = tuple(i for i in range(dim) if i not in rr.pivot_of_col)
-    projection = np.eye(dim, dtype=np.int64)
-    for pc, row in rr.reduced_rows().items():
+    rows, dtype = rr.reduced_rows(), np.min_scalar_type(p - 1)
+    normal = tuple(i for i in range(dim) if i not in rows)
+    R = np.zeros((len(rels), dim), dtype)
+    for i, v in enumerate(rels):
+        for k, c in v.items():
+            R[i, k] = int(c) % p
+    projection = np.zeros((dim, dim), dtype)
+    projection[list(normal), list(normal)] = 1
+    for pc, row in rows.items():
         for k, c in row.items():
-            projection[k, pc] = -c % p
-        projection[pc, pc] = 0
-    return QuotientPresentation(
-        F, tuple(dense_rels), normal, _seal(projection), rr.rank, tuple(notes)
-    )
+            if k != pc:
+                projection[k, pc] = -c % p
+    return QuotientPresentation(F, tuple(_seal(R)), normal, _seal(projection), rr.rank,
+                                rows, tuple(notes))
 
 
 # -- enveloping diassociative quotient -------------------------------------------------

@@ -664,6 +664,23 @@ def test_oversized_file_header_exit2_under_a_memory_limit(tmp_path):
     assert run.stderr == "error: line 1: dim 3000 exceeds the dense bound 160\n"
 
 
+def test_a_16383_word_envelope_runs_under_a_memory_limit(tmp_path):
+    # ul on abelian1/F2 at degree 13: an int64 projection would be 2 GiB, the
+    # uint8 one is 268 MB of address space, mostly never touched
+    path = write(tmp_path, "ab1.alg", abelian(2, 1, with_pmap=True))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "rlk", "envelope", path, "ul", "--degree", "13"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    assert "  ambient_dim: 16383\n" in run.stdout and "  dimension: 4\n" in run.stdout
+
+
 def test_jacobson_rows_at_a_huge_prime_exit2_under_a_memory_limit(tmp_path):
     # a basisjacobson p-map at p = 1,000,000,007 needs p - 1 rounds and about
     # 16·10**9 stack entries a row: refused, not a numpy allocation error

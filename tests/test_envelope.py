@@ -381,6 +381,19 @@ def test_module_sides_chunk_and_relation_stacks_fit_the_entry_budget(p, monkeypa
 # -- truncated word envelope --------------------------------------------------------
 
 
+def test_a_large_truncated_envelope_stays_in_a_narrow_memory_budget():
+    """ulp_truncated(L2/F2, d=6) has 5,461 words: an int64 projection alone is
+    238 MB, the uint8 one 30 MB, and the relations are uint8 rows too."""
+    tracemalloc.start()
+    try:
+        pres = ulp_truncated(l2(2), d=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (pres.ambient.dim, pres.dimension, pres.projection.dtype) == (5461, 2, np.uint8)
+    assert peak < 64 << 20
+
+
 def test_one_dim_abelian_envelope_matches_exhaustive_span_oracle():
     g = abelian(2, 1, with_pmap=True)
     pres = ulp_truncated(g, pmap="zero", d=3)
@@ -632,8 +645,8 @@ def test_gates_read_the_leibniz_report_dleib_holds(monkeypatch):
 def _digest(out) -> str:
     h = hashlib.sha256(json.dumps(out.to_dict(), sort_keys=True).encode())
     if hasattr(out, "projection"):
-        h.update(out.projection.tobytes())
-        h.update(repr(out.relations).encode())
+        h.update(out.projection.astype(np.int64).tobytes())
+        h.update(repr(tuple(tuple(r.tolist()) for r in out.relations)).encode())
     return h.hexdigest()
 
 
@@ -778,7 +791,7 @@ def test_ulp_cli_reports_are_pinned(tmp_path, capsys, monkeypatch):
 def _presentation_digest(pres) -> str:
     """sha256 of to_dict() and the projection bytes: everything but the relations."""
     h = hashlib.sha256(json.dumps(pres.to_dict(), sort_keys=True).encode())
-    h.update(pres.projection.tobytes())
+    h.update(pres.projection.astype(np.int64).tobytes())
     return h.hexdigest()
 
 

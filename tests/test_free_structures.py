@@ -442,7 +442,7 @@ def test_quotient_counts_and_projection_are_consistent():
         pres = truncated_ideal_quotient(F, rels)
         p = F.p
         assert pres.dimension + pres.ideal_rank == F.dim
-        P = pres.projection
+        P = pres.projection.astype(np.int64)
         assert np.array_equal((P @ P) % p, P % p)
         for r in pres.relations:
             assert not pres.project(np.asarray(r)).any()
@@ -461,27 +461,42 @@ def _prime_from(n, step):
 
 
 @pytest.mark.parametrize("p", [
-    _prime_from(1 + (1 << 30), -1),  # (p - 1)**2 near 2**60: blocks of 4 columns
-    2**31 - 1,  # the largest prime with (p - 1)**2 < 2**62: blocks of one column
-    _prime_from(1 + (1 << 31), 1),  # the first with (p - 1)**2 >= 2**62: Python ints
+    _prime_from(1 + (1 << 30), -1),  # (p - 1)**2 near 2**60
+    2**31 - 1,  # the largest prime with (p - 1)**2 < 2**62
+    _prime_from(1 + (1 << 31), 1),  # the first with (p - 1)**2 >= 2**62
     _prime_from(1 + (1 << 40), 1),  # one product alone passes int64
+    2**63 + 29,  # residues past int64: the projection and project's output are uint64
+    251, 257, 65_521, 65_537, 4_294_967_291, 4_294_967_311,  # the dtype switches
 ])
 def test_projection_is_exact_at_large_primes(p):
     """project against a Python-int product of the projection.  Six random
     relations on the eight words of degree 3 leave two normal words whose
     rows hold seven random residues, so on vectors next to p - 1 their sums
-    pass int64 from p = 2**31 on."""
+    pass int64 from p = 2**31 on.  The projection and the relation rows are
+    stored in the narrowest unsigned dtype that holds p - 1, and in Python ints
+    the projection is idempotent and kills every relation."""
     rng = random.Random(f"project-{p}")
     F = word_ambient(2, 3, p)
     rels = [{F.index[w]: rng.randrange(1, p) for w in F.basis[7:]} for _ in range(6)]
     pres = truncated_ideal_quotient(F, rels)
+    narrow = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                  if p - 1 <= np.iinfo(t).max)
+    assert pres.projection.dtype == narrow and all(r.dtype == narrow for r in pres.relations)
     P = pres.projection.tolist()
+    assert [r.tolist() for r in pres.relations] == [
+        [rel.get(k, 0) for k in range(F.dim)] for rel in rels]
+    PP = [[sum(P[i][k] * P[k][j] for k in range(F.dim)) % p for j in range(F.dim)]
+          for i in range(F.dim)]
+    assert PP == P
+    for rel in rels:
+        assert not any(sum(a * rel.get(k, 0) for k, a in enumerate(row)) % p for row in P)
     assert pres.ideal_rank == 6
+    out = np.int64 if p < 1 << 63 else np.uint64
     for i in range(20):
         v = [p - 1 - rng.randrange(1 << (i % 10)) for _ in range(F.dim)]
         want = [sum(a * b for a, b in zip(row, v)) % p for row in P]
-        got = pres.project(np.array(v, dtype=np.int64))
-        assert got.dtype == np.int64 and got.tolist() == want
+        got = pres.project(np.array(v, dtype=out))
+        assert got.dtype == out and got.tolist() == want
         assert pres.project(F.from_dense(v)).tolist() == want
 
 
@@ -801,10 +816,11 @@ def test_sparse_quotient_matches_the_dense_reducer(name):
     assert pres.ambient.dim == dim
     assert pres.normal_indices == normal
     assert pres.ideal_rank == rank
-    assert pres.projection.dtype == np.int64
+    assert pres.projection.dtype == np.uint8
     assert pres.projection.shape == (dim, dim)
-    assert hashlib.sha256(pres.projection.tobytes()).hexdigest() == proj_sha
-    assert hashlib.sha256(repr(pres.relations).encode()).hexdigest() == rels_sha
+    assert hashlib.sha256(pres.projection.astype(np.int64).tobytes()).hexdigest() == proj_sha
+    rels = repr(tuple(tuple(r.tolist()) for r in pres.relations))
+    assert hashlib.sha256(rels.encode()).hexdigest() == rels_sha
 
 
 def _random_homogeneous(rng, F, degree, count):

@@ -169,6 +169,8 @@ def test_presentation_projection_and_module_stacks_refuse_writes() -> None:
     pres = ulp_truncated(l2(2), d=2)
     with pytest.raises(ValueError, match="read-only"):
         pres.projection[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        pres.relations[0][0] = 1
     eye = np.eye(pres.ambient.dim, dtype=np.int64)
     replaced = dataclasses.replace(pres, projection=eye)
     assert not replaced.projection.flags.writeable and eye.flags.writeable

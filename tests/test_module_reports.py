@@ -79,7 +79,7 @@ def _diagonal_module(p, dim, mdim, seed):
 
 
 def _presentation(pres):
-    return {**pres.to_dict(), "relations": [list(r) for r in pres.relations],
+    return {**pres.to_dict(), "relations": [r.tolist() for r in pres.relations],
             "projection": pres.projection.tolist()}
 
 

@@ -88,6 +88,23 @@ def test_one_restricted_pass_draws_the_element_grids():
             and getattr(call.args[0].func, "id", None) == "check_leibniz"] == []
 
 
+def test_no_src_code_reads_the_narrow_projection():
+    """QuotientPresentation.projection is stored in the narrowest unsigned dtype
+    that holds p - 1, where products wrap (uint8 modulo 256), so rlk reads it
+    only where QuotientPresentation.__post_init__ seals it; project reads the
+    reduced ideal rows."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an inner function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        found += [(path.stem, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "projection"]
+    assert found == [("free_structures", "__post_init__")]
+
+
 def test_only_ulp_truncated_expands_power_words():
     """ulp_truncated builds power words for its ideal alone, one r_{e_i}^p per
     basis letter, so its relations number at most 3·dim² + 2·dim; the module
