@@ -38,6 +38,8 @@ _CHUNK_ENTRIES = 1 << 21
 _BLOCK_ENTRIES = 1 << 15
 # multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
 _SMALL_PRODUCT = 1 << 12
+# nonnegative integers below these are exact in each float dtype (2**63 for int64)
+_EXACT = {np.float32: 1 << 24, np.float64: 1 << 53}
 # powers right_power_batch takes as mat-vecs; past it stack_mat_pow is faster
 # (measured crossover: 2-32 at dims 2-16 and 1-8,192 rows, BENCH_17.json)
 _MATVEC_POWERS = 32
@@ -89,7 +91,7 @@ def _randrange_array(rng: random.Random, bound: int, n: int) -> np.ndarray:
 
 
 def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
-    """A p-map's value at one element: a one-row call of its apply_batch."""
+    """A p-map's value at a reduced element: a one-row call of its apply_batch."""
     return _tup(pmap.apply_batch(alg, np.asarray(x, dtype=np.int64)[None])[0])
 
 
@@ -117,16 +119,16 @@ def _blocks(m: int, table: int) -> tuple:
 
 
 def operator_stack(ops: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
-    """(N, m, m) stack of sum_j x_j ops[j] mod p, one per row x of a reduced
-    (N, k) array X, for a reduced (k, m, m) stack ops; in X's dtype if float."""
+    """(N, m, m) stack of sum_j x_j ops[j] mod p, one per row x of a reduced (N, k) array X,
+    for a reduced (k, m, m) stack ops; for a float X unreduced in its dtype, at most k (p-1)**2."""
     k, m, _ = ops.shape
-    return _matmul_mod(X, ops.reshape(k, m * m), p).reshape(len(X), m, m)
+    return _matmul_mod(X, ops.reshape(k, m * m), p, X.dtype.kind == "f").reshape(len(X), m, m)
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int, raw: bool = False) -> np.ndarray:
     """np.matmul(A, B) % p for reduced operands whose sums stay below
     _check_modulus_bound's 2**62, in A's dtype: int64, or a float dtype that
-    _residue_dtype gave for contractions at least this long.
+    _residue_dtype gave for contractions at least this long; unreduced if `raw` (float A).
 
     For int64 A, int64 (reduced in place) takes mat-vecs and what
     _residue_dtype keeps in int64, as do object operands past p = 2**27;
@@ -147,8 +149,22 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     Af = A.astype(dtype, copy=False)
     out = np.matmul(Af, Af if B is A else B.astype(dtype, copy=False))
     del Af
-    _float_mod(out, p)
+    if not raw:
+        _float_mod(out, p)
     return out if A.dtype.type is dtype else out.astype(np.int64)
+
+
+def _bounded_matmul(A: np.ndarray, a: int, B: np.ndarray, b: int, p: int) -> tuple:
+    """(A @ B, its bound, A's and B's bounds after) for stacks with entries at most a and b.  Float
+    products stay unreduced, each partial sum an integer at most d*a*b below the exact range: first,
+    while needed, the operand with the larger bound is reduced in place.  int64 ones are reduced."""
+    d = A.shape[-1]
+    if A.dtype.kind != "f":
+        return _matmul_mod(A, B, p), p - 1, a, b
+    while d * a * b >= _EXACT[A.dtype.type] and max(a, b) >= p:
+        S = _float_mod(A if a >= b else B, p)
+        a, b = (p - 1 if S is A else a), (p - 1 if S is B else b)
+    return _matmul_mod(A, B, p, True), d * a * b, a, b
 
 
 def _float_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -449,19 +465,20 @@ class Algebra:
         return _matmul_mod(R, (X % self.p)[..., None], self.p)[..., 0]
 
     def right_power_batch(self, op: str, X: np.ndarray, n: int) -> np.ndarray:
-        """Row-wise n-fold right powers r_x**(n-1) x, n >= 1, of an (N, dim) array, per _blocks
-        block: n - 1 int64 mat-vecs, or past _MATVEC_POWERS one by stack_mat_pow's r_x**(n-1)."""
-        p, d, V = self.p, self.dim, X % self.p
+        """Row-wise n-fold right powers r_x**(n-1) x, n >= 1, of a reduced (N, dim) array, per
+        _blocks block: n - 1 _bounded_matmul mat-vecs, or past _MATVEC_POWERS one by
+        stack_mat_pow's r_x**(n-1), unreduced in the residue dtype until one reduction."""
+        p, d, V = self.p, self.dim, np.array(X, dtype=np.int64)
         block = _blocks(d, d ** 3)[1]
         T = self.right_ops(op).astype(_residue_dtype(d, p, min(len(V), block) * d ** 3), order="C")
         for lo in range(0, len(V) if n > 1 else 0, block):
-            v = V[lo:lo + block]
-            R, steps = operator_stack(T, v.astype(T.dtype), p).astype(np.int64), n - 1
+            v = V[lo:lo + block].astype(T.dtype)[..., None]
+            R, r, b, steps = operator_stack(T, v[..., 0], p), d * (p - 1) ** 2, p - 1, n - 1
             if steps > _MATVEC_POWERS:
-                R, steps = stack_mat_pow(R, steps, p), 1
+                (R, r), steps = stack_mat_pow(R, steps, p, r), 1
             for _ in range(steps):
-                v = _matmul_mod(R, v[..., None], p)[..., 0]
-            V[lo:lo + block] = v
+                v, b, r, _ = _bounded_matmul(R, r, v, b, p)
+            V[lo:lo + block] = (_float_mod(v, p) if b >= p else v)[..., 0]
         return V
 
     def right_mult_matrix(self, op: str, x: Element) -> np.ndarray:
@@ -531,14 +548,8 @@ class Algebra:
             raise UsageError(
                 f"{self.element_count()} elements exceed cap {enumeration_cap(cap)}"
             )
-        n = self.element_count()
-        idx = np.arange(n, dtype=np.int64)
-        cols = [
-            (idx // self.p ** (self.dim - 1 - k)) % self.p for k in range(self.dim)
-        ]
-        if not cols:
-            return np.zeros((1, 0), dtype=np.int64)
-        return np.stack(cols, axis=1)
+        grid = np.indices((self.p,) * self.dim, dtype=np.int64)
+        return grid.reshape(self.dim, self.element_count()).T.copy()
 
     def sample_array(self, n: int, rng: random.Random) -> np.ndarray:
         """(n, dim) coefficients drawn row by row as rng.randrange(p) would
@@ -566,23 +577,23 @@ class Algebra:
         return f"Algebra(p={self.p}, dim={self.dim}, ops={list(self.op_names)}{tag})"
 
 
-def stack_mat_pow(stack: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Batched matrix power of a reduced (N, d, d) stack mod p, in the
-    stack's dtype; n = 1 returns the stack itself."""
+def stack_mat_pow(stack: np.ndarray, n: int, p: int, bound=None):
+    """Batched matrix power of a reduced (N, d, d) stack mod p in its dtype; n = 1 returns the
+    stack.  Given an unreduced stack's `bound`, (unreduced power, bound) of _bounded_matmul."""
     if n < 0:
         raise UsageError("negative matrix power")
     N, d, _ = stack.shape
     # square and multiply from the lowest set bit: n = 2 costs one matmul
-    out, base = None, stack
+    out, base, b = None, stack, p - 1 if bound is None else bound
     while n:
         if n & 1:
-            out = base if out is None else _matmul_mod(out, base, p)
+            out, c, _, b = (base, b, b, b) if out is None else _bounded_matmul(out, c, base, b, p)
         n >>= 1
         if n:
-            base = _matmul_mod(base, base, p)
+            base, b = _bounded_matmul(base, b, base, b, p)[:2]
     if out is None:
-        return np.broadcast_to(np.eye(d, dtype=stack.dtype), (N, d, d)).copy()
-    return out
+        out, c = np.broadcast_to(np.eye(d, dtype=stack.dtype), (N, d, d)).copy(), 1
+    return (out, c) if bound is not None else _float_mod(out, p) if c >= p else out
 
 
 def _check_jacobson_row(p: int, d: int) -> None:

@@ -193,7 +193,7 @@ class GradedBasisAlgebra:
         return {i: (a * c) % self.p for i, c in x.items() if (a * c) % self.p}
 
     def dense(self, x: dict) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
+        v = np.zeros(self.dim, dtype=np.int64 if self.p < 1 << 63 else np.uint64)
         for i, c in x.items():
             v[i] = c % self.p
         return v

@@ -19,11 +19,13 @@ import numpy as np
 
 from .algebra_core import (
     _CHUNK_ENTRIES,
+    _EXACT,
     Algebra,
     Element,
     _basis_triples,
     _blocks,
     _check_jacobson_row,
+    _float_mod,
     _matmul_mod,
     _randrange_array,
     _residue_dtype,
@@ -307,7 +309,8 @@ def _grid(alg: Algebra, cap, seed, samples):
 def _operator_failures(ops, p, X, PX, tag=()):
     """(count, witnesses) of rows x of X with r_x**p != r_{f(x)}, f(x) the row of PX and r_x =
     sum_j x_j ops[j] for a reduced (k, m, m) stack, each _blocks block reduced as it is cast to
-    _residue_dtype(max(k, m), p, N m**3); a chunk keeps its first 16 witnesses, int64 sides."""
+    _residue_dtype(max(k, m), p, N m**3); a chunk keeps its first 16 witnesses, int64 sides.
+    A float block compares by one reduction of r_x**p + c p - r_{f(x)}, c p > r_{f(x)}'s bound."""
     k, m, _ = ops.shape
     T = ops.astype(_residue_dtype(max(k, m), p, len(X) * m ** 3), order="C")
     (chunk, block), witnesses, failures = _blocks(m, T.size), [], 0
@@ -317,10 +320,16 @@ def _operator_failures(ops, p, X, PX, tag=()):
             hi = min(lo + block, stop)
             Rp, Rf = (operator_stack(T, (V[lo:hi] % p).astype(T.dtype, copy=False), p)
                       for V in (X, PX))
-            Rp = stack_mat_pow(Rp, p, p)
-            bad = np.argwhere((Rp != Rf).any(axis=(1, 2)))
+            bf = k * (p - 1) ** 2  # the bounds of r_{f(x)} and of r_x**p
+            Rp, bp = stack_mat_pow(Rp, p, p, bf)
+            if bp + bf + p >= _EXACT.get(T.dtype.type, 1 << 63):  # the shift below must stay exact
+                bf = p - 1
+                _float_mod(Rp, p)
+                _float_mod(Rf, p)
+            D = _float_mod(Rp + (bf // p + 1) * p - Rf, p) if T.dtype.kind == "f" else Rp != Rf
+            bad = np.argwhere(D.any(axis=(1, 2)))
             failures += _keep(witnesses, bad, lambda n: Witness(
-                tag + (_tup(X[lo + n]),), Rp[n].astype(np.int64), Rf[n].astype(np.int64)),
+                tag + (_tup(X[lo + n]),), *((S[n] % p).astype(np.int64) for S in (Rp, Rf))),
                 WITNESS_LIMIT - (len(witnesses) - kept))
     return failures, witnesses
 
@@ -447,7 +456,7 @@ def _dleib_jacobson_sides(D: Algebra, c: np.ndarray, T: np.ndarray):
     for the reduced (N, 3, dim) triples (z, x, y) of T, the derived bracket's
     table c and the p-fold right-product power as p-map; [z, .] is l_z."""
     p, (Z, X, Y) = D.p, T.swapaxes(0, 1)
-    power = D.right_power_batch("right", np.concatenate([X + Y, X, Y]), p)
+    power = D.right_power_batch("right", np.concatenate([(X + Y) % p, X, Y]), p)
     s_sum = jacobson_terms_batch(p, X, Y, c.transpose(1, 2, 0)).sum(axis=0) % p
     V = np.stack([*np.split(power, 3), s_sum], axis=2)  # (N, dim, 4): the four v
     B = _matmul_mod(operator_stack(c.transpose(0, 2, 1), Z, p), V, p)

@@ -137,6 +137,11 @@ def test_enumeration_order_and_array() -> None:
     assert elems == all_elements(3, 2)
     arr = alg.elements_array()
     assert [tuple(int(v) for v in row) for row in arr] == elems
+    for p, dim in ((3, 8), (2, 12), (5, 0)):  # row i holds the base-p digits of i
+        arr = Algebra(p, dim, {}).elements_array()
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous and arr.shape == (p ** dim, dim)
+        assert arr.tolist() == [[i // p ** (dim - 1 - k) % p for k in range(dim)]
+                                for i in range(p ** dim)]
 
 
 def test_enumeration_cap_and_env(monkeypatch) -> None:
@@ -582,7 +587,11 @@ def test_right_power_batch_matches_python_loop(dim, monkeypatch) -> None:
     r_x**(p-1) x with the power from square_multiply_mat_pow.  At these n
     every call takes at most 2 * n.bit_length() + 2 _matmul_mod calls.  The
     small-product cut is set to 0, so r_x and its powers take the float
-    routes below 2**24 and 2**53."""
+    routes below 2**24 and 2**53.  p = 5 is the smallest prime whose unreduced
+    mat-vec chain at n = p reduces between steps, and n = _MATVEC_POWERS + 2
+    squares an unreduced r_x in stack_mat_pow.  A chain that never reduces
+    between steps fails at n = _MATVEC_POWERS + 2 from p = 2 on, and at n = p
+    from p = 5 at dim 4 (p = 7 at dim 2)."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
     calls, matmul_mod = [], algebra_core._matmul_mod
     monkeypatch.setattr(algebra_core, "_matmul_mod",
@@ -593,7 +602,7 @@ def test_right_power_batch_matches_python_loop(dim, monkeypatch) -> None:
         alg = Algebra(p, dim, {"mul": c})
         X = np.concatenate([alg.sample_array(6, rng),
                             residues_near_the_top(p, (4, dim), rng) % p])
-        for n in ((1, 2, p) if p < 8 else (1, 2, 5, p)):
+        for n in ((1, 2, p) if p < 8 else (1, 2, 5, p)) + (algebra_core._MATVEC_POWERS + 2,):
             if n < 8:
                 want = [list(_naive_right_power(c.tolist(), tuple(x), n, p)) for x in X.tolist()]
             else:
@@ -875,14 +884,21 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
     takes p - 1 rounds per scalar and per Jacobson term.  A float32 product
     past 2**24 (or float64 past 2**53) gets some of them wrong.  Sweeps this
     small stay in int64 under the small-product cut, so the cut is set to 0
-    here, as in the kernel test."""
+    here, as in the kernel test.  At p = 3 the float32 chain r_x, r_x**p is
+    compared unreduced; p = 5 is the smallest prime at dims 2 and 4 whose chain
+    reduces between steps.  There every element is swept, as the check does,
+    and the failing p-maps plant witnesses whose sides must be the oracle's."""
     monkeypatch.setattr(algebra_core, "_SMALL_PRODUCT", 0)
     rng = random.Random(f"operator-bound-{dim}")
     samples, seed = 6, 3
-    for p in _bound_primes(dim, rng):
-        draw = random.Random(seed)
-        rows = [[draw.randrange(p) for _ in range(dim)] for _ in range(samples)]
-        coverage = {"kind": "sampled", "count": samples, "seed": seed}
+    for p in [3, 5, *_bound_primes(dim, rng)]:
+        if p ** dim <= algebra_core.DEFAULT_CAP:  # the sweeps take every element
+            rows = [list(x) for x in itertools.product(range(p), repeat=dim)]
+            coverage = {"kind": "exhaustive", "count": len(rows)}
+        else:
+            draw = random.Random(seed)
+            rows = [[draw.randrange(p) for _ in range(dim)] for _ in range(samples)]
+            coverage = {"kind": "sampled", "count": samples, "seed": seed}
         for g, pmaps in _restricted_sweep_inputs(dim, p, rng):
             pmaps.update({f"{name}+p": (_ShiftedPMap(pm), value)
                           for name, (pm, value) in list(pmaps.items())})
@@ -893,23 +909,23 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
             for name, (_, value) in pmaps.items():
                 values = [value(x) for x in rows]
                 want = operator_sweep_report("restricted_leibniz", ops, p, rows, values,
-                                             samples, coverage)
+                                             len(rows), coverage)
                 rep = check_restricted_leibniz(g, name, seed=seed, samples=samples)
                 assert rep.to_dict() == want, (p, name)
                 statuses.append(rep.status)
                 rep = check_restricted_module(g, adjoint_module(g), name, seed=seed,
                                               samples=samples)
                 assert rep.to_dict() == operator_sweep_report(
-                    "restricted_module", ops, p, rows, values, samples, coverage,
+                    "restricted_module", ops, p, rows, values, len(rows), coverage,
                     swap=True), (p, name)
                 if "assoc" in g.ops:  # a Lie bracket
                     X = np.array(rows, dtype=np.int64)
                     count, found = identities._operator_failures(
                         g.right_ops("bracket"), p, X, g.apply_pmap_batch(name, X), ("axiom2",))
                     got = identities._report("restricted_leibniz", found, count,
-                                             identities.Coverage("sampled", samples, seed))
+                                             identities.Coverage(**coverage))
                     assert got.to_dict() == operator_sweep_report(
-                        "restricted_leibniz", ops, p, rows, values, samples, coverage,
+                        "restricted_leibniz", ops, p, rows, values, len(rows), coverage,
                         ("axiom2",)), (p, name)
             assert statuses == ["pass", "fail", "pass", "fail"], p
 

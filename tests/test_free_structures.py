@@ -498,6 +498,8 @@ def test_projection_is_exact_at_large_primes(p):
         got = pres.project(np.array(v, dtype=out))
         assert got.dtype == out and got.tolist() == want
         assert pres.project(F.from_dense(v)).tolist() == want
+        dense = F.dense(F.from_dense(v))
+        assert dense.dtype == out and dense.tolist() == [c % p for c in v]
 
 
 def test_quotient_accepts_dense_rows_and_serializes():

@@ -419,3 +419,28 @@ def test_restricted_sweep_memory_fits_grid_values_and_blocks(make) -> None:
         tracemalloc.stop()
     assert rep.ok() and rep.coverage.count == alg.element_count()
     assert peak - held <= bound, (peak - held, bound)
+
+
+def test_restricted_pass_reduces_each_block_at_most_twice(monkeypatch) -> None:
+    """One exhaustive check_restricted_leibniz on dleib(gl2(l2dias)/F3), 6,561
+    elements of dim 8 in 13 blocks of 512, makes at most two float reductions a
+    block: one for the p-map values (the p-fold right power) and one for the
+    sweep's comparison of r_x**3 with r_{f(x)}.  The bounds allow it: r_x has
+    entries at most 8 * 2**2 = 32, r_x**3 at most 64 * 32**3 < 2**24.  The
+    algebra is built first, and holds its Leibniz report, so only the
+    restricted pass runs.  A reduction after every product makes five a block."""
+    alg = dleib(matrix_dialgebra(l2_dialgebra(3), 2))
+    block = algebra_core._blocks(alg.dim, alg.dim ** 3)[1]
+    blocks = -(-alg.element_count() // block)
+    assert (alg.element_count(), block, blocks) == (6561, 512, 13)
+    calls, float_mod = [], algebra_core._float_mod
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return float_mod(a, p)
+
+    monkeypatch.setattr(algebra_core, "_float_mod", counted)
+    monkeypatch.setattr(identities, "_float_mod", counted)
+    rep = check_restricted_leibniz(alg)
+    assert rep.ok() and rep.coverage.count == 6561
+    assert 0 < len(calls) <= 2 * blocks, len(calls)
