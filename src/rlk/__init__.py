@@ -43,7 +43,6 @@ from .free_structures import (
     GradedBasisAlgebra,
     QuotientPresentation,
     check_dias_free,
-    check_ud_unit,
     check_zinbiel_factorial,
     check_zinbiel_free,
     das_quotient,

@@ -40,12 +40,7 @@ import numpy as np
 from .algebra_core import (Algebra, BasisJacobsonPMap, _check_modulus_bound, _matmul_mod, _tup,
                            operator_stack)
 from .errors import UsageError
-from .free_structures import (
-    QuotientPresentation,
-    _pmap_instances,
-    truncated_ideal_quotient,
-    word_ambient,
-)
+from .free_structures import QuotientPresentation, _envelope_quotient, _pmap_instances, word_ambient
 from .identities import (
     _CHUNK_ENTRIES,
     WITNESS_LIMIT,
@@ -57,7 +52,6 @@ from .identities import (
     _report,
     _require,
     _require_leibniz,
-    _restricted_leibniz,
     _restricted_pass,
 )
 from .linalg import RowReducer
@@ -263,20 +257,10 @@ def ulp_truncated(g: Algebra, pmap: str = "frobenius", d: int = None, cap=None,
     refused before the sweep."""
     d = g.p if d is None else d
     if d < g.p:
-        raise UsageError(
-            f"degree cap {d} is below the characteristic {g.p}"
-        )
+        raise UsageError(f"degree cap {d} is below the characteristic {g.p}")
     W = word_ambient(2 * g.dim, d, g.p, label=f"ul_words({g.label})")
-    gate = _restricted_leibniz(g, pmap, cap, seed)
-    _require(gate[0], "input is not restricted Leibniz")
-    X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    rels = [rel for rel in _ulp_relations(g, W, X, PX) if rel]
-    notes = (
-        f"letters 0..{g.dim - 1} act on the left, "
-        f"{g.dim}..{2 * g.dim - 1} on the right",
-        note,
-    )
-    return truncated_ideal_quotient(W, rels, notes=notes)
+    letters = f"letters 0..{g.dim - 1} act on the left, {g.dim}..{2 * g.dim - 1} on the right"
+    return _envelope_quotient(W, g, pmap, cap, seed, samples, _ulp_relations, (letters,))
 
 
 def module_roundtrip(g: Algebra, M: LeibnizModule, pmap: str = "frobenius",

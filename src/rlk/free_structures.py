@@ -23,8 +23,10 @@ its docstring) through lazily filled per-multiplier product tables,
 row-reduces exactly over F_p (new pivot rows from `RowReducer.insert` join
 the closure's frontier), and returns the surviving monomial basis with the
 fully reduced ideal rows and an idempotent projection.
-`ud_p` and `das_quotient` instantiate the enveloping-diassociative and
-both-products-identified quotients on top of it.
+`ud_p` instantiates the enveloping-diassociative quotient on top of it,
+through the envelope front end it shares with `envelope.ulp_truncated`
+(ambient, gate, p-map instances, relation rows, quotient); `das_quotient`
+the both-products-identified one.
 """
 
 from __future__ import annotations
@@ -549,35 +551,35 @@ def _pmap_instances(g: Algebra, pmap: str, cap, seed, samples, gate=None):
     return X, PX, note
 
 
-def _ud_pairs(F: GradedBasisAlgebra, g: Algebra, X, PX):
-    """(key, embedded value, its image under the derived operations) for the
-    bracket on basis pairs and the p-map on the rows of X, with their values PX."""
+def _ud_relations(g: Algebra, F: GradedBasisAlgebra, X, PX):
+    """ud_p's generators as sparse rows of F: embedded bracket values minus the derived
+    brackets e_i -| e_j - e_j |- e_i on basis pairs, then embedded p-map values PX
+    minus p-fold |- powers on the rows of X."""
     brackets = g.structure("bracket").tolist()
-    pairs = []
-    for i in range(g.dim):
-        gi = F.generator(i)
-        for j in range(g.dim):
-            gj = F.generator(j)
-            pairs.append((("bracket", i, j), _hat(F, brackets[i][j]),
-                          F.sub(F.product("left", gi, gj), F.product("right", gj, gi))))
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        gi, gj = F.generator(i), F.generator(j)
+        yield F.sub(_hat(F, brackets[i][j]),
+                    F.sub(F.product("left", gi, gj), F.product("right", gj, gi)))
     for x, fx in zip(X.tolist(), PX.tolist()):
         xh = _hat(F, x)
-        pairs.append((("pmap", tuple(x)), _hat(F, fx),
-                      F.power("right", xh, g.p) if xh else F.zero()))
-    return pairs
+        yield F.sub(_hat(F, fx), F.power("right", xh, g.p) if xh else F.zero())
 
 
-def _ud_presentation(g: Algebra, pmap: str, d: int, cap, seed, samples):
-    """ud_p's presentation, the relation pairs of _ud_pairs it divides out,
-    and whether truncation touched the build of those pairs."""
-    F = free_dias(g.dim, d, g.p)  # refuses an oversized ambient before the sweep
+def _envelope_quotient(F: GradedBasisAlgebra, g: Algebra, pmap: str, cap, seed, samples,
+                       relations, notes=()) -> QuotientPresentation:
+    """The envelope front end of ud_p and ulp_truncated, past their fresh ambient F, which
+    they build first so an oversized one is refused before the sweep: the restricted
+    Leibniz gate, the _pmap_instances rows, and F divided by the nonzero rows of
+    relations(g, F, X, PX).  Its notes are `notes`, the instances' note and, when
+    building the relations overflowed F, the truncation note."""
     gate = _restricted_leibniz(g, pmap, cap, seed)
     _require(gate[0], "input is not restricted Leibniz")
     X, PX, note = _pmap_instances(g, pmap, cap, seed, samples, gate)
-    pairs = _ud_pairs(F, g, X, PX)
-    touched = F.overflows > 0  # F is new, so every overflow so far is the pairs'
-    rels = [rel for _key, target, image in pairs if (rel := F.sub(target, image))]
-    return truncated_ideal_quotient(F, rels, notes=(note,)), pairs, touched
+    rels = [rel for rel in relations(g, F, X, PX) if rel]
+    notes += (note,)
+    if F.overflows:  # F is fresh, so every overflow is the relations'
+        notes += (f"truncation above degree {F.degree_cap} touched the relations",)
+    return truncated_ideal_quotient(F, rels, notes=notes)
 
 
 def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None, seed: int = 0,
@@ -586,30 +588,10 @@ def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None, seed: int = 
 
     Relations: embedded bracket values minus derived brackets on basis pairs,
     and embedded p-map values minus p-fold |- powers on the instantiated
-    element set.
+    element set.  A note says when the cap d cut one of them (d < max(p, 2)).
     """
-    return _ud_presentation(g, pmap, d, cap, seed, samples)[0]
-
-
-def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None,
-                  seed: int = 0, samples: int = 64) -> CheckReport:
-    """The degree-one embedding respects brackets on basis pairs and p-maps
-    on the instantiated elements, inside the quotient."""
-    pres, pairs, touched = _ud_presentation(g, pmap, d, cap, seed, samples)
-    witnesses = []
-    # projections are ambient-dim vectors, so only the kept ones are made again
-    failures = _keep(
-        witnesses,
-        [(key, lhs, rhs) for key, lhs, rhs in pairs
-         if not np.array_equal(pres.project(lhs), pres.project(rhs))],
-        lambda key, lhs, rhs: Witness(key, _tup(pres.project(lhs)), _tup(pres.project(rhs))))
-    # the pairs' note, then the presentation's notes, which start with it
-    notes = pres.notes[:1] + pres.notes
-    if touched:
-        notes += (f"truncation above degree {d} touched the sweep",)
-    return _report("ud_unit", witnesses, failures,
-                   Coverage("exhaustive", len(pairs)), notes,
-                   inconclusive=touched)
+    return _envelope_quotient(free_dias(g.dim, d, g.p), g, pmap, cap, seed, samples,
+                              _ud_relations)
 
 
 # -- both-products-identified quotient --------------------------------------------------
@@ -618,6 +600,13 @@ def check_ud_unit(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None,
 def das_quotient(F: GradedBasisAlgebra, nfold=None):
     """Quotient of a one-generator free dialgebra by -| = |-, plus the check
     that every mixed nfold-power pattern of the generator shares one image.
+
+    The check cannot fail.  The relations are u -| v - u |- v on every pair of
+    basis monomials, so changing one op of a pattern changes its value by a
+    relation multiplied by x on the right once per later op; the closure
+    holds those products exactly while they fit the cap, as every row is
+    homogeneous.  So it passes when nfold <= F.degree_cap and is
+    "inconclusive" past it, where the powers overflow.
 
     Returns (presentation, CheckReport)."""
     if F.kind != "dias":
@@ -630,15 +619,9 @@ def das_quotient(F: GradedBasisAlgebra, nfold=None):
     cap = enumeration_cap()
     if n - 1 >= cap.bit_length():  # 2**(n - 1) > cap, without forming 2**(n - 1)
         raise UsageError(f"2**{n - 1} patterns of {n} factors exceed cap {cap}")
-    rels = []
-    for i in range(F.dim):
-        for j in range(F.dim):
-            rel = F.sub(
-                F.product("left", F.basis_elt(i), F.basis_elt(j)),
-                F.product("right", F.basis_elt(i), F.basis_elt(j)),
-            )
-            if rel:
-                rels.append(rel)
+    e = F.basis_elt
+    rels = [rel for i, j in itertools.product(range(F.dim), repeat=2)
+            if (rel := F.sub(F.product("left", e(i), e(j)), F.product("right", e(i), e(j))))]
     pres = truncated_ideal_quotient(F, rels, notes=("identify -| with |-",))
     x = F.generator(0)
     images, before = [], F.overflows

@@ -26,7 +26,6 @@ from rlk.envelope import (
 )
 from rlk.free_structures import (
     check_zinbiel_factorial,
-    check_ud_unit,
     free_dias,
     free_zinbiel,
     ud_p,
@@ -270,15 +269,6 @@ def test_criterion_7_diassociative_envelope():
         assert set(monos) == set(pres.ambient.index)
         assert pres.ideal_rank == oracle_rank
         assert dim - oracle_rank == 1
-        small = [
-            (l2(2), "frobenius"),
-            (abelian(2, 1, with_pmap=True), "zero"),
-            (abelian(2, 2, with_pmap=True), "zero"),
-            (dleib(l2_dialgebra(2)), "frobenius"),
-        ]
-        for gfix, pm in small:
-            assert gfix.dim <= 2 and gfix.p == 2
-            assert check_ud_unit(gfix, pmap=pm, d=3).ok()
 
 
 # --------------------------------------------------------------- criterion 8

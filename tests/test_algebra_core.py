@@ -270,6 +270,39 @@ def test_basis_jacobson_past_the_cut_builds_no_table(monkeypatch) -> None:
     assert alg._tables == {}
 
 
+def test_builtin_pmaps_return_reduced_rows() -> None:
+    """Each built-in p-map's apply_batch returns rows in [0, p) on a random reduced
+    grid: identities._operator_failures casts the grid and the p-map values as they
+    are, and its bounds assume reduced rows.  BasisJacobsonPMap is taken on both
+    sides of its _JACOBSON_WORDS cut (dim 4: 4**3 below it, 4**7 past it)."""
+    rng = random.Random("reduced-pmap-rows")
+    cases = []
+    for p in (2, 3, 7, 251, 65521):
+        mul = random_structure(p, 3, rng)
+        cases += [(Algebra(p, 3, {"mul": mul}, {"zero": ZeroPMap()}), "zero"),
+                  (Algebra(p, 3, {"mul": mul}, {"pw": RightPowerPMap("mul")}), "pw"),
+                  (Algebra(p, 3, {"mul": mul}, {"pw": RightPowerPMap("mul", 4)}), "pw"),
+                  (matrix_assoc(p, 2).extended(pmaps={"pw": MatrixPowerPMap()}), "pw")]
+    for p in (3, 7):
+        cases.append((l2(p), "frobenius"))  # a TablePMap holds all p**2 entries
+        comm, _, values = _gl2_sum(p, 1)
+        assert (4 ** p < algebra_core._JACOBSON_WORDS) == (p == 3)
+        cases.append((Algebra(p, 4, {"bracket": comm},
+                              {"jac": BasisJacobsonPMap("bracket", values)}), "jac"))
+    for p in (2, 3, 5):
+        cases.append((tensor_prelie(l2(p), free_zinbiel(2, 2, p).to_algebra()).product,
+                      "tensor_p"))
+    kinds = set()
+    for alg, name in cases:
+        kinds.add(type(alg.pmap(name)).__name__)
+        X = alg.sample_array(200, rng)
+        V = alg.pmap(name).apply_batch(alg, X)
+        assert V.shape == X.shape and V.dtype == np.int64, (alg.label, name)
+        assert ((V >= 0) & (V < alg.p)).all(), (alg.label, name)
+    assert kinds == {"ZeroPMap", "RightPowerPMap", "MatrixPowerPMap", "TablePMap",
+                     "BasisJacobsonPMap", "TensorFormulaPMap"}
+
+
 def test_jacobson_table_is_read_only_and_kept_per_algebra() -> None:
     """The compiled table is sealed, kept by the algebra out of its repr and
     reports, and shared with a _with_pmaps copy; a new algebra, from
@@ -1073,7 +1106,7 @@ def test_power_and_tensor_paths_make_no_per_element_calls(monkeypatch, tmp_path)
     from rlk.algfile import format_algebra
     from rlk.cli import main
     from rlk.dialgebra import as_dialgebra, check_lemdias, dleib
-    from rlk.free_structures import check_ud_unit, free_zinbiel
+    from rlk.free_structures import free_zinbiel, ud_p
     from rlk.identities import sweep_dleib_jacobson
     from rlk.prelie_tensor import check_corollary, check_tensor_restricted, tensor_prelie
 
@@ -1094,7 +1127,7 @@ def test_power_and_tensor_paths_make_no_per_element_calls(monkeypatch, tmp_path)
                  "--out", str(tmp_path / "t.alg")]) == 0
     assert check_lemdias(D, (1, 2), (2, 1), 3).ok()
     assert sweep_dleib_jacobson(D, samples=50).ok()
-    assert check_ud_unit(ut2, d=2).status != "fail"
+    ud_p(ut2, d=2)
     assert calls == {"multiply": 0, "apply": 0}
 
 

@@ -26,8 +26,8 @@ from rlk.envelope import (
     zero_module,
 )
 from rlk.errors import UsageError
-from rlk.free_structures import (BASIS_SIZE_BOUND, _pmap_instances, check_ud_unit,
-                                 truncated_ideal_quotient, ud_p, word_ambient)
+from rlk.free_structures import (BASIS_SIZE_BOUND, _pmap_instances, truncated_ideal_quotient,
+                                 ud_p, word_ambient)
 from rlk.identities import check_leibniz
 
 from helpers import (abelian, counting, l2, l2_dialgebra, matrix_assoc, primes_at_the_bound,
@@ -573,7 +573,6 @@ def test_exhaustive_gates_hand_their_pmap_values_to_the_relations(monkeypatch):
     rows = _pmap_rows(monkeypatch)
     for run, count in ((lambda: ulp_truncated(l2(3), d=3), 9),
                        (lambda: ud_p(ab, pmap="zero", d=3), 9),
-                       (lambda: check_ud_unit(ab, pmap="zero", d=3), 9),
                        (lambda: module_roundtrip(ut2, adjoint_module(ut2)), 27)):
         rows.clear()
         run()
@@ -656,7 +655,6 @@ def _digest(out) -> str:
 SAMPLED_DIGESTS = {
     "ulp_truncated": "1a1929a5d3d0e14365cc0fee07baa2272c94872dcc59fb38d849ac058bf3cef8",
     "ud_p": "9104df1f123561c503f8a327d7bce9ff4c264df1ec6e21d75f7f1c82fbd6b686",
-    "check_ud_unit": "e6b5ab5f8f1faf9b504c3bc373565c0ceea07bb019221caf58b78003eaec9a98",
     "module_roundtrip": "f7b1490d654d7467ed7364f2c58666aee2971a543074402a22ab0bf38e619561",
 }
 
@@ -667,7 +665,6 @@ def test_sampled_gates_leave_the_pmap_relations_as_they_were(name):
     run = {
         "ulp_truncated": lambda: ulp_truncated(l2(3), d=3, cap=1),
         "ud_p": lambda: ud_p(ut2, d=3, cap=1),
-        "check_ud_unit": lambda: check_ud_unit(ut2, d=3, cap=1),
         "module_roundtrip": lambda: module_roundtrip(ut2, adjoint_module(ut2), cap=1),
     }[name]
     out = run()

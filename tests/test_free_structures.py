@@ -16,7 +16,6 @@ from rlk.free_structures import (
     GradedBasisAlgebra,
     basis_size,
     check_dias_free,
-    check_ud_unit,
     check_zinbiel_factorial,
     check_zinbiel_free,
     das_quotient,
@@ -610,23 +609,13 @@ def test_envelope_of_l2_matches_fixed_point_oracle(d):
         assert not pres.project(repacked).any()
 
 
-def test_envelope_embedding_is_compatible_inside_the_quotient():
-    for g, pmap in [
-        (abelian(2, 1, with_pmap=True), "zero"),
-        (abelian(2, 2, with_pmap=True), "zero"),
-        (l2(2), "frobenius"),
-        (l2(3), "frobenius"),
-    ]:
-        rep = check_ud_unit(g, pmap=pmap, d=3)
-        assert rep.status == "pass", (g.label, rep.to_dict())
-    rep = check_ud_unit(abelian(2, 1, with_pmap=True), pmap="zero", d=3)
-    assert rep.coverage.count == 1 + 2
-
-
-def test_envelope_check_inconclusive_when_truncation_interferes():
-    rep = check_ud_unit(l2(2), d=1)
-    assert rep.status == "inconclusive"
-    assert any("truncation" in n for n in rep.notes)
+def test_ud_p_notes_when_truncation_touches_its_relations():
+    """Below d = max(p, 2) a p-fold power or a derived bracket passes the cap, and
+    ud_p says so; at d = p none does."""
+    note = "truncation above degree {} touched the relations"
+    for g, pmap, d in ((l2(3), "frobenius", 2), (abelian(2, 1, with_pmap=True), "zero", 1)):
+        assert note.format(d) in ud_p(g, pmap=pmap, d=d).notes
+        assert not any("truncation" in n for n in ud_p(g, pmap=pmap, d=max(g.p, 2)).notes)
 
 
 def test_envelope_uses_sampling_above_the_enumeration_cap():

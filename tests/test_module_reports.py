@@ -31,7 +31,7 @@ from rlk.envelope import (
     ulp_truncated,
     zero_module,
 )
-from rlk.free_structures import check_ud_unit, das_quotient, free_dias, free_zinbiel, ud_p
+from rlk.free_structures import das_quotient, free_dias, free_zinbiel, ud_p
 from rlk.identities import check_restricted_leibniz, check_restricted_lie, sweep_dleib_jacobson
 from rlk.prelie_tensor import (
     TensorAlgebraHandle,
@@ -255,8 +255,6 @@ def _cases():
         ("relations-planted-ut2", lambda: ulp_relations_check(g3, _planted(g3, 4))),
         ("relations-diagonal-sampled", lambda: ulp_relations_check(
             big_g, big_M, pmap="zero", cap=1, seed=2, samples=30)),
-        ("ud-unit-ut2-f2", lambda: check_ud_unit(g2, d=3)),
-        ("ud-unit-sampled", lambda: check_ud_unit(g3, d=2, cap=1, seed=4, samples=10)),
         ("ud-p-ut2-f2", lambda: _presentation(ud_p(g2, d=3))),
         ("ud-p-zero-dim", lambda: _presentation(
             ud_p(abelian(3, 0, with_pmap=True), pmap="zero", d=3))),
@@ -289,8 +287,6 @@ PINNED = {
     "relations-swapped-ut2": "87eb40e030fbc3debf5edf197b2d3902375700c3c42c11eac29e5e67eefcdf21",
     "relations-planted-ut2": "9e87b19bfd09dd8374c666237a6d22e81468c500c05c43750c078b56b5d247ff",
     "relations-diagonal-sampled": "7cff2892803a630ce26432b523723b766e5bd52f569c87984b5b50dfd2d68514",
-    "ud-unit-ut2-f2": "ab29b8078990abb958c4ecf0a675be9373df9f8f3dacc19c42839350c167b034",
-    "ud-unit-sampled": "1b3cef58831391a144247eaef63e72aa66df1c63dd791874770afe351d2aaadf",
     "ud-p-ut2-f2": "eb3a73237e9cf9b6902916d3e9838d68f85e6ea904ff54a654daf2640ec29e8c",
     "ud-p-zero-dim": "4d8e917d55f9edbddae181706688ceef7d645878a60bb16d3d9463a964c522f3",
     "ulp-l2-f2": "26653dcd30d0891821d57624e09c75f0795588acb098a7476fa9970c99e08638",
@@ -430,11 +426,11 @@ def test_module_layer_makes_no_per_element_calls(monkeypatch) -> None:
     assert calls == {"multiply": 0, "apply": 0}
 
 
-def test_check_ud_unit_builds_its_relation_pairs_once(monkeypatch) -> None:
+def test_ud_p_builds_its_relations_once(monkeypatch) -> None:
     import rlk.free_structures as fs
 
-    calls = {"_ud_pairs": 0, "_pmap_instances": 0}
+    calls = {"_ud_relations": 0, "_pmap_instances": 0}
     for name in calls:
         monkeypatch.setattr(fs, name, counting(calls, name, getattr(fs, name)))
-    check_ud_unit(_ut2(2), d=3)
-    assert calls == {"_ud_pairs": 1, "_pmap_instances": 1}
+    ud_p(_ut2(2), d=3)
+    assert calls == {"_ud_relations": 1, "_pmap_instances": 1}

@@ -5,10 +5,12 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import rlk
 from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
 from rlk.envelope import ulp_truncated
 
@@ -115,3 +117,12 @@ def test_only_ulp_truncated_expands_power_words():
     assert len(ulp_truncated(g, d=2).relations) <= 3 * g.dim ** 2 + 2 * g.dim
     assert sorted((mod, fn) for mod, fn, _ in _calls("_module_sides")) == [
         ("envelope", "_module_relations"), ("envelope", "check_module_axioms")]
+
+
+def test_readme_names_only_functions_rlk_exports():
+    """Every backticked check_*, sweep_*, ud_*, ulp_* or module_* name in README.md
+    is an attribute of rlk, so the README cannot keep naming a deleted function."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"`((?:check|sweep|ud|ulp|module)_\w+)", text))
+    assert len(names) >= 20
+    assert sorted(name for name in names if not hasattr(rlk, name)) == []
