@@ -525,10 +525,11 @@ class Algebra:
             ) from None
 
     def apply_pmap(self, name: str, x: Element) -> Element:
-        return _apply_one_row(self.pmap(name), self, self.element(x))
+        return _tup(self.apply_pmap_batch(name, np.array([self.element(x)], dtype=np.int64))[0])
 
     def apply_pmap_batch(self, name: str, X: np.ndarray) -> np.ndarray:
-        return self.pmap(name).apply_batch(self, np.asarray(X, dtype=np.int64) % self.p)
+        """The named p-map at the rows of X, which it gets and returns reduced mod p."""
+        return self.pmap(name).apply_batch(self, np.asarray(X, dtype=np.int64) % self.p) % self.p
 
     # -- enumeration ---------------------------------------------------------
 

@@ -208,6 +208,12 @@ def check_commutative_diagram(A: Algebra, cap=None, seed: int = 0,
 
     Compares bracket structure constants entry for entry and p-map values on
     all enumerated (or sampled) elements.
+
+    It cannot fail on its own: as_dialgebra sets -| = |- = "assoc", so dleib's
+    bracket is the commutator's (c - c^T) % p and its p-map is right_power_batch
+    of the same tensor on the same rows; check_dias repeats _assoc_violation's
+    sweep.  perfbench's restricted workload runs it, so it stays until a
+    benchmark change deletes it.
     """
     bad = _assoc_violation(A)
     if bad is not None:

@@ -12,8 +12,9 @@ Three monomial families share one sparse carrier class:
 
 Products whose combined degree exceeds the cap return zero and add one to
 the ambient's monotone `overflows` count (a cached product counts again);
-a check reads the count before and after its own products and reports
-"inconclusive" rather than "pass" whenever it moved.  Elements are sparse
+`check_zinbiel_factorial` reads the count before and after its own products
+and reports "inconclusive" rather than "pass" whenever it moved, and `ud_p`
+notes when building its relations moved it.  Elements are sparse
 {basis index: coefficient} dicts over F_p.
 
 `truncated_ideal_quotient` closes a relation list under all degree-one
@@ -26,7 +27,7 @@ fully reduced ideal rows and an idempotent projection.
 `ud_p` instantiates the enveloping-diassociative quotient on top of it,
 through the envelope front end it shares with `envelope.ulp_truncated`
 (ambient, gate, p-map instances, relation rows, quotient); `das_quotient`
-the both-products-identified one.
+the one-generator quotient by -| = |-.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra_core import DENSE_DIM_BOUND, Algebra, _tup, enumeration_cap
+from .algebra_core import DENSE_DIM_BOUND, Algebra
 from .errors import UsageError
 from .identities import (
     _AXIOMS,
@@ -50,7 +51,6 @@ from .identities import (
     Witness,
     _bracketing,
     _grid,
-    _keep,
     _report,
     _require,
     _restricted_leibniz,
@@ -375,8 +375,8 @@ def check_zinbiel_free(F: GradedBasisAlgebra) -> CheckReport:
 
 def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
                             n: int) -> CheckReport:
-    """Left-iterated (..(a<b)<b..)<b with n factors equals n! a<(b<(..<b)),
-    and vanishes outright when n equals the characteristic."""
+    """Left-iterated (..(a<b)<b..)<b with n factors equals n! a<(b<(..<b)), so
+    it vanishes from n = p on, where n! is 0 mod p."""
     if n < 1:
         raise UsageError(f"power must be >= 1, got {n}")
     op, before = "zinbiel", F.overflows
@@ -387,20 +387,15 @@ def check_zinbiel_factorial(F: GradedBasisAlgebra, a: dict, b: dict,
     for _ in range(n - 1):
         nest = F.product(op, b, nest)
     rhs = F.scale(math.factorial(n) % F.p, F.product(op, a, nest))
-    witnesses, failures = [], 0
     if F.overflows != before:
         return _report(
             "zinbiel_factorial", [], 0, Coverage("exhaustive", 1),
             (f"truncation above degree {F.degree_cap} touched the inputs",),
             inconclusive=True,
         )
-    if lhs != rhs:
-        failures += 1
-        witnesses.append(Witness(("fold", n), sorted(lhs.items()), sorted(rhs.items())))
-    if n % F.p == 0 and lhs:
-        failures += 1
-        witnesses.append(Witness(("vanishing", n), sorted(lhs.items()), []))
-    return _report("zinbiel_factorial", witnesses, failures, Coverage("exhaustive", 1))
+    witnesses = [] if lhs == rhs else [
+        Witness(("fold", n), sorted(lhs.items()), sorted(rhs.items()))]
+    return _report("zinbiel_factorial", witnesses, len(witnesses), Coverage("exhaustive", 1))
 
 
 # -- truncated ideal quotients --------------------------------------------------------
@@ -597,49 +592,16 @@ def ud_p(g: Algebra, pmap: str = "frobenius", d: int = 3, cap=None, seed: int = 
 # -- both-products-identified quotient --------------------------------------------------
 
 
-def das_quotient(F: GradedBasisAlgebra, nfold=None):
-    """Quotient of a one-generator free dialgebra by -| = |-, plus the check
-    that every mixed nfold-power pattern of the generator shares one image.
-
-    The check cannot fail.  The relations are u -| v - u |- v on every pair of
-    basis monomials, so changing one op of a pattern changes its value by a
-    relation multiplied by x on the right once per later op; the closure
-    holds those products exactly while they fit the cap, as every row is
-    homogeneous.  So it passes when nfold <= F.degree_cap and is
-    "inconclusive" past it, where the powers overflow.
-
-    Returns (presentation, CheckReport)."""
+def das_quotient(F: GradedBasisAlgebra) -> QuotientPresentation:
+    """Quotient of a one-generator free dialgebra by -| = |-: the relations are
+    u -| v - u |- v on every pair of basis monomials, so every mixed power of the
+    generator has the image of its plain power, and the quotient is the truncated
+    polynomials on it."""
     if F.kind != "dias":
         raise UsageError(f"expected dias monomials, got {F.kind}")
     if F.ngen != 1:
         raise UsageError(f"expected one generator, got {F.ngen}")
-    n = F.p if nfold is None else nfold
-    if n < 2:
-        raise UsageError(f"power must be >= 2, got {n}")
-    cap = enumeration_cap()
-    if n - 1 >= cap.bit_length():  # 2**(n - 1) > cap, without forming 2**(n - 1)
-        raise UsageError(f"2**{n - 1} patterns of {n} factors exceed cap {cap}")
     e = F.basis_elt
     rels = [rel for i, j in itertools.product(range(F.dim), repeat=2)
             if (rel := F.sub(F.product("left", e(i), e(j)), F.product("right", e(i), e(j))))]
-    pres = truncated_ideal_quotient(F, rels, notes=("identify -| with |-",))
-    x = F.generator(0)
-    images, before = [], F.overflows
-    for pattern in itertools.product(("left", "right"), repeat=n - 1):
-        v = x
-        for op in pattern:
-            v = F.product(op, v, x)
-        images.append((pattern, pres.project(v)))
-    touched = F.overflows != before
-    witnesses = []
-    base = images[0][1]
-    failures = _keep(witnesses, [(pattern, img) for pattern, img in images[1:]
-                                 if not np.array_equal(img, base)],
-                     lambda pattern, img: Witness((pattern,), _tup(img), _tup(base)))
-    notes = (f"{len(images)} patterns of {n} factors",)
-    if touched:
-        notes += ("power exceeded the degree cap",)
-    report = _report("das_mixed_powers", witnesses, failures,
-                     Coverage("exhaustive", len(images)), notes,
-                     inconclusive=touched)
-    return pres, report
+    return truncated_ideal_quotient(F, rels, notes=("identify -| with |-",))

@@ -311,8 +311,8 @@ def _operator_failures(ops, p, X, PX, tag=()):
     sum_j x_j ops[j] for a reduced (k, m, m) stack, each _blocks block cast to
     _residue_dtype(max(k, m), p, N m**3); a chunk keeps its first 16 witnesses, int64 sides.
     A float block compares by one reduction of r_x**p + c p - r_{f(x)}, c p > r_{f(x)}'s bound.
-    X must hold reduced rows, entries in [0, p), as _grid and _pmap_instances give them; PX
-    is reduced block by block, as a p-map from outside rlk may return values past p."""
+    X and PX must hold reduced rows, entries in [0, p), as _grid, _pmap_instances and
+    Algebra.apply_pmap_batch give them."""
     k, m, _ = ops.shape
     T = ops.astype(_residue_dtype(max(k, m), p, len(X) * m ** 3), order="C")
     (chunk, block), witnesses, failures = _blocks(m, T.size), [], 0
@@ -321,7 +321,7 @@ def _operator_failures(ops, p, X, PX, tag=()):
         for lo in range(start, stop, block):
             hi = min(lo + block, stop)
             Rp, Rf = (operator_stack(T, V.astype(T.dtype, copy=False), p)
-                      for V in (X[lo:hi], PX[lo:hi] % p))
+                      for V in (X[lo:hi], PX[lo:hi]))
             bf = k * (p - 1) ** 2  # the bounds of r_{f(x)} and of r_x**p
             Rp, bp = stack_mat_pow(Rp, p, p, bf)
             if bp + bf + p >= _EXACT.get(T.dtype.type, 1 << 63):  # the shift below must stay exact

@@ -1,5 +1,6 @@
 """Fixture builders shared across test modules."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,19 @@ from rlk.algebra_core import Algebra, TablePMap, ZeroPMap
 from rlk.dialgebra import Dialgebra, as_dialgebra, dialgebra_from_operator, dleib, matrix_dialgebra
 
 from oracles import trial_division_is_prime
+
+
+@dataclasses.dataclass(frozen=True)
+class ShiftedPMap:
+    """The values of `pmap` plus p, in [p, 2p): the same residues, unreduced."""
+
+    pmap: object
+
+    def apply_batch(self, alg, X):
+        return self.pmap.apply_batch(alg, X) + alg.p
+
+    def validate(self, alg):
+        self.pmap.validate(alg)
 
 
 def l2(p, with_pmap=True):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -32,8 +31,8 @@ from rlk.identities import (WITNESS_LIMIT, Witness, check_dias, check_leibniz,
                             check_restricted_leibniz)
 from rlk.prelie_tensor import TensorAlgebraHandle, check_tensor_restricted, tensor_prelie
 
-from helpers import (all_elements, l2, matrix_assoc, primes_at_the_bound, random_structure,
-                     residues_near_the_top, truncated_poly)
+from helpers import (ShiftedPMap, all_elements, l2, matrix_assoc, primes_at_the_bound,
+                     random_structure, residues_near_the_top, truncated_poly)
 from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_multiply,
                      naive_trilinear_sides, operator_sweep_report, square_multiply_mat_pow,
                      trial_division_is_prime)
@@ -854,19 +853,6 @@ class _NearTopPMap:
         pass
 
 
-@dataclasses.dataclass(frozen=True)
-class _ShiftedPMap:
-    """The values of `pmap` plus p, in [p, 2p): the same residues, unreduced."""
-
-    pmap: object
-
-    def apply_batch(self, alg, X):
-        return self.pmap.apply_batch(alg, X) + alg.p
-
-    def validate(self, alg):
-        self.pmap.validate(alg)
-
-
 def _restricted_sweep_inputs(dim, p, rng):
     """[(algebra, {pmap name: (p-map, its value on a list x)})] for the
     operator-sweep exactness test: the commutator of an associative algebra
@@ -933,7 +919,7 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
             rows = [[draw.randrange(p) for _ in range(dim)] for _ in range(samples)]
             coverage = {"kind": "sampled", "count": samples, "seed": seed}
         for g, pmaps in _restricted_sweep_inputs(dim, p, rng):
-            pmaps.update({f"{name}+p": (_ShiftedPMap(pm), value)
+            pmaps.update({f"{name}+p": (ShiftedPMap(pm), value)
                           for name, (pm, value) in list(pmaps.items())})
             g = g.extended(pmaps={name: pm for name, (pm, _) in pmaps.items()})
             c = g.structure("bracket").tolist()

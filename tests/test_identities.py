@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from rlk import algebra_core, identities
-from rlk.algebra_core import Algebra, MatrixPowerPMap, RightPowerPMap, TablePMap, ZeroPMap
+from rlk.algebra_core import (Algebra, BasisJacobsonPMap, MatrixPowerPMap, RightPowerPMap,
+                              TablePMap, ZeroPMap)
 from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
 from rlk.errors import UsageError
 from rlk.identities import (
@@ -26,6 +27,7 @@ from rlk.identities import (
 )
 
 from helpers import (
+    ShiftedPMap,
     abelian,
     associative_suite,
     commutator_tensor,
@@ -289,6 +291,12 @@ def test_restricted_lie_constant_pmap_fails_axiom1() -> None:
     rep = check_restricted_lie(alg, "bracket", "const")
     assert rep.status == "fail"
     assert any(w.inputs[0] == "axiom1" and w.inputs[1] == 0 for w in rep.witnesses)
+    # the zero map's residues plus p, as a p-map from outside rlk may return them
+    zero = BasisJacobsonPMap("bracket", ((0, 0), (0, 0)))
+    alg = abelian(p, 2).extended(pmaps={"zero": zero, "zero+p": ShiftedPMap(zero)})
+    rep = check_restricted_lie(alg, "bracket", "zero+p")
+    assert rep.status == "pass"
+    assert rep.to_dict() == check_restricted_lie(alg, "bracket", "zero").to_dict()
 
 
 def test_restricted_lie_rejects_non_lie_bracket() -> None:

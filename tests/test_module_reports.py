@@ -150,7 +150,6 @@ def _collector_cases():
         ("diagram-m2-f2", lambda: check_commutative_diagram(m2_2)),
         ("diagram-m2-f3-sampled", lambda: check_commutative_diagram(
             m2_3, cap=1, seed=2, samples=30)),
-        ("das-inconclusive", lambda: das_quotient(free_dias(1, 3, 3), nfold=5)[1]),
         ("tensor-restricted-forged-f2", lambda: check_tensor_restricted(
             _forged_ingredients(2), seed=1, samples=50)),
         ("tensor-restricted-forged-f3", lambda: check_tensor_restricted(
@@ -298,7 +297,6 @@ PINNED = {
     "diagram-m2-f3": "e9e1bd5f7f561cf6a64d6c9a60a98722e6cbd4c8323a24436fbf613aff618fb5",
     "diagram-m2-f2": "8f7a980dc65f934cbf4d24a344e4c2ceefdbfcf6c9f65deefa7aa0ab5ab1cac3",
     "diagram-m2-f3-sampled": "b808b0639a752c49a054e92d2a2ae75efcdcda465df4e11dbbbee3c0a1d5275d",
-    "das-inconclusive": "6a3ba63cfb1ead81ff322b102c2c2f497a3c2fec6ea3d2824ad49dddd6ee4c4e",
     "tensor-restricted-forged-f2": "0e3db62d13ddcdf5510d4bdd5241e94b13e3c5827cf3563e36de2dac41ac01db",
     "tensor-restricted-forged-f3": "6341868ab4aa045c2dafd8113844cef47cf6749ed4574e736dc23d07d43d3d46",
     "corollary-forged-bracket-f2": "1a2cbdfb246a86d0cdbd3f45f8469bf3af912e74989f63efa48aaacb726fc64c",

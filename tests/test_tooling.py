@@ -4,6 +4,7 @@ wraps must exist in rlk."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -119,10 +120,44 @@ def test_only_ulp_truncated_expands_power_words():
         ("envelope", "_module_relations"), ("envelope", "check_module_axioms")]
 
 
+_README_NAME = r"`((?:check|sweep|ud|ulp|module|das|truncated|free)_\w+)"
+
+
 def test_readme_names_only_functions_rlk_exports():
-    """Every backticked check_*, sweep_*, ud_*, ulp_* or module_* name in README.md
-    is an attribute of rlk, so the README cannot keep naming a deleted function."""
+    """Every backticked check_*, sweep_*, ud_*, ulp_*, module_*, das_*, truncated_* or
+    free_* name in README.md is an attribute of rlk, so the README cannot keep naming
+    a deleted function."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    names = set(re.findall(r"`((?:check|sweep|ud|ulp|module)_\w+)", text))
+    names = set(re.findall(_README_NAME, text))
     assert len(names) >= 20
     assert sorted(name for name in names if not hasattr(rlk, name)) == []
+
+
+def _call_form_faults(text):
+    """(name, argument) for each argument of a backticked call form `name(a, k=v)`
+    of a _README_NAME function that the function cannot take: a keyword, or a
+    positional argument written as a bare name, that is not one of its parameters,
+    or a positional argument past its positional parameters."""
+    faults = []
+    for name, args in re.findall(_README_NAME + r"\(([^`]*)\)`", text):
+        params = inspect.signature(getattr(rlk, name)).parameters
+        positional = [k for k, v in params.items() if v.kind in (v.POSITIONAL_ONLY,
+                                                                  v.POSITIONAL_OR_KEYWORD)]
+        for n, arg in enumerate(a.strip() for a in args.split(",") if a.strip()):
+            key, eq, _ = arg.partition("=")
+            if (eq or re.fullmatch(r"[A-Za-z_]\w*", key)) and key not in params \
+                    or not eq and n >= len(positional):
+                faults.append((name, arg))
+    return faults
+
+
+def test_readme_call_forms_match_the_signatures():
+    """The call forms README.md writes for those functions name only parameters
+    they have, so the README cannot keep a deleted parameter."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(re.findall(_README_NAME + r"\(", text)) >= 5
+    assert _call_form_faults(text) == []
+    assert _call_form_faults("`das_quotient(F, nfold)` and `ud_p(g, d=2, nfold=3)`") == [
+        ("das_quotient", "nfold"), ("ud_p", "nfold=3")]
+    assert _call_form_faults("`check_zinbiel_factorial(F, a, b, n, 5)`") == [
+        ("check_zinbiel_factorial", "5")]
