@@ -91,8 +91,9 @@ def _randrange_array(rng: random.Random, bound: int, n: int) -> np.ndarray:
 
 
 def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
-    """A p-map's value at a reduced element: a one-row call of its apply_batch."""
-    return _tup(pmap.apply_batch(alg, np.asarray(x, dtype=np.int64)[None])[0])
+    """A p-map's value at a reduced element: a one-row call of its apply_batch,
+    reduced mod p as Algebra.apply_pmap_batch reduces it."""
+    return _tup(pmap.apply_batch(alg, np.asarray(x, dtype=np.int64)[None])[0] % alg.p)
 
 
 def _check_modulus_bound(p: int, dim: int) -> None:
@@ -131,8 +132,7 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int, raw: bool = False) -> np.n
     _residue_dtype gave for contractions at least this long; unreduced if `raw` (float A).
 
     For int64 A, int64 (reduced in place) takes mat-vecs and what
-    _residue_dtype keeps in int64, as do object operands past p = 2**27;
-    the rest is cast once to float BLAS.
+    _residue_dtype keeps in int64; the rest is cast once to float BLAS.
 
     Exact: with m = 24 or 53 significand bits, every partial sum is an
     integer below 2**m, so no summation order, FMA or thread split can round

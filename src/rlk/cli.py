@@ -266,10 +266,9 @@ def _endo_matrix(alg) -> np.ndarray:
     return c[:, 0, :].T.copy()
 
 
-def _dialgebra_reports(D: Dialgebra, args) -> tuple:
-    """The basis sweep is the one D ran when it was built."""
-    dias = D.reports if args.mode != "sample" else (check_dias(D, **_sweep(args)),)
-    return dias + (sweep_lemdias(D),)
+def _dialgebra_reports(D: Dialgebra) -> tuple:
+    """The basis sweep D ran when it was built, under every --mode, and sweep_lemdias."""
+    return D.reports + (sweep_lemdias(D),)
 
 
 def _build_derive(args, alg, *rest):
@@ -279,12 +278,12 @@ def _build_derive(args, alg, *rest):
         reports = derived.reports
     elif args.construction == "gln":
         derived = matrix_dialgebra(_as_dialgebra_input(alg), args.n)
-        reports = _dialgebra_reports(derived, args)
+        reports = _dialgebra_reports(derived)
     elif args.construction == "operator-dialgebra":
         if "assoc" not in alg.op_names or "endo" not in alg.op_names:
             raise UsageError("operator-dialgebra input needs ops 'assoc' and 'endo'")
         derived = dialgebra_from_operator(alg, _endo_matrix(alg))
-        reports = _dialgebra_reports(derived, args)
+        reports = _dialgebra_reports(derived)
     elif args.construction == "tensor-prelie":
         T = tensor_prelie(alg, *rest)
         derived = T.product._with_pmaps({"lie_p": T.product.pmap("lie_p")})

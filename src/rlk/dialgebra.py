@@ -28,8 +28,9 @@ from .identities import (
     _derived_bracket,
     _grid,
     _keep,
-    _operator_condition_sweep,
     _report,
+    _require,
+    _restricted_leibniz,
     check_dias,
     check_leibniz,
 )
@@ -45,14 +46,7 @@ class Dialgebra(Algebra):
 
     def __post_init__(self):
         super().__post_init__()
-        rep = check_dias(self)
-        if not rep.ok():
-            w = rep.witnesses[0]
-            raise UsageError(
-                f"not a dialgebra: axiom {w.inputs[0]} fails at basis triple "
-                f"{w.inputs[1:]} ({w.lhs} != {w.rhs})"
-            )
-        _freeze(self, reports=(rep,))
+        _freeze(self, reports=(_require(check_dias(self), "not a dialgebra"),))
 
 
 def as_dialgebra(alg: Algebra) -> Dialgebra:
@@ -74,26 +68,17 @@ def dleib(D: Algebra, cap=None, seed: int = 0, samples: int = 400) -> Algebra:
     The result carries ops "bracket", "left", "right" on the same carrier
     and the p-map "frobenius"; the Leibniz identity and the operator
     condition r_x**p = r_{x^[p]} are each checked once before returning, and
-    their passing reports are its `reports` (leibniz, restricted_leibniz).
+    their passing reports are its `reports` (leibniz, restricted_leibniz): the
+    p-map's gate runs on a copy holding the leibniz report, so it reads that one.
     """
     out = Algebra(D.p, D.dim, {"bracket": _derived_bracket(D), "left": D.structure("left"),
                                "right": D.structure("right")},
                   {"frobenius": RightPowerPMap("right")},
                   label=f"dleib({D.label})" if D.label else "dleib")
     leib = check_leibniz(out)
-    if not leib.ok():
-        w = leib.witnesses[0]
-        raise UsageError(
-            f"derived bracket is not Leibniz at basis triple {w.inputs}: "
-            f"{w.lhs} != {w.rhs}"
-        )
-    rep = _operator_condition_sweep(out, "bracket", "frobenius", "restricted_leibniz",
-                                    cap, seed, samples)[0]
-    if not rep.ok():
-        w = rep.witnesses[0]
-        raise UsageError(
-            f"p-fold right power is not a restricted p-map; witness x = {w.inputs[0]}"
-        )
+    held = out._with_pmaps(out.pmaps, (_require(leib, "derived bracket is not Leibniz"),))
+    rep = _require(_restricted_leibniz(held, "frobenius", cap, seed, samples)[0],
+                   "p-fold right power is not a restricted p-map")
     return out._with_pmaps(out.pmaps, (leib, rep))
 
 

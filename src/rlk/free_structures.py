@@ -47,10 +47,10 @@ from .identities import (
     _AXIOMS,
     CheckReport,
     Coverage,
-    WITNESS_LIMIT,
     Witness,
     _bracketing,
     _grid,
+    _keep,
     _report,
     _require,
     _restricted_leibniz,
@@ -353,11 +353,9 @@ def _inrange_sweep(F: GradedBasisAlgebra, kind: str, ops: dict) -> CheckReport:
         for name, lhs_terms, rhs_terms in axioms:
             lhs, rhs = side(lhs_terms, xyz), side(rhs_terms, xyz)
             if lhs != rhs:
-                failures += 1
-                if len(witnesses) < WITNESS_LIMIT:
-                    key = (name,) if len(axioms) > 1 else ()
-                    witnesses.append(Witness(key + (i, j, k), sorted(lhs.items()),
-                                             sorted(rhs.items())))
+                key = (name,) if len(axioms) > 1 else ()
+                failures += _keep(witnesses, [key + (i, j, k)], lambda *inputs: Witness(
+                    inputs, sorted(lhs.items()), sorted(rhs.items())))
     return _report(kind, witnesses, failures,
                    Coverage("exhaustive", len(axioms) * count),
                    ("in-range basis triples only",))

@@ -38,6 +38,21 @@ from oracles import (naive_mat_mul, naive_mat_pow, naive_module_sides, naive_mul
                      trial_division_is_prime)
 
 
+def test_one_row_apply_reduces_like_apply_pmap() -> None:
+    """The one-row `apply` every built-in p-map shares reduces its value mod p, as
+    Algebra.apply_pmap does, also for a p-map whose values are its residues plus p."""
+
+    class Shifted(ShiftedPMap):
+        apply = algebra_core._apply_one_row
+
+    g = l2(3).extended(pmaps={"zero+p": Shifted(ZeroPMap()),
+                              "table+p": Shifted(l2(3).pmap("frobenius"))})
+    assert g.pmap("zero+p").apply(g, (1, 1)) == g.apply_pmap("zero+p", (1, 1)) == (0, 0)
+    for name in ("zero+p", "table+p"):
+        assert [g.pmap(name).apply(g, x) for x in g.enumerate_elements()] == [
+            g.apply_pmap(name, x) for x in g.enumerate_elements()]
+
+
 def test_l2_multiply_example() -> None:
     alg = l2(3)
     assert alg.multiply("bracket", (2, 1), (0, 1)) == (2, 0)

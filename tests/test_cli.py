@@ -511,6 +511,27 @@ def test_derive_verifies_each_construction_once(tmp_path, capsys, calls):
     assert (got["check_prelie"], got["lie_basis_violation"]) == (1, 1)
 
 
+def test_derive_under_mode_sample_runs_no_second_sweep(tmp_path, capsys, calls):
+    """Under --mode sample gln prints the basis sweep of check_dias that gl_n ran when
+    it was built, as under the default mode, so it calls check_dias twice (the input,
+    then gl_n); dleib calls check_leibniz once and sweeps its p-map once, its gate
+    reading the leibniz report it just made."""
+    poly = write(tmp_path, "poly.alg", truncated_poly(3, 2))
+
+    def counted(*argv):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "out.alg")]) == 0
+        return json.loads(capsys.readouterr().out)["checks"], dict(calls)
+
+    basis, got = counted("derive", "gln", poly)
+    assert got["check_dias"] == 2
+    sampled, got = counted("derive", "gln", poly, "--mode", "sample")
+    assert got["check_dias"] == 2
+    assert sampled == basis and basis[0]["coverage"] == {"kind": "exhaustive", "count": 2560}
+    _, got = counted("derive", "dleib", poly, "--mode", "sample", "--samples", "30")
+    assert (got["check_leibniz"], got["_operator_failures"]) == (1, 1)
+
+
 def test_derive_tensor_prelie_checks_the_lie_bracket_once(tmp_path, capsys, calls):
     """tensor_prelie's pre-Lie check already makes "lie" a Lie bracket, so
     the one Lie check is check_corollary's: attaching lie_p and dropping the
@@ -756,8 +777,8 @@ _DERIVE_DIGESTS = {
         "a18eab2befe82abb5cc57031a1616b91a6f3331a3f5800418af82406ce5f673d",
     ("gln", "ut2"):
         "0e32e96d83600f9f9ea18a0eefe7a0894bde0874b3ea510369777e29d53c20b5",
-    ("gln", "ut2", "--mode", "sample"):
-        "a6c3a3151de45408fb9bde55c093a2966f725ebc927baf397e73e71692ba0fe3",
+    ("gln", "ut2", "--mode", "sample"):  # the same basis sweep as without --mode
+        "0e32e96d83600f9f9ea18a0eefe7a0894bde0874b3ea510369777e29d53c20b5",
     ("operator-dialgebra", "endo"):
         "240ce7a57b8f9ea1bbf7426308a1b421aebb54d2e4fefe319332a48f04a94a29",
     ("tensor-prelie", "g", "zin", "--samples", "40"):
@@ -880,7 +901,7 @@ def test_cli_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         for part in (run, str(code), captured.out, captured.err, text):
             digest.update(part.encode() + b"\0")
     assert digest.hexdigest() == (
-        "6c09fad83e0f13fa9dff626ee5dbe5df3ced2c670015c696b979c52386a99c69")
+        "7ec30d8d1169fb4dab91deca7ccbadf8946f4643af8ba33239091390d19b68cb")
 
 
 def test_inconclusive_report_document_prints_its_notes():

@@ -98,6 +98,18 @@ def _failing_report() -> CheckReport:
     return rep
 
 
+def test_failing_reports_compare_and_hash_by_their_witnesses() -> None:
+    """Two runs of one failing check give equal reports with equal hashes, though
+    their witnesses hold operator arrays; a report with another witness differs."""
+    rep, again = _failing_report(), _failing_report()
+    assert rep == again and hash(rep) == hash(again)
+    w = rep.witnesses[0]
+    swapped = dataclasses.replace(rep, witnesses=(Witness(w.inputs, w.rhs, w.lhs),)
+                                  + rep.witnesses[1:])
+    assert swapped != rep
+    assert swapped.to_dict() != rep.to_dict()
+
+
 def test_witness_sides_refuse_writes() -> None:
     """A witness seals the arrays it is given, as copies, and turns lists into
     tuples, so its report reads the same after any attempt to edit it."""

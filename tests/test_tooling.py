@@ -108,6 +108,23 @@ def test_no_src_code_reads_the_narrow_projection():
     assert found == [("free_structures", "__post_init__")]
 
 
+def test_only_require_reads_a_reports_witnesses():
+    """A failed precondition is refused through identities._require, the one place
+    that turns a report's first witness into an error, so no src code subscripts
+    `.witnesses` anywhere else."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an inner function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        found += [(path.stem, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "witnesses"]
+    assert found == [("identities", "_require")]
+
+
 def test_only_ulp_truncated_expands_power_words():
     """ulp_truncated builds power words for its ideal alone, one r_{e_i}^p per
     basis letter, so its relations number at most 3·dim² + 2·dim; the module
