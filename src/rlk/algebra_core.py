@@ -17,6 +17,7 @@ the one cast back, else int64; float operands come back in their own dtype.
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import random
 from collections.abc import Mapping
@@ -38,8 +39,8 @@ _CHUNK_ENTRIES = 1 << 21
 _BLOCK_ENTRIES = 1 << 15
 # multiply-adds below which _matmul_mod stays in int64 (measured crossover: 2-6 k)
 _SMALL_PRODUCT = 1 << 12
-# nonnegative integers below these are exact in each float dtype (2**63 for int64)
-_EXACT = {np.float32: 1 << 24, np.float64: 1 << 53}
+# nonnegative integers below these are exact in each dtype
+_EXACT = {np.float32: 1 << 24, np.float64: 1 << 53, np.int64: 1 << 63}
 # powers right_power_batch takes as mat-vecs; past it stack_mat_pow is faster
 # (measured crossover: 2-32 at dims 2-16 and 1-8,192 rows, BENCH_17.json)
 _MATVEC_POWERS = 32
@@ -129,10 +130,10 @@ def operator_stack(ops: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int, raw: bool = False) -> np.ndarray:
     """np.matmul(A, B) % p for reduced operands whose sums stay below
     _check_modulus_bound's 2**62, in A's dtype: int64, or a float dtype that
-    _residue_dtype gave for contractions at least this long; unreduced if `raw` (float A).
+    _residue_dtype gave for contractions at least this long; unreduced if `raw`.
 
-    For int64 A, int64 (reduced in place) takes mat-vecs and what
-    _residue_dtype keeps in int64; the rest is cast once to float BLAS.
+    For int64 A, int64 takes mat-vecs, what _residue_dtype keeps in int64 and raw products, whose
+    operands, summing below 2**63, need not be reduced; the rest is cast once to float BLAS.
 
     Exact: with m = 24 or 53 significand bits, every partial sum is an
     integer below 2**m, so no summation order, FMA or thread split can round
@@ -140,12 +141,11 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int, raw: bool = False) -> np.n
     floor(x/p) + 1, and half an ulp of x/p is at most (x/p) / 2**m < 1/p, so
     fl(x/p) (true division, not a multiply by 1/p) has the same floor; the
     product and difference that follow are integers below 2**m, exact too."""
-    dtype = (A.dtype.type if A.dtype.kind == "f" else np.int64 if B.shape[-1] == 1
+    dtype = (A.dtype.type if A.dtype.kind == "f" else np.int64 if raw or B.shape[-1] == 1
              else _residue_dtype(A.shape[-1], p, A.size * B.shape[-1]))
     if dtype is np.int64:
         res = np.matmul(A, B)
-        res %= p
-        return res
+        return res if raw else np.remainder(res, p, out=res)
     Af = A.astype(dtype, copy=False)
     out = np.matmul(Af, Af if B is A else B.astype(dtype, copy=False))
     del Af
@@ -605,6 +605,11 @@ def _check_jacobson_row(p: int, d: int) -> None:
                          f"{4 * d * (d + 2 * p)} entries a row, past the budget {_CHUNK_ENTRIES}")
 
 
+@functools.cache
+def _inverses(p: int) -> np.ndarray:  # read-only [0, 1/1, ..., 1/(p-1)] mod p
+    return _seal(np.array([0] + [inv_mod(k, p) for k in range(1, p)], dtype=np.int64))
+
+
 def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """s_1..s_{p-1} for every row pair (x, y) of two (N, dim) arrays, as one
     (p-1, N, dim) int64 array: i*s_i is the coefficient of lambda**(i-1) in
@@ -614,31 +619,36 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) 
     out like Algebra.right_ops: r_v = sum_j v_j ops[j] is u -> [u, v].  Each
     _blocks block of rows, counting the r_y and the r_x stack, builds both
     with one operator_stack and keeps the coefficients P_k of lambda**k in one
-    (p, n, dim, 1) buffer.  Round t is one _matmul_mod of the stacked (r_y, r_x)
-    against P[:t], then in place P'_k = r_y P_k + r_x P_{k-1} and one % p: each
-    product is reduced mod p before the sum, so no entry passes dim*(p-1)**2 + p.
-    The 1/i scaling is one broadcast multiply at the end.  A block also fits its
-    operator and lambda stacks, with their casts, in _CHUNK_ENTRIES: 4*dim*(dim + 2p)
+    (p, n, dim, 1) int64 buffer.  Round t is one raw _matmul_mod of the stacked (r_y, r_x)
+    against P[:t], then in place P'_k = r_y P_k + r_x P_{k-1}, unreduced: entries at most b
+    become at most 2*dim*(p-1)*b, so all of P[:t] is reduced in place (b = p - 1) only when
+    that could reach 2**63, and P once more before the 1/i scaling at the end.  A block also
+    fits its operator and lambda stacks, with their casts, in _CHUNK_ENTRIES: 4*dim*(dim + 2p)
     entries a row, which binds below dim 33 only past p = 15*dim; a batch with a row
     past it is refused (_check_jacobson_row) before anything is allocated."""
+    if X.shape != Y.shape:
+        raise UsageError(f"Jacobson terms need x and y of one shape, got {X.shape} and {Y.shape}")
     N, d = X.shape
     if N:
         _check_jacobson_row(p, d)
     out = np.zeros((p - 1, N, d), dtype=np.int64)
     block = max(1, min(_blocks(d, ops.size)[1] // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
-    inverse = np.array([inv_mod(i, p) for i in range(1, p)] if N else [], dtype=np.int64)
     for lo in range(0, N, block):
         V = np.concatenate([Y[lo:lo + block], X[lo:lo + block]]) % p  # the y rows, then the x
         n = len(V) // 2
         R = operator_stack(ops, V, p).reshape(2, 1, n, d, d)
         P = np.zeros((p, n, d, 1), dtype=np.int64)  # P[k] is the coefficient of lambda**k
         P[0, ..., 0] = V[n:]
+        b = p - 1
         for t in range(1, p):
-            B = _matmul_mod(R, P[:t], p)  # (2, t, n, d, 1)
+            if 2 * d * (p - 1) * b >= _EXACT[np.int64]:
+                P[:t] %= p
+                b = p - 1
+            B = _matmul_mod(R, P[:t], p, True)  # (2, t, n, d, 1)
             P[:t] = B[0]
             P[1:t + 1] += B[1]
-            P[1:t] %= p
-        np.multiply(P[:-1, ..., 0], inverse[:, None, None], out=out[:, lo:lo + n])
+            b *= 2 * d * (p - 1)
+        np.multiply(P[:-1, ..., 0] % p, _inverses(p)[1:, None, None], out=out[:, lo:lo + n])
         out[:, lo:lo + n] %= p
     return out
 
@@ -659,7 +669,7 @@ def _jacobson_table(c: np.ndarray, p: int) -> tuple:
     W = np.indices((d,) * p).reshape(p, -1)
     count = (W[1:] == W[0]).sum(axis=0)
     keep = np.flatnonzero((W[1:] >= W[0]).all(axis=0) & (count < p - 1))
-    inverse = np.array([0] + [inv_mod(k, p) for k in range(1, p)], dtype=np.int64)
+    inverse = _inverses(p)
     key = np.ravel_multi_index(np.sort(W[:, keep], axis=0), (d,) * p)
     G = np.zeros((d ** p, d), dtype=np.int64)
     np.add.at(G, key, inverse[count[keep] + 1, None] * B[keep])

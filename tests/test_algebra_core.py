@@ -624,6 +624,23 @@ def test_float_reduction_exact_next_to_multiples_of_p(bits, monkeypatch) -> None
             assert got.tolist() == [[[x % p] * 2] * 2 for x in totals], (p, k_dim)
 
 
+def test_raw_int64_products_stay_exact_past_2_53() -> None:
+    """_matmul_mod(A, B, p, raw=True) on int64 operands with entries past 2**53,
+    at work sizes of _SMALL_PRODUCT and twice it, is the Python-int product.
+    A raw int64 operand need not be reduced, so it never takes the float route
+    (float32 at p = 7, whose bound assumes reduced operands): a cast rounds it."""
+    rng = random.Random("raw-int64")
+    for k in (16, 32):
+        assert 16 * k * 16 >= algebra_core._SMALL_PRODUCT
+        A = [[rng.randrange(1 << 53, 1 << 54) for _ in range(k)] for _ in range(16)]
+        B = [[rng.randrange(8) for _ in range(16)] for _ in range(k)]
+        got = algebra_core._matmul_mod(np.array(A, dtype=np.int64),
+                                       np.array(B, dtype=np.int64), 7, True)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+                                for row in A]
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_right_power_batch_matches_python_loop(dim, monkeypatch) -> None:
     """right_power_batch (r_x built once, then mat-vecs, or r_x**(n-1) from

@@ -5,6 +5,7 @@ implementation they replaced."""
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -537,6 +538,37 @@ def test_jacobson_kernel_matches_the_plain_expansion(p, monkeypatch):
                 want = naive_jacobson_terms(lambda u, v: naive_multiply(C, u, v, p),
                                             tuple(X[r].tolist()), tuple(Y[r].tolist()), p)
                 assert [tuple(s) for s in got[:, r].tolist()] == want, (dim, n, r)
+
+
+def test_jacobson_kernel_exact_across_repeated_reductions():
+    """At p = 101 the λ-buffer's bound grows by 2·dim·(p − 1) a round and
+    would cross 2**63 every 5 or 6 rounds at dims 2-4, so one call reduces its
+    buffer in place 16 to 19 times; every row must still match the plain
+    expansion.  A kernel that left P[0] out of those reductions passes p ≤ 7
+    and fails here."""
+    p = 101
+    rng = random.Random(f"kernel-{p}")
+    for dim in (2, 3, 4):
+        c = random_structure(p, dim, rng)
+        C = c.tolist()
+        X, Y = (np.array([[rng.randrange(p) for _ in range(dim)] for _ in range(3)],
+                         dtype=np.int64) for _ in range(2))
+        got = jacobson_terms_batch(p, X, Y, Algebra(p, dim, {"b": c}).right_ops("b"))
+        for r in range(3):
+            want = naive_jacobson_terms(lambda u, v: naive_multiply(C, u, v, p),
+                                        tuple(X[r].tolist()), tuple(Y[r].tolist()), p)
+            assert [tuple(s) for s in got[:, r].tolist()] == want, (dim, r)
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [((2, 3), (3, 3)), ((3, 3), (2, 3)),
+                                              ((2, 3), (2, 4)), ((2, 4), (2, 3))])
+def test_jacobson_kernel_refuses_x_and_y_of_different_shapes(x_shape, y_shape):
+    """Rows of x and y are paired one to one: arrays of two shapes, either way
+    round, are a usage error that names both shapes."""
+    ops = np.zeros((4, 4, 4), dtype=np.int64)
+    with pytest.raises(UsageError, match=re.escape(f"{x_shape} and {y_shape}")):
+        jacobson_terms_batch(5, np.ones(x_shape, dtype=np.int64),
+                             np.ones(y_shape, dtype=np.int64), ops)
 
 
 def test_jacobson_kernel_past_2_24_takes_no_rows_at_no_cost():
