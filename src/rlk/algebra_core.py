@@ -112,12 +112,11 @@ def _residue_dtype(k: int, p: int, work: int):
     return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64
 
 
-def _blocks(m: int, table: int) -> tuple:
-    """(chunk, block): rows of m x m operators that fit _CHUNK_ENTRIES and _BLOCK_ENTRIES,
-    but a block is the chunk if the operator table of `table` entries overflows a block."""
-    size = max(1, m * m)
-    chunk = max(1, _CHUNK_ENTRIES // size)
-    return chunk, chunk if table > _BLOCK_ENTRIES else max(1, min(chunk, _BLOCK_ENTRIES // size))
+def _blocks(m: int, table: int) -> int:
+    """Rows of m x m operators in a compute block: min(_CHUNK_ENTRIES, _BLOCK_ENTRIES)
+    entries' worth, or _CHUNK_ENTRIES' worth once the table of `table` entries overflows a block."""
+    entries = _CHUNK_ENTRIES if table > _BLOCK_ENTRIES else min(_CHUNK_ENTRIES, _BLOCK_ENTRIES)
+    return max(1, entries // max(1, m * m))
 
 
 def operator_stack(ops: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
@@ -469,7 +468,7 @@ class Algebra:
         _blocks block: n - 1 _bounded_matmul mat-vecs, or past _MATVEC_POWERS one by
         stack_mat_pow's r_x**(n-1), unreduced in the residue dtype until one reduction."""
         p, d, V = self.p, self.dim, np.array(X, dtype=np.int64)
-        block = _blocks(d, d ** 3)[1]
+        block = _blocks(d, d ** 3)
         T = self.right_ops(op).astype(_residue_dtype(d, p, min(len(V), block) * d ** 3), order="C")
         for lo in range(0, len(V) if n > 1 else 0, block):
             v = V[lo:lo + block].astype(T.dtype)[..., None]
@@ -632,7 +631,7 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) 
     if N:
         _check_jacobson_row(p, d)
     out = np.zeros((p - 1, N, d), dtype=np.int64)
-    block = max(1, min(_blocks(d, ops.size)[1] // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
+    block = max(1, min(_blocks(d, ops.size) // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
     for lo in range(0, N, block):
         V = np.concatenate([Y[lo:lo + block], X[lo:lo + block]]) % p  # the y rows, then the x
         n = len(V) // 2

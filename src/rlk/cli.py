@@ -389,6 +389,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = {"check": cmd_check, "derive": cmd_derive, "envelope": cmd_envelope}
     try:
+        if args.samples < 1:
+            raise UsageError(f"--samples must be positive, got {args.samples}")
         return command[args.subcommand](args)
     except DomainError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)

@@ -33,7 +33,7 @@ which `ulp_relations_check` and `module_roundtrip` read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,10 +161,8 @@ def check_restricted_module(g: Algebra, M: LeibnizModule, pmap: str = "frobenius
 def _restricted_module(g: Algebra, M: LeibnizModule, pmap: str, cap, seed, samples=400):
     """check_restricted_module's report, with the grid and p-map values it swept."""
     _require(check_module_axioms(g, M), "module identities fail")
-    X, PX, cov, failures, found = _restricted_pass(g, M.right_action, pmap, cap, seed, samples)
-    witnesses = []
-    _keep(witnesses, [(w.inputs, w.rhs, w.lhs) for w in found], Witness)
-    return _report("restricted_module", witnesses, failures, cov), X, PX
+    rep, X, PX = _restricted_pass(g, M.right_action, pmap, "restricted_module", cap, seed, samples)
+    return replace(rep, witnesses=[Witness(w.inputs, w.rhs, w.lhs) for w in rep.witnesses]), X, PX
 
 
 # -- relation words ------------------------------------------------------------

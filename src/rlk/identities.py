@@ -142,6 +142,13 @@ def _keep(witnesses, rows, witness, room=None) -> int:
     return len(rows)
 
 
+def _sampling(samples: int, seed) -> random.Random:
+    """The generator of a sweep of `samples` draws; fewer than 1 would sweep nothing and pass."""
+    if samples < 1:
+        raise UsageError(f"samples must be positive, got {samples}")
+    return random.Random(seed)
+
+
 def _require(report: CheckReport, what: str, error=UsageError) -> CheckReport:
     """The report if it passes; else raise error("<what> (witness <the first
     witness's inputs>)")."""
@@ -236,7 +243,7 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
                     WITNESS_LIMIT)
         coverage = Coverage("exhaustive", len(axioms) * d ** 3)
     elif mode == "sampled":
-        rng = random.Random(seed)
+        rng = _sampling(samples, seed)
         block = max(1, _CHUNK_ENTRIES // max(1, d * d))
 
         def mul(role, U, V):
@@ -304,53 +311,42 @@ def _grid(alg: Algebra, cap, seed, samples):
     if alg.can_enumerate(cap):
         X = alg.elements_array(cap)
         return X, Coverage("exhaustive", X.shape[0])
-    rng = random.Random(seed)
-    X = alg.sample_array(samples, rng)
+    X = alg.sample_array(samples, _sampling(samples, seed))
     return X, Coverage("sampled", samples, seed)
 
 
 def _operator_failures(ops, p, X, PX, tag=()):
     """(count, witnesses) of rows x of X with r_x**p != r_{f(x)}, f(x) the row of PX and r_x =
     sum_j x_j ops[j] for a reduced (k, m, m) stack, each _blocks block cast to
-    _residue_dtype(max(k, m), p, N m**3); a chunk keeps its first 16 witnesses, int64 sides.
+    _residue_dtype(max(k, m), p, N m**3); the witnesses, int64 sides, are the first
+    WITNESS_LIMIT failing rows in row order, whatever the blocks.
     A float block compares by one reduction of r_x**p + c p - r_{f(x)}, c p > r_{f(x)}'s bound.
     X and PX must hold reduced rows, entries in [0, p), as _grid, _pmap_instances and
     Algebra.apply_pmap_batch give them."""
     k, m, _ = ops.shape
     T = ops.astype(_residue_dtype(max(k, m), p, len(X) * m ** 3), order="C")
-    (chunk, block), witnesses, failures = _blocks(m, T.size), [], 0
-    for start in range(0, X.shape[0], chunk):
-        kept, stop = len(witnesses), min(start + chunk, X.shape[0])
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            Rp, Rf = (operator_stack(T, V.astype(T.dtype, copy=False), p)
-                      for V in (X[lo:hi], PX[lo:hi]))
-            bf = k * (p - 1) ** 2  # the bounds of r_{f(x)} and of r_x**p
-            Rp, bp = stack_mat_pow(Rp, p, p, bf)
-            if bp + bf + p >= _EXACT.get(T.dtype.type, 1 << 63):  # the shift below must stay exact
-                bf = p - 1
-                _float_mod(Rp, p)
-                _float_mod(Rf, p)
-            D = _float_mod(Rp + (bf // p + 1) * p - Rf, p) if T.dtype.kind == "f" else Rp != Rf
-            bad = np.argwhere(D.any(axis=(1, 2)))
-            failures += _keep(witnesses, bad, lambda n: Witness(
-                tag + (_tup(X[lo + n]),), *((S[n] % p).astype(np.int64) for S in (Rp, Rf))),
-                WITNESS_LIMIT - (len(witnesses) - kept))
+    block, witnesses, failures = _blocks(m, T.size), [], 0
+    for lo in range(0, X.shape[0], block):
+        Rp, Rf = (operator_stack(T, V[lo:lo + block].astype(T.dtype, copy=False), p)
+                  for V in (X, PX))
+        bf = k * (p - 1) ** 2  # the bounds of r_{f(x)} and of r_x**p
+        Rp, bp = stack_mat_pow(Rp, p, p, bf)
+        if bp + bf + p >= _EXACT[T.dtype.type]:  # the shift below must stay exact
+            bf = p - 1
+            _float_mod(Rp, p)
+            _float_mod(Rf, p)
+        D = _float_mod(Rp + (bf // p + 1) * p - Rf, p) if T.dtype.kind == "f" else Rp != Rf
+        failures += _keep(witnesses, np.argwhere(D.any(axis=(1, 2))), lambda n: Witness(
+            tag + (_tup(X[lo + n]),), *((S[n] % p).astype(np.int64) for S in (Rp, Rf))))
     return failures, witnesses
 
 
-def _restricted_pass(alg: Algebra, ops, pmap, cap, seed, samples, tag=()):
-    """(X, PX, coverage, failure count, witnesses) of the one restricted pass: the _grid X
-    of alg, its p-map values from one batch, and _operator_failures of the stack ops."""
+def _restricted_pass(alg: Algebra, ops, pmap, identity, cap, seed, samples, tag=()):
+    """(report, X, PX) of the one restricted pass: the _grid X of alg, its p-map values PX
+    from one batch, and the report, named identity, of _operator_failures of the stack ops."""
     X, coverage = _grid(alg, cap, seed, samples)
     PX = alg.apply_pmap_batch(pmap, X)
-    return (X, PX, coverage) + _operator_failures(ops, alg.p, X, PX, tag)
-
-
-def _operator_condition_sweep(alg, op, pmap, identity, cap, seed, samples):
-    """r_{f(x)} == r_x ** p swept over elements: (report, grid, p-map values)."""
-    X, PX, coverage, failures, witnesses = _restricted_pass(
-        alg, alg.right_ops(op), pmap, cap, seed, samples)
+    failures, witnesses = _operator_failures(ops, alg.p, X, PX, tag)
     return _report(identity, witnesses, failures, coverage), X, PX
 
 
@@ -364,8 +360,8 @@ def _require_leibniz(alg: Algebra, what: str) -> CheckReport:
 def _restricted_leibniz(alg: Algebra, pmap: str, cap, seed, samples=400):
     """check_restricted_leibniz's report, with the grid and p-map values it swept."""
     _require_leibniz(alg, "bracket 'bracket' is not Leibniz")
-    return _operator_condition_sweep(alg, "bracket", pmap, "restricted_leibniz",
-                                     cap, seed, samples)
+    return _restricted_pass(alg, alg.right_ops("bracket"), pmap, "restricted_leibniz",
+                            cap, seed, samples)
 
 
 def check_restricted_leibniz(alg: Algebra, pmap: str = "frobenius", cap=None,
@@ -378,8 +374,8 @@ def check_restricted_prelie(alg: Algebra, pmap: str = "zero", cap=None,
                             seed: int = 0, samples: int = 400) -> CheckReport:
     """R_a**p = R_{a^{p}} for right multiplications of the pre-Lie op "prelie"."""
     _require(check_prelie(alg), "op 'prelie' is not pre-Lie")
-    return _operator_condition_sweep(alg, "prelie", pmap, "restricted_prelie",
-                                     cap, seed, samples)[0]
+    return _restricted_pass(alg, alg.right_ops("prelie"), pmap, "restricted_prelie",
+                            cap, seed, samples)[0]
 
 
 def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pmap",
@@ -401,9 +397,10 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
     p, d = alg.p, alg.dim
     _check_jacobson_row(p, d)  # axiom 3's rows, refused before axiom 1's p - 2 passes
     # axiom 2, the operator condition, is the pass's own sweep
-    X, PX, coverage, failures, witnesses = _restricted_pass(
-        alg, alg.right_ops(bracket), pmap, cap, seed, samples, ("axiom2",))
-    N = X.shape[0]
+    rep, X, PX = _restricted_pass(alg, alg.right_ops(bracket), pmap, "restricted_lie",
+                                  cap, seed, samples, ("axiom2",))
+    N, coverage, failures = X.shape[0], rep.coverage, rep.failure_count
+    witnesses = list(rep.witnesses)
 
     def pmap_at(V):  # the p-map at the reduced rows V
         if coverage.kind == "sampled":
@@ -427,8 +424,8 @@ def check_restricted_lie(alg: Algebra, bracket: str = "bracket", pmap: str = "pm
         pair_cov = Coverage("exhaustive", N * N)
         I, J = np.repeat(np.arange(N), N), np.tile(np.arange(N), N)
     else:
-        rng = random.Random(seed + 1)
-        npairs = min(PAIR_BUDGET, max(samples, 1))
+        rng = _sampling(samples, seed + 1)
+        npairs = min(PAIR_BUDGET, samples)
         I, J = _randrange_array(rng, N, 2 * npairs).reshape(npairs, 2).T
         pair_cov = Coverage("sampled", npairs, seed + 1)
     S = pmap_at((X[I] + X[J]) % p)
@@ -484,9 +481,9 @@ def check_dleib_jacobson_bracket(D: Algebra, z: Element, x: Element,
 def sweep_dleib_jacobson(D: Algebra, samples: int = 1000, seed: int = 0) -> CheckReport:
     """check_dleib_jacobson_bracket on seeded random triples, drawn z, x, y
     one coefficient at a time and evaluated a _blocks block of triples at once."""
-    rng = random.Random(seed)
+    rng = _sampling(samples, seed)
     d, c = D.dim, _derived_bracket(D)
-    block = _blocks(d, c.size)[1]
+    block = _blocks(d, c.size)
     witnesses, failures = [], 0
     for lo in range(0, samples, block):
         T = D.sample_array(3 * min(block, samples - lo), rng).reshape(-1, 3, d)

@@ -1,7 +1,7 @@
-"""Exact linear algebra over F_p on int64 numpy arrays.
+"""Exact linear algebra over F_p on sparse rows of Python ints.
 
-Everything reduces mod p eagerly, so intermediate products stay far below
-the int64 overflow threshold for the moduli this kernel accepts.
+`RowReducer` holds {column: coefficient} dicts and reduces mod p after every
+product; dense int64 rows are taken on input and given back by `rref`.
 """
 
 from __future__ import annotations

@@ -63,13 +63,12 @@ from .identities import (
     _report,
     _require,
     _require_leibniz,
+    _sampling,
     check_prelie,
     check_restricted_lie,
     check_zinbiel,
 )
 from .scalars import _seal, inv_mod
-
-import random
 
 PRODUCT_DIM_BOUND = 64
 
@@ -280,7 +279,7 @@ def check_tensor_restricted(T: TensorAlgebraHandle, seed: int = 0,
     failures += _keep(witnesses, pairs, lambda i, j: Witness(
         ("power_factor", i, j), _tup(W[j]), R.zero()))
 
-    X = A.sample_array(samples, random.Random(seed))
+    X = A.sample_array(samples, _sampling(samples, seed))
     failed, found = _operator_failures(A.right_ops("prelie"), p, X, np.zeros_like(X),
                                        ("sampled_operator",))
     failures += failed

@@ -960,14 +960,14 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
             for name, (_, value) in pmaps.items():
                 values = [value(x) for x in rows]
                 want = operator_sweep_report("restricted_leibniz", ops, p, rows, values,
-                                             len(rows), coverage)
+                                             coverage)
                 rep = check_restricted_leibniz(g, name, seed=seed, samples=samples)
                 assert rep.to_dict() == want, (p, name)
                 statuses.append(rep.status)
                 rep = check_restricted_module(g, adjoint_module(g), name, seed=seed,
                                               samples=samples)
                 assert rep.to_dict() == operator_sweep_report(
-                    "restricted_module", ops, p, rows, values, len(rows), coverage,
+                    "restricted_module", ops, p, rows, values, coverage,
                     swap=True), (p, name)
                 if "assoc" in g.ops:  # a Lie bracket
                     X = np.array(rows, dtype=np.int64)
@@ -976,7 +976,7 @@ def test_operator_sweeps_exact_at_the_float_switches(dim, monkeypatch) -> None:
                     got = identities._report("restricted_leibniz", found, count,
                                              identities.Coverage(**coverage))
                     assert got.to_dict() == operator_sweep_report(
-                        "restricted_leibniz", ops, p, rows, values, len(rows), coverage,
+                        "restricted_leibniz", ops, p, rows, values, coverage,
                         ("axiom2",)), (p, name)
             assert statuses == ["pass", "fail", "pass", "fail"], p
 

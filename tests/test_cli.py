@@ -72,6 +72,18 @@ def test_check_fail_exit1_with_witness(tmp_path, capsys):
     assert "result: fail" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_exit2(tmp_path, capsys, samples):
+    """--samples below 1 would sample nothing and pass; it is refused in every
+    mode, also where the sweeps are exhaustive and ignore it."""
+    path = write(tmp_path, "l2.alg", l2(2))
+    for argv in (["check", path, "leibniz", "restricted-leibniz", "--mode", "sample"],
+                 ["check", path, "leibniz", "restricted-leibniz"],
+                 ["envelope", path, "ul"]):
+        assert main(argv + ["--samples", samples]) == 2
+        assert capsys.readouterr() == ("", f"error: --samples must be positive, got {samples}\n")
+
+
 def test_unknown_identity_exit2(tmp_path, capsys):
     path = write(tmp_path, "l2.alg", l2(2))
     assert main(["check", path, "nosuch"]) == 2

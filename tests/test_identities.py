@@ -12,7 +12,9 @@ from rlk import algebra_core, identities
 from rlk.algebra_core import (Algebra, BasisJacobsonPMap, MatrixPowerPMap, RightPowerPMap,
                               TablePMap, ZeroPMap)
 from rlk.dialgebra import as_dialgebra, dleib, matrix_dialgebra
+from rlk.envelope import adjoint_module, check_restricted_module
 from rlk.errors import UsageError
+from rlk.free_structures import free_zinbiel
 from rlk.identities import (
     check_dias,
     check_dleib_jacobson_bracket,
@@ -25,6 +27,7 @@ from rlk.identities import (
     jacobson_si,
     sweep_dleib_jacobson,
 )
+from rlk.prelie_tensor import check_tensor_restricted, tensor_prelie
 
 from helpers import (
     ShiftedPMap,
@@ -321,6 +324,29 @@ def test_dleib_jacobson_single_and_sweep() -> None:
             assert rep.coverage.count == 150
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_sweeps_refuse_fewer_than_one_sample(samples) -> None:
+    """A sampled sweep of no samples covers nothing, and it passed: the
+    restricted pass's sampled grid, the sampled trilinear sweep,
+    sweep_dleib_jacobson and the sampled axiom-3 pairs of
+    check_restricted_lie (81 elements, so 6,561 pairs, past PAIR_BUDGET;
+    it took one pair) and the sampled operators of check_tensor_restricted
+    refuse the count.  Exhaustive grids draw nothing and ignore it."""
+    alg, D = l2(3), l2_dialgebra(3)
+    flat = abelian(3, 4).extended(pmaps={"zero": ZeroPMap()})
+    T = tensor_prelie(l2(2), free_zinbiel(1, 3, 2))
+    for sweep in (lambda: check_restricted_leibniz(alg, cap=1, samples=samples),
+                  lambda: check_leibniz(alg, "sampled", samples=samples),
+                  lambda: sweep_dleib_jacobson(D, samples=samples),
+                  lambda: check_restricted_lie(flat, "bracket", "zero", samples=samples),
+                  lambda: check_tensor_restricted(T, samples=samples)):
+        with pytest.raises(UsageError, match=f"samples must be positive, got {samples}"):
+            sweep()
+    rep = check_restricted_leibniz(alg, samples=samples)
+    assert rep.ok() and rep.coverage.to_dict() == {"kind": "exhaustive", "count": 9}
+    assert check_leibniz(alg, samples=samples).ok()
+
+
 def _planted(alg, seed):
     """alg with a TablePMap "planted" of random values, which fails the
     operator condition on most elements."""
@@ -332,16 +358,18 @@ def _planted(alg, seed):
 
 @pytest.mark.parametrize("kind", ["exhaustive", "sampled"])
 def test_operator_sweep_report_does_not_depend_on_the_block_split(kind, monkeypatch) -> None:
-    """check_restricted_leibniz with a planted p-map, on all 81 elements of
-    dleib(M_2(F_3)) and on 160 sampled elements of dleib(ut_2(F_11)), where
-    the repr order of the witnesses is not their row order, so which rows a
-    chunk keeps shows in the report.  With the default constants the grid
-    is one chunk; with chunks of 20 rows the whole report is the loop
-    oracle's for that rule (more than 16 failing rows) whether a compute
-    block holds 7 rows, dim rows (the operator table just fits the budget),
-    the whole chunk (a budget of 1 entry, which the table overflows), or more
-    rows than the grid, which the chunk then bounds.  Witness sides are
-    int64, so the JSON holds no float."""
+    """check_restricted_leibniz, check_restricted_module on the adjoint module
+    and the axiom-2 sweep of check_restricted_lie (the restricted pass as that
+    check calls it), with a planted p-map, on all 81 elements of
+    dleib(M_2(F_3)) and on 160 sampled elements of dleib(ut_2(F_11)), whose
+    witnesses' repr order is not their row order.  More than 16 rows fail,
+    and every report is the loop oracle's, which keeps the first 16 failing
+    rows of the grid: with the default constants, and with _CHUNK_ENTRIES
+    at 20 rows' worth (the sampled grid is 8 such chunks) whether a
+    compute block holds 7 rows, dim rows (the operator table just fits the
+    budget), 20 rows (a budget of 1 entry, which the table overflows), or
+    more rows than the grid, which _CHUNK_ENTRIES then bounds.  Witness sides
+    are int64, so the JSON holds no float."""
     if kind == "exhaustive":
         base, seed, samples, cap = dleib(as_dialgebra(matrix_assoc(3, 2))), 0, 0, None
     else:
@@ -359,25 +387,39 @@ def test_operator_sweep_report_does_not_depend_on_the_block_split(kind, monkeypa
     ops = [[[c[i][j][k] for i in range(d)] for k in range(d)] for j in range(d)]
     values = [table[tuple(x)] for x in rows]
     assert identities._residue_dtype(d, p, len(rows) * d ** 3) is np.float32  # the float path
+    sweeps = {
+        "restricted_leibniz": lambda: check_restricted_leibniz(
+            alg, "planted", cap=cap, seed=seed, samples=samples),
+        "restricted_module": lambda: check_restricted_module(
+            alg, adjoint_module(alg), "planted", cap=cap, seed=seed, samples=samples),
+        "restricted_lie": lambda: identities._restricted_pass(
+            alg, alg.right_ops("bracket"), "planted", "restricted_lie", cap, seed, samples,
+            ("axiom2",))[0],
+    }
+    want = {
+        "restricted_leibniz": operator_sweep_report(
+            "restricted_leibniz", ops, p, rows, values, coverage),
+        "restricted_module": operator_sweep_report(
+            "restricted_module", ops, p, rows, values, coverage, swap=True),
+        "restricted_lie": operator_sweep_report(
+            "restricted_lie", ops, p, rows, values, coverage, ("axiom2",)),
+    }
+    assert all(rep["failure_count"] > 16 for rep in want.values())
 
-    def report():
-        rep = check_restricted_leibniz(alg, "planted", cap=cap, seed=seed, samples=samples)
-        assert all(w.lhs.dtype == w.rhs.dtype == np.int64 for w in rep.witnesses)
-        assert "." not in json.dumps(rep.to_dict()["witnesses"])
-        return rep.to_dict()
+    def reports():
+        out = {}
+        for name, sweep in sweeps.items():
+            rep = sweep()
+            assert all(w.lhs.dtype == w.rhs.dtype == np.int64 for w in rep.witnesses)
+            assert "." not in json.dumps(rep.to_dict()["witnesses"])
+            out[name] = rep.to_dict()
+        return out
 
-    whole = operator_sweep_report("restricted_leibniz", ops, p, rows, values, len(rows),
-                                  coverage)
-    assert report() == whole
+    assert reports() == want
     monkeypatch.setattr(algebra_core, "_CHUNK_ENTRIES", 20 * d * d)
-    want = operator_sweep_report("restricted_leibniz", ops, p, rows, values, 20, coverage)
-    assert want["failure_count"] > 16
-    # on the sampled grid a later chunk's witness sorts first by repr; on the
-    # exhaustive grid repr order is row order, so the chunks keep the same 16
-    assert (want != whole) == (kind == "sampled")
     for block in (7 * d * d, d ** 3, 1, 2 * len(rows) * d * d):
         monkeypatch.setattr(algebra_core, "_BLOCK_ENTRIES", block)
-        assert report() == want, block
+        assert reports() == want, block
 
 
 @pytest.mark.parametrize("dim, rows, block", [(8, 6561, 512), (40, 100, 100)])
@@ -386,9 +428,9 @@ def test_operator_blocks_span_the_chunk_once_the_table_overflows_a_block(
     """The p-map values (right_power_batch) and the operator sweep build r_x
     once per compute block.  At dim 8 the (8, 8, 8) operator table fits
     _BLOCK_ENTRIES, so the 6,561 elements go in blocks of 2**15 // 8**2 = 512
-    rows.  At dim 40 the table (64,000 entries) overflows it, so a block is
-    the whole chunk and the table is read once for 100 sampled rows, not
-    once for each block of 2**15 // 40**2 = 20 rows."""
+    rows.  At dim 40 the table (64,000 entries) overflows it, so a block takes
+    _CHUNK_ENTRIES // 40**2 = 1,310 rows and the table is read once for 100
+    sampled rows, not once for each block of 2**15 // 40**2 = 20 rows."""
     rng = random.Random(f"blocks-{dim}")
     alg = Algebra(3, dim, {"bracket": random_structure(3, dim, rng)},
                   {"frobenius": RightPowerPMap("bracket")})
@@ -400,8 +442,8 @@ def test_operator_blocks_span_the_chunk_once_the_table_overflows_a_block(
 
     monkeypatch.setattr(algebra_core, "operator_stack", counted)
     monkeypatch.setattr(identities, "operator_stack", counted)
-    rep = identities._operator_condition_sweep(alg, "bracket", "frobenius",
-                                               "restricted_leibniz", None, 0, rows)[0]
+    rep = identities._restricted_pass(alg, alg.right_ops("bracket"), "frobenius",
+                                      "restricted_leibniz", None, 0, rows)[0]
     assert rep.coverage.count == rows
     assert max(built) == block and sum(built) == 3 * rows  # the p-map, then r_x and r_{f(x)}
 
@@ -438,7 +480,7 @@ def test_restricted_pass_reduces_each_block_at_most_twice(monkeypatch) -> None:
     algebra is built first, and holds its Leibniz report, so only the
     restricted pass runs.  A reduction after every product makes five a block."""
     alg = dleib(matrix_dialgebra(l2_dialgebra(3), 2))
-    block = algebra_core._blocks(alg.dim, alg.dim ** 3)[1]
+    block = algebra_core._blocks(alg.dim, alg.dim ** 3)
     blocks = -(-alg.element_count() // block)
     assert (alg.element_count(), block, blocks) == (6561, 512, 13)
     calls, float_mod = [], algebra_core._float_mod

@@ -79,12 +79,19 @@ def _calls(name):
 def test_one_restricted_pass_draws_the_element_grids():
     """_grid is called by the restricted pass every gate runs, by
     _pmap_instances (for sampled gates and for ulp_relations_check, which has
-    no gate) and by check_commutative_diagram, and nowhere else; and no
-    Leibniz gate runs check_leibniz past a report the algebra holds."""
+    no gate) and by check_commutative_diagram, and nowhere else; the operator
+    sweep is called by that pass, by the module relations and by
+    check_tensor_restricted, and nowhere else; and no Leibniz gate runs
+    check_leibniz past a report the algebra holds."""
     assert sorted((mod, fn) for mod, fn, _ in _calls("_grid")) == [
         ("dialgebra", "check_commutative_diagram"),
         ("free_structures", "_pmap_instances"),
         ("identities", "_restricted_pass"),
+    ]
+    assert sorted((mod, fn) for mod, fn, _ in _calls("_operator_failures")) == [
+        ("envelope", "_module_relations"),
+        ("identities", "_restricted_pass"),
+        ("prelie_tensor", "check_tensor_restricted"),
     ]
     assert [(mod, fn) for mod, fn, call in _calls("_require") if call.args
             and isinstance(call.args[0], ast.Call)
