@@ -70,7 +70,7 @@ def enumeration_cap(explicit=None) -> int:
 
 
 def _tup(row) -> tuple:
-    return tuple(int(v) for v in row)
+    return tuple(map(int, row))
 
 
 def _randrange_array(rng: random.Random, bound: int, n: int) -> np.ndarray:
@@ -92,9 +92,9 @@ def _randrange_array(rng: random.Random, bound: int, n: int) -> np.ndarray:
 
 
 def _apply_one_row(pmap, alg: "Algebra", x) -> Element:
-    """A p-map's value at a reduced element: a one-row call of its apply_batch,
-    reduced mod p as Algebra.apply_pmap_batch reduces it."""
-    return _tup(pmap.apply_batch(alg, np.asarray(x, dtype=np.int64)[None])[0] % alg.p)
+    """A p-map's value at an element: a one-row call of its apply_batch on the row
+    reduced mod p, the value reduced as Algebra.apply_pmap_batch reduces it."""
+    return _tup(pmap.apply_batch(alg, np.asarray(x, dtype=np.int64)[None] % alg.p)[0] % alg.p)
 
 
 def _check_modulus_bound(p: int, dim: int) -> None:
@@ -185,6 +185,7 @@ class ZeroPMap:
     apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
+        """A zero row for each reduced row of X."""
         return np.zeros_like(X)
 
     def validate(self, alg: "Algebra") -> None:
@@ -210,6 +211,7 @@ class RightPowerPMap:
     apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
+        """The right powers of the reduced rows of X, by Algebra.right_power_batch."""
         n = alg.p if self.exponent is None else self.exponent
         return alg.right_power_batch(self.op, X, n)
 
@@ -267,6 +269,7 @@ class TablePMap:
     apply = _apply_one_row
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
+        """The values at the reduced rows of X, one gather; RuntimeError at a row with no entry."""
         X = np.asarray(X, dtype=np.int64)
         found = np.zeros(X.shape[0], dtype=bool)
         slots = np.zeros(X.shape[0], dtype=np.int64)
@@ -318,31 +321,32 @@ class BasisJacobsonPMap:
 
     def apply_batch(self, alg: "Algebra", X: np.ndarray) -> np.ndarray:
         """x^[p] = sum_i a_i e_i^[p] + sum_i sum_k s_k(a_i e_i, sum_{j>i} a_j e_j) on the
-        rows x = sum_i a_i e_i of X (a**p == a in F_p).  While 2 <= dim and dim**p <
+        reduced rows x = sum_i a_i e_i of X (a**p == a in F_p).  While 2 <= dim and dim**p <
         _JACOBSON_WORDS, a block of rows at a time is [x, mono(x)] [values; G] for the
         compiled table (idx, G), with the float64 [values; G] Algebra.jacobson_table keeps:
-        a float64 gather of the p factors, their product reduced mod p, one GEMM.  Past it,
-        one _matmul_mod and one jacobson_terms_batch call over every (row, i) with a_i and
-        its tail nonzero."""
+        a float64 gather of the p factors, their unreduced product, one GEMM, written to a
+        fresh array.  Past it, one _matmul_mod and one jacobson_terms_batch call over every
+        (row, i) with a_i and its tail nonzero."""
         p, d = alg.p, alg.dim
-        rest = np.array(X, dtype=np.int64) % p
         if d >= 2 and d ** min(p, 64) < _JACOBSON_WORDS:
             idx, coeffs = alg.jacobson_table(self.bracket, self.values)
-            xf, chunk = rest.astype(np.float64), max(1, _BLOCK_ENTRIES // idx.size)
+            out = np.empty(X.shape, dtype=np.int64)
+            xf, chunk = X.astype(np.float64), max(1, _BLOCK_ENTRIES // idx.size)
             for lo in range(0, len(xf), chunk):
                 x = xf[lo:lo + chunk]
-                # p factors below p: (p-1)**p < 2**53, as p <= 11 under the cut
-                mono = _float_mod(x[:, idx.T].prod(axis=1), p)
-                rest[lo:lo + chunk] = _matmul_mod(np.concatenate([x, mono], axis=1), coeffs, p)
-            return rest
-        nz = rest != 0
+                # products of p residues stay below (p-1)**p, the GEMM's sums over the dim + M
+                # rows of [values; G] below (dim + M) (p-1)**(p+1) < 2**53 (14e12 at p = 11)
+                mono = x[:, idx.T].prod(axis=1)
+                out[lo:lo + chunk] = _matmul_mod(np.concatenate([x, mono], axis=1), coeffs, p)
+            return out
+        nz = X != 0
         tail = np.zeros_like(nz)  # tail[n, i]: some coordinate of row n past i is nonzero
         tail[:, :-1] = np.logical_or.accumulate(nz[:, :0:-1], axis=1)[:, ::-1]
         rows, cols = np.nonzero(nz & tail)
         at = np.arange(d) - cols[:, None]  # 0 at the pair's coordinate i, > 0 past it
-        terms = jacobson_terms_batch(p, np.where(at == 0, rest[rows], 0),
-                                     np.where(at > 0, rest[rows], 0), alg.right_ops(self.bracket))
-        out = _matmul_mod(rest, np.array(self.values, dtype=np.int64).reshape(d, d), p)
+        terms = jacobson_terms_batch(p, np.where(at == 0, X[rows], 0),
+                                     np.where(at > 0, X[rows], 0), alg.right_ops(self.bracket))
+        out = _matmul_mod(X, np.array(self.values, dtype=np.int64).reshape(d, d), p)
         np.add.at(out, rows, terms.sum(axis=0))
         return out % p
 
@@ -524,7 +528,8 @@ class Algebra:
             ) from None
 
     def apply_pmap(self, name: str, x: Element) -> Element:
-        return _tup(self.apply_pmap_batch(name, np.array([self.element(x)], dtype=np.int64))[0])
+        """The named p-map at x, reduced by element(), as a one-row call."""
+        return _apply_one_row(self.pmap(name), self, self.element(x))
 
     def apply_pmap_batch(self, name: str, X: np.ndarray) -> np.ndarray:
         """The named p-map at the rows of X, which it gets and returns reduced mod p."""
@@ -621,17 +626,18 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) 
     (p, n, dim, 1) int64 buffer.  Round t is one raw _matmul_mod of the stacked (r_y, r_x)
     against P[:t], then in place P'_k = r_y P_k + r_x P_{k-1}, unreduced: entries at most b
     become at most 2*dim*(p-1)*b, so all of P[:t] is reduced in place (b = p - 1) only when
-    that could reach 2**63, and P once more before the 1/i scaling at the end.  A block also
-    fits its operator and lambda stacks, with their casts, in _CHUNK_ENTRIES: 4*dim*(dim + 2p)
-    entries a row, which binds below dim 33 only past p = 15*dim; a batch with a row
-    past it is refused (_check_jacobson_row) before anything is allocated."""
+    that could reach 2**63, and P before the 1/i scaling only when b*(p-1) could.  A batch of
+    one block returns that block's array.  A block fits its operator and lambda stacks, with
+    their casts, in _CHUNK_ENTRIES: 4*dim*(dim + 2p) entries a row, which binds below dim 33
+    only past p = 15*dim; a batch with a row past it is refused (_check_jacobson_row) first."""
     if X.shape != Y.shape:
         raise UsageError(f"Jacobson terms need x and y of one shape, got {X.shape} and {Y.shape}")
     N, d = X.shape
     if N:
         _check_jacobson_row(p, d)
-    out = np.zeros((p - 1, N, d), dtype=np.int64)
-    block = max(1, min(_blocks(d, ops.size) // 2, _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
+    block = 1 if N < 2 else max(1, min(_blocks(d, ops.size) // 2,
+                                       _CHUNK_ENTRIES // max(1, 4 * d * (d + 2 * p))))
+    out = None if 0 < N <= block else np.empty((p - 1, N, d), dtype=np.int64)
     for lo in range(0, N, block):
         V = np.concatenate([Y[lo:lo + block], X[lo:lo + block]]) % p  # the y rows, then the x
         n = len(V) // 2
@@ -647,9 +653,11 @@ def jacobson_terms_batch(p: int, X: np.ndarray, Y: np.ndarray, ops: np.ndarray) 
             P[:t] = B[0]
             P[1:t + 1] += B[1]
             b *= 2 * d * (p - 1)
-        np.multiply(P[:-1, ..., 0] % p, _inverses(p)[1:, None, None], out=out[:, lo:lo + n])
-        out[:, lo:lo + n] %= p
-    return out
+        S = P[:-1, ..., 0] % p if b * (p - 1) >= _EXACT[np.int64] else P[:-1, ..., 0]
+        S = np.multiply(S, _inverses(p)[1:, None, None],
+                        out=None if out is None else out[:, lo:lo + n])
+        np.remainder(S, p, out=S)
+    return S if out is None else out
 
 
 def _jacobson_table(c: np.ndarray, p: int) -> tuple:

@@ -198,12 +198,13 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
     """Every axiom of `identity`, with `ops` mapping roles to op names.
 
     Mode "basis" sweeps all basis triples, one GEMM per bracketing and chunk
-    of first indices, and keeps the first WITNESS_LIMIT failures of each chunk
-    and axiom.  Mode "sampled" draws x, y, z one coefficient at a time, runs a
-    chunk of triples at once through multiply_batch, and keeps the first
-    WITNESS_LIMIT failures in sample order, axioms in table order.  Every
-    bracketing is reduced mod p before the signed sums, which keeps the
-    arithmetic exact wherever _check_modulus_bound admits the algebra."""
+    of first indices, and keeps each axiom's first WITNESS_LIMIT failing
+    triples in row order, whatever the chunks.  Mode "sampled" draws x, y, z
+    one coefficient at a time, runs a chunk of triples at once through
+    multiply_batch, and keeps the first WITNESS_LIMIT failures in sample
+    order, axioms in table order.  Every bracketing is reduced mod p before
+    the signed sums, which keeps the arithmetic exact wherever
+    _check_modulus_bound admits the algebra."""
     C = {role: alg.structure(name) for role, name in ops.items()}
     p, d = alg.p, alg.dim
     axioms = _AXIOMS[identity]
@@ -220,7 +221,7 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
 
     witnesses, failures = [], 0
     if mode == "basis":
-        block = max(1, _CHUNK_ENTRIES // max(1, d ** 3))
+        block, kept = max(1, _CHUNK_ENTRIES // max(1, d ** 3)), {name: [] for name, *_ in axioms}
         for lo in range(0, d, block):
             for name, lhs_terms, rhs_terms in axioms:
                 cache = {}
@@ -237,10 +238,10 @@ def _trilinear_sweep(alg, identity, ops, mode, seed, samples):
                 bad = (lhs != rhs).any(axis=3)
                 # argwhere costs several count_nonzero calls, and most sweeps pass
                 failures += _keep(
-                    witnesses, np.argwhere(bad) if np.count_nonzero(bad) else (),
+                    kept[name], np.argwhere(bad) if np.count_nonzero(bad) else (),
                     lambda i, j, k: Witness(tag(name) + (int(i) + lo, int(j), int(k)),
-                                            _tup(lhs[i, j, k]), _tup(rhs[i, j, k])),
-                    WITNESS_LIMIT)
+                                            _tup(lhs[i, j, k]), _tup(rhs[i, j, k])))
+        witnesses = [w for ws in kept.values() for w in ws]
         coverage = Coverage("exhaustive", len(axioms) * d ** 3)
     elif mode == "sampled":
         rng = _sampling(samples, seed)

@@ -134,6 +134,7 @@ class TensorFormulaPMap:
     apply = _apply_one_row
 
     def apply_batch(self, alg: Algebra, X: np.ndarray) -> np.ndarray:
+        """The formula's values at the reduced rows of X, 0 at the non-pure ones."""
         g, R = self.gfactor, self.rfactor
         Y, B, pure = _split_pure(g, R, X)
         out = np.zeros((pure.size, alg.dim), dtype=np.int64)

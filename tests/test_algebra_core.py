@@ -53,6 +53,40 @@ def test_one_row_apply_reduces_like_apply_pmap() -> None:
             g.apply_pmap(name, x) for x in g.enumerate_elements()]
 
 
+def test_one_row_apply_reduces_its_input_like_apply_pmap() -> None:
+    """Every built-in p-map's one-row `apply` at x + p*k, k of either sign, equals
+    Algebra.apply_pmap at x: both hand apply_batch the reduced row.  A TablePMap
+    that is the identity on F_2**2 once refused (3, 1) as a key it has no entry for."""
+    ident = {(a, b): (a, b) for a in range(2) for b in range(2)}
+    cases = [(Algebra(2, 2, {"bracket": np.zeros((2, 2, 2), dtype=np.int64)},
+                      {"t": TablePMap(ident)}), "t")]
+    rng = random.Random("one-row-apply")
+    for p in (2, 3, 5):
+        mul = random_structure(p, 3, rng)
+        A = matrix_assoc(p, 2)
+        C = A.structure("assoc")
+        values = A.right_power_batch("assoc", np.eye(4, dtype=np.int64), p)
+        cases += [(Algebra(p, 3, {"mul": mul}, {"zero": ZeroPMap()}), "zero"),
+                  (Algebra(p, 3, {"mul": mul}, {"pw": RightPowerPMap("mul")}), "pw"),
+                  (A.extended(pmaps={"pw": MatrixPowerPMap()}), "pw"),
+                  (l2(p), "frobenius"),
+                  (Algebra(p, 4, {"bracket": (C - C.transpose(1, 0, 2)) % p},
+                           {"jac": BasisJacobsonPMap("bracket", values.tolist())}), "jac"),
+                  (tensor_prelie(l2(p), free_zinbiel(2, 2, p).to_algebra()).product,
+                   "tensor_p")]
+    kinds = set()
+    for alg, name in cases:
+        pm, p = alg.pmap(name), alg.p
+        kinds.add(type(pm).__name__)
+        for x in map(tuple, alg.sample_array(12, rng).tolist()):
+            shifted = tuple(v + p * rng.randrange(-3, 4) for v in x)
+            assert pm.apply(alg, shifted) == alg.apply_pmap(name, shifted) == \
+                alg.apply_pmap(name, x), (alg.label, name, x, shifted)
+    assert cases[0][0].pmap("t").apply(cases[0][0], (3, 1)) == (1, 1)
+    assert kinds == {"ZeroPMap", "RightPowerPMap", "MatrixPowerPMap", "TablePMap",
+                     "BasisJacobsonPMap", "TensorFormulaPMap"}
+
+
 def test_l2_multiply_example() -> None:
     alg = l2(3)
     assert alg.multiply("bracket", (2, 1), (0, 1)) == (2, 0)

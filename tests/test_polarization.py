@@ -190,6 +190,48 @@ def test_basis_jacobson_routes_match_the_coordinate_oracle(p, monkeypatch):
         assert got["compiled"] == got["pair"] == want, (p, dim)
 
 
+@pytest.mark.parametrize("p, dim", [(2, 63), (3, 15), (5, 5), (7, 3), (11, 2)])
+def test_compiled_basis_jacobson_is_exact_at_the_corners_of_the_cut(p, dim):
+    """The compiled route sums (p-1)**p products of p factors against [values; G]
+    unreduced in float64.  At the largest dim under the cut for each p, rows with
+    every coordinate p - 1 give the largest products; with every basis value p - 1
+    too, they match the plain-Python extension, as do random rows."""
+    assert dim ** p < algebra_core._JACOBSON_WORDS <= (dim + 1) ** p
+    rng = random.Random(f"corner-{p}-{dim}")
+    c = random_structure(p, dim, rng)
+    c = (c - c.transpose(1, 0, 2)) % p
+    C = c.tolist()
+    for values in ([(p - 1,) * dim] * dim,
+                   [tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim)]):
+        rows = [[p - 1] * dim] + [[rng.randrange(p) for _ in range(dim)] for _ in range(2)]
+        alg = Algebra(p, dim, {"bracket": c})
+        got = BasisJacobsonPMap("bracket", values).apply_batch(alg, np.array(rows, dtype=np.int64))
+        assert alg._tables.keys() == {"bracket"}
+        want = [list(naive_basis_jacobson(lambda u, v: naive_multiply(C, u, v, p), values,
+                                          tuple(x), p)) for x in rows]
+        assert got.dtype == np.int64 and got.tolist() == want, (p, dim)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_jacobson_si_is_row_0_of_the_kernel_on_unreduced_rows(p):
+    """jacobson_si(alg, b, x, y) is row 0 of jacobson_terms_batch on the unreduced
+    x and y, alone and at the head of a batch, and equals it on their residues."""
+    rng = random.Random(f"si-row-{p}")
+    for kind, c in _brackets(p, rng):
+        d = c.shape[0]
+        alg = Algebra(p, d, {"b": c})
+        X = _random_rows(rng, p, 5, d) + p * np.array(
+            [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(5)], dtype=np.int64)
+        Y = _random_rows(rng, p, 5, d) + p * np.array(
+            [[rng.randrange(-3, 4) for _ in range(d)] for _ in range(5)], dtype=np.int64)
+        x, y = tuple(X[0].tolist()), tuple(Y[0].tolist())
+        got = jacobson_si(alg, "b", x, y)
+        for n in (1, 5):
+            terms = jacobson_terms_batch(p, X[:n], Y[:n], alg.right_ops("b"))
+            assert got == [tuple(s) for s in terms[:, 0].tolist()], (kind, n)
+        assert got == jacobson_si(alg, "b", alg.element(x), alg.element(y)), kind
+
+
 def _count_kernel_rows(monkeypatch):
     """The row count of every jacobson_terms_batch call BasisJacobsonPMap makes from here on."""
     calls, kernel = [], algebra_core.jacobson_terms_batch

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from rlk import identities
 from rlk.algebra_core import Algebra
 from rlk.free_structures import free_zinbiel
 from rlk.identities import check_dias, check_leibniz, check_prelie, check_zinbiel
@@ -62,8 +63,9 @@ def _cases():
         ]
     # dim 40 cuts the basis sweep into two chunks (32 + 8 first indices) and
     # the 1400-sample sweep into two draws.  Only x = e_9 and x = e_35 fail,
-    # one in each chunk, and the witness sort puts "35" before "9", so the
-    # kept witnesses are the second chunk's first 16.
+    # one in each chunk.  The basis sweep keeps the first 16 failing triples
+    # in row order whatever the chunks, all of them at x = e_9, although the
+    # witness sort would put "35" before "9".
     c = _random_algebra("leibniz", 2, 40, 1).structure("bracket").copy()
     c[[i for i in range(40) if i not in (9, 35)]] = 0
     big = Algebra(2, 40, {"bracket": c})
@@ -94,7 +96,7 @@ PINNED = {
     "prelie-basis-fail": "618cbba24b63382f880bd6ee37e7b015746b9ee8c36b3191edeaf85d3eccda23",
     "prelie-sampled-pass": "88cb80fdefb77e55538a1e254f1bb29d95eabafe54a049d2c4e523200b34418f",
     "prelie-sampled-fail": "d605119173eaf6b0ec79f459802f13d8dbe03327f77b9bcb568dbe479994215f",
-    "leibniz-basis-fail-chunked": "dc363418ac7035d5c38edebde1c5be1d16fb87fb9e4ed1efae7a980553c2970d",
+    "leibniz-basis-fail-chunked": "3bed587ab72ee643279a52bb9edfe0d21c9a1080990916f095a8a366baafb5c3",
     "leibniz-sampled-fail-chunked": "ee8f49a78473beb46c4fbee5530dd03bf91c93dc22cde858025078620617eb9b",
     "prelie-basis-fail-chunked": "931a75a30148e08ea8aed9f4d785be01ab6cfa799e304c2084cde4f526ca0f31",
 }
@@ -116,6 +118,32 @@ def test_report_digest_is_pinned(case, run) -> None:
     else:
         assert rep.ok()
     assert _digest(rep) == PINNED[case]
+
+
+@pytest.mark.parametrize("identity", sorted(CHECKERS))
+def test_basis_reports_do_not_depend_on_the_chunk_split(identity, monkeypatch) -> None:
+    """A basis sweep keeps each axiom's first 16 failing triples in row order,
+    so one first index a chunk gives the whole-sweep report.  At dim 12, p = 3,
+    only the rows of x = e_2 and x = e_10 fail; the witness sort puts "10"
+    before "2", and the old per-chunk rule showed x = e_10's triples once the
+    chunks split them (259 failures either way for the Leibniz case)."""
+    check, names = CHECKERS[identity]
+    rng = np.random.default_rng(0)
+    ops = {}
+    for name in names:
+        c = np.zeros((12, 12, 12), dtype=np.int64)
+        for i in (2, 10):
+            c[i] = rng.integers(0, 3, (12, 12))
+        ops[name] = c
+    alg = Algebra(3, 12, ops)
+    whole = check(alg)
+    monkeypatch.setattr(identities, "_CHUNK_ENTRIES", 12 ** 3)
+    split = check(alg)
+    assert whole.status == "fail" and whole.failure_count > 16
+    assert split.to_dict() == whole.to_dict()
+    if identity == "leibniz":
+        assert whole.failure_count == 259
+        assert all(w.inputs[0] == 2 for w in whole.witnesses)
 
 
 # -- failure counts at a modulus next to the bound ----------------------------
